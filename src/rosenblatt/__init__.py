@@ -16,6 +16,7 @@ from .cumulants import (
     c4_region,
     c5_closed,
     c5_region,
+    c_closed,
     characteristic_function,
     cumulant_table,
     kappa,
@@ -75,7 +76,7 @@ __all__ = [
     "QuadratureError", "RegionSpec", "SeriesResult", "SpecialFunctionError",
     "SplitForm", "ThomaeForm", "apply_kernel", "best_convergence_form",
     "c2_closed", "c3_closed", "c4_closed", "c4_region", "c5_closed",
-    "c5_region", "c_k_via_operator", "characteristic_function",
+    "c5_region", "c_closed", "c_k_via_operator", "characteristic_function",
     "cumulant_table", "g1", "g2", "g3", "g4_closed", "g_function",
     "gamma_ratio", "gauss_2f1_at_1", "hyp_2f1", "kappa", "kappa_from_c",
     "kernel_hyp2f1_moment", "kernel_one_minus_power", "log_gamma", "mc_ck",

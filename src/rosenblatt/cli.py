@@ -154,20 +154,18 @@ def read_reports_csv(stream) -> list[cu.CumulantReport]:
 
 def _vt_report(k: int, d: float, cfg: RunConfig) -> cu.CumulantReport:
     abs_tol = 1e-9 if k <= 4 else 1e-7
-    c_k = vt.c_k_via_operator(1, k - 1, d, cfg.eval_config) if k > 2 else \
-        vt.c_k_via_operator(1, 1, d, cfg.eval_config)
-    factor = 2.0 ** (k - 1) * math.factorial(k - 1) * cu.sigma(d) ** k
+    c_k = vt.c_k_via_operator(1, k - 1, d, cfg.eval_config)
     return cu.CumulantReport(
-        k, d, factor * c_k, cu.METHOD_VT, factor * abs_tol * 10,
+        k, d, cu.kappa_from_c(k, d, c_k), cu.METHOD_VT, cu.kappa_from_c(k, d, abs_tol * 10),
         {"quad_abs_tol": abs_tol},
     )
 
 
 def _mc_report(k: int, d: float, cfg: RunConfig) -> cu.CumulantReport:
     est = orc.mc_ck(k, d, cfg.mc_samples, cfg.seed, workers=cfg.workers)
-    factor = 2.0 ** (k - 1) * math.factorial(k - 1) * cu.sigma(d) ** k
     return cu.CumulantReport(
-        k, d, factor * est.mean, cu.METHOD_MC, factor * est.std_error,
+        k, d, cu.kappa_from_c(k, d, est.mean), cu.METHOD_MC,
+        cu.kappa_from_c(k, d, est.std_error),
         {"seed": est.seed, "n_samples": est.n_samples},
     )
 
@@ -259,16 +257,6 @@ def _interior(grid) -> list[float]:
     return [d for d in grid if 0.0 < d < 0.5]
 
 
-def _closed_c(k: int, d: float, cfg: RunConfig) -> float:
-    if k == 2:
-        return cu.c2_closed(d)
-    if k == 3:
-        return cu.c3_closed(d)
-    if k == 4:
-        return cu.c4_closed(d, cfg.eval_config).value
-    return cu.c5_closed(d, cfg.eval_config).value
-
-
 def cmd_verify(cfg: RunConfig, stream) -> int:
     log = _CheckLog(stream)
     orders = sorted(set(cfg.orders) & {2, 3, 4, 5}) or [2, 3, 4, 5]
@@ -338,8 +326,9 @@ def cmd_verify(cfg: RunConfig, stream) -> int:
         dev_by_k = {}
         for d in interior:
             for k in orders:
-                ck = vt.c_k_via_operator(1, max(k - 1, 1), d, cfg.eval_config)
-                dev_by_k[k] = max(dev_by_k.get(k, 0.0), abs(ck - _closed_c(k, d, cfg)))
+                ck = vt.c_k_via_operator(1, k - 1, d, cfg.eval_config)
+                dev = abs(ck - cu.c_closed(k, d, cfg.eval_config).value)
+                dev_by_k[k] = max(dev_by_k.get(k, 0.0), dev)
         for k, dev in sorted(dev_by_k.items()):
             tol = 1e-4 if k == 5 else 1e-5
             log.record(f"closed-vs-operator-k{k}", dev <= tol, f"max |diff| = {dev:.3g}")
@@ -350,7 +339,8 @@ def cmd_verify(cfg: RunConfig, stream) -> int:
             worst = 0.0
             for d in interior:
                 est = orc.mc_ck(k, d, cfg.mc_samples, cfg.seed, workers=cfg.workers)
-                sigma_dev = abs(est.mean - _closed_c(k, d, cfg)) / max(est.std_error, 1e-300)
+                truth = cu.c_closed(k, d, cfg.eval_config).value
+                sigma_dev = abs(est.mean - truth) / max(est.std_error, 1e-300)
                 worst = max(worst, sigma_dev)
             log.record(f"closed-vs-mc-k{k}", worst <= 3.0, f"max deviation = {worst:.2f} sigma")
         # the order-5 region-3 reading, decided by the oracle

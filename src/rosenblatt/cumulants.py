@@ -111,16 +111,6 @@ def c3_closed(d: float) -> float:
     )
 
 
-def kappa3(d: float) -> CumulantReport:
-    d = _check_d(d)
-    if d == 0.5:
-        return CumulantReport(3, d, 0.0, METHOD_CLOSED, 0.0)
-    if d == 0.0:
-        return CumulantReport(3, d, 8.0 * 0.5**1.5, METHOD_CLOSED, 0.0)
-    value = kappa_from_c(3, d, c3_closed(d))
-    return CumulantReport(3, d, value, METHOD_CLOSED, 8 * _EPS * abs(value))
-
-
 # ---------------------------------------------------------------------------
 # order 4
 # ---------------------------------------------------------------------------
@@ -172,20 +162,6 @@ def c4_closed(d: float, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     bracket = f.value + g1**2 * g2**2 / gamma(2 - 2 * d) ** 2 + 2 * g1 * g2**2 / gamma(3 - 3 * d)
     scale = 1.0 / ((1 - d) ** 3 * (3 - 4 * d))
     return SeriesResult(scale * bracket, scale * (f.error_estimate + 8 * _EPS * bracket), f.n_terms)
-
-
-def kappa4(d: float, cfg: EvalConfig = DEFAULT_CONFIG) -> CumulantReport:
-    d = _check_d(d)
-    if d == 0.5:
-        return CumulantReport(4, d, 0.0, METHOD_CLOSED, 0.0)
-    if d == 0.0:
-        return CumulantReport(4, d, 12.0, METHOD_CLOSED, 0.0)
-    c4 = c4_closed(d, cfg)
-    scale = 12.0 * (1 - 2 * d) ** 2 * (1 - d) ** 2
-    return CumulantReport(
-        4, d, scale * c4.value, METHOD_CLOSED, scale * c4.error_estimate,
-        {"series_terms": c4.n_terms},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -303,20 +279,6 @@ def c5_closed(d: float, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     return SeriesResult(value, err, n)
 
 
-def kappa5(d: float, cfg: EvalConfig = DEFAULT_CONFIG) -> CumulantReport:
-    d = _check_d(d)
-    if d == 0.5:
-        return CumulantReport(5, d, 0.0, METHOD_CLOSED, 0.0)
-    if d == 0.0:
-        return CumulantReport(5, d, 384.0 * 0.5**2.5, METHOD_CLOSED, 0.0)
-    c5 = c5_closed(d, cfg)
-    scale = 384.0 * (0.5 * (1 - 2 * d) * (1 - d)) ** 2.5
-    return CumulantReport(
-        5, d, scale * c5.value, METHOD_CLOSED, scale * c5.error_estimate,
-        {"series_terms": c5.n_terms},
-    )
-
-
 # ---------------------------------------------------------------------------
 # dispatch, characteristic function, tables
 # ---------------------------------------------------------------------------
@@ -324,18 +286,46 @@ def kappa5(d: float, cfg: EvalConfig = DEFAULT_CONFIG) -> CumulantReport:
 SUPPORTED_ORDERS = (2, 3, 4, 5)
 
 
+def _check_order(k: int) -> None:
+    if k not in SUPPORTED_ORDERS:
+        raise ValueError(f"unsupported cumulant order {k} (supported: 2..5)")
+
+
+def c_closed(k: int, d: float, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
+    """The closed-form cumulant factor c_k(d) for k in 2..5, with its error estimate."""
+    _check_order(k)
+    if k == 2:
+        c2 = c2_closed(d)
+        return SeriesResult(c2, 4 * _EPS * c2, 0)
+    if k == 3:
+        c3 = c3_closed(d)
+        return SeriesResult(c3, 8 * _EPS * c3, 0)
+    if k == 4:
+        return c4_closed(d, cfg)
+    return c5_closed(d, cfg)
+
+
 def kappa(k: int, d: float, cfg: EvalConfig = DEFAULT_CONFIG) -> CumulantReport:
-    """kappa_k(d) for k in 2..5; kappa_2 is identically 1."""
+    """kappa_k(d) for k in 2..5; kappa_2 is identically 1.
+
+    For k >= 3 the endpoints are exact: sigma vanishes at d = 0.5, and at
+    d = 0 every c_k is 1, leaving 2^(k-1) (k-1)! 2^(-k/2).
+    """
     d = _check_d(d)
+    _check_order(k)
     if k == 2:
         return CumulantReport(2, d, 1.0, METHOD_CLOSED, 0.0)
-    if k == 3:
-        return kappa3(d)
-    if k == 4:
-        return kappa4(d, cfg)
-    if k == 5:
-        return kappa5(d, cfg)
-    raise ValueError(f"unsupported cumulant order {k} (supported: 2..5)")
+    if d == 0.5:
+        return CumulantReport(k, d, 0.0, METHOD_CLOSED, 0.0)
+    if d == 0.0:
+        exact = 2.0 ** (k - 1) * math.factorial(k - 1) * 0.5 ** (k / 2)
+        return CumulantReport(k, d, exact, METHOD_CLOSED, 0.0)
+    c = c_closed(k, d, cfg)
+    diagnostics = {"series_terms": c.n_terms} if k >= 4 else {}
+    return CumulantReport(
+        k, d, kappa_from_c(k, d, c.value), METHOD_CLOSED,
+        kappa_from_c(k, d, c.error_estimate), diagnostics,
+    )
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,13 @@
 
 Plain Monte-Carlo estimation of the cyclic singular integral over the
 unit hypercube and of each ordered-simplex region integral, plus nested
-adaptive quadrature for the order-3 factor.  Every factor |x_i - x_j|^(-2d)
-is integrable for d < 0.5, so the estimators have finite variance and
-plain sampling suffices; importance sampling is deliberately omitted so
-the oracle stays auditable.
+adaptive quadrature for the order-3 factor.  The integrands are integrable
+for d < 0.5, but their squares are not everywhere: where all k points
+coincide the squared order-k integrand behaves like r^(-2dk) in k-1
+transverse dimensions, so an order-k estimator has finite variance only
+for d < (k-1)/(2k).  Beyond that the standard error is not an error bar;
+the estimators warn there.  Importance sampling is deliberately omitted
+so the oracle stays auditable.
 
 Reproducibility contract: streams come from the Philox 4x64 counter-based
 generator, seeded per chunk through SeedSequence(seed, spawn_key=(chunk,)),
@@ -57,15 +60,15 @@ class MCEstimate:
             raise ValueError("std_error must be >= 0")
 
 
-def _check_domain(d: float, n: int) -> None:
+def _check_domain(k: int, d: float, n: int) -> None:
     if not (0.0 <= d < 0.5):
         raise ValueError(f"Monte-Carlo oracle requires 0 <= d < 0.5, got d={d}")
     if n < 1:
         raise ValueError("n must be positive")
-    if d >= 0.45:
+    if d >= (k - 1) / (2 * k):
         warnings.warn(
-            f"integrand variance grows rapidly as d -> 0.5 (d={d}); "
-            "standard errors remain valid but large",
+            f"the order-{k} integrand has infinite variance for d >= {k - 1}/{2 * k} "
+            f"(d={d}); the standard error is not an error bar there",
             stacklevel=3,
         )
 
@@ -109,7 +112,7 @@ def mc_ck(k: int, d: float, n: int, seed: int, workers: int | None = None) -> MC
     """Plain Monte-Carlo estimate of the cyclic integral c_k over [0,1]^k."""
     if k < 2:
         raise ValueError("order k must be >= 2")
-    _check_domain(d, n)
+    _check_domain(k, d, n)
 
     def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
         x = rng.random((m, k))
@@ -128,7 +131,7 @@ def mc_region(spec: RegionSpec, d: float, n: int, seed: int,
     k uniforms sorted descending sample the simplex; the estimator averages
     the integrand over sorted samples and divides by k! (the simplex volume).
     """
-    _check_domain(d, n)
+    _check_domain(spec.k, d, n)
     kfact = math.factorial(spec.k)
 
     def sampler(rng: np.random.Generator, m: int) -> np.ndarray:

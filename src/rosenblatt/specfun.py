@@ -134,31 +134,31 @@ def pochhammer(a: float, k: int) -> float:
 
 
 class _GammaProduct:
-    """Product of Gamma factors tracked in log space with sign and pole bookkeeping."""
+    """prod Gamma(numerator) / prod Gamma(denominator) in log space.
 
-    def __init__(self) -> None:
+    A numerator argument at a pole sets `pole`, a denominator argument at
+    a pole sets `zero`; the remaining factors accumulate into `log` and
+    `sign`.
+    """
+
+    def __init__(self, numerator=(), denominator=()) -> None:
         self.log = 0.0
         self.sign = 1
-        self.zero = False
-        self.pole = False
-
-    def times_gamma(self, x: float) -> "_GammaProduct":
-        if _nonpos_int(x):
-            self.pole = True
-            return self
-        lg, s = log_gamma(x)
-        self.log += lg
-        self.sign *= s
-        return self
-
-    def over_gamma(self, x: float) -> "_GammaProduct":
-        if _nonpos_int(x):
-            self.zero = True
-            return self
-        lg, s = log_gamma(x)
-        self.log -= lg
-        self.sign *= s
-        return self
+        self.pole = self.zero = False
+        for x in numerator:
+            if _nonpos_int(x):
+                self.pole = True
+            else:
+                lg, s = log_gamma(x)
+                self.log += lg
+                self.sign *= s
+        for x in denominator:
+            if _nonpos_int(x):
+                self.zero = True
+            else:
+                lg, s = log_gamma(x)
+                self.log -= lg
+                self.sign *= s
 
     def value(self) -> float:
         if self.pole:
@@ -170,12 +170,7 @@ class _GammaProduct:
 
 def gamma_product(numerator: tuple[float, ...] = (), denominator: tuple[float, ...] = ()) -> float:
     """prod Gamma(numerator) / prod Gamma(denominator), 0.0 on denominator poles."""
-    gp = _GammaProduct()
-    for x in numerator:
-        gp.times_gamma(x)
-    for x in denominator:
-        gp.over_gamma(x)
-    return gp.value()
+    return _GammaProduct(numerator, denominator).value()
 
 
 # ---------------------------------------------------------------------------

@@ -82,11 +82,7 @@ class SplitForm:
 
 def _prefactor(numerator, denominator) -> tuple[float, int]:
     """(log, sign) of prod Gamma(numerator)/prod Gamma(denominator); poles raise."""
-    gp = _GammaProduct()
-    for x in numerator:
-        gp.times_gamma(x)
-    for x in denominator:
-        gp.over_gamma(x)
+    gp = _GammaProduct(numerator, denominator)
     if gp.pole or gp.zero:
         raise PoleError("Gamma pole in transformation prefactor")
     return gp.log, gp.sign

@@ -29,18 +29,20 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import digamma, gammaln, roots_laguerre
 
 from .quadrature import tanh_sinh
 from .specfun import (
     DEFAULT_CONFIG,
     EvalConfig,
+    HypParams,
     ParameterDomainError,
     gamma,
     gamma_ratio,
     gauss_2f1_at_1,
     hyp_2f1,
+    pfq,
 )
 
 _K_WEIGHTS = 1 << 16   # weight range entering the E tables
@@ -98,7 +100,8 @@ def _build_e_table(u: np.ndarray, beta: float, p_decay: float, m1: float) -> _ET
     k = np.arange(K)
     a = u * (k + beta)
     h = 1.0 / (beta - np.arange(-(K - 1), J, dtype=float))
-    E = fftconvolve(a, h)[K - 1:K - 1 + J].copy()
+    m = next_fast_len(len(a) + len(h) - 1, real=True)
+    E = irfft(rfft(a, m) * rfft(h, m), m)[K - 1:K - 1 + J].copy()
 
     # k >= K completion: sum a_k/(k+beta-j), a_k ~ A k^(1-p)
     j = np.arange(J, dtype=float)
@@ -344,13 +347,11 @@ def g4_closed(x: float, d: float, cfg: EvalConfig = DEFAULT_CONFIG,
 
 @dataclass(frozen=True)
 class GFunction:
-    """A member of the operator recursion: pointwise evaluator plus endpoint profile."""
+    """A member of the operator recursion as a pointwise evaluator."""
 
     order: int
     d: float
     evaluator: Callable[..., float]
-    left_exponent: float
-    right_exponent: float
 
     def __call__(self, x: float, one_minus_x: float | None = None) -> float:
         return self.evaluator(x, one_minus_x=one_minus_x)
@@ -359,13 +360,13 @@ class GFunction:
 def g_function(order: int, d: float, cfg: EvalConfig = DEFAULT_CONFIG) -> GFunction:
     """G_k for k in 1..4 (closed forms; order 4 uses the assembled image)."""
     if order == 1:
-        return GFunction(1, d, lambda x, one_minus_x=None: g1(x, d, one_minus_x), 0.0, -d)
+        return GFunction(1, d, lambda x, one_minus_x=None: g1(x, d, one_minus_x))
     if order == 2:
-        return GFunction(2, d, lambda x, one_minus_x=None: g2(x, d, cfg, one_minus_x), 0.0, 0.0)
+        return GFunction(2, d, lambda x, one_minus_x=None: g2(x, d, cfg, one_minus_x))
     if order == 3:
-        return GFunction(3, d, lambda x, one_minus_x=None: g3(x, d, cfg, one_minus_x), 0.0, 0.0)
+        return GFunction(3, d, lambda x, one_minus_x=None: g3(x, d, cfg, one_minus_x))
     if order == 4:
-        return GFunction(4, d, lambda x, one_minus_x=None: g4_closed(x, d, cfg, one_minus_x), 0.0, 0.0)
+        return GFunction(4, d, lambda x, one_minus_x=None: g4_closed(x, d, cfg, one_minus_x))
     raise ValueError("orders 1..4 are supported")
 
 
@@ -395,7 +396,7 @@ def kernel_hyp2f1_moment(a: float, b: float, c: float, e: float, d: float, x: fl
     pre = gamma(1 - d) * (
         gamma_ratio(1 + e, 2 - d + e) + gamma_ratio(d - 1 - e, -e)
     )
-    front = pre * x ** (1 - d + e) * _pfq_x((a, b, e + 1.0), (c, 2 - d + e), x, cfg)
+    front = pre * x ** (1 - d + e) * pfq(HypParams((a, b, e + 1.0), (c, 2 - d + e)), x, cfg).value
 
     K = 1 << 13
     u = _cum_ratio(1.0, (a, b), (c, 1.0), K) / (1 - d + e + np.arange(K))
@@ -423,12 +424,6 @@ def kernel_one_minus_power(p: int, d: float, x: float,
     return first + x ** (1 - d) / (1 - d) * hyp_2f1(
         1.0, (p + 1) * d - p, 2 - d, x, cfg, one_minus_x=z
     )
-
-
-def _pfq_x(top, bottom, x, cfg: EvalConfig) -> float:
-    from .specfun import HypParams, pfq
-
-    return pfq(HypParams(top, bottom), x, cfg).value
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +454,10 @@ def apply_kernel(f: Callable[..., float], d: float, x: float, *,
 
 
 def c_k_via_operator(mu: int, nu: int, d: float, cfg: EvalConfig = DEFAULT_CONFIG, *,
-                     abs_tol: float | None = None, g4_route: str = "closed") -> float:
+                     abs_tol: float | None = None) -> float:
     """c_k = int_0^1 G_mu(x) G_nu(x) dx with mu + nu = k in {2,...,5}.
 
-    The order-4 factor uses the closed-form assembly by default;
-    g4_route="operator" integrates K(G_3) numerically instead (slow,
-    used as a cross-check).
+    The order-4 factor is the closed-form assembly g4_closed.
     """
     k = mu + nu
     if k not in (2, 3, 4, 5) or min(mu, nu) < 1 or max(mu, nu) > 4:
@@ -474,18 +467,8 @@ def c_k_via_operator(mu: int, nu: int, d: float, cfg: EvalConfig = DEFAULT_CONFI
     if abs_tol is None:
         abs_tol = 1e-10 if k <= 4 else 1e-8
 
-    def build(order: int) -> GFunction:
-        if order == 4 and g4_route == "operator":
-            g3f = g_function(3, d, cfg)
-            return GFunction(
-                4, d,
-                lambda x, one_minus_x=None: apply_kernel(g3f, d, x, abs_tol=abs_tol / 10),
-                0.0, 0.0,
-            )
-        return g_function(order, d, cfg)
-
-    gm = build(mu)
-    gn = gm if nu == mu else build(nu)
+    gm = g_function(mu, d, cfg)
+    gn = gm if nu == mu else g_function(nu, d, cfg)
 
     def integrand(u, dl, dr):
         return np.array([

@@ -1,0 +1,44 @@
+"""The names the traced benchmark wraps must exist where it looks them up.
+
+`perfbench` replaces module attributes (such as `cumulants.kappa` or
+`veillette_taqqu.g3`) by span-recording wrappers.  Attaching every
+workload's instrumentation here fails at once when a name it wraps is
+deleted or renamed; no benchmark operation is run.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import bench_trace  # noqa: E402
+import bench_workloads  # noqa: E402
+from rosenblatt import veillette_taqqu as vt  # noqa: E402
+
+
+@pytest.mark.parametrize("name", ["closed_table", "operator_route", "mc_oracle"])
+def test_workload_instrumentation_attaches_and_restores(name, tmp_path):
+    wl = bench_workloads.build(name, str(tmp_path))
+    tracer = bench_trace.Tracer()
+    try:
+        wl.instrument(tracer)
+        assert tracer._patches
+        for module, attr, original in tracer._patches:
+            assert getattr(module, attr) is not original
+    finally:
+        tracer.restore()
+    assert not tracer._patches
+
+
+def test_g_function_evaluations_reach_the_g_eval_span(tmp_path):
+    # g_function must look g1..g4_closed up at call time, where the wrapper sits
+    tracer = bench_trace.Tracer()
+    try:
+        bench_workloads.build("operator_route", str(tmp_path)).instrument(tracer)
+        with tracer.operation("probe"):
+            vt.g_function(1, 0.25)(0.5)
+    finally:
+        tracer.restore()
+    assert tracer.summary()["veillette_taqqu.g_eval"]["calls"] == 1

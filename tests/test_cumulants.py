@@ -59,10 +59,10 @@ class TestOrderThree:
 
     def test_table(self):
         for d, ref in zip(GRID, KAPPA_TABLES[3]):
-            assert matches_4_significant(cu.kappa3(d).value, ref), f"d={d}"
+            assert matches_4_significant(cu.kappa(3, d).value, ref), f"d={d}"
 
     def test_monotone_between_neighbors(self):
-        v = cu.kappa3(0.33).value
+        v = cu.kappa(3, 0.33).value
         assert 1.686 < v < 2.067
 
 
@@ -88,7 +88,7 @@ class TestOrderFourRegions:
 class TestOrderFour:
     def test_table(self):
         for d, ref in zip(GRID, KAPPA_TABLES[4]):
-            assert matches_4_significant(cu.kappa4(d).value, ref), f"d={d}"
+            assert matches_4_significant(cu.kappa(4, d).value, ref), f"d={d}"
 
 
 class TestOrderFiveRegions:
@@ -137,7 +137,7 @@ class TestOrderFive:
 
     def test_table(self):
         for d, ref in zip(GRID, KAPPA_TABLES[5]):
-            assert matches_4_significant(cu.kappa5(d).value, ref), f"d={d}"
+            assert matches_4_significant(cu.kappa(5, d).value, ref), f"d={d}"
 
 
 class TestDispatch:
@@ -169,6 +169,17 @@ class TestDispatch:
 
     def test_report_method_tag(self):
         assert cu.kappa(4, 0.3).method == "closed-form"
+
+    def test_single_route_through_kappa_from_c(self):
+        for k in (3, 4, 5):
+            for d in np.linspace(0.01, 0.49, 49):
+                c = cu.c_closed(k, d).value
+                assert cu.kappa(k, d).value == cu.kappa_from_c(k, d, c), (k, d)
+        assert cu.kappa(3, 0.0).value == 2.8284271247461903
+        assert cu.kappa(4, 0.0).value == 12.0
+        assert cu.kappa(5, 0.0).value == 67.88225099390857
+        for k in (3, 4, 5):
+            assert cu.kappa(k, 0.5).value == 0.0
 
 
 class TestCharacteristicFunction:

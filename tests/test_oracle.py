@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo and quadrature ground-truth layer."""
 
 import math
+import warnings
 
 import pytest
 
@@ -71,6 +72,14 @@ class TestMcCk:
     def test_variance_warning_near_half(self):
         with pytest.warns(UserWarning):
             orc.mc_ck(3, 0.46, 10_000, seed=5)
+
+    def test_variance_warning_from_the_order_threshold(self):
+        # order 5 has infinite variance from d = 4/10 on
+        with pytest.warns(UserWarning, match="infinite variance"):
+            orc.mc_ck(5, 0.41, 10_000, seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            orc.mc_ck(5, 0.35, 10_000, seed=5)
 
     def test_domain(self):
         with pytest.raises(ValueError):

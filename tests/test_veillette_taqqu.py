@@ -6,11 +6,16 @@ application for the assembled G functions.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import rosenblatt
 from rosenblatt import cumulants as cu
 from rosenblatt import specfun as sf
 from rosenblatt import veillette_taqqu as vt
@@ -221,3 +226,14 @@ class TestCkViaOperator:
             vt.c_k_via_operator(3, 3, 0.2)
         with pytest.raises(ValueError):
             vt.c_k_via_operator(0, 2, 0.2)
+
+
+def test_import_leaves_scipy_signal_out():
+    # the E tables convolve through scipy.fft; scipy.signal costs ~1 s of import
+    src = str(Path(rosenblatt.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, rosenblatt; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
