@@ -15,7 +15,7 @@ import math
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,6 +60,9 @@ class RunConfig:
             raise UsageError("--samples must be positive")
         if self.output_format not in ("csv", "json"):
             raise UsageError(f"unknown format {self.output_format!r}")
+        regions = sorted(s.name for s in orc.region_catalog())
+        if self.region is not None and self.region not in regions:
+            raise UsageError(f"unknown region {self.region!r}; choose from {regions}")
 
     @property
     def eval_config(self) -> sf.EvalConfig:
@@ -189,10 +192,7 @@ def cmd_table(cfg: RunConfig, stream) -> int:
 def cmd_oracle(cfg: RunConfig, stream) -> int:
     reports = []
     if cfg.region is not None:
-        specs = {s.name: s for s in orc.region_catalog()}
-        if cfg.region not in specs:
-            raise UsageError(f"unknown region {cfg.region!r}; choose from {sorted(specs)}")
-        spec = specs[cfg.region]
+        spec = next(s for s in orc.region_catalog() if s.name == cfg.region)
         for d in sorted(cfg.d_grid):
             est = orc.mc_region(spec, d, cfg.mc_samples, cfg.seed, workers=cfg.workers)
             reports.append(cu.CumulantReport(
@@ -244,7 +244,6 @@ def cmd_phi(cfg: RunConfig, stream) -> int:
 class _CheckLog:
     stream: object
     failures: int = 0
-    lines: list = field(default_factory=list)
 
     def record(self, name: str, passed: bool, detail: str) -> None:
         status = "PASS" if passed else "FAIL"
@@ -379,16 +378,23 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated d values in [0, 0.5]")
         p.add_argument("--orders", default=None,
                        help="comma-separated cumulant orders from {2,3,4,5}")
-        p.add_argument("--method", default="closed" if name == "table" else "all",
-                       choices=("closed", "vt", "mc", "all"))
-        p.add_argument("--samples", type=int, default=1_000_000,
-                       help="Monte-Carlo sample count")
-        p.add_argument("--seed", type=int, default=12345)
-        p.add_argument("--format", default="csv", choices=("csv", "json"))
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="series relative tolerance override")
-        p.add_argument("--workers", type=int, default=None)
+        p.add_argument("--out", dest="output_path", default=None,
+                       help="output path (default stdout)")
+        # each subcommand registers only the flags it reads
+        if name in ("table", "verify"):
+            p.add_argument("--method", default="closed" if name == "table" else "all",
+                           choices=("closed", "vt", "mc", "all"))
+        if name != "phi":
+            p.add_argument("--samples", dest="mc_samples", type=int, default=1_000_000,
+                           help="Monte-Carlo sample count")
+            p.add_argument("--seed", type=int, default=12345)
+            p.add_argument("--workers", type=int, default=None)
+        if name != "verify":
+            p.add_argument("--format", dest="output_format", default="csv",
+                           choices=("csv", "json"))
+        if name != "oracle":
+            p.add_argument("--tol", dest="rel_tol", type=float, default=None,
+                           help="series relative tolerance override")
         if name == "phi":
             p.add_argument("--theta-grid", default=None,
                            help="comma-separated theta values")
@@ -402,30 +408,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.d_grid is None:
+    """RunConfig from the parsed flags; a flag the subcommand lacks keeps its default."""
+    options = dict(vars(args))
+    d_grid, orders = options.pop("d_grid"), options.pop("orders")
+    if d_grid is None:
         grid = VERIFY_GRID if args.command == "verify" else DEFAULT_GRID
     else:
-        grid = _parse_floats(args.d_grid)
-    if args.orders is None:
+        grid = _parse_floats(d_grid)
+    if orders is None:
         orders = (2, 3, 4, 5) if args.command in ("verify", "phi") else (3, 4, 5)
     else:
-        orders = _parse_ints(args.orders)
-    cfg = RunConfig(
-        command=args.command,
-        d_grid=grid,
-        orders=orders,
-        method=args.method,
-        mc_samples=args.samples,
-        seed=args.seed,
-        output_format=args.format,
-        output_path=args.out,
-        rel_tol=args.tol,
-        theta_grid=_parse_floats(args.theta_grid)
-        if getattr(args, "theta_grid", None) else (),
-        region=getattr(args, "region", None),
-        region3_variant=getattr(args, "region3_variant", "corrected"),
-        workers=args.workers,
-    )
+        orders = _parse_ints(orders)
+    theta_grid = _parse_floats(options.pop("theta_grid", None) or "")
+    cfg = RunConfig(d_grid=grid, orders=orders, theta_grid=theta_grid, **options)
     cfg.validate()
     return cfg
 

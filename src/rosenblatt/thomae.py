@@ -3,10 +3,11 @@
 A 3F2(1) value is carried around as a ThomaeForm: a Gamma prefactor in
 log/sign representation times a parameter set.  The two one-term
 relations below generate (together with parameter permutations) the
-classical 120-element orbit of equivalent forms; since the terms of a
-convergent form decay like k^-(1+s) with s the convergence margin,
-walking the orbit to the largest margin is a cheap way to speed up
-numerical summation.
+classical 120-element orbit of equivalent forms, which up to parameter
+order has ten members, each one relation away from any other.  Since
+the terms of a convergent form decay like k^-(1+s) with s the
+convergence margin, picking the largest-margin member in one step is a
+cheap way to speed up numerical summation.
 """
 
 from __future__ import annotations
@@ -259,47 +260,29 @@ def split_4f3_alternative(d: float) -> tuple[tuple[float, HypParams], tuple[floa
     return ((w1, f1), (w2, f2))
 
 
-def _orbit_key(params: HypParams) -> tuple:
-    return (
-        tuple(round(v, 12) for v in sorted(params.top)),
-        tuple(round(v, 12) for v in sorted(params.bottom)),
-    )
+def best_convergence_form(form: ThomaeForm) -> ThomaeForm:
+    """Return the largest-margin member of the form's transformation orbit.
 
-
-def best_convergence_form(form: ThomaeForm, max_nodes: int = 200) -> ThomaeForm:
-    """Walk the transformation orbit and return the largest-margin equivalent form.
-
-    Breadth-first composition of the two one-term relations under all
-    parameter-role permutations, deduplicating parameter sets; forms whose
-    prefactor hits a Gamma pole are discarded.  Falls back to the input
-    when nothing better is reachable.
+    Up to parameter order the orbit of 3F2(a,b,c; e,f; 1) has ten members,
+    with margins s, a, b, c and the six differences e-a, ..., f-c (Bailey,
+    Generalized Hypergeometric Series, ch. 3; DLMF 16.4).  With each top
+    parameter moved to the front, thomae_fixed_top reaches margins f-a and
+    e-a (one per bottom order) and thomae_full reaches margin a, so one
+    relation applied to the input reaches every other member.  Candidates
+    whose prefactor hits a Gamma pole are skipped; the first strictly larger
+    margin wins, and the input is returned when nothing improves on it.
     """
-    start_key = _orbit_key(form.params)
-    seen = {start_key}
-    queue = [form]
     best = form
-    visited = 0
-    while queue and visited < max_nodes:
-        current = queue.pop(0)
-        visited += 1
-        candidates = []
-        for a_idx in range(3):
-            t_order = (a_idx, *(i for i in range(3) if i != a_idx))
-            for b_order in ((0, 1), (1, 0)):
-                candidates.append((thomae_fixed_top, current.permuted(t_order, b_order)))
-            candidates.append((thomae_full, current.permuted(t_order, (0, 1))))
-        for op, permuted in candidates:
+    for a_idx in range(3):
+        t_order = (a_idx, *(i for i in range(3) if i != a_idx))
+        for op, b_order in ((thomae_fixed_top, (0, 1)), (thomae_fixed_top, (1, 0)),
+                            (thomae_full, (0, 1))):
             try:
-                nxt = op(permuted)
+                candidate = op(form.permuted(t_order, b_order))
             except (PoleError, ValueError):
                 continue
-            key = _orbit_key(nxt.params)
-            if key in seen:
-                continue
-            seen.add(key)
-            queue.append(nxt)
-            if nxt.margin > best.margin and math.isfinite(nxt.prefactor_log):
-                best = nxt
+            if candidate.margin > best.margin and math.isfinite(candidate.prefactor_log):
+                best = candidate
     return best
 
 

@@ -15,6 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import bench_trace  # noqa: E402
 import bench_workloads  # noqa: E402
+from rosenblatt import cumulants as cu  # noqa: E402
 from rosenblatt import veillette_taqqu as vt  # noqa: E402
 
 
@@ -42,3 +43,17 @@ def test_g_function_evaluations_reach_the_g_eval_span(tmp_path):
     finally:
         tracer.restore()
     assert tracer.summary()["veillette_taqqu.g_eval"]["calls"] == 1
+
+
+def test_closed_path_reaches_the_thomae_and_series_spans(tmp_path):
+    # a closed path that bypassed the wrapped names would report 0 for these layers
+    tracer = bench_trace.Tracer()
+    try:
+        bench_workloads.build("closed_table", str(tmp_path)).instrument(tracer)
+        with tracer.operation("probe"):
+            cu.kappa(5, 0.3)
+    finally:
+        tracer.restore()
+    summary = tracer.summary()
+    assert summary["thomae.eval_3f2_optimized"]["calls"] > 0
+    assert summary["specfun.pfq_at_1"]["calls"] > 0

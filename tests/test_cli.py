@@ -103,7 +103,7 @@ class TestOracle:
         assert rows[0][0] == "4"
 
     def test_unknown_region(self, capsys):
-        assert cli.main(["oracle", "--region", "c9-1", "--d-grid", "0.2"]) == 1
+        assert cli.main(["oracle", "--region", "c9-1", "--d-grid", "0.2"]) == 2
 
 
 class TestPhi:
@@ -126,6 +126,11 @@ class TestPhi:
                             "--theta-grid", "0.05", "--orders", "5")
         _, rows = parse_csv(out)
         assert rows[0][4] == "0"
+
+    def test_flag_phi_does_not_read_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["phi", "--d-grid", "0.25", "--theta-grid", "0", "--seed", "1"])
+        assert exc.value.code == 2
 
 
 class TestVerify:

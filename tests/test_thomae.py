@@ -318,3 +318,34 @@ class TestBestConvergenceForm:
         ref = float(mp.hyper([1, d, 2 - 2 * d], [2 - d, 3 - 2 * d], 1))
         out = th.eval_3f2_optimized(params, CFG)
         assert out.value == pytest.approx(ref, rel=1e-11)
+
+    def test_margin_is_the_orbit_maximum(self):
+        # up to parameter order the orbit has ten members, margins s, a, b, c and e-a ... f-c
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            form = random_convergent_form(rng)
+            a, b, c = form.params.top
+            e, f = form.params.bottom
+            orbit_margins = (form.margin, a, b, c, e - a, e - b, e - c, f - a, f - b, f - c)
+            best = th.best_convergence_form(form)
+            assert best.margin == pytest.approx(max(orbit_margins), abs=1e-12)
+            ref = form.evaluate(CFG).value
+            assert best.evaluate(CFG).value == pytest.approx(ref, abs=1e-9)
+
+    @pytest.mark.parametrize("family", [
+        lambda d: ((1.0, d, 2 - 2 * d), (2 - d, 3 - 2 * d)),
+        lambda d: ((2 * d - 1, d, 1.0), (2 * d, 2 - d)),
+        lambda d: ((2 - 2 * d, 1.0, d), (3 - 2 * d, 2 - d)),
+        lambda d: ((d, 1 - d, 2 - 2 * d), (2 - d, 4 - 4 * d)),
+        lambda d: ((d, 1 - d, 3 - 3 * d), (2 - d, 4 - 4 * d)),
+        lambda d: ((1.0, d, 3 - 3 * d), (2 - d, 4 - 3 * d)),
+        lambda d: ((1.0, d, 3 - 3 * d), (3 - 2 * d, 4 - 3 * d)),
+    ])
+    def test_cumulant_families_agree_with_raw_series(self, family):
+        # the 3F2 parameter sets that cumulants evaluates through eval_3f2_optimized
+        for d in np.arange(0.05, 0.46, 0.05):
+            params = sf.HypParams(*family(float(d)))
+            opt = th.eval_3f2_optimized(params)
+            raw = sf.pfq_at_1(params)
+            tol = opt.error_estimate + raw.error_estimate + 1e-14 * abs(raw.value)
+            assert abs(opt.value - raw.value) <= tol, f"d = {d}"
