@@ -156,10 +156,11 @@ def read_reports_csv(stream) -> list[cu.CumulantReport]:
 # ---------------------------------------------------------------------------
 
 def _vt_report(k: int, d: float, cfg: RunConfig) -> cu.CumulantReport:
-    abs_tol = 1e-9 if k <= 4 else 1e-7
-    c_k = vt.c_k_via_operator(1, k - 1, d, cfg.eval_config)
+    abs_tol = vt.default_abs_tol(k)
+    c_k = vt.c_k_via_operator(1, k - 1, d, cfg.eval_config, abs_tol=abs_tol)
+    # 100 tolerances: a stated bound, not the quadrature's own error estimate
     return cu.CumulantReport(
-        k, d, cu.kappa_from_c(k, d, c_k), cu.METHOD_VT, cu.kappa_from_c(k, d, abs_tol * 10),
+        k, d, cu.kappa_from_c(k, d, c_k), cu.METHOD_VT, cu.kappa_from_c(k, d, abs_tol * 100),
         {"quad_abs_tol": abs_tol},
     )
 
@@ -427,7 +428,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # usage errors and --help, with argparse's exit code
+        return exc.code
     try:
         cfg = config_from_args(args)
     except UsageError as exc:

@@ -19,6 +19,11 @@ table the E_j follow a fitted inverse-power law, so the j-tail reduces
 to a few Watson-type integrals; this keeps every evaluation accurate
 uniformly in x, including exponentially close to the endpoints where
 quadrature nodes land.
+
+The G functions, the E-table sums and the operator's integrands work on
+whole arrays of quadrature nodes, each with its exact distance to 1, so
+one tanh-sinh level is one call.  A scalar abscissa is the one-node case
+and gets a float back.
 """
 
 from __future__ import annotations
@@ -47,6 +52,8 @@ from .specfun import (
 
 _K_WEIGHTS = 1 << 16   # weight range entering the E tables
 _J_TABLE = 1 << 14     # tabulated E_j range; tails are fitted beyond
+_CUTOFF = 60.0         # series terms below e^-60 (relative to c_0 = 1) are dropped
+_ROW = 128             # x^j = x^(R q) x^r with r < R; J is a multiple of R
 _GL_NODES, _GL_WEIGHTS = roots_laguerre(24)
 
 
@@ -55,21 +62,33 @@ def _check_interior(x: float) -> None:
         raise ParameterDomainError(f"x={x} must lie in (0, 1)")
 
 
-def _omx(x: float, one_minus_x: float | None) -> float:
-    return (1.0 - x) if one_minus_x is None else one_minus_x
-
-
-def _position(x: float, one_minus_x: float | None) -> float:
-    """Distance to 1 for an abscissa that may have saturated to an endpoint.
+def _position(x, one_minus_x) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and their distances to 1, for abscissae that may have saturated.
 
     Quadrature nodes exponentially close to 0 or 1 round to the endpoint
     itself; the caller then supplies the exact distance.  The open-interval
     contract is enforced on the effective position.
     """
-    z = (1.0 - x) if one_minus_x is None else one_minus_x
-    if x < 0.0 or z <= 0.0 or z > 1.0:
-        raise ParameterDomainError(f"x={x} (1-x={z}) must lie in (0, 1)")
-    return z
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    z = 1.0 - x if one_minus_x is None else np.broadcast_to(
+        np.asarray(one_minus_x, dtype=float), x.shape)
+    bad = (x < 0.0) | (z <= 0.0) | (z > 1.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ParameterDomainError(f"x={x[i]} (1-x={z[i]}) must lie in (0, 1)")
+    return x, z
+
+
+def _like(values: np.ndarray, x):
+    """A float for a scalar abscissa, the node array otherwise."""
+    return float(values[0]) if np.ndim(x) == 0 else values
+
+
+def _hyp_nodes(a: float, b: float, c: float, x: np.ndarray, z: np.ndarray,
+               cfg: EvalConfig) -> np.ndarray:
+    """hyp_2f1 at each node (the series engine is scalar)."""
+    return np.array([hyp_2f1(a, b, c, xi, cfg, one_minus_x=zi)
+                     for xi, zi in zip(x.tolist(), z.tolist())])
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +142,10 @@ def _build_e_table(u: np.ndarray, beta: float, p_decay: float, m1: float) -> _ET
     return _ETable(beta, E, (-1.0, *exps), (-m1, *coefs))
 
 
-def _series_tail(d: float, x: float, lam: float, q: float, J0: int,
-                 bottom: float | None) -> float:
-    """sum_{j>=J0} c_j j^q by midpoint Euler-Maclaurin + Gauss-Laguerre.
+def _series_tail(d: float, lam: np.ndarray, q: float, J0: int,
+                 bottom: float | None) -> np.ndarray:
+    """sum_{j>=J0} c_j j^q at each decay rate lam, by midpoint Euler-Maclaurin
+    + Gauss-Laguerre.
 
     c_j = (d)_j x^j / j!  (bottom=None) or (d)_j x^j / (bottom)_j.
     lam = -ln x.  The summand extends to continuous t through loggamma;
@@ -136,7 +156,7 @@ def _series_tail(d: float, x: float, lam: float, q: float, J0: int,
     s = 1.0 if bottom is None else bottom
     const = -gammaln(d) + (0.0 if bottom is None else gammaln(bottom))
 
-    def logf(t):
+    def logf(t, lam):
         # ln Gamma(d+t) - ln Gamma(s+t), asymptotic branch dodges the
         # catastrophic cancellation of huge lgamma values
         t = np.asarray(t, dtype=float)
@@ -148,44 +168,62 @@ def _series_tail(d: float, x: float, lam: float, q: float, J0: int,
         )
         return ratio + const - t * lam + q * np.log(t)
 
-    lf0 = logf(t0)
-    if lf0 < -700.0:
-        return 0.0
+    out = np.zeros(len(lam))
+    lf0 = logf(t0, lam)
+    live = lf0 >= -700.0
+    if not live.any():
+        return out
+    lam, lf0 = lam[live], lf0[live]
     # decay rate of t*f(t) in u = ln(t/t0); nu+1 = d+q (+ lam t0 when x < 1)
     slope = digamma(d + t0) - (digamma(t0 + 1.0) if bottom is None
                                else digamma(bottom + t0)) - lam + q / t0
     rate = -(t0 * slope + 1.0)
-    if rate <= 0.05:
+    if np.any(rate <= 0.05):
         raise ParameterDomainError("tail summand is not decaying in log scale")
-    t = t0 * np.exp(_GL_NODES / rate)
+    t = t0 * np.exp(_GL_NODES / rate[:, None])
     with np.errstate(under="ignore"):
-        vals = np.exp(np.clip(logf(t) + np.log(t) - lf0 + _GL_NODES, -745.0, 50.0))
-    integral = math.exp(lf0) * t0 / rate * float(np.sum(_GL_WEIGHTS * vals / t0))
-    deriv_correction = math.exp(lf0) * slope / 24.0
-    return integral + deriv_correction
+        vals = np.exp(np.clip(logf(t, lam[:, None]) + np.log(t) - lf0[:, None] + _GL_NODES,
+                              -745.0, 50.0))
+    integral = np.exp(lf0) * t0 / rate * np.sum(_GL_WEIGHTS * vals / t0, axis=1)
+    out[live] = integral + np.exp(lf0) * slope / 24.0
+    return out
 
 
-def _series_dot(table: _ETable, d: float, x: float, lam: float,
-                bottom: float | None = None) -> float:
-    """sum_j c_j(x) E_j over all j, tables plus fitted tail."""
+def _series_dot(table: _ETable, d: float, x, lam, bottom: float | None = None):
+    """sum_j c_j(x) E_j over all j, tables plus fitted tail, at each node.
+
+    c_j = a_j x^j with a_j = (d)_j/j! (or /(bottom)_j) <= 1, so a node
+    needs only the terms up to j = 60/lam; the sum runs to the longest
+    such cut-off among the nodes.  Writing j = R q + r and
+    x^j = e^(-lam R q) e^(-lam r) turns it into one matrix product,
+    sum_q e^(-lam R q) sum_r a_j E_j e^(-lam r), with no product chain
+    along j.  Only nodes whose cut-off passes the table get the fitted tail.
+    The powers come from lam = -ln x, which is exact near x = 1 where x
+    itself has rounded; x only sets the shape of the result.
+    """
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
     J = len(table.E)
-    if x <= 0.0:
-        return float(table.E[0])
-    jj = np.arange(J - 1, dtype=float)
-    if bottom is None:
-        ratios = (d + jj) * x / (jj + 1.0)
-    else:
-        ratios = (d + jj) * x / (bottom + jj)
-    c = np.empty(J)
-    c[0] = 1.0
-    np.cumprod(ratios, out=c[1:])
-    main = float(c @ table.E)
-    if c[-1] == 0.0 or abs(c[-1]) < 1e-280:
-        return main
-    tail = 0.0
-    for e, coef in zip(table.tail_exponents, table.tail_coefs):
-        tail += coef * _series_tail(d, x, lam, e, J, bottom)
-    return main + tail
+    with np.errstate(divide="ignore"):
+        n_terms = np.minimum(np.ceil(_CUTOFF / lams) + 1.0, J).astype(np.intp)
+    m = int(n_terms.max(initial=1))
+    R = min(m, _ROW)
+    Q = -(-m // R)
+    jj = np.arange(Q * R - 1, dtype=float)
+    a = np.empty(Q * R)
+    a[0] = 1.0
+    np.cumprod((d + jj) / ((jj + 1.0) if bottom is None else (bottom + jj)), out=a[1:])
+    weights = (a * table.E[:Q * R]).reshape(Q, R)
+    rate = np.minimum(lams, 1e3)[:, None]  # x = 0: e^(-lam*0) stays 1, higher powers vanish
+    with np.errstate(under="ignore"):
+        inner = np.exp(-rate * np.arange(R)) @ weights.T
+        out = np.einsum("nq,nq->n", np.exp(-rate * (R * np.arange(Q))), inner)
+    need = n_terms == J
+    if need.any():
+        tail = np.zeros(np.count_nonzero(need))
+        for e, coef in zip(table.tail_exponents, table.tail_coefs):
+            tail += coef * _series_tail(d, lams[need], e, J, bottom)
+        out[need] += tail
+    return _like(out, x)
 
 
 # ---------------------------------------------------------------------------
@@ -237,37 +275,34 @@ def _family_table(d: float, name: str) -> _ETable:
     raise ValueError(f"unknown family {name!r}")
 
 
-def _decay_rate(x: float, z: float) -> float:
-    """lam = -ln(x) from whichever of x, 1-x is known accurately."""
-    if x <= 0.0:
-        return math.inf
-    return -math.log1p(-z) if z < 0.5 else -math.log(x)
+def _decay_rate(x, z):
+    """lam = -ln(x) from whichever of x, 1-x is known accurately (inf at x = 0)."""
+    with np.errstate(divide="ignore"):
+        return np.where(z < 0.5, -np.log1p(-z), -np.log(x))
 
 
-def _phi_family_sum(d: float, name: str, x: float, one_minus_x: float | None,
-                    bottom: float | None = None) -> float:
-    z = _omx(x, one_minus_x)
-    return _series_dot(_family_table(d, name), d, x, _decay_rate(x, z), bottom)
+def _phi_family_sum(d: float, name: str, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    return _series_dot(_family_table(d, name), d, x, _decay_rate(x, z))
 
 
 # ---------------------------------------------------------------------------
 # G functions
 # ---------------------------------------------------------------------------
 
-def g1(x: float, d: float, one_minus_x: float | None = None) -> float:
+def g1(x, d: float, one_minus_x=None):
     """G_1(x) = (1-x)^(-d) / (1-d)^(1/2)."""
-    z = _position(x, one_minus_x)
-    return z ** (-d) / math.sqrt(1.0 - d)
+    _, z = _position(x, one_minus_x)
+    return _like(z ** (-d) / math.sqrt(1.0 - d), x)
 
 
-def g2(x: float, d: float, cfg: EvalConfig = DEFAULT_CONFIG,
-       one_minus_x: float | None = None) -> float:
+def g2(x, d: float, cfg: EvalConfig = DEFAULT_CONFIG, one_minus_x=None):
     """G_2(x) = x^(1-d)/(1-d)^(3/2) 2F1(1,d;2-d;x) + G(1-d)^2/G(2-2d) (1-x)^(1-2d)/sqrt(1-d)."""
-    z = _position(x, one_minus_x)
-    f = hyp_2f1(1.0, d, 2.0 - d, x, cfg, one_minus_x=z)
-    return (
-        x ** (1 - d) / (1 - d) ** 1.5 * f
-        + gamma(1 - d) ** 2 / (math.sqrt(1 - d) * gamma(2 - 2 * d)) * z ** (1 - 2 * d)
+    xs, z = _position(x, one_minus_x)
+    f = _hyp_nodes(1.0, d, 2.0 - d, xs, z, cfg)
+    return _like(
+        xs ** (1 - d) / (1 - d) ** 1.5 * f
+        + gamma(1 - d) ** 2 / (math.sqrt(1 - d) * gamma(2 - 2 * d)) * z ** (1 - 2 * d),
+        x,
     )
 
 
@@ -289,36 +324,35 @@ def _g3_coefs(d: float) -> tuple[float, float, float, float]:
     return a_coef, s_coef, c_coef, d_coef
 
 
-def g3(x: float, d: float, cfg: EvalConfig = DEFAULT_CONFIG,
-       one_minus_x: float | None = None) -> float:
+def g3(x, d: float, cfg: EvalConfig = DEFAULT_CONFIG, one_minus_x=None):
     """Closed form of G_3 = K(G_2): two 2F1 pieces, a power of 1-x, and the
     telescoping series summed through its E table.
 
     At d = 0 the operator is the identity on constants and several pieces
     become 0*inf limits, so that point is returned exactly.
     """
-    z = _position(x, one_minus_x)
+    xs, z = _position(x, one_minus_x)
     if d == 0.0:
-        return 1.0
+        return _like(np.ones_like(xs), x)
     a_coef, s_coef, c_coef, d_coef = _g3_coefs(d)
-    return (
-        a_coef * x ** (2 - 2 * d) * hyp_2f1(1.0, d, 3 - 2 * d, x, cfg, one_minus_x=z)
-        + s_coef * _phi_family_sum(d, "g3", x, z)
-        + c_coef * x ** (1 - d) * hyp_2f1(1.0, 2 * d - 1, 2 - d, x, cfg, one_minus_x=z)
-        + d_coef * z ** (2 - 3 * d)
+    return _like(
+        a_coef * xs ** (2 - 2 * d) * _hyp_nodes(1.0, d, 3 - 2 * d, xs, z, cfg)
+        + s_coef * _phi_family_sum(d, "g3", xs, z)
+        + c_coef * xs ** (1 - d) * _hyp_nodes(1.0, 2 * d - 1, 2 - d, xs, z, cfg)
+        + d_coef * z ** (2 - 3 * d),
+        x,
     )
 
 
-def g4_closed(x: float, d: float, cfg: EvalConfig = DEFAULT_CONFIG,
-              one_minus_x: float | None = None) -> float:
+def g4_closed(x, d: float, cfg: EvalConfig = DEFAULT_CONFIG, one_minus_x=None):
     """G_4 = K(G_3) assembled from the kernel images of G_3's four pieces.
 
     Each piece is an instance of the two kernel integrals below; the
     telescoping-series piece aggregates into two further E-table sums.
     """
-    z = _position(x, one_minus_x)
+    xs, z = _position(x, one_minus_x)
     if d == 0.0:
-        return 1.0
+        return _like(np.ones_like(xs), x)
     a_coef, s_coef, c_coef, d_coef = _g3_coefs(d)
 
     # image of x^(2-2d) 2F1(1,d;3-2d;x)
@@ -326,34 +360,34 @@ def g4_closed(x: float, d: float, cfg: EvalConfig = DEFAULT_CONFIG,
         gamma(3 - 2 * d) / gamma(4 - 3 * d) + gamma_ratio(3 * d - 3, 2 * d - 2)
     )
     i1 = (
-        p1 * x ** (3 - 3 * d) * hyp_2f1(1.0, d, 4 - 3 * d, x, cfg, one_minus_x=z)
-        + _phi_family_sum(d, "i1", x, z)
+        p1 * xs ** (3 - 3 * d) * _hyp_nodes(1.0, d, 4 - 3 * d, xs, z, cfg)
+        + _phi_family_sum(d, "i1", xs, z)
     )
     # image of the telescoping series, aggregated over its weights
-    lam = _decay_rate(x, z)
+    lam = _decay_rate(xs, z)
     i2 = (
-        x ** (1 - d) / (1 - d) * _series_dot(_family_table(d, "g3"), d, x, lam, bottom=2 - d)
-        + _series_dot(_family_table(d, "i2"), d, x, lam)
+        xs ** (1 - d) / (1 - d) * _series_dot(_family_table(d, "g3"), d, xs, lam, bottom=2 - d)
+        + _series_dot(_family_table(d, "i2"), d, xs, lam)
     )
     # image of x^(1-d) 2F1(1,2d-1;2-d;x)
     p3 = gamma(1 - d) * (gamma(2 - d) / gamma(3 - 2 * d) + _g3_pole_ratio(d))
     i3 = (
-        p3 * x ** (2 - 2 * d) * hyp_2f1(1.0, 2 * d - 1, 3 - 2 * d, x, cfg, one_minus_x=z)
-        + _phi_family_sum(d, "i3", x, z)
+        p3 * xs ** (2 - 2 * d) * _hyp_nodes(1.0, 2 * d - 1, 3 - 2 * d, xs, z, cfg)
+        + _phi_family_sum(d, "i3", xs, z)
     )
-    i4 = kernel_one_minus_power(2, d, x, one_minus_x=z, cfg=cfg)
-    return a_coef * i1 + s_coef * i2 + c_coef * i3 + d_coef * i4
+    i4 = kernel_one_minus_power(2, d, xs, one_minus_x=z, cfg=cfg)
+    return _like(a_coef * i1 + s_coef * i2 + c_coef * i3 + d_coef * i4, x)
 
 
 @dataclass(frozen=True)
 class GFunction:
-    """A member of the operator recursion as a pointwise evaluator."""
+    """A member of the operator recursion, evaluated at a node or a node array."""
 
     order: int
     d: float
-    evaluator: Callable[..., float]
+    evaluator: Callable
 
-    def __call__(self, x: float, one_minus_x: float | None = None) -> float:
+    def __call__(self, x, one_minus_x=None):
         return self.evaluator(x, one_minus_x=one_minus_x)
 
 
@@ -404,10 +438,9 @@ def kernel_hyp2f1_moment(a: float, b: float, c: float, e: float, d: float, x: fl
     return front + _series_dot(table, d, x, _decay_rate(x, 1.0 - x))
 
 
-def kernel_one_minus_power(p: int, d: float, x: float,
-                           one_minus_x: float | None = None,
-                           cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """int_0^1 |x-u|^(-d) (1-u)^(p-(p+1)d) du in closed form.
+def kernel_one_minus_power(p: int, d: float, x, one_minus_x=None,
+                           cfg: EvalConfig = DEFAULT_CONFIG):
+    """int_0^1 |x-u|^(-d) (1-u)^(p-(p+1)d) du in closed form, at a node or a node array.
 
     Gamma(1-d)Gamma((p+1)(1-d))/Gamma((p+2)(1-d)) (1-x)^((p+1)-(p+2)d)
     + x^(1-d)/(1-d) 2F1(1, (p+1)d-p; 2-d; x).
@@ -416,13 +449,14 @@ def kernel_one_minus_power(p: int, d: float, x: float,
         raise ParameterDomainError("p must be a non-negative integer")
     if not (0.0 <= d <= 0.5):
         raise ParameterDomainError("requires 0 <= d <= 0.5")
-    z = _position(x, one_minus_x)
+    xs, z = _position(x, one_minus_x)
     first = (
         gamma(1 - d) * gamma((p + 1) * (1 - d)) / gamma((p + 2) * (1 - d))
         * z ** ((p + 1) - (p + 2) * d)
     )
-    return first + x ** (1 - d) / (1 - d) * hyp_2f1(
-        1.0, (p + 1) * d - p, 2 - d, x, cfg, one_minus_x=z
+    return _like(
+        first + xs ** (1 - d) / (1 - d) * _hyp_nodes(1.0, (p + 1) * d - p, 2 - d, xs, z, cfg),
+        x,
     )
 
 
@@ -430,23 +464,28 @@ def kernel_one_minus_power(p: int, d: float, x: float,
 # numerical operator and inner products
 # ---------------------------------------------------------------------------
 
-def apply_kernel(f: Callable[..., float], d: float, x: float, *,
-                 abs_tol: float = 1e-9) -> float:
+def default_abs_tol(k: int) -> float:
+    """The absolute quadrature tolerance c_k_via_operator uses for c_k by default."""
+    return 1e-10 if k <= 4 else 1e-8
+
+
+def apply_kernel(f: Callable, d: float, x: float, *, abs_tol: float = 1e-9) -> float:
     """(K f)(x) = int_0^1 |x-u|^(-d) f(u) du by split double-exponential quadrature.
 
     The interval is split at the kernel point u = x; on each piece the
     tanh-sinh nodes absorb both the |x-u|^(-d) endpoint singularity and
     any integrable singularity of f at 0 or 1.  f(u, one_minus_x=...) is
-    called with the exact distance to 1 so endpoint factors stay accurate.
+    called once per quadrature level with the array of nodes u and their
+    exact distances to 1, so endpoint factors stay accurate.
     """
     _check_interior(x)
     z = 1.0 - x
 
     def left_piece(u, dl, dr):
-        return np.array([f(ui, one_minus_x=z + ri) * ri ** (-d) for ui, ri in zip(u, dr)])
+        return f(u, one_minus_x=z + dr) * dr ** (-d)
 
     def right_piece(u, dl, dr):
-        return np.array([f(ui, one_minus_x=ri) * li ** (-d) for ui, li, ri in zip(u, dl, dr)])
+        return f(u, one_minus_x=dr) * dl ** (-d)
 
     v1, _ = tanh_sinh(left_piece, 0.0, x, abs_tol=abs_tol / 2)
     v2, _ = tanh_sinh(right_piece, x, 1.0, abs_tol=abs_tol / 2)
@@ -457,7 +496,8 @@ def c_k_via_operator(mu: int, nu: int, d: float, cfg: EvalConfig = DEFAULT_CONFI
                      abs_tol: float | None = None) -> float:
     """c_k = int_0^1 G_mu(x) G_nu(x) dx with mu + nu = k in {2,...,5}.
 
-    The order-4 factor is the closed-form assembly g4_closed.
+    The order-4 factor is the closed-form assembly g4_closed.  The
+    tolerance defaults to default_abs_tol(k).
     """
     k = mu + nu
     if k not in (2, 3, 4, 5) or min(mu, nu) < 1 or max(mu, nu) > 4:
@@ -465,16 +505,13 @@ def c_k_via_operator(mu: int, nu: int, d: float, cfg: EvalConfig = DEFAULT_CONFI
     if not (0.0 <= d < 0.5):
         raise ParameterDomainError("operator route requires 0 <= d < 0.5")
     if abs_tol is None:
-        abs_tol = 1e-10 if k <= 4 else 1e-8
+        abs_tol = default_abs_tol(k)
 
     gm = g_function(mu, d, cfg)
     gn = gm if nu == mu else g_function(nu, d, cfg)
 
     def integrand(u, dl, dr):
-        return np.array([
-            gm(ui, one_minus_x=ri) * gn(ui, one_minus_x=ri)
-            for ui, ri in zip(u, dr)
-        ])
+        return gm(u, one_minus_x=dr) * gn(u, one_minus_x=dr)
 
     value, _ = tanh_sinh(integrand, 0.0, 1.0, abs_tol=abs_tol)
     return value

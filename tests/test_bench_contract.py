@@ -9,6 +9,7 @@ deleted or renamed; no benchmark operation is run.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -33,13 +34,17 @@ def test_workload_instrumentation_attaches_and_restores(name, tmp_path):
     assert not tracer._patches
 
 
-def test_g_function_evaluations_reach_the_g_eval_span(tmp_path):
-    # g_function must look g1..g4_closed up at call time, where the wrapper sits
+@pytest.mark.parametrize("order,x", [(1, 0.5), (2, 0.5), (3, 0.5), (4, 0.5),
+                                     (4, np.array([0.1, 0.5, 0.9]))],
+                         ids=["order1", "order2", "order3", "order4", "order4-array"])
+def test_g_function_evaluations_reach_the_g_eval_span(order, x, tmp_path):
+    # g_function must look g1..g4_closed up at call time, where the wrapper
+    # sits; a node array is one evaluation
     tracer = bench_trace.Tracer()
     try:
         bench_workloads.build("operator_route", str(tmp_path)).instrument(tracer)
         with tracer.operation("probe"):
-            vt.g_function(1, 0.25)(0.5)
+            vt.g_function(order, 0.25)(x)
     finally:
         tracer.restore()
     assert tracer.summary()["veillette_taqqu.g_eval"]["calls"] == 1

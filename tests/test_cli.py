@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from rosenblatt import cli
+from rosenblatt import veillette_taqqu as vt
 from reference_values import KAPPA_TABLES, matches_4_significant
 
 
@@ -46,6 +47,17 @@ class TestTable:
 
     def test_usage_error_exit_2(self, capsys):
         assert cli.main(["table", "--d-grid", "0.7"]) == 2
+
+    def test_help_prints_and_returns_0(self, capsys):
+        assert cli.main(["table", "--help"]) == 0
+        assert "--d-grid" in capsys.readouterr().out
+
+    def test_operator_rows_record_the_tolerance_used(self, capsys):
+        code, out = run_cli(capsys, "table", "--method", "vt", "--orders", "3,5",
+                            "--d-grid", "0.2", "--format", "json")
+        assert code == 0
+        for rec in json.loads(out):
+            assert rec["diagnostics"]["quad_abs_tol"] == vt.default_abs_tol(rec["order"])
 
     def test_computation_failure_exit_1(self, capsys):
         # the operator route is undefined at d = 0.5
@@ -128,9 +140,7 @@ class TestPhi:
         assert rows[0][4] == "0"
 
     def test_flag_phi_does_not_read_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["phi", "--d-grid", "0.25", "--theta-grid", "0", "--seed", "1"])
-        assert exc.value.code == 2
+        assert cli.main(["phi", "--d-grid", "0.25", "--theta-grid", "0", "--seed", "1"]) == 2
 
 
 class TestVerify:

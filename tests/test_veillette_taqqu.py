@@ -14,9 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gamma, poch
 
 import rosenblatt
 from rosenblatt import cumulants as cu
+from rosenblatt import quadrature
 from rosenblatt import specfun as sf
 from rosenblatt import veillette_taqqu as vt
 
@@ -93,6 +95,78 @@ class TestGFunctions:
             vt.g1(1.0, 0.3)
         with pytest.raises(sf.ParameterDomainError):
             vt.g2(-0.1, 0.3)
+
+
+def tanh_sinh_nodes(levels=4):
+    """tanh-sinh nodes of [0, 1] as abscissae x and exact distances 1 - x.
+
+    x is the exact distance to 0, so it reaches ~1e-280 at the left end,
+    and 1 - x does the same at the right end (where x itself is 1.0).
+    """
+    ts = np.concatenate([quadrature._nodes(level) for level in range(levels)])
+    u, dist, _ = quadrature._transform(ts)
+    near_right = u > 0
+    x = np.where(near_right, 1.0 - 0.5 * dist, 0.5 * dist)
+    z = np.where(near_right, 0.5 * dist, 1.0 - 0.5 * dist)
+    return x, z
+
+
+def full_series_dot(table, d, x, lam, bottom):
+    """sum_j c_j(x) E_j over every tabulated j, plus the fitted law summed
+    beyond the table by Euler-Maclaurin around an adaptive integral in ln t."""
+    J = len(table.E)
+    jj = np.arange(J - 1, dtype=float)
+    c = np.concatenate([[1.0], np.cumprod((d + jj) * x / ((jj + 1.0) if bottom is None
+                                                          else (bottom + jj)))])
+    main = float(c @ table.E)
+    if x == 0.0:
+        return main
+    s = 1.0 if bottom is None else bottom
+
+    def f(t):
+        # c_t = Gamma(d+t) Gamma(s) / (Gamma(s+t) Gamma(d)) x^t, free of lgamma cancellation
+        law = sum(coef * t**e for e, coef in zip(table.tail_exponents, table.tail_coefs))
+        return poch(s + t, d - s) * gamma(s) / gamma(d) * math.exp(-lam * t) * law
+
+    cuts = math.log(J) + np.arange(0.0, 65.0, 4.0)
+    integral = sum(quad(lambda u: f(math.exp(u)) * math.exp(u), lo, hi,
+                        epsabs=0.0, epsrel=1e-13)[0] for lo, hi in zip(cuts[:-1], cuts[1:]))
+    h = 1e-3 * J
+    return main + integral + f(J) / 2 - (f(J + h) - f(J - h)) / (2 * h) / 12
+
+
+class TestNodeArrays:
+    @pytest.mark.parametrize("d", [0.0, 0.25, 0.45])
+    @pytest.mark.parametrize("name", ["g1", "g2", "g3", "g4_closed"])
+    def test_array_equals_single_nodes(self, name, d):
+        x, z = tanh_sinh_nodes()
+        assert x.min() < 1e-270 and z.min() < 1e-270
+        g = getattr(vt, name)
+        got = g(x, d, one_minus_x=z)
+        single = [g(float(xi), d, one_minus_x=float(zi)) for xi, zi in zip(x, z)]
+        assert all(type(v) is float for v in single)
+        np.testing.assert_allclose(got, single, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("bottom", [None, 2 - 0.3])
+    def test_series_dot_matches_the_full_sum(self, bottom):
+        # x = 0 is E_0 alone; x = 1 (lam = 0) is how the i2 table takes its moment
+        d = 0.3
+        table = vt._family_table(d, "g3")
+        x = np.array([0.0, 0.3, 0.9, 0.999, 1.0])
+        lam = np.array([np.inf, -math.log(0.3), -math.log(0.9), -math.log(0.999), 0.0])
+        got = vt._series_dot(table, d, x, lam, bottom)
+        ref = [full_series_dot(table, d, xi, li, bottom) for xi, li in zip(x, lam)]
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+        assert got[0] == table.E[0]
+
+    @pytest.mark.xfail(strict=True, reason="the 24-point Gauss-Laguerre tail misses the "
+                       "e^(-lam t) cut-off for 1-x between ~1e-8 and ~1e-4 (ROADMAP item 3)")
+    def test_series_dot_where_the_tail_cut_off_falls_inside_the_rule(self):
+        d, z = 0.3, 1e-6
+        table = vt._family_table(d, "g3")
+        lam = -math.log1p(-z)
+        assert vt._series_dot(table, d, 1.0 - z, lam) == pytest.approx(
+            full_series_dot(table, d, 1.0 - z, lam, None), rel=1e-12)
 
 
 class TestKernelHyp2F1Moment:
