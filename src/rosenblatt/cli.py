@@ -157,7 +157,7 @@ def read_reports_csv(stream) -> list[cu.CumulantReport]:
 
 def _vt_report(k: int, d: float, cfg: RunConfig) -> cu.CumulantReport:
     abs_tol = vt.default_abs_tol(k)
-    c_k = vt.c_k_via_operator(1, k - 1, d, cfg.eval_config, abs_tol=abs_tol)
+    c_k = vt.c_k_via_operator(1, k - 1, d, abs_tol=abs_tol)
     # 100 tolerances: a stated bound, not the quadrature's own error estimate
     return cu.CumulantReport(
         k, d, cu.kappa_from_c(k, d, c_k), cu.METHOD_VT, cu.kappa_from_c(k, d, abs_tol * 100),
@@ -326,7 +326,7 @@ def cmd_verify(cfg: RunConfig, stream) -> int:
         dev_by_k = {}
         for d in interior:
             for k in orders:
-                ck = vt.c_k_via_operator(1, k - 1, d, cfg.eval_config)
+                ck = vt.c_k_via_operator(1, k - 1, d)
                 dev = abs(ck - cu.c_closed(k, d, cfg.eval_config).value)
                 dev_by_k[k] = max(dev_by_k.get(k, 0.0), dev)
         for k, dev in sorted(dev_by_k.items()):

@@ -518,6 +518,14 @@ def product_binomial_integral(p: float, q: float, d: float,
 
     The closed form is written for q <= p; the integral itself is symmetric
     in (p, q), so arguments are swapped as needed.
+
+    A documented library call that no command reaches, kept as the one
+    in-package caller of hyp_2f1 (the operator route sums its 2F1 pieces in
+    its own series engine).  It inherits hyp_2f1's limit near an integer
+    c - a - b, here 1 - 2d: for arguments above 0.85 the connection formula
+    just outside the slow-series switch loses digits (2e-12 relative at
+    d = 2e-6, 6e-10 at d = 0.5 - 1e-6), and within 1e-6 of d = 1/2 the slow
+    series can fail to converge for arguments near 1.
     """
     if not (0.0 <= p < 1.0 and 0.0 <= q < 1.0):
         raise ParameterDomainError("product_binomial_integral requires 0 <= p, q < 1")

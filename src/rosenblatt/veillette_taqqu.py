@@ -15,15 +15,22 @@ whose inner functions telescope:  2F1(-g, d; 1-g; x)
 = sum_j (d)_j x^j/j! * g/(g-j).  Swapping the sums turns T into
 sum_j c_j(x) E_j with x-independent tables E_j = sum_k u_k g_k/(g_k-j),
 computed once per (d, weight family) by FFT convolution.  Beyond the
-table the E_j follow a fitted inverse-power law, so the j-tail reduces
-to a few Watson-type integrals; this keeps every evaluation accurate
-uniformly in x, including exponentially close to the endpoints where
-quadrature nodes land.
+table the E_j follow a fitted inverse-power law.
 
-The G functions, the E-table sums and the operator's integrands work on
-whole arrays of quadrature nodes, each with its exact distance to 1, so
-one tanh-sinh level is one call.  A scalar abscissa is the one-node case
-and gets a float back.
+One series engine, _series_dot, sums every series the route needs:
+sum_j (b)_j/(c)_j x^j E_j.  Every 2F1 in the closed forms has a = 1, so
+2F1(1, b; c; x) is the same sum over the unit table E_j = 1 (with no
+special case where c - b - 1 is an integer).  The terms are summed
+exactly up to the table's end; the rest is one Euler-Maclaurin integral
+of the Gamma-ratio continuation of (b)_t/(c)_t times the table's law,
+taken in ln t across the e^(-lam t) cut-off, so each evaluation stays
+accurate uniformly in x, including exponentially close to the endpoints
+where quadrature nodes land.
+
+The G functions, the series engine and the operator's integrands work
+on whole arrays of quadrature nodes, each with its exact distance to 1,
+so one tanh-sinh level is one call.  A scalar abscissa is the one-node
+case and gets a float back.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import digamma, gammaln, roots_laguerre
+from scipy.special import bernoulli, roots_laguerre, roots_legendre
 
 from .quadrature import tanh_sinh
 from .specfun import (
@@ -46,15 +53,26 @@ from .specfun import (
     gamma,
     gamma_ratio,
     gauss_2f1_at_1,
-    hyp_2f1,
     pfq,
 )
+from .specfun import hyp_2f1  # noqa: F401  unused here: perfbench's trace wraps this name
 
 _K_WEIGHTS = 1 << 16   # weight range entering the E tables
 _J_TABLE = 1 << 14     # tabulated E_j range; tails are fitted beyond
 _CUTOFF = 60.0         # series terms below e^-60 (relative to c_0 = 1) are dropped
 _ROW = 128             # x^j = x^(R q) x^r with r < R; J is a multiple of R
-_GL_NODES, _GL_WEIGHTS = roots_laguerre(24)
+_EDGE = 36.0           # the tail integral leaves ln t for Gauss-Laguerre at lam t = 36
+_EDGE_PANELS = 12      # unit panels in ln t below that point
+_DOUBLINGS = 10        # panels [2^i - 1, 2^(i+1) - 1] in ln(t/t0) before them
+_GL_NODES, _GL_WEIGHTS = roots_legendre(20)
+_LAG_NODES, _LAG_WEIGHTS = roots_laguerre(16)
+# ln Gamma(t+b) - ln Gamma(t+c) = (b-c) ln t + sum_{k=2..6} g_k t^(1-k) + O(t^-6)
+# (DLMF 5.11.8) with g_k = (-1)^k (B_k(b) - B_k(c)) / (k(k-1)) for the Bernoulli
+# polynomials B_k; row k-2 holds the weights of b^m - c^m, m = 0..6, in g_k
+_BERNOULLI = bernoulli(6)
+_LNGAMMA_K = np.arange(2, 7)
+_LNGAMMA_ROWS = np.array([[(-1) ** k * math.comb(k, m) * _BERNOULLI[k - m] / (k * (k - 1))
+                           if m <= k else 0.0 for m in range(7)] for k in _LNGAMMA_K])
 
 
 def _check_interior(x: float) -> None:
@@ -84,20 +102,12 @@ def _like(values: np.ndarray, x):
     return float(values[0]) if np.ndim(x) == 0 else values
 
 
-def _hyp_nodes(a: float, b: float, c: float, x: np.ndarray, z: np.ndarray,
-               cfg: EvalConfig) -> np.ndarray:
-    """hyp_2f1 at each node (the series engine is scalar)."""
-    return np.array([hyp_2f1(a, b, c, xi, cfg, one_minus_x=zi)
-                     for xi, zi in zip(x.tolist(), z.tolist())])
-
-
 # ---------------------------------------------------------------------------
 # E tables: sum_k u_k * g_k/(g_k - j) for integer j
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class _ETable:
-    beta: float
     E: np.ndarray
     tail_exponents: tuple[float, ...]
     tail_coefs: tuple[float, ...]
@@ -107,29 +117,33 @@ def _build_e_table(u: np.ndarray, beta: float, p_decay: float, m1: float) -> _ET
     """Table of E_j = sum_k u_k (k+beta)/(k+beta-j) with a fitted large-j law.
 
     The k-sum is a correlation against 1/(m+beta), done by FFT; the
-    truncated k-range is completed with a three-term expansion of the
-    integral comparison (weights decay like k^-p_decay).  On j beyond the
-    table, E_j = -m1/j + c j^(1-p) + c2/j^2 + ...: the leading 1/j
+    truncated k-range is completed by the integral comparison (weights
+    decay like k^-p_decay), summed as its series in (j-beta)/K, which
+    converges geometrically since K >= 4J.  On j beyond the table,
+    E_j = -m1/j + c j^(1-p) + c2/j^2 + ...: the leading 1/j
     coefficient is the exact first moment m1 = sum_k u_k (k+beta); the
     subleading terms (the k ~ j resonance and the incomplete-moment
     corrections) are fitted over the top three octaves of the table.
     """
     K = len(u)
     J = _J_TABLE
+    if K < 4 * J:
+        raise ValueError(f"{K} weights cannot complete a {J}-entry table")
     k = np.arange(K)
     a = u * (k + beta)
     h = 1.0 / (beta - np.arange(-(K - 1), J, dtype=float))
-    m = next_fast_len(len(a) + len(h) - 1, real=True)
+    # a circular convolution of length >= K + J wraps only onto outputs below K - 1
+    m = next_fast_len(K + J, real=True)
     E = irfft(rfft(a, m) * rfft(h, m), m)[K - 1:K - 1 + J].copy()
 
-    # k >= K completion: sum a_k/(k+beta-j), a_k ~ A k^(1-p)
-    j = np.arange(J, dtype=float)
+    # k >= K completion: sum a_k/(k+beta-j), a_k ~ A k^(1-p), is
+    # int_Kh^inf A t^-q/(t-(j-beta)) dt = A Kh^-q sum_n r^n/(q+n), r = (j-beta)/Kh
+    r = (np.arange(J) - beta) / (K - 0.5)
     q = p_decay - 1.0
-    A = a[-1] * (K - 1) ** q
-    Kh = K - 0.5
-    base = A * Kh ** (-q) / q
-    E += base * (1.0 + (j - beta) * q / ((q + 1.0) * Kh)
-                 + (j - beta) ** 2 * q / ((q + 2.0) * Kh**2))
+    series = np.zeros(J)
+    for n in range(math.ceil(math.log(1e-17) / math.log(J / (K - 0.5))), -1, -1):
+        series = 1.0 / (q + n) + r * series
+    E += a[-1] * ((K - 1) / (K - 0.5)) ** q * series
 
     exps = [-2.0, -3.0]
     for cand in (1.0 - p_decay, -p_decay):
@@ -139,67 +153,96 @@ def _build_e_table(u: np.ndarray, beta: float, p_decay: float, m1: float) -> _ET
     jj = np.arange(lo, J, dtype=float)
     design = np.stack([jj**e for e in exps], axis=1)
     coefs, *_ = np.linalg.lstsq(design, E[lo:] + m1 / jj, rcond=None)
-    return _ETable(beta, E, (-1.0, *exps), (-m1, *coefs))
+    return _ETable(E, (-1.0, *exps), (-m1, *coefs))
 
 
-def _series_tail(d: float, lam: np.ndarray, q: float, J0: int,
-                 bottom: float | None) -> np.ndarray:
-    """sum_{j>=J0} c_j j^q at each decay rate lam, by midpoint Euler-Maclaurin
-    + Gauss-Laguerre.
+# E_j = 1 exactly: _series_dot on it is 2F1(1, b; c; x)
+_UNIT = _ETable(np.ones(_J_TABLE), (0.0,), (1.0,))
 
-    c_j = (d)_j x^j / j!  (bottom=None) or (d)_j x^j / (bottom)_j.
-    lam = -ln x.  The summand extends to continuous t through loggamma;
-    the integral is taken in u = ln(t/t0), where a pure power law becomes
-    exactly exponential, so Gauss-Laguerre stays accurate down to lam = 0.
+
+def _series_tail(table: _ETable, b: float, c: float, a_J: float,
+                 lam: np.ndarray) -> np.ndarray:
+    """sum_{j>=J} a_j e^(-lam j) E_j at each decay rate lam, J = len(table.E).
+
+    Midpoint Euler-Maclaurin: the integral of f(t) = a(t) e^(-lam t) E(t)
+    from t0 = J - 1/2, plus f'(t0)/24.  a(t) continues a_j = (b)_j/(c)_j
+    from the cumprod's a_J through the large-t expansion of
+    ln Gamma(t+b) - ln Gamma(t+c) (DLMF 5.11.8, five Bernoulli terms), and
+    E(t) is the table's fitted law, so every exponent shares one
+    quadrature.  The integral is taken in u = ln(t/t0), where a power law
+    is exponential: doubling Gauss-Legendre panels up to 12 units below
+    the cut-off lam t = 36, unit panels across it, and Gauss-Laguerre in t
+    beyond it.  Logarithms of t throughout keep t itself from overflowing
+    when lam is near the smallest normal float; lam = 0 has no cut-off and
+    the doubling panels reach u = 1023.
     """
-    t0 = J0 - 0.5
-    s = 1.0 if bottom is None else bottom
-    const = -gammaln(d) + (0.0 if bottom is None else gammaln(bottom))
+    J = len(table.E)
+    t0 = J - 0.5
+    ln_t0 = math.log(t0)
+    exps = np.asarray(table.tail_exponents)
+    coefs = np.asarray(table.tail_coefs)
+    powers = np.arange(7.0)
+    g = _LNGAMMA_ROWS @ (b ** powers - c ** powers)
+    ln_aJ = (b - c) * math.log(J) + float(g @ float(J) ** (1 - _LNGAMMA_K))
 
-    def logf(t, lam):
-        # ln Gamma(d+t) - ln Gamma(s+t), asymptotic branch dodges the
-        # catastrophic cancellation of huge lgamma values
-        t = np.asarray(t, dtype=float)
-        small = t < 1e7
-        ratio = np.where(
-            small,
-            gammaln(d + np.where(small, t, 1.0)) - gammaln(s + np.where(small, t, 1.0)),
-            (d - s) * np.log(t) + (d - s) * (d + s - 1.0) / (2.0 * t),
-        )
-        return ratio + const - t * lam + q * np.log(t)
+    def terms(ln_t, shift):
+        """a(t)/a_J t^e e^shift for each law exponent e (leading axis)."""
+        inv = np.exp(-ln_t)
+        ratio = g[-1]
+        for gk in g[-2::-1]:
+            ratio = gk + inv * ratio
+        ratio = (b - c) * ln_t + inv * ratio - ln_aJ
+        with np.errstate(under="ignore"):
+            return np.exp(np.multiply.outer(exps, ln_t) + (ratio + shift))
 
-    out = np.zeros(len(lam))
-    lf0 = logf(t0, lam)
-    live = lf0 >= -700.0
-    if not live.any():
-        return out
-    lam, lf0 = lam[live], lf0[live]
-    # decay rate of t*f(t) in u = ln(t/t0); nu+1 = d+q (+ lam t0 when x < 1)
-    slope = digamma(d + t0) - (digamma(t0 + 1.0) if bottom is None
-                               else digamma(bottom + t0)) - lam + q / t0
-    rate = -(t0 * slope + 1.0)
-    if np.any(rate <= 0.05):
-        raise ParameterDomainError("tail summand is not decaying in log scale")
-    t = t0 * np.exp(_GL_NODES / rate[:, None])
+    lam = lam[:, None]
+    with np.errstate(divide="ignore"):
+        ln_lam = np.log(lam)
+    # panel edges in u per node: doublings clipped at u_edge - 12, then unit steps to
+    # u_edge; past u = 42/r the slowest law term, t f(t) ~ e^(-r u), is below e^-42
+    u_edge = np.minimum(math.log(_EDGE) - ln_lam - ln_t0, 2.0**_DOUBLINGS - 1.0 + _EDGE_PANELS)
+    u_lo = u_edge - _EDGE_PANELS
+    decay = c - b - 1.0 - exps.max()
+    edges = np.minimum(np.concatenate([
+        np.minimum(2.0 ** np.arange(_DOUBLINGS + 1) - 1.0, np.maximum(u_lo, 0.0)),
+        np.maximum(u_lo + np.arange(1, _EDGE_PANELS + 1), 0.0),
+    ], axis=1), 42.0 / decay if decay > 0.0 else np.inf)
+    lo, half = edges[:, :-1], 0.5 * np.diff(edges, axis=1)
+    used = (half > 0.0).any(axis=0)
+    lo, half = lo[:, used, None], half[:, used, None]
+    ln_t = ln_t0 + lo + half * (_GL_NODES + 1.0)
     with np.errstate(under="ignore"):
-        vals = np.exp(np.clip(logf(t, lam[:, None]) + np.log(t) - lf0[:, None] + _GL_NODES,
-                              -745.0, 50.0))
-    integral = np.exp(lf0) * t0 / rate * np.sum(_GL_WEIGHTS * vals / t0, axis=1)
-    out[live] = integral + np.exp(lf0) * slope / 24.0
-    return out
+        lam_t = np.exp(ln_lam[:, :, None] + ln_t)
+    # the Jacobian dt = t du joins the exponent
+    law = np.tensordot(coefs, terms(ln_t, ln_t - lam_t), 1)
+    panels = np.sum(law * half * _GL_WEIGHTS, axis=(1, 2))
+
+    # beyond the panels: t = t_g + s/lam with lam t_g = max(36, lam t0), dt = ds/lam
+    live = lam > 0.0
+    ln_lam = np.where(live, ln_lam, 0.0)
+    lam_tg = np.maximum(_EDGE, lam * t0)
+    ln_t = np.log(lam_tg + _LAG_NODES) - ln_lam
+    beyond = np.tensordot(coefs, terms(ln_t, -lam_tg - ln_lam), 1) @ _LAG_WEIGHTS
+    beyond[~live[:, 0]] = 0.0
+
+    # Euler-Maclaurin correction f'(t0)/24, with f'/f = (ln a)' - lam + e/t
+    at_t0 = terms(np.full_like(lam, ln_t0), -lam * t0)[:, :, 0]
+    slope = (b - c) / t0 + float(g @ ((1 - _LNGAMMA_K) * t0 ** -_LNGAMMA_K)) - lam[:, 0]
+    df0 = (coefs @ at_t0) * slope + (coefs * exps / t0) @ at_t0
+    return a_J * (panels + beyond + df0 / 24.0)
 
 
-def _series_dot(table: _ETable, d: float, x, lam, bottom: float | None = None):
-    """sum_j c_j(x) E_j over all j, tables plus fitted tail, at each node.
+def _series_dot(table: _ETable, b: float, c: float, x, lam):
+    """sum_j a_j x^j E_j with a_j = (b)_j/(c)_j over all j, table plus tail, at each node.
 
-    c_j = a_j x^j with a_j = (d)_j/j! (or /(bottom)_j) <= 1, so a node
-    needs only the terms up to j = 60/lam; the sum runs to the longest
-    such cut-off among the nodes.  Writing j = R q + r and
-    x^j = e^(-lam R q) e^(-lam r) turns it into one matrix product,
-    sum_q e^(-lam R q) sum_r a_j E_j e^(-lam r), with no product chain
-    along j.  Only nodes whose cut-off passes the table get the fitted tail.
-    The powers come from lam = -ln x, which is exact near x = 1 where x
-    itself has rounded; x only sets the shape of the result.
+    With the unit table (E_j = 1) this is 2F1(1, b; c; x).  |a_j| <= 1
+    (c > b, and c > |b| when b < 0), so a node needs only the terms up to
+    j = 60/lam; the sum runs to the longest such cut-off among the nodes.
+    Writing j = R q + r and x^j = e^(-lam R q) e^(-lam r) turns it into one
+    matrix product, sum_q e^(-lam R q) sum_r a_j E_j e^(-lam r), with no
+    product chain along j.  Only nodes whose cut-off passes the table get
+    the tail.  The powers come from lam = -ln x, which is exact near x = 1
+    where x itself has rounded; x only sets the shape of the result.
     """
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     J = len(table.E)
@@ -208,21 +251,18 @@ def _series_dot(table: _ETable, d: float, x, lam, bottom: float | None = None):
     m = int(n_terms.max(initial=1))
     R = min(m, _ROW)
     Q = -(-m // R)
-    jj = np.arange(Q * R - 1, dtype=float)
-    a = np.empty(Q * R)
+    a = np.empty(Q * R + 1)
     a[0] = 1.0
-    np.cumprod((d + jj) / ((jj + 1.0) if bottom is None else (bottom + jj)), out=a[1:])
-    weights = (a * table.E[:Q * R]).reshape(Q, R)
+    # (b+j)/(c+j) as 1 - (c-b)/(c+j): b + j rounds alike across a whole binade
+    np.cumprod(1.0 - (c - b) / (c + np.arange(Q * R, dtype=float)), out=a[1:])
+    weights = (a[:-1] * table.E[:Q * R]).reshape(Q, R)
     rate = np.minimum(lams, 1e3)[:, None]  # x = 0: e^(-lam*0) stays 1, higher powers vanish
     with np.errstate(under="ignore"):
         inner = np.exp(-rate * np.arange(R)) @ weights.T
         out = np.einsum("nq,nq->n", np.exp(-rate * (R * np.arange(Q))), inner)
     need = n_terms == J
     if need.any():
-        tail = np.zeros(np.count_nonzero(need))
-        for e, coef in zip(table.tail_exponents, table.tail_coefs):
-            tail += coef * _series_tail(d, lams[need], e, J, bottom)
-        out[need] += tail
+        out[need] += _series_tail(table, b, c, a[J], lams[need])
     return _like(out, x)
 
 
@@ -264,12 +304,14 @@ def _family_table(d: float, name: str) -> _ETable:
         u = _cum_ratio(1.0, (2 * d - 1,), (2 - d,), K) / (2 - 2 * d + np.arange(K))
         return _build_e_table(u, 2 - 2 * d, 4 - 3 * d, gauss_2f1_at_1(2 * d - 1, 1.0, 2 - d))
     if name == "i2":
-        # (d)_j / (j! (1-d+j)) * E^{g3}_j against the beta = 1-d family
+        # (d)_j / (j! (1-d+j)) * E^{g3}_j against the beta = 1-d family; the
+        # weights run on past the g3 table with its fitted law
         g3_table = _family_table(d, "g3")
-        J = len(g3_table.E)
-        w = _cum_ratio(1.0, (d,), (1.0,), J) / (1 - d + np.arange(J))
-        u = w * g3_table.E
-        m1 = _series_dot(g3_table, d, 1.0, 0.0)
+        w = _cum_ratio(1.0, (d,), (1.0,), K) / (1 - d + np.arange(K))
+        jj = np.arange(len(g3_table.E), K, dtype=float)
+        law = sum(coef * jj**e for e, coef in zip(g3_table.tail_exponents, g3_table.tail_coefs))
+        u = w * np.concatenate([g3_table.E, law])
+        m1 = _series_dot(g3_table, d, 1.0, 1.0, 0.0)
         # dominant decay: j^(d-1)/j/j = 3-d
         return _build_e_table(u, 1.0 - d, 3.0 - d, m1)
     raise ValueError(f"unknown family {name!r}")
@@ -281,8 +323,8 @@ def _decay_rate(x, z):
         return np.where(z < 0.5, -np.log1p(-z), -np.log(x))
 
 
-def _phi_family_sum(d: float, name: str, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return _series_dot(_family_table(d, name), d, x, _decay_rate(x, z))
+def _family_sum(d: float, name: str, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    return _series_dot(_family_table(d, name), d, 1.0, x, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +337,10 @@ def g1(x, d: float, one_minus_x=None):
     return _like(z ** (-d) / math.sqrt(1.0 - d), x)
 
 
-def g2(x, d: float, cfg: EvalConfig = DEFAULT_CONFIG, one_minus_x=None):
+def g2(x, d: float, one_minus_x=None):
     """G_2(x) = x^(1-d)/(1-d)^(3/2) 2F1(1,d;2-d;x) + G(1-d)^2/G(2-2d) (1-x)^(1-2d)/sqrt(1-d)."""
     xs, z = _position(x, one_minus_x)
-    f = _hyp_nodes(1.0, d, 2.0 - d, xs, z, cfg)
+    f = _series_dot(_UNIT, d, 2.0 - d, xs, _decay_rate(xs, z))
     return _like(
         xs ** (1 - d) / (1 - d) ** 1.5 * f
         + gamma(1 - d) ** 2 / (math.sqrt(1 - d) * gamma(2 - 2 * d)) * z ** (1 - 2 * d),
@@ -324,7 +366,7 @@ def _g3_coefs(d: float) -> tuple[float, float, float, float]:
     return a_coef, s_coef, c_coef, d_coef
 
 
-def g3(x, d: float, cfg: EvalConfig = DEFAULT_CONFIG, one_minus_x=None):
+def g3(x, d: float, one_minus_x=None):
     """Closed form of G_3 = K(G_2): two 2F1 pieces, a power of 1-x, and the
     telescoping series summed through its E table.
 
@@ -335,16 +377,17 @@ def g3(x, d: float, cfg: EvalConfig = DEFAULT_CONFIG, one_minus_x=None):
     if d == 0.0:
         return _like(np.ones_like(xs), x)
     a_coef, s_coef, c_coef, d_coef = _g3_coefs(d)
+    lam = _decay_rate(xs, z)
     return _like(
-        a_coef * xs ** (2 - 2 * d) * _hyp_nodes(1.0, d, 3 - 2 * d, xs, z, cfg)
-        + s_coef * _phi_family_sum(d, "g3", xs, z)
-        + c_coef * xs ** (1 - d) * _hyp_nodes(1.0, 2 * d - 1, 2 - d, xs, z, cfg)
+        a_coef * xs ** (2 - 2 * d) * _series_dot(_UNIT, d, 3 - 2 * d, xs, lam)
+        + s_coef * _family_sum(d, "g3", xs, lam)
+        + c_coef * xs ** (1 - d) * _series_dot(_UNIT, 2 * d - 1, 2 - d, xs, lam)
         + d_coef * z ** (2 - 3 * d),
         x,
     )
 
 
-def g4_closed(x, d: float, cfg: EvalConfig = DEFAULT_CONFIG, one_minus_x=None):
+def g4_closed(x, d: float, one_minus_x=None):
     """G_4 = K(G_3) assembled from the kernel images of G_3's four pieces.
 
     Each piece is an instance of the two kernel integrals below; the
@@ -354,28 +397,28 @@ def g4_closed(x, d: float, cfg: EvalConfig = DEFAULT_CONFIG, one_minus_x=None):
     if d == 0.0:
         return _like(np.ones_like(xs), x)
     a_coef, s_coef, c_coef, d_coef = _g3_coefs(d)
+    lam = _decay_rate(xs, z)
 
     # image of x^(2-2d) 2F1(1,d;3-2d;x)
     p1 = gamma(1 - d) * (
         gamma(3 - 2 * d) / gamma(4 - 3 * d) + gamma_ratio(3 * d - 3, 2 * d - 2)
     )
     i1 = (
-        p1 * xs ** (3 - 3 * d) * _hyp_nodes(1.0, d, 4 - 3 * d, xs, z, cfg)
-        + _phi_family_sum(d, "i1", xs, z)
+        p1 * xs ** (3 - 3 * d) * _series_dot(_UNIT, d, 4 - 3 * d, xs, lam)
+        + _family_sum(d, "i1", xs, lam)
     )
     # image of the telescoping series, aggregated over its weights
-    lam = _decay_rate(xs, z)
     i2 = (
-        xs ** (1 - d) / (1 - d) * _series_dot(_family_table(d, "g3"), d, xs, lam, bottom=2 - d)
-        + _series_dot(_family_table(d, "i2"), d, xs, lam)
+        xs ** (1 - d) / (1 - d) * _series_dot(_family_table(d, "g3"), d, 2 - d, xs, lam)
+        + _family_sum(d, "i2", xs, lam)
     )
     # image of x^(1-d) 2F1(1,2d-1;2-d;x)
     p3 = gamma(1 - d) * (gamma(2 - d) / gamma(3 - 2 * d) + _g3_pole_ratio(d))
     i3 = (
-        p3 * xs ** (2 - 2 * d) * _hyp_nodes(1.0, 2 * d - 1, 3 - 2 * d, xs, z, cfg)
-        + _phi_family_sum(d, "i3", xs, z)
+        p3 * xs ** (2 - 2 * d) * _series_dot(_UNIT, 2 * d - 1, 3 - 2 * d, xs, lam)
+        + _family_sum(d, "i3", xs, lam)
     )
-    i4 = kernel_one_minus_power(2, d, xs, one_minus_x=z, cfg=cfg)
+    i4 = kernel_one_minus_power(2, d, xs, one_minus_x=z)
     return _like(a_coef * i1 + s_coef * i2 + c_coef * i3 + d_coef * i4, x)
 
 
@@ -391,16 +434,16 @@ class GFunction:
         return self.evaluator(x, one_minus_x=one_minus_x)
 
 
-def g_function(order: int, d: float, cfg: EvalConfig = DEFAULT_CONFIG) -> GFunction:
+def g_function(order: int, d: float) -> GFunction:
     """G_k for k in 1..4 (closed forms; order 4 uses the assembled image)."""
     if order == 1:
         return GFunction(1, d, lambda x, one_minus_x=None: g1(x, d, one_minus_x))
     if order == 2:
-        return GFunction(2, d, lambda x, one_minus_x=None: g2(x, d, cfg, one_minus_x))
+        return GFunction(2, d, lambda x, one_minus_x=None: g2(x, d, one_minus_x))
     if order == 3:
-        return GFunction(3, d, lambda x, one_minus_x=None: g3(x, d, cfg, one_minus_x))
+        return GFunction(3, d, lambda x, one_minus_x=None: g3(x, d, one_minus_x))
     if order == 4:
-        return GFunction(4, d, lambda x, one_minus_x=None: g4_closed(x, d, cfg, one_minus_x))
+        return GFunction(4, d, lambda x, one_minus_x=None: g4_closed(x, d, one_minus_x))
     raise ValueError("orders 1..4 are supported")
 
 
@@ -432,14 +475,13 @@ def kernel_hyp2f1_moment(a: float, b: float, c: float, e: float, d: float, x: fl
     )
     front = pre * x ** (1 - d + e) * pfq(HypParams((a, b, e + 1.0), (c, 2 - d + e)), x, cfg).value
 
-    K = 1 << 13
+    K = _K_WEIGHTS
     u = _cum_ratio(1.0, (a, b), (c, 1.0), K) / (1 - d + e + np.arange(K))
     table = _build_e_table(u, 1 - d + e, c - a - b + 2.0, gauss_2f1_at_1(a, b, c))
-    return front + _series_dot(table, d, x, _decay_rate(x, 1.0 - x))
+    return front + _series_dot(table, d, 1.0, x, _decay_rate(x, 1.0 - x))
 
 
-def kernel_one_minus_power(p: int, d: float, x, one_minus_x=None,
-                           cfg: EvalConfig = DEFAULT_CONFIG):
+def kernel_one_minus_power(p: int, d: float, x, one_minus_x=None):
     """int_0^1 |x-u|^(-d) (1-u)^(p-(p+1)d) du in closed form, at a node or a node array.
 
     Gamma(1-d)Gamma((p+1)(1-d))/Gamma((p+2)(1-d)) (1-x)^((p+1)-(p+2)d)
@@ -455,7 +497,8 @@ def kernel_one_minus_power(p: int, d: float, x, one_minus_x=None,
         * z ** ((p + 1) - (p + 2) * d)
     )
     return _like(
-        first + xs ** (1 - d) / (1 - d) * _hyp_nodes(1.0, (p + 1) * d - p, 2 - d, xs, z, cfg),
+        first + xs ** (1 - d) / (1 - d)
+        * _series_dot(_UNIT, (p + 1) * d - p, 2 - d, xs, _decay_rate(xs, z)),
         x,
     )
 
@@ -492,8 +535,7 @@ def apply_kernel(f: Callable, d: float, x: float, *, abs_tol: float = 1e-9) -> f
     return v1 + v2
 
 
-def c_k_via_operator(mu: int, nu: int, d: float, cfg: EvalConfig = DEFAULT_CONFIG, *,
-                     abs_tol: float | None = None) -> float:
+def c_k_via_operator(mu: int, nu: int, d: float, *, abs_tol: float | None = None) -> float:
     """c_k = int_0^1 G_mu(x) G_nu(x) dx with mu + nu = k in {2,...,5}.
 
     The order-4 factor is the closed-form assembly g4_closed.  The
@@ -507,8 +549,8 @@ def c_k_via_operator(mu: int, nu: int, d: float, cfg: EvalConfig = DEFAULT_CONFI
     if abs_tol is None:
         abs_tol = default_abs_tol(k)
 
-    gm = g_function(mu, d, cfg)
-    gn = gm if nu == mu else g_function(nu, d, cfg)
+    gm = g_function(mu, d)
+    gn = gm if nu == mu else g_function(nu, d)
 
     def integrand(u, dl, dr):
         return gm(u, one_minus_x=dr) * gn(u, one_minus_x=dr)

@@ -3,11 +3,14 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rosenblatt
 from rosenblatt import cli
 from rosenblatt import veillette_taqqu as vt
 from reference_values import KAPPA_TABLES, matches_4_significant
@@ -166,10 +169,13 @@ class TestVerify:
         assert out.strip().endswith("0 failing check(s)")
 
     def test_console_script_entry(self):
+        # the subprocess does not see pytest's pythonpath setting
+        src = str(Path(rosenblatt.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "rosenblatt.cli", "table", "--orders", "3",
              "--d-grid", "0.25"],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         assert "2.34786577232" in proc.stdout

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -111,17 +112,15 @@ def tanh_sinh_nodes(levels=4):
     return x, z
 
 
-def full_series_dot(table, d, x, lam, bottom):
-    """sum_j c_j(x) E_j over every tabulated j, plus the fitted law summed
-    beyond the table by Euler-Maclaurin around an adaptive integral in ln t."""
+def full_series_dot(table, d, x, lam, s):
+    """sum_j (d)_j/(s)_j x^j E_j over every tabulated j, plus the fitted law
+    summed beyond the table by Euler-Maclaurin around an adaptive integral in ln t."""
     J = len(table.E)
     jj = np.arange(J - 1, dtype=float)
-    c = np.concatenate([[1.0], np.cumprod((d + jj) * x / ((jj + 1.0) if bottom is None
-                                                          else (bottom + jj)))])
+    c = np.concatenate([[1.0], np.cumprod((d + jj) * x / (s + jj))])
     main = float(c @ table.E)
     if x == 0.0:
         return main
-    s = 1.0 if bottom is None else bottom
 
     def f(t):
         # c_t = Gamma(d+t) Gamma(s) / (Gamma(s+t) Gamma(d)) x^t, free of lgamma cancellation
@@ -149,24 +148,75 @@ class TestNodeArrays:
 
     @pytest.mark.parametrize("bottom", [None, 2 - 0.3])
     def test_series_dot_matches_the_full_sum(self, bottom):
-        # x = 0 is E_0 alone; x = 1 (lam = 0) is how the i2 table takes its moment
+        # x = 0 is E_0 alone; x = 1 (lam = 0) is how the i2 table takes its moment;
+        # bottom None is the j! of the family sums
         d = 0.3
+        bottom = 1.0 if bottom is None else bottom
         table = vt._family_table(d, "g3")
         x = np.array([0.0, 0.3, 0.9, 0.999, 1.0])
         lam = np.array([np.inf, -math.log(0.3), -math.log(0.9), -math.log(0.999), 0.0])
-        got = vt._series_dot(table, d, x, lam, bottom)
+        got = vt._series_dot(table, d, bottom, x, lam)
         ref = [full_series_dot(table, d, xi, li, bottom) for xi, li in zip(x, lam)]
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
         assert got[0] == table.E[0]
 
-    @pytest.mark.xfail(strict=True, reason="the 24-point Gauss-Laguerre tail misses the "
-                       "e^(-lam t) cut-off for 1-x between ~1e-8 and ~1e-4 (ROADMAP item 3)")
-    def test_series_dot_where_the_tail_cut_off_falls_inside_the_rule(self):
-        d, z = 0.3, 1e-6
+    @pytest.mark.parametrize("d", [0.1, 0.3, 0.45])
+    def test_e_table_completion_is_independent_of_the_weight_count(self, d):
+        # the k >= K completion must stand in for the weights past K: four times
+        # as many weights leave E_j alone, up to the completion's O(1/K) terms
+        K = vt._K_WEIGHTS
+        u = vt._cum_ratio(1.0, (d, 2 - 2 * d), (2 - d, 3 - 2 * d), 4 * K)
+        short = vt._build_e_table(u[:K], 2 - 2 * d, 3 - 2 * d, 1.0).E
+        long = vt._build_e_table(u, 2 - 2 * d, 3 - 2 * d, 1.0).E
+        np.testing.assert_allclose(short, long, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("bottom", [1.0, 2 - 0.3])
+    @pytest.mark.parametrize("z", [1e-8, 1e-6, 1e-4])
+    def test_series_dot_where_the_tail_cut_off_falls_inside_the_rule(self, z, bottom):
+        # e^(-lam t) cuts the tail off between t ~ 4e5 and 4e9, inside its quadrature
+        d = 0.3
         table = vt._family_table(d, "g3")
         lam = -math.log1p(-z)
-        assert vt._series_dot(table, d, 1.0 - z, lam) == pytest.approx(
-            full_series_dot(table, d, 1.0 - z, lam, None), rel=1e-12)
+        assert vt._series_dot(table, d, bottom, 1.0 - z, lam) == pytest.approx(
+            full_series_dot(table, d, 1.0 - z, lam, bottom), rel=1e-12)
+
+
+# the 2F1(1, b; c; x) pieces of G_2..G_4 and kernel_one_minus_power
+ROUTE_2F1 = [
+    lambda d: (d, 2 - d), lambda d: (d, 3 - 2 * d), lambda d: (2 * d - 1, 2 - d),
+    lambda d: (d, 4 - 3 * d), lambda d: (2 * d - 1, 3 - 2 * d), lambda d: (3 * d - 2, 2 - d),
+]
+GAP_D = (0.25, 1 / 3)  # c - 1 - b is an integer for some pair (or b = -1)
+
+
+class TestUnitTable2F1:
+    @pytest.mark.parametrize("d", [0.05, 0.12, 0.2, *GAP_D,
+                                   0.25 - 1e-7, 0.25 + 1e-9, 0.25 - 1e-12,
+                                   1 / 3 + 1e-7, 1 / 3 - 1e-9, 1 / 3 + 1e-12, 0.3, 0.4, 0.48])
+    def test_matches_mpmath_down_to_the_smallest_distances(self, d):
+        # 1 - x is formed exactly, with 30 digits to spare; at the exact gaps
+        # mpmath's logarithmic case costs seconds per precision beyond ~100 digits
+        zs = [0.5, 1e-2, 1e-4, 1e-6, 1e-9, 1e-13, 1e-30, 1e-80, 1e-160, 1e-280]
+        if d in GAP_D:
+            zs = zs[:-2]
+        z = np.array(zs)
+        lam = -np.log1p(-z)
+        for pair in ROUTE_2F1:
+            b, c = pair(d)
+            got = vt._series_dot(vt._UNIT, b, c, 1.0 - z, lam)
+            for zi, g in zip(zs, got):
+                with mpmath.workdps(30 + math.ceil(-math.log10(zi))):
+                    ref = mpmath.hyp2f1(1, b, c, 1 - mpmath.mpf(zi))
+                    assert abs(g - ref) <= 1e-13 * abs(ref), (b, c, zi, g, ref)
+
+    def test_route_runs_without_hyp_2f1(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("hyp_2f1 called on the operator route")
+
+        monkeypatch.setattr(vt, "hyp_2f1", refuse)
+        monkeypatch.setattr(sf, "hyp_2f1", refuse)
+        d = 1 / 3
+        assert vt.c_k_via_operator(1, 3, d) == pytest.approx(cu.c_closed(4, d).value, rel=1e-10)
 
 
 class TestKernelHyp2F1Moment:
