@@ -1,10 +1,12 @@
 """Command-line front end: cumulant tables, cross-method verification,
 Monte-Carlo oracle runs, and characteristic-function evaluation.
 
+argparse is the only configuration layer: each flag's type converts
+and checks its value, and the subcommands read the parsed namespace.
 Report rows are emitted as CSV (columns order,d,value,method,
 error_estimate,seed,n_samples, values at 12 significant digits) or as
 JSON mirroring the report fields.  Exit codes: 0 success / all checks
-pass, 1 computation or verification failure, 2 usage error.
+pass, 1 computation or verification failure, 2 usage error (argparse's).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -27,68 +30,7 @@ from . import veillette_taqqu as vt
 
 DEFAULT_GRID = tuple(round(0.05 * i, 2) for i in range(11))
 VERIFY_GRID = (0.0, 0.1, 0.25, 0.4, 0.5)
-
-
-class UsageError(ValueError):
-    pass
-
-
-@dataclass
-class RunConfig:
-    command: str
-    d_grid: tuple[float, ...]
-    orders: tuple[int, ...]
-    method: str = "closed"
-    mc_samples: int = 1_000_000
-    seed: int = 12345
-    output_format: str = "csv"
-    output_path: str | None = None
-    rel_tol: float | None = None
-    theta_grid: tuple[float, ...] = ()
-    region: str | None = None
-    region3_variant: str = "corrected"
-    workers: int | None = None
-
-    def validate(self) -> None:
-        if any(not (0.0 <= d <= 0.5) for d in self.d_grid):
-            raise UsageError("every d must lie in [0, 0.5]")
-        if any(k not in (2, 3, 4, 5) for k in self.orders):
-            raise UsageError("orders must be drawn from {2, 3, 4, 5}")
-        if self.method not in ("closed", "vt", "mc", "all"):
-            raise UsageError(f"unknown method {self.method!r}")
-        if self.mc_samples < 1:
-            raise UsageError("--samples must be positive")
-        if self.output_format not in ("csv", "json"):
-            raise UsageError(f"unknown format {self.output_format!r}")
-        regions = sorted(s.name for s in orc.region_catalog())
-        if self.region is not None and self.region not in regions:
-            raise UsageError(f"unknown region {self.region!r}; choose from {regions}")
-
-    @property
-    def eval_config(self) -> sf.EvalConfig:
-        if self.rel_tol is None:
-            return sf.DEFAULT_CONFIG
-        return sf.EvalConfig(rel_tol=self.rel_tol)
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"could not parse float list {text!r}") from exc
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"could not parse integer list {text!r}") from exc
+ORACLE_GRID = DEFAULT_GRID[:-1]  # the oracle's domain is [0, 0.5): c_k diverges at 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -155,18 +97,27 @@ def read_reports_csv(stream) -> list[cu.CumulantReport]:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _vt_report(k: int, d: float, cfg: RunConfig) -> cu.CumulantReport:
+def _pairing(k: int) -> tuple[int, int]:
+    """The operator route's balanced pairing (mu, nu) of c_k = int_0^1 G_mu G_nu.
+
+    For k <= 5 it never needs G_4, the route's slowest and least accurate
+    factor, whose closed-form assembly poles near d = 1/3.
+    """
+    return k // 2, k - k // 2
+
+
+def _vt_report(k: int, d: float) -> cu.CumulantReport:
     abs_tol = vt.default_abs_tol(k)
-    c_k = vt.c_k_via_operator(1, k - 1, d, abs_tol=abs_tol)
+    c_k = vt.c_k_via_operator(*_pairing(k), d, abs_tol=abs_tol)
     # 100 tolerances: a stated bound, not the quadrature's own error estimate
     return cu.CumulantReport(
         k, d, cu.kappa_from_c(k, d, c_k), cu.METHOD_VT, cu.kappa_from_c(k, d, abs_tol * 100),
-        {"quad_abs_tol": abs_tol},
+        {"quad_abs_tol": abs_tol, "pairing": list(_pairing(k))},
     )
 
 
-def _mc_report(k: int, d: float, cfg: RunConfig) -> cu.CumulantReport:
-    est = orc.mc_ck(k, d, cfg.mc_samples, cfg.seed, workers=cfg.workers)
+def _mc_report(k: int, d: float, args: argparse.Namespace) -> cu.CumulantReport:
+    est = orc.mc_ck(k, d, args.mc_samples, args.seed, workers=args.workers)
     return cu.CumulantReport(
         k, d, cu.kappa_from_c(k, d, est.mean), cu.METHOD_MC,
         cu.kappa_from_c(k, d, est.std_error),
@@ -174,53 +125,50 @@ def _mc_report(k: int, d: float, cfg: RunConfig) -> cu.CumulantReport:
     )
 
 
-def cmd_table(cfg: RunConfig, stream) -> int:
-    methods = ("closed", "vt", "mc") if cfg.method == "all" else (cfg.method,)
+def cmd_table(args: argparse.Namespace, stream) -> int:
+    methods = ("closed", "vt", "mc") if args.method == "all" else (args.method,)
     reports = []
-    for k in sorted(cfg.orders):
-        for d in sorted(cfg.d_grid):
-            for m in methods:
+    for k in sorted(args.orders):
+        for d in sorted(args.d_grid):
+            # sigma vanishes at d = 0.5, where only the closed form's limit is defined
+            for m in methods if d < 0.5 else ("closed",):
                 if m == "closed":
-                    reports.append(cu.kappa(k, d, cfg.eval_config))
+                    reports.append(cu.kappa(k, d, args.eval_config))
                 elif m == "vt":
-                    reports.append(_vt_report(k, d, cfg))
+                    reports.append(_vt_report(k, d))
                 else:
-                    reports.append(_mc_report(k, d, cfg))
-    write_reports(reports, cfg.output_format, stream)
+                    reports.append(_mc_report(k, d, args))
+    write_reports(reports, args.output_format, stream)
     return 0
 
 
-def cmd_oracle(cfg: RunConfig, stream) -> int:
-    reports = []
-    if cfg.region is not None:
-        spec = next(s for s in orc.region_catalog() if s.name == cfg.region)
-        for d in sorted(cfg.d_grid):
-            est = orc.mc_region(spec, d, cfg.mc_samples, cfg.seed, workers=cfg.workers)
-            reports.append(cu.CumulantReport(
-                spec.k, d, est.mean, cu.METHOD_MC, est.std_error,
-                {"seed": est.seed, "n_samples": est.n_samples, "region": spec.name},
-            ))
+def cmd_oracle(args: argparse.Namespace, stream) -> int:
+    if args.region is None:
+        targets = [(k, partial(orc.mc_ck, k), {}) for k in sorted(args.orders)]
     else:
-        for k in sorted(cfg.orders):
-            for d in sorted(cfg.d_grid):
-                est = orc.mc_ck(k, d, cfg.mc_samples, cfg.seed, workers=cfg.workers)
-                reports.append(cu.CumulantReport(
-                    k, d, est.mean, cu.METHOD_MC, est.std_error,
-                    {"seed": est.seed, "n_samples": est.n_samples},
-                ))
-    write_reports(reports, cfg.output_format, stream)
+        spec = next(s for s in orc.region_catalog() if s.name == args.region)
+        targets = [(spec.k, partial(orc.mc_region, spec), {"region": spec.name})]
+    reports = []
+    for k, estimate, extra in targets:
+        for d in sorted(args.d_grid):
+            est = estimate(d, args.mc_samples, args.seed, workers=args.workers)
+            reports.append(cu.CumulantReport(
+                k, d, est.mean, cu.METHOD_MC, est.std_error,
+                {"seed": est.seed, "n_samples": est.n_samples, **extra},
+            ))
+    write_reports(reports, args.output_format, stream)
     return 0
 
 
-def cmd_phi(cfg: RunConfig, stream) -> int:
-    K = max(cfg.orders) if cfg.orders else 5
-    thetas = cfg.theta_grid or tuple(np.linspace(-0.2, 0.2, 9))
+def cmd_phi(args: argparse.Namespace, stream) -> int:
+    K = max(args.orders) if args.orders else 5
+    thetas = args.theta_grid or tuple(np.linspace(-0.2, 0.2, 9))
     rows = []
-    for d in sorted(cfg.d_grid):
+    for d in sorted(args.d_grid):
         for theta in thetas:
-            out = cu.characteristic_function(theta, d, K, cfg.eval_config)
+            out = cu.characteristic_function(theta, d, K, args.eval_config)
             rows.append((d, theta, out.value.real, out.value.imag, out.diverged))
-    if cfg.output_format == "json":
+    if args.output_format == "json":
         json.dump(
             [
                 {"d": d, "theta": t, "real": re, "imag": im, "diverged": flag}
@@ -257,16 +205,16 @@ def _interior(grid) -> list[float]:
     return [d for d in grid if 0.0 < d < 0.5]
 
 
-def cmd_verify(cfg: RunConfig, stream) -> int:
+def cmd_verify(args: argparse.Namespace, stream) -> int:
     log = _CheckLog(stream)
-    orders = sorted(set(cfg.orders) & {2, 3, 4, 5}) or [2, 3, 4, 5]
-    interior = _interior(cfg.d_grid) or ([] if cfg.method == "closed" else [0.25])
+    orders = sorted(set(args.orders)) or [2, 3, 4, 5]
+    interior = _interior(args.d_grid) or ([] if args.method == "closed" else [0.25])
 
     # endpoint laws, pure closed forms (kappa_2 stays 1 everywhere)
-    if 0.5 in cfg.d_grid or not _interior(cfg.d_grid):
+    if 0.5 in args.d_grid or not _interior(args.d_grid):
         dev = max((abs(cu.kappa(k, 0.5).value) for k in orders if k >= 3), default=0.0)
         log.record("endpoint-kappa-at-half", dev == 0.0, f"max |kappa_k(0.5)| = {dev:g}")
-    if 0.0 in cfg.d_grid:
+    if 0.0 in args.d_grid:
         dev = max(
             abs(cu.kappa(k, 0.0).value - 2 ** (k - 1) * math.factorial(k - 1) * 2 ** (-k / 2))
             for k in orders
@@ -277,23 +225,23 @@ def cmd_verify(cfg: RunConfig, stream) -> int:
     dev4 = dev5 = 0.0
     for d in interior:
         dev4 = max(dev4, abs(
-            8.0 * sum(cu.c4_region(i, d, cfg.eval_config) for i in (1, 2, 3))
-            - cu.c4_closed(d, cfg.eval_config).value
+            8.0 * sum(cu.c4_region(i, d, args.eval_config) for i in (1, 2, 3))
+            - cu.c4_closed(d, args.eval_config).value
         ))
         dev5 = max(dev5, abs(
             10.0 * sum(
-                cu.c5_region(i, d, cfg.eval_config,
-                             region3_variant=cfg.region3_variant)
+                cu.c5_region(i, d, args.eval_config,
+                             region3_variant=args.region3_variant)
                 for i in range(1, 13)
             )
-            - cu.c5_closed(d, cfg.eval_config).value
+            - cu.c5_closed(d, args.eval_config).value
         ))
     if interior:
         log.record("region-sum-order-4", dev4 <= 1e-8, f"max |8*sum - c4| = {dev4:.3g}")
         log.record("region-sum-order-5", dev5 <= 1e-7, f"max |10*sum - c5| = {dev5:.3g}")
 
     # transformation value preservation and the two 4F3 decompositions
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     series_cfg = sf.EvalConfig(rel_tol=1e-10)
     dev = 0.0
     done = 0
@@ -322,35 +270,35 @@ def cmd_verify(cfg: RunConfig, stream) -> int:
     log.record("4f3-decompositions-agree", dev <= 1e-8, f"max deviation = {dev:.3g}")
 
     # closed vs operator route
-    if cfg.method in ("vt", "all"):
+    if args.method in ("vt", "all"):
         dev_by_k = {}
         for d in interior:
             for k in orders:
-                ck = vt.c_k_via_operator(1, k - 1, d)
-                dev = abs(ck - cu.c_closed(k, d, cfg.eval_config).value)
+                ck = vt.c_k_via_operator(*_pairing(k), d)
+                dev = abs(ck - cu.c_closed(k, d, args.eval_config).value)
                 dev_by_k[k] = max(dev_by_k.get(k, 0.0), dev)
         for k, dev in sorted(dev_by_k.items()):
             tol = 1e-4 if k == 5 else 1e-5
             log.record(f"closed-vs-operator-k{k}", dev <= tol, f"max |diff| = {dev:.3g}")
 
     # closed vs Monte-Carlo, 3 sigma gates
-    if cfg.method in ("mc", "all"):
+    if args.method in ("mc", "all"):
         for k in orders:
             worst = 0.0
             for d in interior:
-                est = orc.mc_ck(k, d, cfg.mc_samples, cfg.seed, workers=cfg.workers)
-                truth = cu.c_closed(k, d, cfg.eval_config).value
+                est = orc.mc_ck(k, d, args.mc_samples, args.seed, workers=args.workers)
+                truth = cu.c_closed(k, d, args.eval_config).value
                 sigma_dev = abs(est.mean - truth) / max(est.std_error, 1e-300)
                 worst = max(worst, sigma_dev)
             log.record(f"closed-vs-mc-k{k}", worst <= 3.0, f"max deviation = {worst:.2f} sigma")
         # the order-5 region-3 reading, decided by the oracle
         spec = next(s for s in orc.region_catalog() if s.name == "c5-3")
         d = interior[0] if interior else 0.25
-        est = orc.mc_region(spec, d, cfg.mc_samples, cfg.seed, workers=cfg.workers)
-        truth = cu.c5_region(3, d, cfg.eval_config, region3_variant=cfg.region3_variant)
+        est = orc.mc_region(spec, d, args.mc_samples, args.seed, workers=args.workers)
+        truth = cu.c5_region(3, d, args.eval_config, region3_variant=args.region3_variant)
         sigma_dev = abs(est.mean - truth) / max(est.std_error, 1e-300)
         log.record("region3-order5-reading", sigma_dev <= 3.0,
-                   f"deviation = {sigma_dev:.2f} sigma (variant {cfg.region3_variant})")
+                   f"deviation = {sigma_dev:.2f} sigma (variant {args.region3_variant})")
 
     stream.write(f"{'OK' if log.failures == 0 else 'FAILED'}: "
                  f"{log.failures} failing check(s)\n")
@@ -361,6 +309,34 @@ def cmd_verify(cfg: RunConfig, stream) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _checked(cast, ok, what: str, *, many: bool = False):
+    """An argparse type: cast one value, or with many a comma-separated list
+    ("" gives ()), and reject it unless every value passes ok."""
+    def convert(text: str):
+        if many and not text.strip():
+            return ()
+        try:
+            values = tuple(cast(v) for v in (text.split(",") if many else [text]))
+        except ValueError:
+            values = None
+        if values is None or not all(ok(v) for v in values):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return values if many else values[0]
+    return convert
+
+
+_D_LIST = _checked(float, lambda d: 0.0 <= d <= 0.5, "d values in [0, 0.5]", many=True)
+_ORDER_LIST = _checked(int, lambda k: k in (2, 3, 4, 5), "orders from {2, 3, 4, 5}", many=True)
+_FLOAT_LIST = _checked(float, lambda x: True, "comma-separated numbers", many=True)
+_POSITIVE_INT = _checked(int, lambda n: n > 0, "a positive integer")
+_POSITIVE_FLOAT = _checked(float, lambda x: x > 0, "a positive number")
+
+
+def _series_config(text: str) -> sf.EvalConfig:
+    """--tol: the series evaluation policy with that relative tolerance."""
+    return sf.EvalConfig(rel_tol=_POSITIVE_FLOAT(text))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rosenblatt",
@@ -368,16 +344,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "operator-recursion and Monte-Carlo verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("table", "emit cumulant values over a d-grid"),
-        ("verify", "run the cross-method verification checks"),
-        ("oracle", "run Monte-Carlo estimates of the defining integrals"),
-        ("phi", "evaluate the truncated characteristic function"),
+    for name, run, help_text in (
+        ("table", cmd_table, "emit cumulant values over a d-grid"),
+        ("verify", cmd_verify, "run the cross-method verification checks"),
+        ("oracle", cmd_oracle, "run Monte-Carlo estimates of the defining integrals"),
+        ("phi", cmd_phi, "evaluate the truncated characteristic function"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--d-grid", default=None,
+        p.set_defaults(run=run)
+        grid = {"verify": VERIFY_GRID, "oracle": ORACLE_GRID}.get(name, DEFAULT_GRID)
+        p.add_argument("--d-grid", type=_D_LIST, default=grid,
                        help="comma-separated d values in [0, 0.5]")
-        p.add_argument("--orders", default=None,
+        p.add_argument("--orders", type=_ORDER_LIST,
+                       default=(2, 3, 4, 5) if name in ("verify", "phi") else (3, 4, 5),
                        help="comma-separated cumulant orders from {2,3,4,5}")
         p.add_argument("--out", dest="output_path", default=None,
                        help="output path (default stdout)")
@@ -386,21 +365,23 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--method", default="closed" if name == "table" else "all",
                            choices=("closed", "vt", "mc", "all"))
         if name != "phi":
-            p.add_argument("--samples", dest="mc_samples", type=int, default=1_000_000,
-                           help="Monte-Carlo sample count")
+            p.add_argument("--samples", dest="mc_samples", type=_POSITIVE_INT,
+                           default=1_000_000, help="Monte-Carlo sample count")
             p.add_argument("--seed", type=int, default=12345)
-            p.add_argument("--workers", type=int, default=None)
+            p.add_argument("--workers", type=_POSITIVE_INT, default=None)
         if name != "verify":
             p.add_argument("--format", dest="output_format", default="csv",
                            choices=("csv", "json"))
         if name != "oracle":
-            p.add_argument("--tol", dest="rel_tol", type=float, default=None,
+            p.add_argument("--tol", dest="eval_config", metavar="REL_TOL",
+                           type=_series_config, default=sf.DEFAULT_CONFIG,
                            help="series relative tolerance override")
         if name == "phi":
-            p.add_argument("--theta-grid", default=None,
+            p.add_argument("--theta-grid", type=_FLOAT_LIST, default=(),
                            help="comma-separated theta values")
         if name == "oracle":
-            p.add_argument("--region", default=None,
+            p.add_argument("--region", default=None, metavar="REGION",
+                           choices=[s.name for s in orc.region_catalog()],
                            help="estimate one named simplex region (e.g. c5-3)")
         if name == "verify":
             p.add_argument("--region3-variant", default="corrected",
@@ -408,50 +389,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """RunConfig from the parsed flags; a flag the subcommand lacks keeps its default."""
-    options = dict(vars(args))
-    d_grid, orders = options.pop("d_grid"), options.pop("orders")
-    if d_grid is None:
-        grid = VERIFY_GRID if args.command == "verify" else DEFAULT_GRID
-    else:
-        grid = _parse_floats(d_grid)
-    if orders is None:
-        orders = (2, 3, 4, 5) if args.command in ("verify", "phi") else (3, 4, 5)
-    else:
-        orders = _parse_ints(orders)
-    theta_grid = _parse_floats(options.pop("theta_grid", None) or "")
-    cfg = RunConfig(d_grid=grid, orders=orders, theta_grid=theta_grid, **options)
-    cfg.validate()
-    return cfg
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # usage errors and --help, with argparse's exit code
         return exc.code
-    try:
-        cfg = config_from_args(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    runner = {
-        "table": cmd_table,
-        "verify": cmd_verify,
-        "oracle": cmd_oracle,
-        "phi": cmd_phi,
-    }[cfg.command]
     buffer = io.StringIO()
     try:
-        code = runner(cfg, buffer)
+        code = args.run(args, buffer)
     except (sf.SpecialFunctionError, ValueError, ArithmeticError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 1
     text = buffer.getvalue()
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="\n") as fh:
+    if args.output_path:
+        with open(args.output_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

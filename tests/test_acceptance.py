@@ -192,11 +192,11 @@ def test_criterion_9_determinism_across_thread_counts():
     outputs = []
     for workers in ("1", "2", "4"):
         buffer = io.StringIO()
-        cfg = cli.RunConfig(
-            command="oracle", d_grid=(0.25,), orders=(4,),
-            mc_samples=2_000_000, seed=31337, workers=int(workers),
-        )
-        cli.cmd_oracle(cfg, buffer)
+        args = cli.build_parser().parse_args([
+            "oracle", "--orders", "4", "--d-grid", "0.25",
+            "--samples", "2000000", "--seed", "31337", "--workers", workers,
+        ])
+        cli.cmd_oracle(args, buffer)
         outputs.append(buffer.getvalue())
     assert outputs[0] == outputs[1] == outputs[2]
     direct = [orc.mc_ck(5, 0.3, 1_500_000, seed=5, workers=w) for w in (1, 2, 4)]

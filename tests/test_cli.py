@@ -62,9 +62,23 @@ class TestTable:
         for rec in json.loads(out):
             assert rec["diagnostics"]["quad_abs_tol"] == vt.default_abs_tol(rec["order"])
 
-    def test_computation_failure_exit_1(self, capsys):
-        # the operator route is undefined at d = 0.5
-        assert cli.main(["table", "--method", "vt", "--d-grid", "0.5", "--orders", "4"]) == 1
+    def test_balanced_pairing_passes_the_g4_pole(self, capsys):
+        d = "0.3333333333333333"
+        code, out = run_cli(capsys, "table", "--method", "vt", "--orders", "5",
+                            "--d-grid", d, "--format", "json")
+        assert code == 0
+        (rec,) = json.loads(out)
+        assert rec["diagnostics"]["pairing"] == [2, 3]
+        _, closed = parse_csv(run_cli(capsys, "table", "--orders", "5", "--d-grid", d)[1])
+        assert rec["value"] == pytest.approx(float(closed[0][2]), rel=1e-10)
+
+    def test_all_methods_on_the_default_grid(self, capsys):
+        code, out = run_cli(capsys, "table", "--method", "all", "--samples", "20000")
+        assert code == 0
+        _, rows = parse_csv(out)
+        # 3 orders x (10 interior-or-zero d x 3 methods + the closed-form row at d = 0.5)
+        assert len(rows) == 93
+        assert [r[3] for r in rows if r[1] == "0.5"] == ["closed-form"] * 3
 
     def test_json_mirrors_report_fields(self, capsys):
         code, out = run_cli(capsys, "table", "--orders", "4", "--d-grid", "0.3",
@@ -119,6 +133,37 @@ class TestOracle:
 
     def test_unknown_region(self, capsys):
         assert cli.main(["oracle", "--region", "c9-1", "--d-grid", "0.2"]) == 2
+
+    def test_default_grid_stops_short_of_half(self, capsys):
+        code, out = run_cli(capsys, "oracle", "--samples", "20000")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 30 and max(float(r[1]) for r in rows) == 0.45
+
+    def test_computation_failure_exit_1(self, capsys):
+        # c_k diverges at d = 0.5, outside the oracle's domain
+        assert cli.main(["oracle", "--d-grid", "0.5", "--samples", "20000"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--d-grid", "0.1,x"),
+    ("table", "--d-grid", "-0.1"),
+    ("table", "--orders", "6"),
+    ("table", "--orders", "3,x"),
+    ("phi", "--theta-grid", "x"),
+    ("table", "--samples", "0"),
+    ("table", "--workers", "0"),
+    ("table", "--tol", "0"),
+    ("table", "--method", "bogus"),
+    ("table", "--format", "xml"),
+    ("oracle", "--region", "c9-1"),
+])
+def test_usage_errors_exit_2_and_write_nothing(capsys, tmp_path, argv):
+    target = tmp_path / "out.csv"
+    assert cli.main([*argv, "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not target.exists()
+    assert f"argument {argv[1]}:" in captured.err
 
 
 class TestPhi:
