@@ -326,6 +326,7 @@ def _checked(cast, ok, what: str, *, many: bool = False):
 
 
 _D_LIST = _checked(float, lambda d: 0.0 <= d <= 0.5, "d values in [0, 0.5]", many=True)
+_ORACLE_D_LIST = _checked(float, lambda d: 0.0 <= d < 0.5, "d values in [0, 0.5)", many=True)
 _ORDER_LIST = _checked(int, lambda k: k in (2, 3, 4, 5), "orders from {2, 3, 4, 5}", many=True)
 _FLOAT_LIST = _checked(float, lambda x: True, "comma-separated numbers", many=True)
 _POSITIVE_INT = _checked(int, lambda n: n > 0, "a positive integer")
@@ -353,8 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=run)
         grid = {"verify": VERIFY_GRID, "oracle": ORACLE_GRID}.get(name, DEFAULT_GRID)
-        p.add_argument("--d-grid", type=_D_LIST, default=grid,
-                       help="comma-separated d values in [0, 0.5]")
+        d_list, domain = (_ORACLE_D_LIST, "[0, 0.5)") if name == "oracle" else (_D_LIST, "[0, 0.5]")
+        p.add_argument("--d-grid", type=d_list, default=grid,
+                       help=f"comma-separated d values in {domain}")
         p.add_argument("--orders", type=_ORDER_LIST,
                        default=(2, 3, 4, 5) if name in ("verify", "phi") else (3, 4, 5),
                        help="comma-separated cumulant orders from {2,3,4,5}")

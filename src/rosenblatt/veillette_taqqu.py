@@ -17,15 +17,12 @@ sum_j c_j(x) E_j with x-independent tables E_j = sum_k u_k g_k/(g_k-j),
 computed once per (d, weight family) by FFT convolution.  Beyond the
 table the E_j follow a fitted inverse-power law.
 
-One series engine, _series_dot, sums every series the route needs:
-sum_j (b)_j/(c)_j x^j E_j.  Every 2F1 in the closed forms has a = 1, so
-2F1(1, b; c; x) is the same sum over the unit table E_j = 1 (with no
-special case where c - b - 1 is an integer).  The terms are summed
-exactly up to the table's end; the rest is one Euler-Maclaurin integral
-of the Gamma-ratio continuation of (b)_t/(c)_t times the table's law,
-taken in ln t across the e^(-lam t) cut-off, so each evaluation stays
-accurate uniformly in x, including exponentially close to the endpoints
-where quadrature nodes land.
+Every series the route needs, sum_j (b)_j/(c)_j x^j E_j, is summed by
+the series engine specfun._series_dot.  Every 2F1 in the closed forms has
+a = 1, so 2F1(1, b; c; x) is the same sum over the unit table E_j = 1
+(with no special case where c - b - 1 is an integer), and each evaluation
+stays accurate uniformly in x, including exponentially close to the
+endpoints where quadrature nodes land.
 
 The G functions, the series engine and the operator's integrands work
 on whole arrays of quadrature nodes, each with its exact distance to 1,
@@ -42,9 +39,9 @@ from typing import Callable
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import bernoulli, roots_laguerre, roots_legendre
 
 from .quadrature import tanh_sinh
+from .specfun import _J_TABLE, _UNIT, _ETable, _decay_rate, _like, _series_dot
 from .specfun import (
     DEFAULT_CONFIG,
     EvalConfig,
@@ -58,21 +55,6 @@ from .specfun import (
 from .specfun import hyp_2f1  # noqa: F401  unused here: perfbench's trace wraps this name
 
 _K_WEIGHTS = 1 << 16   # weight range entering the E tables
-_J_TABLE = 1 << 14     # tabulated E_j range; tails are fitted beyond
-_CUTOFF = 60.0         # series terms below e^-60 (relative to c_0 = 1) are dropped
-_ROW = 128             # x^j = x^(R q) x^r with r < R; J is a multiple of R
-_EDGE = 36.0           # the tail integral leaves ln t for Gauss-Laguerre at lam t = 36
-_EDGE_PANELS = 12      # unit panels in ln t below that point
-_DOUBLINGS = 10        # panels [2^i - 1, 2^(i+1) - 1] in ln(t/t0) before them
-_GL_NODES, _GL_WEIGHTS = roots_legendre(20)
-_LAG_NODES, _LAG_WEIGHTS = roots_laguerre(16)
-# ln Gamma(t+b) - ln Gamma(t+c) = (b-c) ln t + sum_{k=2..6} g_k t^(1-k) + O(t^-6)
-# (DLMF 5.11.8) with g_k = (-1)^k (B_k(b) - B_k(c)) / (k(k-1)) for the Bernoulli
-# polynomials B_k; row k-2 holds the weights of b^m - c^m, m = 0..6, in g_k
-_BERNOULLI = bernoulli(6)
-_LNGAMMA_K = np.arange(2, 7)
-_LNGAMMA_ROWS = np.array([[(-1) ** k * math.comb(k, m) * _BERNOULLI[k - m] / (k * (k - 1))
-                           if m <= k else 0.0 for m in range(7)] for k in _LNGAMMA_K])
 
 
 def _check_interior(x: float) -> None:
@@ -97,21 +79,9 @@ def _position(x, one_minus_x) -> tuple[np.ndarray, np.ndarray]:
     return x, z
 
 
-def _like(values: np.ndarray, x):
-    """A float for a scalar abscissa, the node array otherwise."""
-    return float(values[0]) if np.ndim(x) == 0 else values
-
-
 # ---------------------------------------------------------------------------
 # E tables: sum_k u_k * g_k/(g_k - j) for integer j
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _ETable:
-    E: np.ndarray
-    tail_exponents: tuple[float, ...]
-    tail_coefs: tuple[float, ...]
-
 
 def _build_e_table(u: np.ndarray, beta: float, p_decay: float, m1: float) -> _ETable:
     """Table of E_j = sum_k u_k (k+beta)/(k+beta-j) with a fitted large-j law.
@@ -154,116 +124,6 @@ def _build_e_table(u: np.ndarray, beta: float, p_decay: float, m1: float) -> _ET
     design = np.stack([jj**e for e in exps], axis=1)
     coefs, *_ = np.linalg.lstsq(design, E[lo:] + m1 / jj, rcond=None)
     return _ETable(E, (-1.0, *exps), (-m1, *coefs))
-
-
-# E_j = 1 exactly: _series_dot on it is 2F1(1, b; c; x)
-_UNIT = _ETable(np.ones(_J_TABLE), (0.0,), (1.0,))
-
-
-def _series_tail(table: _ETable, b: float, c: float, a_J: float,
-                 lam: np.ndarray) -> np.ndarray:
-    """sum_{j>=J} a_j e^(-lam j) E_j at each decay rate lam, J = len(table.E).
-
-    Midpoint Euler-Maclaurin: the integral of f(t) = a(t) e^(-lam t) E(t)
-    from t0 = J - 1/2, plus f'(t0)/24.  a(t) continues a_j = (b)_j/(c)_j
-    from the cumprod's a_J through the large-t expansion of
-    ln Gamma(t+b) - ln Gamma(t+c) (DLMF 5.11.8, five Bernoulli terms), and
-    E(t) is the table's fitted law, so every exponent shares one
-    quadrature.  The integral is taken in u = ln(t/t0), where a power law
-    is exponential: doubling Gauss-Legendre panels up to 12 units below
-    the cut-off lam t = 36, unit panels across it, and Gauss-Laguerre in t
-    beyond it.  Logarithms of t throughout keep t itself from overflowing
-    when lam is near the smallest normal float; lam = 0 has no cut-off and
-    the doubling panels reach u = 1023.
-    """
-    J = len(table.E)
-    t0 = J - 0.5
-    ln_t0 = math.log(t0)
-    exps = np.asarray(table.tail_exponents)
-    coefs = np.asarray(table.tail_coefs)
-    powers = np.arange(7.0)
-    g = _LNGAMMA_ROWS @ (b ** powers - c ** powers)
-    ln_aJ = (b - c) * math.log(J) + float(g @ float(J) ** (1 - _LNGAMMA_K))
-
-    def terms(ln_t, shift):
-        """a(t)/a_J t^e e^shift for each law exponent e (leading axis)."""
-        inv = np.exp(-ln_t)
-        ratio = g[-1]
-        for gk in g[-2::-1]:
-            ratio = gk + inv * ratio
-        ratio = (b - c) * ln_t + inv * ratio - ln_aJ
-        with np.errstate(under="ignore"):
-            return np.exp(np.multiply.outer(exps, ln_t) + (ratio + shift))
-
-    lam = lam[:, None]
-    with np.errstate(divide="ignore"):
-        ln_lam = np.log(lam)
-    # panel edges in u per node: doublings clipped at u_edge - 12, then unit steps to
-    # u_edge; past u = 42/r the slowest law term, t f(t) ~ e^(-r u), is below e^-42
-    u_edge = np.minimum(math.log(_EDGE) - ln_lam - ln_t0, 2.0**_DOUBLINGS - 1.0 + _EDGE_PANELS)
-    u_lo = u_edge - _EDGE_PANELS
-    decay = c - b - 1.0 - exps.max()
-    edges = np.minimum(np.concatenate([
-        np.minimum(2.0 ** np.arange(_DOUBLINGS + 1) - 1.0, np.maximum(u_lo, 0.0)),
-        np.maximum(u_lo + np.arange(1, _EDGE_PANELS + 1), 0.0),
-    ], axis=1), 42.0 / decay if decay > 0.0 else np.inf)
-    lo, half = edges[:, :-1], 0.5 * np.diff(edges, axis=1)
-    used = (half > 0.0).any(axis=0)
-    lo, half = lo[:, used, None], half[:, used, None]
-    ln_t = ln_t0 + lo + half * (_GL_NODES + 1.0)
-    with np.errstate(under="ignore"):
-        lam_t = np.exp(ln_lam[:, :, None] + ln_t)
-    # the Jacobian dt = t du joins the exponent
-    law = np.tensordot(coefs, terms(ln_t, ln_t - lam_t), 1)
-    panels = np.sum(law * half * _GL_WEIGHTS, axis=(1, 2))
-
-    # beyond the panels: t = t_g + s/lam with lam t_g = max(36, lam t0), dt = ds/lam
-    live = lam > 0.0
-    ln_lam = np.where(live, ln_lam, 0.0)
-    lam_tg = np.maximum(_EDGE, lam * t0)
-    ln_t = np.log(lam_tg + _LAG_NODES) - ln_lam
-    beyond = np.tensordot(coefs, terms(ln_t, -lam_tg - ln_lam), 1) @ _LAG_WEIGHTS
-    beyond[~live[:, 0]] = 0.0
-
-    # Euler-Maclaurin correction f'(t0)/24, with f'/f = (ln a)' - lam + e/t
-    at_t0 = terms(np.full_like(lam, ln_t0), -lam * t0)[:, :, 0]
-    slope = (b - c) / t0 + float(g @ ((1 - _LNGAMMA_K) * t0 ** -_LNGAMMA_K)) - lam[:, 0]
-    df0 = (coefs @ at_t0) * slope + (coefs * exps / t0) @ at_t0
-    return a_J * (panels + beyond + df0 / 24.0)
-
-
-def _series_dot(table: _ETable, b: float, c: float, x, lam):
-    """sum_j a_j x^j E_j with a_j = (b)_j/(c)_j over all j, table plus tail, at each node.
-
-    With the unit table (E_j = 1) this is 2F1(1, b; c; x).  |a_j| <= 1
-    (c > b, and c > |b| when b < 0), so a node needs only the terms up to
-    j = 60/lam; the sum runs to the longest such cut-off among the nodes.
-    Writing j = R q + r and x^j = e^(-lam R q) e^(-lam r) turns it into one
-    matrix product, sum_q e^(-lam R q) sum_r a_j E_j e^(-lam r), with no
-    product chain along j.  Only nodes whose cut-off passes the table get
-    the tail.  The powers come from lam = -ln x, which is exact near x = 1
-    where x itself has rounded; x only sets the shape of the result.
-    """
-    lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    J = len(table.E)
-    with np.errstate(divide="ignore"):
-        n_terms = np.minimum(np.ceil(_CUTOFF / lams) + 1.0, J).astype(np.intp)
-    m = int(n_terms.max(initial=1))
-    R = min(m, _ROW)
-    Q = -(-m // R)
-    a = np.empty(Q * R + 1)
-    a[0] = 1.0
-    # (b+j)/(c+j) as 1 - (c-b)/(c+j): b + j rounds alike across a whole binade
-    np.cumprod(1.0 - (c - b) / (c + np.arange(Q * R, dtype=float)), out=a[1:])
-    weights = (a[:-1] * table.E[:Q * R]).reshape(Q, R)
-    rate = np.minimum(lams, 1e3)[:, None]  # x = 0: e^(-lam*0) stays 1, higher powers vanish
-    with np.errstate(under="ignore"):
-        inner = np.exp(-rate * np.arange(R)) @ weights.T
-        out = np.einsum("nq,nq->n", np.exp(-rate * (R * np.arange(Q))), inner)
-    need = n_terms == J
-    if need.any():
-        out[need] += _series_tail(table, b, c, a[J], lams[need])
-    return _like(out, x)
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +175,6 @@ def _family_table(d: float, name: str) -> _ETable:
         # dominant decay: j^(d-1)/j/j = 3-d
         return _build_e_table(u, 1.0 - d, 3.0 - d, m1)
     raise ValueError(f"unknown family {name!r}")
-
-
-def _decay_rate(x, z):
-    """lam = -ln(x) from whichever of x, 1-x is known accurately (inf at x = 0)."""
-    with np.errstate(divide="ignore"):
-        return np.where(z < 0.5, -np.log1p(-z), -np.log(x))
 
 
 def _family_sum(d: float, name: str, x: np.ndarray, lam: np.ndarray) -> np.ndarray:

@@ -12,6 +12,8 @@ import pytest
 
 import rosenblatt
 from rosenblatt import cli
+from rosenblatt import cumulants as cu
+from rosenblatt import specfun as sf
 from rosenblatt import veillette_taqqu as vt
 from reference_values import KAPPA_TABLES, matches_4_significant
 
@@ -99,6 +101,14 @@ class TestTable:
         _, rows = parse_csv(text)
         assert matches_4_significant(float(rows[0][2]), 2.548)
 
+    def test_computation_failure_exit_1(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise sf.NonConvergenceError("series did not converge")
+
+        monkeypatch.setattr(cu, "kappa", fail)
+        code, out = run_cli(capsys, "table", "--orders", "3", "--d-grid", "0.2")
+        assert code == 1 and out == ""
+
     def test_csv_round_trip(self, capsys):
         code, out = run_cli(capsys, "table", "--orders", "3,4", "--d-grid", "0.1,0.3")
         reports = cli.read_reports_csv(io.StringIO(out))
@@ -140,10 +150,6 @@ class TestOracle:
         _, rows = parse_csv(out)
         assert len(rows) == 30 and max(float(r[1]) for r in rows) == 0.45
 
-    def test_computation_failure_exit_1(self, capsys):
-        # c_k diverges at d = 0.5, outside the oracle's domain
-        assert cli.main(["oracle", "--d-grid", "0.5", "--samples", "20000"]) == 1
-
 
 @pytest.mark.parametrize("argv", [
     ("table", "--d-grid", "0.1,x"),
@@ -157,6 +163,7 @@ class TestOracle:
     ("table", "--method", "bogus"),
     ("table", "--format", "xml"),
     ("oracle", "--region", "c9-1"),
+    ("oracle", "--d-grid", "0.4,0.5"),  # c_k diverges at d = 0.5, outside the oracle's domain
 ])
 def test_usage_errors_exit_2_and_write_nothing(capsys, tmp_path, argv):
     target = tmp_path / "out.csv"
