@@ -27,7 +27,6 @@ from .oracle import MCEstimate, RegionSpec, mc_ck, mc_region, quad_c3, region_ca
 from .quadrature import QuadratureError, tanh_sinh
 from .specfun import (
     DivergenceError,
-    EvalConfig,
     HypParams,
     NonConvergenceError,
     ParameterDomainError,
@@ -46,7 +45,6 @@ from .specfun import (
 from .thomae import (
     SplitForm,
     ThomaeForm,
-    best_convergence_form,
     shift_negative_bottom,
     split_4f3_alternative,
     split_4f3_contiguous,
@@ -71,10 +69,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CharacteristicFunctionValue", "CumulantReport", "DivergenceError",
-    "DomainError", "EvalConfig", "GFunction", "HypParams", "MCEstimate",
+    "DomainError", "GFunction", "HypParams", "MCEstimate",
     "NonConvergenceError", "ParameterDomainError", "PoleError",
     "QuadratureError", "RegionSpec", "SeriesResult", "SpecialFunctionError",
-    "SplitForm", "ThomaeForm", "apply_kernel", "best_convergence_form",
+    "SplitForm", "ThomaeForm", "apply_kernel",
     "c2_closed", "c3_closed", "c4_closed", "c4_region", "c5_closed",
     "c5_region", "c_closed", "c_k_via_operator", "characteristic_function",
     "cumulant_table", "g1", "g2", "g3", "g4_closed", "g_function",

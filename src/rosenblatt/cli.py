@@ -133,7 +133,7 @@ def cmd_table(args: argparse.Namespace, stream) -> int:
             # sigma vanishes at d = 0.5, where only the closed form's limit is defined
             for m in methods if d < 0.5 else ("closed",):
                 if m == "closed":
-                    reports.append(cu.kappa(k, d, args.eval_config))
+                    reports.append(cu.kappa(k, d))
                 elif m == "vt":
                     reports.append(_vt_report(k, d))
                 else:
@@ -166,7 +166,7 @@ def cmd_phi(args: argparse.Namespace, stream) -> int:
     rows = []
     for d in sorted(args.d_grid):
         for theta in thetas:
-            out = cu.characteristic_function(theta, d, K, args.eval_config)
+            out = cu.characteristic_function(theta, d, K)
             rows.append((d, theta, out.value.real, out.value.imag, out.diverged))
     if args.output_format == "json":
         json.dump(
@@ -225,16 +225,12 @@ def cmd_verify(args: argparse.Namespace, stream) -> int:
     dev4 = dev5 = 0.0
     for d in interior:
         dev4 = max(dev4, abs(
-            8.0 * sum(cu.c4_region(i, d, args.eval_config) for i in (1, 2, 3))
-            - cu.c4_closed(d, args.eval_config).value
+            8.0 * sum(cu.c4_region(i, d) for i in (1, 2, 3)) - cu.c4_closed(d).value
         ))
         dev5 = max(dev5, abs(
-            10.0 * sum(
-                cu.c5_region(i, d, args.eval_config,
-                             region3_variant=args.region3_variant)
-                for i in range(1, 13)
-            )
-            - cu.c5_closed(d, args.eval_config).value
+            10.0 * sum(cu.c5_region(i, d, region3_variant=args.region3_variant)
+                       for i in range(1, 13))
+            - cu.c5_closed(d).value
         ))
     if interior:
         log.record("region-sum-order-4", dev4 <= 1e-8, f"max |8*sum - c4| = {dev4:.3g}")
@@ -242,7 +238,6 @@ def cmd_verify(args: argparse.Namespace, stream) -> int:
 
     # transformation value preservation and the two 4F3 decompositions
     rng = np.random.default_rng(args.seed)
-    series_cfg = sf.EvalConfig(rel_tol=1e-10)
     dev = 0.0
     done = 0
     while done < 20:
@@ -254,9 +249,9 @@ def cmd_verify(args: argparse.Namespace, stream) -> int:
         if min(derived) < 0.35:  # keep transformed margins comfortably convergent
             continue
         form = th.ThomaeForm(sf.HypParams((a, b, c), (e, f)))
-        ref = form.evaluate(series_cfg).value
+        ref = form.evaluate().value
         for op in (th.thomae_fixed_top, th.thomae_full):
-            dev = max(dev, abs(op(form).evaluate(series_cfg).value - ref))
+            dev = max(dev, abs(op(form).evaluate().value - ref))
         done += 1
     log.record("thomae-value-preservation", dev <= 1e-9, f"max deviation = {dev:.3g}")
 
@@ -275,7 +270,7 @@ def cmd_verify(args: argparse.Namespace, stream) -> int:
         for d in interior:
             for k in orders:
                 ck = vt.c_k_via_operator(*_pairing(k), d)
-                dev = abs(ck - cu.c_closed(k, d, args.eval_config).value)
+                dev = abs(ck - cu.c_closed(k, d).value)
                 dev_by_k[k] = max(dev_by_k.get(k, 0.0), dev)
         for k, dev in sorted(dev_by_k.items()):
             tol = 1e-4 if k == 5 else 1e-5
@@ -287,7 +282,7 @@ def cmd_verify(args: argparse.Namespace, stream) -> int:
             worst = 0.0
             for d in interior:
                 est = orc.mc_ck(k, d, args.mc_samples, args.seed, workers=args.workers)
-                truth = cu.c_closed(k, d, args.eval_config).value
+                truth = cu.c_closed(k, d).value
                 sigma_dev = abs(est.mean - truth) / max(est.std_error, 1e-300)
                 worst = max(worst, sigma_dev)
             log.record(f"closed-vs-mc-k{k}", worst <= 3.0, f"max deviation = {worst:.2f} sigma")
@@ -295,7 +290,7 @@ def cmd_verify(args: argparse.Namespace, stream) -> int:
         spec = next(s for s in orc.region_catalog() if s.name == "c5-3")
         d = interior[0] if interior else 0.25
         est = orc.mc_region(spec, d, args.mc_samples, args.seed, workers=args.workers)
-        truth = cu.c5_region(3, d, args.eval_config, region3_variant=args.region3_variant)
+        truth = cu.c5_region(3, d, region3_variant=args.region3_variant)
         sigma_dev = abs(est.mean - truth) / max(est.std_error, 1e-300)
         log.record("region3-order5-reading", sigma_dev <= 3.0,
                    f"deviation = {sigma_dev:.2f} sigma (variant {args.region3_variant})")
@@ -330,12 +325,6 @@ _ORACLE_D_LIST = _checked(float, lambda d: 0.0 <= d < 0.5, "d values in [0, 0.5)
 _ORDER_LIST = _checked(int, lambda k: k in (2, 3, 4, 5), "orders from {2, 3, 4, 5}", many=True)
 _FLOAT_LIST = _checked(float, lambda x: True, "comma-separated numbers", many=True)
 _POSITIVE_INT = _checked(int, lambda n: n > 0, "a positive integer")
-_POSITIVE_FLOAT = _checked(float, lambda x: x > 0, "a positive number")
-
-
-def _series_config(text: str) -> sf.EvalConfig:
-    """--tol: the series evaluation policy with that relative tolerance."""
-    return sf.EvalConfig(rel_tol=_POSITIVE_FLOAT(text))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,10 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "verify":
             p.add_argument("--format", dest="output_format", default="csv",
                            choices=("csv", "json"))
-        if name != "oracle":
-            p.add_argument("--tol", dest="eval_config", metavar="REL_TOL",
-                           type=_series_config, default=sf.DEFAULT_CONFIG,
-                           help="series relative tolerance override")
         if name == "phi":
             p.add_argument("--theta-grid", type=_FLOAT_LIST, default=(),
                            help="comma-separated theta values")

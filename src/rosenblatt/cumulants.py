@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 from .specfun import (
-    DEFAULT_CONFIG,
-    EvalConfig,
     HypParams,
     ParameterDomainError,
     SeriesResult,
@@ -85,8 +83,8 @@ def kappa_from_c(k: int, d: float, c_k: float) -> float:
     return 2.0 ** (k - 1) * math.factorial(k - 1) * sigma(d) ** k * c_k
 
 
-def _f32(top, bottom, cfg: EvalConfig) -> SeriesResult:
-    return eval_3f2_optimized(HypParams(top, bottom), cfg)
+def _f32(top, bottom) -> SeriesResult:
+    return eval_3f2_optimized(HypParams(top, bottom))
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +113,7 @@ def c3_closed(d: float) -> float:
 # order 4
 # ---------------------------------------------------------------------------
 
-def c4_region(i: int, d: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def c4_region(i: int, d: float) -> float:
     """Closed form of ordered-simplex region i (1..3) of the order-4 integral."""
     d = _check_d(d)
     if i == 1:
@@ -125,12 +123,12 @@ def c4_region(i: int, d: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
             2 * gamma(2 - 2 * d) ** 2 * gamma(5 - 4 * d)
         )
     if i == 3:
-        f = _f32((1.0, d, 2 - 2 * d), (2 - d, 3 - 2 * d), cfg)
+        f = _f32((1.0, d, 2 - 2 * d), (2 - d, 3 - 2 * d))
         return gamma(3 - 4 * d) / (2 * (1 - d) ** 2 * gamma(5 - 4 * d)) * f.value
     raise ValueError("order-4 region index must be 1, 2 or 3")
 
 
-def c4_region3_alt(d: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def c4_region3_alt(d: float) -> float:
     """Region 3 by the product-of-2F1 route: two terms carrying Gamma(2d-1).
 
     Interior d only; equals c4_region(3, d).
@@ -141,7 +139,7 @@ def c4_region3_alt(d: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
         * gamma_ratio(2 * d - 1, d)
         / (gamma(5 - 4 * d) * gamma(3 - 3 * d))
     )
-    f = _f32((2 * d - 1, d, 1.0), (2 * d, 2 - d), cfg)
+    f = _f32((2 * d - 1, d, 1.0), (2 * d, 2 - d))
     t2 = (
         gamma(3 - 4 * d) * gamma_ratio(2 * d - 1, 2 * d)
         / ((1 - d) * gamma(5 - 4 * d))
@@ -150,13 +148,13 @@ def c4_region3_alt(d: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     return t1 - t2
 
 
-def c4_closed(d: float, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
+def c4_closed(d: float) -> SeriesResult:
     """c_4 as the three-term bracket over (1-d)^3 (3-4d); 8 times the region sum.
 
     Equivalently kappa_4 = 12(1-2d)^2/((1-d)(3-4d)) * bracket.
     """
     d = _check_d(d)
-    f = _f32((2 - 2 * d, 1.0, d), (3 - 2 * d, 2 - d), cfg)
+    f = _f32((2 - 2 * d, 1.0, d), (3 - 2 * d, 2 - d))
     g1 = gamma(1 - d)
     g2 = gamma(2 - d)
     bracket = f.value + g1**2 * g2**2 / gamma(2 - 2 * d) ** 2 + 2 * g1 * g2**2 / gamma(3 - 3 * d)
@@ -171,8 +169,7 @@ def c4_closed(d: float, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
 REGION3_VARIANTS = ("corrected", "printed")
 
 
-def c5_region(i: int, d: float, cfg: EvalConfig = DEFAULT_CONFIG, *,
-              region3_variant: str = "corrected") -> float:
+def c5_region(i: int, d: float, *, region3_variant: str = "corrected") -> float:
     """Closed form of ordered-simplex region i (1..12) of the order-5 integral.
 
     Regions 6 and 12 require 0 < d < 0.5 (Gamma(2d-1) poles at both
@@ -195,52 +192,48 @@ def c5_region(i: int, d: float, cfg: EvalConfig = DEFAULT_CONFIG, *,
     if i == 1:
         return g1d**4 * g45 / (g44 * g65)
     if i in (2, 9):
-        f = _f32((d, 1 - d, 2 - 2 * d), (2 - d, 4 - 4 * d), cfg)
+        f = _f32((d, 1 - d, 2 - 2 * d), (2 - d, 4 - 4 * d))
         return g1d**2 / (1 - d) * g45 * g22 / (g65 * g44) * f.value
     if i == 3:
-        f = _f32((d, 1 - d, 3 - 3 * d), (2 - d, 4 - 4 * d), cfg)
+        f = _f32((d, 1 - d, 3 - 3 * d), (2 - d, 4 - 4 * d))
         first = g1d**3 / ((1 - d) * g22) * (g45 / g44) * (g33 / g65) * f.value
         if region3_variant == "corrected":
-            return first - c5_region(2, d, cfg)
-        f2 = _f32((d, 1 - d, 2 - 2 * d), (2 - d, 4 - 4 * d), cfg)
+            return first - c5_region(2, d)
+        f2 = _f32((d, 1 - d, 2 - 2 * d), (2 - d, 4 - 4 * d))
         return first - g1d**2 / (1 - d) * g45 * g22 / (g65 * g65) * f2.value
     if i == 4:
-        f = _f32((1.0, d, 2 - 2 * d), (2 - d, 3 - 2 * d), cfg)
+        f = _f32((1.0, d, 2 - 2 * d), (2 - d, 3 - 2 * d))
         return gamma(1 - d) / (2 * (1 - d) ** 2) * g33 * g45 / (g44 * g65) * f.value
     if i in (5, 10):
-        f = pfq_at_1(
-            HypParams((1.0, d, 2 - 2 * d, 3 - 3 * d), (2 - d, 3 - 2 * d, 4 - 4 * d)), cfg
-        )
+        f = pfq_at_1(HypParams((1.0, d, 2 - 2 * d, 3 - 3 * d), (2 - d, 3 - 2 * d, 4 - 4 * d)))
         return g1d / (2 * (1 - d) ** 2) * g33 * g45 / (g44 * g65) * f.value
     if i == 6:
-        f1 = _f32((1.0, d, 2 * d - 1), (2 - d, 2 * d), cfg)
-        f3 = _f32((1.0, d, 3 - 3 * d), (2 - d, 4 - 3 * d), cfg)
+        f1 = _f32((1.0, d, 2 * d - 1), (2 - d, 2 * d))
+        f3 = _f32((1.0, d, 3 - 3 * d), (2 - d, 4 - 3 * d))
         return (
             g1d / (1 - d) * gamma_ratio(2 * d - 1, 2 * d) * g33 * g45 / (g65 * g44) * f1.value
             - g1d**3 * g45 / (g44 * g65) * g22 * gamma_ratio(2 * d - 1, d)
             + g1d**2 / (3 * (1 - d) ** 2) * g45 / (g65 * g22) * f3.value
         )
     if i == 7:
-        f1 = _f32((1.0, d, 2 - 2 * d), (2 - d, 3 - 2 * d), cfg)
-        f2 = pfq_at_1(
-            HypParams((1.0, d, 2 - 2 * d, 3 - 3 * d), (2 - d, 3 - 2 * d, 4 - 4 * d)), cfg
-        )
+        f1 = _f32((1.0, d, 2 - 2 * d), (2 - d, 3 - 2 * d))
+        f2 = pfq_at_1(HypParams((1.0, d, 2 - 2 * d, 3 - 3 * d), (2 - d, 3 - 2 * d, 4 - 4 * d)))
         return (
             g1d**2 / (2 * (1 - d) ** 2) * g45 / (g65 * g22) * f1.value
             - g1d / (1 - d) ** 2 * (g33 / g44) * (g45 / g65) * f2.value
         )
     if i == 8:
-        f = _f32((1.0, d, 3 - 3 * d), (3 - 2 * d, 4 - 3 * d), cfg)
+        f = _f32((1.0, d, 3 - 3 * d), (3 - 2 * d, 4 - 3 * d))
         return g1d**2 / (3 * (1 - d)) * g45 / (g65 * gamma(3 - 2 * d)) * f.value
     if i == 11:
-        f1 = _f32((1.0, d, 3 - 3 * d), (2 - d, 4 - 3 * d), cfg)
-        f2 = _f32((1.0, d, 2 - 2 * d), (2 - d, 3 - 2 * d), cfg)
+        f1 = _f32((1.0, d, 3 - 3 * d), (2 - d, 4 - 3 * d))
+        f2 = _f32((1.0, d, 2 - 2 * d), (2 - d, 3 - 2 * d))
         return (
             g1d**2 / (3 * (1 - d) ** 2) * g45 / (g65 * g22) * f1.value
             - g1d * g45 * g33 / (2 * (1 - d) ** 2 * g65 * g44) * f2.value
         )
     if i == 12:
-        f = _f32((1.0, d, 2 * d - 1), (2 - d, 2 * d), cfg)
+        f = _f32((1.0, d, 2 * d - 1), (2 - d, 2 * d))
         return (
             g1d**3 * g45 / (g44 * g65) * g22 * gamma_ratio(2 * d - 1, d)
             - g1d / (1 - d) * gamma_ratio(2 * d - 1, 2 * d) * g33 * g45 / (g44 * g65) * f.value
@@ -248,7 +241,7 @@ def c5_region(i: int, d: float, cfg: EvalConfig = DEFAULT_CONFIG, *,
     raise ValueError("order-5 region index must be in 1..12")
 
 
-def c5_closed(d: float, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
+def c5_closed(d: float) -> SeriesResult:
     """c_5 = 10 S, where S collects the six surviving terms of the region sum.
 
     The 4F3 contributions of regions 5, 7 and 10 cancel in the sum, as do
@@ -264,11 +257,11 @@ def c5_closed(d: float, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
 
     terms = [
         (g1d**4 / g44, SeriesResult(1.0, 0.0, 0)),
-        (g1d**3 / (one * g22) * g33 / g44, _f32((d, 1 - d, 3 - 3 * d), (2 - d, 4 - 4 * d), cfg)),
-        (g1d**2 * g22 / (one * g44), _f32((d, 1 - d, 2 - 2 * d), (2 - d, 4 - 4 * d), cfg)),
-        (g1d**2 / (6 * one**2 * g22), _f32((1.0, d, 3 - 3 * d), (3 - 2 * d, 4 - 3 * d), cfg)),
-        (2 * g1d**2 / (3 * one**2 * g22), _f32((1.0, d, 3 - 3 * d), (2 - d, 4 - 3 * d), cfg)),
-        (g1d**2 / (2 * one**2 * g22), _f32((1.0, d, 2 - 2 * d), (2 - d, 3 - 2 * d), cfg)),
+        (g1d**3 / (one * g22) * g33 / g44, _f32((d, 1 - d, 3 - 3 * d), (2 - d, 4 - 4 * d))),
+        (g1d**2 * g22 / (one * g44), _f32((d, 1 - d, 2 - 2 * d), (2 - d, 4 - 4 * d))),
+        (g1d**2 / (6 * one**2 * g22), _f32((1.0, d, 3 - 3 * d), (3 - 2 * d, 4 - 3 * d))),
+        (2 * g1d**2 / (3 * one**2 * g22), _f32((1.0, d, 3 - 3 * d), (2 - d, 4 - 3 * d))),
+        (g1d**2 / (2 * one**2 * g22), _f32((1.0, d, 2 - 2 * d), (2 - d, 3 - 2 * d))),
     ]
     ratio = gamma_ratio(4 - 5 * d, 6 - 5 * d)
     value = 10.0 * ratio * sum(w * f.value for w, f in terms)
@@ -291,7 +284,7 @@ def _check_order(k: int) -> None:
         raise ValueError(f"unsupported cumulant order {k} (supported: 2..5)")
 
 
-def c_closed(k: int, d: float, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
+def c_closed(k: int, d: float) -> SeriesResult:
     """The closed-form cumulant factor c_k(d) for k in 2..5, with its error estimate."""
     _check_order(k)
     if k == 2:
@@ -301,11 +294,11 @@ def c_closed(k: int, d: float, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult
         c3 = c3_closed(d)
         return SeriesResult(c3, 8 * _EPS * c3, 0)
     if k == 4:
-        return c4_closed(d, cfg)
-    return c5_closed(d, cfg)
+        return c4_closed(d)
+    return c5_closed(d)
 
 
-def kappa(k: int, d: float, cfg: EvalConfig = DEFAULT_CONFIG) -> CumulantReport:
+def kappa(k: int, d: float) -> CumulantReport:
     """kappa_k(d) for k in 2..5; kappa_2 is identically 1.
 
     For k >= 3 the endpoints are exact: sigma vanishes at d = 0.5, and at
@@ -320,7 +313,7 @@ def kappa(k: int, d: float, cfg: EvalConfig = DEFAULT_CONFIG) -> CumulantReport:
     if d == 0.0:
         exact = 2.0 ** (k - 1) * math.factorial(k - 1) * 0.5 ** (k / 2)
         return CumulantReport(k, d, exact, METHOD_CLOSED, 0.0)
-    c = c_closed(k, d, cfg)
+    c = c_closed(k, d)
     diagnostics = {"series_terms": c.n_terms} if k >= 4 else {}
     return CumulantReport(
         k, d, kappa_from_c(k, d, c.value), METHOD_CLOSED,
@@ -334,8 +327,7 @@ class CharacteristicFunctionValue:
     diverged: bool
 
 
-def characteristic_function(theta: float, d: float, K: int = 5,
-                            cfg: EvalConfig = DEFAULT_CONFIG) -> CharacteristicFunctionValue:
+def characteristic_function(theta: float, d: float, K: int = 5) -> CharacteristicFunctionValue:
     """Truncated characteristic function exp(sum_{k=2}^K (i theta)^k kappa_k / k!).
 
     Equivalent to the exponent (1/2) sum (2 i theta sigma)^k c_k / k written
@@ -351,7 +343,7 @@ def characteristic_function(theta: float, d: float, K: int = 5,
     total = 0.0j
     mags = []
     for k in range(2, K + 1):
-        term = (1j * theta) ** k * kappa(k, d, cfg).value / math.factorial(k)
+        term = (1j * theta) ** k * kappa(k, d).value / math.factorial(k)
         total += term
         mags.append(abs(term))
     diverged = len(mags) >= 2 and mags[-1] > mags[-2] > 0.0
@@ -360,7 +352,7 @@ def characteristic_function(theta: float, d: float, K: int = 5,
     return CharacteristicFunctionValue(cmath.exp(total), diverged)
 
 
-def cumulant_table(grid, orders, cfg: EvalConfig = DEFAULT_CONFIG) -> list[CumulantReport]:
+def cumulant_table(grid, orders) -> list[CumulantReport]:
     """Closed-form reports for every (order, d) pair, sorted by (order, d)."""
     pairs = sorted((int(k), _check_d(d)) for k in orders for d in grid)
-    return [kappa(k, d, cfg) for k, d in pairs]
+    return [kappa(k, d) for k, d in pairs]

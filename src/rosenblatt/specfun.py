@@ -3,21 +3,19 @@
 Gamma machinery (log-domain with sign tracking, pole-safe ratios),
 Pochhammer symbols, Gauss 2F1 including evaluation at the unit argument,
 a generalized (q+1)Fq-at-unity evaluator, and the series engine that sums
-Gauss-type series close to unit argument.
+Gauss-type series at and close to unit argument.
 
-Series at unit argument converge only like k^-(1+s) where s is the
-convergence margin sum(bottom) - sum(top), which drops to ~1.1 for the
-parameter families used here.  Raw summation to 1e-12 is therefore
-infeasible; truncated sums are completed with the integral-comparison
-tail estimate t_N*(N+1)/s and refined by Richardson extrapolation over
-doubling checkpoints (the error of the tail-corrected sum decays like
-N^-(s+1), N^-(s+2), ...).
-
-Close to unit argument one engine, _series_dot, sums
-sum_j (a)_j (b)_j/((c)_j j!) x^j E_j: Gauss 2F1 on the unit table E_j = 1,
-and the operator route's telescoping sums on its E tables.  Past the
-table the sum is one Euler-Maclaurin integral, so it stays accurate down
-to 1 - x ~ 1e-280, with no special case where c - a - b is an integer.
+One engine, _series_dot, sums sum_j w_j x^j E_j with
+w_j = prod (p)_j/(q)_j over (top, bottom) parameter pairs, j! being the
+pair (a, 1): a (q+1)Fq at unit argument on a prefix of the unit table
+E_j = 1, Gauss 2F1 near x = 1 on the whole unit table, and the operator
+route's telescoping sums on its E tables.  Past the table the sum is one
+Euler-Maclaurin integral of the Gamma-ratio expansion of w_j.  Terms at
+unit argument decay only like j^-(1+s), s the convergence margin
+sum(bottom) - sum(top), yet the integral costs about the same for any s > 0;
+near x = 1 it stays accurate down to 1 - x ~ 1e-280, with no special case
+where c - a - b is an integer.  Power series at |x| < 1 (and p <= q at
+x = 1) are summed term by term to machine precision.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ class DivergenceError(SpecialFunctionError):
 
 
 class NonConvergenceError(SpecialFunctionError):
-    """The term cap was reached before the error estimate met the tolerance."""
+    """A power series reached its term cap before its terms fell below an ulp of the sum."""
 
 
 class ParameterDomainError(SpecialFunctionError):
@@ -181,7 +179,7 @@ def gamma_product(numerator: tuple[float, ...] = (), denominator: tuple[float, .
 
 
 # ---------------------------------------------------------------------------
-# Hypergeometric parameter/config types
+# Hypergeometric parameter types
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -215,20 +213,6 @@ class HypParams:
                 )
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    """Series evaluation policy: the relative tolerance."""
-
-    rel_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ParameterDomainError("rel_tol must be positive")
-
-
-DEFAULT_CONFIG = EvalConfig()
-
-
 class SeriesResult(NamedTuple):
     value: float
     error_estimate: float
@@ -239,22 +223,11 @@ class SeriesResult(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Series engine
+# pFq: power series, and (q+1)Fq at unit argument through the series engine
 # ---------------------------------------------------------------------------
 
-_BLOCK = 2048
-_MAX_TERMS = 1_000_000  # term cap of the series summed term by term
-
-
-def _term_ratios(top, bottom, ks: np.ndarray, x: float) -> np.ndarray:
-    """t_{k+1}/t_k for k in ks."""
-    num = np.ones_like(ks, dtype=float) * x
-    for a in top:
-        num *= a + ks
-    den = ks + 1.0
-    for b in bottom:
-        den *= b + ks
-    return num / den
+_MAX_TERMS = 1_000_000  # term cap of the power series at |x| < 1
+_EPS = float(np.finfo(float).eps)
 
 
 def _sum_terminating(top, bottom, x: float, m: int) -> float:
@@ -271,69 +244,22 @@ def _sum_terminating(top, bottom, x: float, m: int) -> float:
     return total
 
 
-def _sum_power_law_at_unity(top, bottom, s: float, cfg: EvalConfig) -> SeriesResult:
-    """Sum a (q+1)Fq series at unit argument, terms ~ C k^-(1+s).
+def pfq_at_1(params: HypParams) -> SeriesResult:
+    """Generalized hypergeometric series at unit argument.
 
-    Checkpoints at doubling N record the tail-corrected value
-    T(N) = S_N + t_N (N+1)/s whose error decays like N^-(s+1); Richardson
-    extrapolation eliminates the N^-(s+1) and N^-(s+2) error terms
-    across the last three checkpoints.
+    A terminating series is summed exactly and p <= q by its factorially
+    convergent power series.  A (q+1)Fq series, whose terms decay like
+    k^-(1+s) with s the convergence margin, is one call of the series
+    engine at lam = 0: its j! joins the bottom parameters, tops pair with
+    bottoms in order, and the sum runs over a prefix of the unit table
+    with the Euler-Maclaurin tail past it.  The prefix length J is at least
+    1024, a multiple of the engine's row and at most the whole table;
+    within that it grows until g_7 t^-6, the first term the tail's
+    Gamma-ratio expansion leaves out (about the seventh power of the
+    largest parameter), is below an ulp at t = J.  The error estimate,
+    relative to the value, is that term at J plus sqrt(J) ulps for the
+    rounding of the J-term product chain.
     """
-    rel_tol = cfg.rel_tol
-    scale = max((abs(p) for p in (*top, *bottom)), default=1.0)
-    first_checkpoint = 64
-    while first_checkpoint < 4 * scale:
-        first_checkpoint *= 2
-
-    S = 1.0  # k = 0 term
-    t = 1.0
-    k = 0
-    checkpoints: list[tuple[int, float]] = []  # (N, tail-corrected T(N))
-
-    while k < _MAX_TERMS:
-        n = min(_BLOCK, _MAX_TERMS - k)
-        ks = np.arange(k, k + n, dtype=float)
-        terms = t * np.cumprod(_term_ratios(top, bottom, ks, 1.0))
-        S += float(terms.sum())
-        t = float(terms[-1])
-        k += n
-        tail = t * (k + 1) / s
-
-        if abs(tail) <= 1e-3 * rel_tol * abs(S):
-            # tail already negligible; no refinement needed
-            return SeriesResult(S + tail, abs(tail) + 4 * np.finfo(float).eps * abs(S), k)
-
-        if k >= first_checkpoint and (not checkpoints or k >= 2 * checkpoints[-1][0]):
-            checkpoints.append((k, S + tail))
-            if len(checkpoints) >= 3:
-                r1 = 2.0 ** (s + 1) - 1.0
-                r2 = 2.0 ** (s + 2) - 1.0
-                (_, T0), (_, T1), (_, T2) = checkpoints[-3:]
-                R1a = T1 + (T1 - T0) / r1
-                R1b = T2 + (T2 - T1) / r1
-                R2 = R1b + (R1b - R1a) / r2
-                err = abs(R2 - R1b) + 8 * np.finfo(float).eps * abs(R2)
-                if err <= 0.5 * rel_tol * abs(R2):
-                    return SeriesResult(R2, err, k)
-
-    # term cap reached: report the best available value, or fail
-    if checkpoints:
-        value = checkpoints[-1][1]
-        err = (
-            abs(checkpoints[-1][1] - checkpoints[-2][1])
-            if len(checkpoints) >= 2
-            else abs(t * (k + 1) / s)
-        )
-        if err <= rel_tol * abs(value):
-            return SeriesResult(value, err, k)
-        raise NonConvergenceError(
-            f"series error estimate {err:.3e} above tolerance after {k} terms"
-        )
-    raise NonConvergenceError(f"series did not converge within {_MAX_TERMS} terms")
-
-
-def pfq_at_1(params: HypParams, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
-    """Generalized hypergeometric series at unit argument with tail handling."""
     params.validate()
     top, bottom = params.top, params.bottom
     if len(top) > len(bottom) + 1:
@@ -342,15 +268,23 @@ def pfq_at_1(params: HypParams, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResul
     if m is not None:
         return SeriesResult(_sum_terminating(top, bottom, 1.0, m), 0.0, m + 1)
     if len(top) <= len(bottom):
-        return _pfq_series(params, 1.0, cfg)  # factorial decay
+        return _pfq_series(params, 1.0)  # factorial decay
     s = params.margin
     if s <= 0:
         raise DivergenceError(f"convergence margin s={s:.6g} <= 0 at unit argument")
-    return _sum_power_law_at_unity(top, bottom, s, cfg)
+    pairs = tuple(zip(top, (*bottom, 1.0)))
+    powers = np.arange(8.0)
+    g7 = abs(float(_OMITTED_ROW @ sum(p ** powers - q ** powers for p, q in pairs)))
+    J = min(_J_TABLE, max(1024, _ROW * math.ceil((g7 / _EPS) ** (1 / 6) / _ROW)))
+    value = float(_series_dot(_ETable(_UNIT.E[:J], (0.0,), (1.0,)), pairs, 1.0, 0.0))
+    return SeriesResult(value, (math.sqrt(J) * _EPS + g7 / (J - 0.5) ** 6) * abs(value), J)
 
 
-def _pfq_series(params: HypParams, x: float, cfg: EvalConfig) -> SeriesResult:
-    """Plain pFq power series for |x| < 1 (or factorially convergent p <= q)."""
+def _pfq_series(params: HypParams, x: float) -> SeriesResult:
+    """Plain pFq power series for |x| < 1 (or factorially convergent p <= q).
+
+    It stops after three terms in a row below one ulp of the partial sum.
+    """
     params.validate()
     m = params.terminating_order()
     if m is not None:
@@ -368,7 +302,7 @@ def _pfq_series(params: HypParams, x: float, cfg: EvalConfig) -> SeriesResult:
         t *= r
         S += t
         k += 1
-        if abs(t) < cfg.rel_tol * abs(S):
+        if abs(t) < _EPS * abs(S):
             small += 1
             if small >= 3:
                 return SeriesResult(S, abs(t), k)
@@ -377,17 +311,17 @@ def _pfq_series(params: HypParams, x: float, cfg: EvalConfig) -> SeriesResult:
     raise NonConvergenceError(f"pFq series did not converge within {_MAX_TERMS} terms")
 
 
-def pfq(params: HypParams, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
+def pfq(params: HypParams, x: float) -> SeriesResult:
     """pFq at real argument: |x| < 1 by direct series, x = 1 via pfq_at_1."""
     if x == 1.0:
-        return pfq_at_1(params, cfg)
+        return pfq_at_1(params)
     if abs(x) >= 1.0:
         raise ParameterDomainError(f"pfq requires |x| < 1 or x = 1, got {x}")
-    return _pfq_series(params, x, cfg)
+    return _pfq_series(params, x)
 
 
 # ---------------------------------------------------------------------------
-# Series engine near unit argument: sum_j (a)_j (b)_j/((c)_j j!) x^j E_j
+# Series engine at and near unit argument: sum_j prod (p)_j/(q)_j x^j E_j
 # ---------------------------------------------------------------------------
 
 _J_TABLE = 1 << 14     # tabulated E_j range; tails are fitted beyond
@@ -395,16 +329,18 @@ _CUTOFF = 60.0         # series terms below e^-60 (relative to w_0 = 1) are drop
 _ROW = 128             # x^j = x^(R q) x^r with r < R; J is a multiple of R
 _EDGE = 36.0           # the tail integral leaves ln t for Gauss-Laguerre at lam t = 36
 _EDGE_PANELS = 12      # unit panels in ln t below that point
-_DOUBLINGS = 10        # panels [2^i - 1, 2^(i+1) - 1] in ln(t/t0) before them
+_DOUBLINGS = 10        # at least this many panels [2^i - 1, 2^(i+1) - 1] in ln(t/t0) first
 _GL_NODES, _GL_WEIGHTS = roots_legendre(20)
 _LAG_NODES, _LAG_WEIGHTS = roots_laguerre(16)
 # ln Gamma(t+b) - ln Gamma(t+c) = (b-c) ln t + sum_{k=2..6} g_k t^(1-k) + O(t^-6)
 # (DLMF 5.11.8) with g_k = (-1)^k (B_k(b) - B_k(c)) / (k(k-1)) for the Bernoulli
 # polynomials B_k; row k-2 holds the weights of b^m - c^m, m = 0..6, in g_k
-_BERNOULLI = bernoulli(6)
+_BERNOULLI = bernoulli(7)
 _LNGAMMA_K = np.arange(2, 7)
 _LNGAMMA_ROWS = np.array([[(-1) ** k * math.comb(k, m) * _BERNOULLI[k - m] / (k * (k - 1))
                            if m <= k else 0.0 for m in range(7)] for k in _LNGAMMA_K])
+# g_7, the first term the expansion leaves out: the weights of b^m - c^m, m = 0..7
+_OMITTED_ROW = np.array([-math.comb(7, m) * _BERNOULLI[7 - m] / 42 for m in range(8)])
 
 
 @dataclass(frozen=True)
@@ -414,7 +350,7 @@ class _ETable:
     tail_coefs: tuple[float, ...]
 
 
-# E_j = 1 exactly: _series_dot on it is 2F1(a, b; c; x)
+# E_j = 1 exactly: _series_dot on it, or on a prefix of it, sums a (q+1)Fq
 _UNIT = _ETable(np.ones(_J_TABLE), (0.0,), (1.0,))
 
 
@@ -429,31 +365,33 @@ def _decay_rate(x, z):
         return np.where(z < 0.5, -np.log1p(-z), -np.log(x))
 
 
-def _series_tail(table: _ETable, a: float, b: float, c: float, w_J: float,
-                 lam: np.ndarray) -> np.ndarray:
+@np.errstate(divide="ignore", under="ignore")
+def _series_tail(table: _ETable, pairs, w_J: float, lam: np.ndarray) -> np.ndarray:
     """sum_{j>=J} w_j e^(-lam j) E_j at each decay rate lam, J = len(table.E).
 
     Midpoint Euler-Maclaurin: the integral of f(t) = w(t) e^(-lam t) E(t)
     from t0 = J - 1/2, plus f'(t0)/24.  w(t) continues
-    w_j = (a)_j (b)_j/((c)_j j!) from the cumprod's w_J through the
-    large-t expansions of ln Gamma(t+b) - ln Gamma(t+c) and
-    ln Gamma(t+a) - ln Gamma(t+1) (DLMF 5.11.8, five Bernoulli terms), and
-    E(t) is the table's fitted law, so every exponent shares one
-    quadrature.  The integral is taken in u = ln(t/t0), where a power law
-    is exponential: doubling Gauss-Legendre panels up to 12 units below
-    the cut-off lam t = 36, unit panels across it, and Gauss-Laguerre in t
-    beyond it.  Logarithms of t throughout keep t itself from overflowing
-    when lam is near the smallest normal float; lam = 0 has no cut-off and
-    the doubling panels reach u = 1023.
+    w_j = prod (p)_j/(q)_j over the (top, bottom) pairs (p, q) from the
+    cumprod's w_J through the large-t expansion of
+    ln Gamma(t+p) - ln Gamma(t+q) (DLMF 5.11.8, five Bernoulli terms)
+    summed over the pairs, and E(t) is the table's fitted law, so every
+    exponent shares one quadrature.  The integral is taken in
+    u = ln(t/t0), where a power law is exponential: doubling
+    Gauss-Legendre panels up to 12 units below the cut-off lam t = 36,
+    unit panels across it, and Gauss-Laguerre in t beyond it.  Logarithms
+    of t throughout keep t itself from overflowing when lam is near the
+    smallest normal float; lam = 0 has no cut-off and the doubling panels
+    reach u = 42/r, where the slowest law term t f(t) ~ e^(-r u) is below
+    e^-42 (at least u = 1023).
     """
     J = len(table.E)
     t0 = J - 0.5
     ln_t0 = math.log(t0)
     exps = np.asarray(table.tail_exponents)
     coefs = np.asarray(table.tail_coefs)
-    expo = (b - c) + (a - 1.0)  # w_j ~ j^expo
+    expo = sum(p - q for p, q in pairs)  # w_j ~ j^expo
     powers = np.arange(7.0)
-    g = _LNGAMMA_ROWS @ ((b ** powers - c ** powers) + (a ** powers - 1.0))
+    g = _LNGAMMA_ROWS @ sum(p ** powers - q ** powers for p, q in pairs)
     ln_wJ = expo * math.log(J) + float(g @ float(J) ** (1 - _LNGAMMA_K))
 
     def terms(ln_t, shift):
@@ -463,38 +401,37 @@ def _series_tail(table: _ETable, a: float, b: float, c: float, w_J: float,
         for gk in g[-2::-1]:
             ratio = gk + inv * ratio
         ratio = expo * ln_t + inv * ratio - ln_wJ
-        with np.errstate(under="ignore"):
-            return np.exp(np.multiply.outer(exps, ln_t) + (ratio + shift))
+        return np.exp(np.multiply.outer(exps, ln_t) + (ratio + shift))
 
     lam = lam[:, None]
-    with np.errstate(divide="ignore"):
-        ln_lam = np.log(lam)
+    ln_lam = np.log(lam)
     # panel edges in u per node: doublings clipped at u_edge - 12, then unit steps to
     # u_edge; past u = 42/r the slowest law term, t f(t) ~ e^(-r u), is below e^-42
-    u_edge = np.minimum(math.log(_EDGE) - ln_lam - ln_t0, 2.0**_DOUBLINGS - 1.0 + _EDGE_PANELS)
-    u_lo = u_edge - _EDGE_PANELS
     decay = -expo - 1.0 - exps.max()
+    u_end = 42.0 / decay if decay > 0.0 else np.inf
+    doublings = max(_DOUBLINGS, math.ceil(math.log2(u_end + 1.0))) if decay > 0.0 else _DOUBLINGS
+    u_edge = np.minimum(math.log(_EDGE) - ln_lam - ln_t0, 2.0**doublings - 1.0 + _EDGE_PANELS)
+    u_lo = u_edge - _EDGE_PANELS
     edges = np.minimum(np.concatenate([
-        np.minimum(2.0 ** np.arange(_DOUBLINGS + 1) - 1.0, np.maximum(u_lo, 0.0)),
+        np.minimum(2.0 ** np.arange(doublings + 1) - 1.0, np.maximum(u_lo, 0.0)),
         np.maximum(u_lo + np.arange(1, _EDGE_PANELS + 1), 0.0),
-    ], axis=1), 42.0 / decay if decay > 0.0 else np.inf)
+    ], axis=1), u_end)
     lo, half = edges[:, :-1], 0.5 * np.diff(edges, axis=1)
     used = (half > 0.0).any(axis=0)
     lo, half = lo[:, used, None], half[:, used, None]
     ln_t = ln_t0 + lo + half * (_GL_NODES + 1.0)
-    with np.errstate(under="ignore"):
-        lam_t = np.exp(ln_lam[:, :, None] + ln_t)
+    lam_t = np.exp(ln_lam[:, :, None] + ln_t)
     # the Jacobian dt = t du joins the exponent
     law = np.tensordot(coefs, terms(ln_t, ln_t - lam_t), 1)
     panels = np.sum(law * half * _GL_WEIGHTS, axis=(1, 2))
 
     # beyond the panels: t = t_g + s/lam with lam t_g = max(36, lam t0), dt = ds/lam
-    live = lam > 0.0
-    ln_lam = np.where(live, ln_lam, 0.0)
-    lam_tg = np.maximum(_EDGE, lam * t0)
-    ln_t = np.log(lam_tg + _LAG_NODES) - ln_lam
-    beyond = np.tensordot(coefs, terms(ln_t, -lam_tg - ln_lam), 1) @ _LAG_WEIGHTS
-    beyond[~live[:, 0]] = 0.0
+    live = lam[:, 0] > 0.0
+    beyond = np.zeros_like(panels)
+    if live.any():
+        lam_tg = np.maximum(_EDGE, lam[live] * t0)
+        ln_t = np.log(lam_tg + _LAG_NODES) - ln_lam[live]
+        beyond[live] = np.tensordot(coefs, terms(ln_t, -lam_tg - ln_lam[live]), 1) @ _LAG_WEIGHTS
 
     # Euler-Maclaurin correction f'(t0)/24, with f'/f = (ln w)' - lam + e/t
     at_t0 = terms(np.full_like(lam, ln_t0), -lam * t0)[:, :, 0]
@@ -503,16 +440,20 @@ def _series_tail(table: _ETable, a: float, b: float, c: float, w_J: float,
     return w_J * (panels + beyond + df0 / 24.0)
 
 
-def _series_dot(table: _ETable, b: float, c: float, x, lam, a: float = 1.0):
-    """sum_j w_j x^j E_j, w_j = (a)_j (b)_j/((c)_j j!), table plus tail, at each node.
+@np.errstate(divide="ignore", under="ignore")
+def _series_dot(table: _ETable, pairs, x, lam):
+    """sum_j w_j x^j E_j, table plus tail, at each node.
 
-    With the unit table (E_j = 1) this is 2F1(a, b; c; x).  Terms past
-    j = 60/lam are dropped, so the sum runs to the longest such cut-off
-    among the nodes.  With a = 1, |w_j| <= 1 (c > b, and c > |b| when
-    b < 0) and the dropped terms are below e^-60; otherwise they are about
-    60^q e^-60 / q! of the sum, q = a + b - c - 1, 1e-12 near a + b - c = 14.
-    Swept against mpmath for a, b in [-5, 5], c in (-3, 8), 1 - x in
-    [1e-12, 0.15]: see hyp_2f1.
+    w_j = prod (p)_j/(q)_j over the (top, bottom) pairs (p, q); j! is the
+    pair (a, 1), so ((b, c), (a, 1)) on the unit table (E_j = 1) is
+    2F1(a, b; c; x), and pairs for every top and bottom parameter at
+    lam = 0 sum a (q+1)Fq at unit argument.  Terms past j = 60/lam are
+    dropped, so the sum runs to the longest such cut-off among the nodes.
+    For 2F1(1, b; c; x), |w_j| <= 1 (c > b, and c > |b| when b < 0) and
+    the dropped terms are below e^-60; for 2F1(a, b; c; x) they are about
+    60^q e^-60 / q! of the sum, q = a + b - c - 1, 1e-12 near
+    a + b - c = 14.  Swept against mpmath for a, b in [-5, 5], c in
+    (-3, 8), 1 - x in [1e-12, 0.15]: see hyp_2f1.
 
     Writing j = R q + r and x^j = e^(-lam R q) e^(-lam r) turns it into one
     matrix product, sum_q e^(-lam R q) sum_r w_j E_j e^(-lam r), with no
@@ -522,27 +463,25 @@ def _series_dot(table: _ETable, b: float, c: float, x, lam, a: float = 1.0):
     """
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     J = len(table.E)
-    with np.errstate(divide="ignore"):
-        n_terms = np.minimum(np.ceil(_CUTOFF / lams) + 1.0, J).astype(np.intp)
+    n_terms = np.minimum(np.ceil(_CUTOFF / lams) + 1.0, J).astype(np.intp)
     m = int(n_terms.max(initial=1))
     R = min(m, _ROW)
     Q = -(-m // R)
     j = np.arange(Q * R, dtype=float)
-    # (b+j)/(c+j) as 1 - (c-b)/(c+j): b + j rounds alike across a whole binade
-    ratio = 1.0 - (c - b) / (c + j)
-    if a != 1.0:
-        ratio *= 1.0 + (a - 1.0) / (1.0 + j)  # (a+j)/(1+j) likewise
+    ratio = np.ones(Q * R)
+    for p, q in pairs:
+        # (p+j)/(q+j) as 1 - (q-p)/(q+j): p + j rounds alike across a whole binade
+        ratio *= 1.0 - (q - p) / (q + j)
     w = np.empty(Q * R + 1)
     w[0] = 1.0
     np.cumprod(ratio, out=w[1:])
     weights = (w[:-1] * table.E[:Q * R]).reshape(Q, R)
     rate = np.minimum(lams, 1e3)[:, None]  # x = 0: e^(-lam*0) stays 1, higher powers vanish
-    with np.errstate(under="ignore"):
-        inner = np.exp(-rate * np.arange(R)) @ weights.T
-        out = np.einsum("nq,nq->n", np.exp(-rate * (R * np.arange(Q))), inner)
+    inner = np.exp(-rate * np.arange(R)) @ weights.T
+    out = np.einsum("nq,nq->n", np.exp(-rate * (R * np.arange(Q))), inner)
     need = n_terms == J
     if need.any():
-        out[need] += _series_tail(table, a, b, c, w[J], lams[need])
+        out[need] += _series_tail(table, pairs, w[J], lams[need])
     return _like(out, x)
 
 
@@ -559,12 +498,11 @@ def gauss_2f1_at_1(a: float, b: float, c: float) -> float:
     return gamma_ratio(c, c - a) * gamma_ratio(c - a - b, c - b)
 
 
-def hyp_2f1(a: float, b: float, c: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG,
-            one_minus_x: float | None = None) -> float:
+def hyp_2f1(a: float, b: float, c: float, x: float, one_minus_x: float | None = None) -> float:
     """Gauss 2F1(a,b;c;x) for |x| < 1, or x = 1 when c-a-b > 0.
 
     Terminating cases sum exactly, x <= 0.85 by the power series to
-    cfg.rel_tol, x = 1 by Gauss's sum, and 0.85 < x < 1 by the series
+    machine precision, x = 1 by Gauss's sum, and 0.85 < x < 1 by the series
     engine on the unit table, with no special case at an integer c - a - b.
     Against mpmath for 1 - x in [1e-12, 0.15] the worst relative error was
     5.8e-15 for 2F1(1, d; 2-d; x), d in (0, 0.5); 2.7e-14 with c - a - b
@@ -586,16 +524,15 @@ def hyp_2f1(a: float, b: float, c: float, x: float, cfg: EvalConfig = DEFAULT_CO
         raise ParameterDomainError(f"2F1 requires |x| < 1 (or x = 1), got x={x}")
     params = HypParams((a, b), (c,))
     if params.terminating_order() is not None or x <= 0.85:
-        return _pfq_series(params, x, cfg).value
-    return _series_dot(_UNIT, b, c, x, _decay_rate(x, z), a)
+        return _pfq_series(params, x).value
+    return _series_dot(_UNIT, ((b, c), (a, 1.0)), x, _decay_rate(x, z))
 
 
 # ---------------------------------------------------------------------------
 # Closed-form integrals used by the formula layer
 # ---------------------------------------------------------------------------
 
-def product_binomial_integral(p: float, q: float, d: float,
-                              cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def product_binomial_integral(p: float, q: float, d: float) -> float:
     """Integral of (1-pz)^-d (1-qz)^-d over z in (0,1) by its two-term 2F1 form.
 
     The closed form is written for q <= p; the integral itself is symmetric
@@ -603,9 +540,8 @@ def product_binomial_integral(p: float, q: float, d: float,
 
     A documented library call that no command reaches, and the one
     in-package caller of hyp_2f1.  Against an mpmath quadrature it was
-    within 3.2e-12 relative on 36 draws, d within 1e-9 of 0 and of 0.5 and
-    q/p within 1e-9 of 1 among them; the power series to cfg.rel_tol at
-    2F1 arguments up to 0.85 sets that limit.
+    within 1.4e-14 relative on 36 draws, d within 1e-9 of 0 and of 0.5 and
+    q/p within 1e-9 of 1 among them.
     """
     if not (0.0 <= p < 1.0 and 0.0 <= q < 1.0):
         raise ParameterDomainError("product_binomial_integral requires 0 <= p, q < 1")
@@ -624,15 +560,14 @@ def product_binomial_integral(p: float, q: float, d: float,
             return -math.log1p(-p) / p
         return (1.0 - (1.0 - p) ** (1.0 - 2.0 * d)) / (p * (1.0 - 2.0 * d))
     # the distances to 1 from p - q, exact: near 1 the 2F1 values turn on them
-    f1 = hyp_2f1(1.0, d, 2.0 - d, q / p, cfg, one_minus_x=(p - q) / p)
-    f2 = hyp_2f1(1.0, d, 2.0 - d, q * (1.0 - p) / (p * (1.0 - q)), cfg,
+    f1 = hyp_2f1(1.0, d, 2.0 - d, q / p, one_minus_x=(p - q) / p)
+    f2 = hyp_2f1(1.0, d, 2.0 - d, q * (1.0 - p) / (p * (1.0 - q)),
                  one_minus_x=(p - q) / (p * (1.0 - q)))
     return (f1 - (1.0 - p) ** (1.0 - d) * (1.0 - q) ** (-d) * f2) / ((1.0 - d) * p)
 
 
 def prudnikov_product_integral(alpha: float, a: float, b: float, c: float,
-                               a2: float, b2: float, c2: float,
-                               cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+                               a2: float, b2: float, c2: float) -> float:
     """Weighted integral of a product of two 2F1(1-x) factors as two 4F3(1) terms.
 
     Evaluates int_0^1 x^(alpha-1) (1-x)^(c-1) 2F1(a,b;c;1-x) 2F1(a2,b2;c2;1-x) dx.
@@ -661,7 +596,7 @@ def prudnikov_product_integral(alpha: float, a: float, b: float, c: float,
         )
         if f1.terminating_order() is None and f1.margin <= 0:
             raise DivergenceError(f"first 4F3 margin {f1.margin:.6g} <= 0")
-        out += pref1 * pfq_at_1(f1, cfg).value
+        out += pref1 * pfq_at_1(f1).value
     if pref2 != 0.0:
         f2 = HypParams(
             (c2 - a2, c2 - b2, c2 - a2 - b2 + alpha, c + c2 - a - a2 - b - b2 + alpha),
@@ -669,5 +604,5 @@ def prudnikov_product_integral(alpha: float, a: float, b: float, c: float,
         )
         if f2.terminating_order() is None and f2.margin <= 0:
             raise DivergenceError(f"second 4F3 margin {f2.margin:.6g} <= 0")
-        out += pref2 * pfq_at_1(f2, cfg).value
+        out += pref2 * pfq_at_1(f2).value
     return out

@@ -4,20 +4,17 @@ A 3F2(1) value is carried around as a ThomaeForm: a Gamma prefactor in
 log/sign representation times a parameter set.  The two one-term
 relations below generate (together with parameter permutations) the
 classical 120-element orbit of equivalent forms, which up to parameter
-order has ten members, each one relation away from any other.  Since
-the terms of a convergent form decay like k^-(1+s) with s the
-convergence margin, picking the largest-margin member in one step is a
-cheap way to speed up numerical summation.
+order has ten members, each one relation away from any other.  The
+relations are checked by value; numerical summation does not use them,
+since pfq_at_1 sums any convergent margin at about the same cost.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .specfun import (
-    DEFAULT_CONFIG,
-    EvalConfig,
     HypParams,
     PoleError,
     SeriesResult,
@@ -56,17 +53,10 @@ class ThomaeForm:
     def margin(self) -> float:
         return self.params.margin
 
-    def evaluate(self, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
-        r = pfq_at_1(self.params, cfg)
+    def evaluate(self) -> SeriesResult:
+        r = pfq_at_1(self.params)
         pre = self.prefactor
         return SeriesResult(pre * r.value, abs(pre) * r.error_estimate, r.n_terms)
-
-    def permuted(self, top_order: tuple[int, int, int], bottom_order: tuple[int, int]) -> "ThomaeForm":
-        t, b = self.params.top, self.params.bottom
-        return replace(
-            self,
-            params=HypParams(tuple(t[i] for i in top_order), tuple(b[i] for i in bottom_order)),
-        )
 
 
 @dataclass(frozen=True)
@@ -76,8 +66,8 @@ class SplitForm:
     additive_term: float
     scaled_form: ThomaeForm
 
-    def evaluate(self, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
-        r = self.scaled_form.evaluate(cfg)
+    def evaluate(self) -> SeriesResult:
+        r = self.scaled_form.evaluate()
         return SeriesResult(self.additive_term + r.value, r.error_estimate, r.n_terms)
 
 
@@ -176,8 +166,7 @@ def thomae_split(form: ThomaeForm) -> SplitForm:
     raise PatternMatchError("split requires a bottom parameter equal to a top parameter plus 1")
 
 
-def shift_negative_bottom(params: HypParams, M: int, x: float,
-                          cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def shift_negative_bottom(params: HypParams, M: int, x: float) -> float:
     """Regularized value of a series carrying an extra bottom parameter at -M.
 
     `params` holds the p+1 top parameters and the remaining p-1 bottom
@@ -204,7 +193,7 @@ def shift_negative_bottom(params: HypParams, M: int, x: float,
         (M + 2.0, *(b + M + 1 for b in params.bottom)),
     )
     shifted.validate()
-    return coef * pfq(shifted, x, cfg).value
+    return coef * pfq(shifted, x).value
 
 
 def split_4f3_contiguous(params: HypParams) -> tuple[tuple[float, HypParams], tuple[float, HypParams]]:
@@ -260,38 +249,12 @@ def split_4f3_alternative(d: float) -> tuple[tuple[float, HypParams], tuple[floa
     return ((w1, f1), (w2, f2))
 
 
-def best_convergence_form(form: ThomaeForm) -> ThomaeForm:
-    """Return the largest-margin member of the form's transformation orbit.
+def eval_3f2_optimized(params: HypParams) -> SeriesResult:
+    """3F2(1) by pfq_at_1, looked up in this module's globals.
 
-    Up to parameter order the orbit of 3F2(a,b,c; e,f; 1) has ten members,
-    with margins s, a, b, c and the six differences e-a, ..., f-c (Bailey,
-    Generalized Hypergeometric Series, ch. 3; DLMF 16.4).  With each top
-    parameter moved to the front, thomae_fixed_top reaches margins f-a and
-    e-a (one per bottom order) and thomae_full reaches margin a, so one
-    relation applied to the input reaches every other member.  Candidates
-    whose prefactor hits a Gamma pole are skipped; the first strictly larger
-    margin wins, and the input is returned when nothing improves on it.
+    The closed forms call every 3F2 through this name, which perfbench's
+    trace wraps as `cumulants.eval_3f2_optimized`.  No orbit member is
+    picked first: the series engine's cost and accuracy do not turn on
+    the convergence margin.
     """
-    best = form
-    for a_idx in range(3):
-        t_order = (a_idx, *(i for i in range(3) if i != a_idx))
-        for op, b_order in ((thomae_fixed_top, (0, 1)), (thomae_fixed_top, (1, 0)),
-                            (thomae_full, (0, 1))):
-            try:
-                candidate = op(form.permuted(t_order, b_order))
-            except (PoleError, ValueError):
-                continue
-            if candidate.margin > best.margin and math.isfinite(candidate.prefactor_log):
-                best = candidate
-    return best
-
-
-def eval_3f2_optimized(params: HypParams, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
-    """Evaluate a 3F2(1) after moving to the best-converging orbit member.
-
-    Terminating series are summed as-is.
-    """
-    if params.terminating_order() is not None:
-        return pfq_at_1(params, cfg)
-    form = best_convergence_form(ThomaeForm(params))
-    return form.evaluate(cfg)
+    return pfq_at_1(params)

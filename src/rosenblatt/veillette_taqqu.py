@@ -43,8 +43,6 @@ from scipy.fft import irfft, next_fast_len, rfft
 from .quadrature import tanh_sinh
 from .specfun import _J_TABLE, _UNIT, _ETable, _decay_rate, _like, _series_dot
 from .specfun import (
-    DEFAULT_CONFIG,
-    EvalConfig,
     HypParams,
     ParameterDomainError,
     gamma,
@@ -171,14 +169,14 @@ def _family_table(d: float, name: str) -> _ETable:
         jj = np.arange(len(g3_table.E), K, dtype=float)
         law = sum(coef * jj**e for e, coef in zip(g3_table.tail_exponents, g3_table.tail_coefs))
         u = w * np.concatenate([g3_table.E, law])
-        m1 = _series_dot(g3_table, d, 1.0, 1.0, 0.0)
+        m1 = _series_dot(g3_table, ((d, 1.0),), 1.0, 0.0)
         # dominant decay: j^(d-1)/j/j = 3-d
         return _build_e_table(u, 1.0 - d, 3.0 - d, m1)
     raise ValueError(f"unknown family {name!r}")
 
 
 def _family_sum(d: float, name: str, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    return _series_dot(_family_table(d, name), d, 1.0, x, lam)
+    return _series_dot(_family_table(d, name), ((d, 1.0),), x, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +192,7 @@ def g1(x, d: float, one_minus_x=None):
 def g2(x, d: float, one_minus_x=None):
     """G_2(x) = x^(1-d)/(1-d)^(3/2) 2F1(1,d;2-d;x) + G(1-d)^2/G(2-2d) (1-x)^(1-2d)/sqrt(1-d)."""
     xs, z = _position(x, one_minus_x)
-    f = _series_dot(_UNIT, d, 2.0 - d, xs, _decay_rate(xs, z))
+    f = _series_dot(_UNIT, ((d, 2.0 - d),), xs, _decay_rate(xs, z))
     return _like(
         xs ** (1 - d) / (1 - d) ** 1.5 * f
         + gamma(1 - d) ** 2 / (math.sqrt(1 - d) * gamma(2 - 2 * d)) * z ** (1 - 2 * d),
@@ -233,9 +231,9 @@ def g3(x, d: float, one_minus_x=None):
     a_coef, s_coef, c_coef, d_coef = _g3_coefs(d)
     lam = _decay_rate(xs, z)
     return _like(
-        a_coef * xs ** (2 - 2 * d) * _series_dot(_UNIT, d, 3 - 2 * d, xs, lam)
+        a_coef * xs ** (2 - 2 * d) * _series_dot(_UNIT, ((d, 3 - 2 * d),), xs, lam)
         + s_coef * _family_sum(d, "g3", xs, lam)
-        + c_coef * xs ** (1 - d) * _series_dot(_UNIT, 2 * d - 1, 2 - d, xs, lam)
+        + c_coef * xs ** (1 - d) * _series_dot(_UNIT, ((2 * d - 1, 2 - d),), xs, lam)
         + d_coef * z ** (2 - 3 * d),
         x,
     )
@@ -258,18 +256,18 @@ def g4_closed(x, d: float, one_minus_x=None):
         gamma(3 - 2 * d) / gamma(4 - 3 * d) + gamma_ratio(3 * d - 3, 2 * d - 2)
     )
     i1 = (
-        p1 * xs ** (3 - 3 * d) * _series_dot(_UNIT, d, 4 - 3 * d, xs, lam)
+        p1 * xs ** (3 - 3 * d) * _series_dot(_UNIT, ((d, 4 - 3 * d),), xs, lam)
         + _family_sum(d, "i1", xs, lam)
     )
     # image of the telescoping series, aggregated over its weights
     i2 = (
-        xs ** (1 - d) / (1 - d) * _series_dot(_family_table(d, "g3"), d, 2 - d, xs, lam)
+        xs ** (1 - d) / (1 - d) * _series_dot(_family_table(d, "g3"), ((d, 2 - d),), xs, lam)
         + _family_sum(d, "i2", xs, lam)
     )
     # image of x^(1-d) 2F1(1,2d-1;2-d;x)
     p3 = gamma(1 - d) * (gamma(2 - d) / gamma(3 - 2 * d) + _g3_pole_ratio(d))
     i3 = (
-        p3 * xs ** (2 - 2 * d) * _series_dot(_UNIT, 2 * d - 1, 3 - 2 * d, xs, lam)
+        p3 * xs ** (2 - 2 * d) * _series_dot(_UNIT, ((2 * d - 1, 3 - 2 * d),), xs, lam)
         + _family_sum(d, "i3", xs, lam)
     )
     i4 = kernel_one_minus_power(2, d, xs, one_minus_x=z)
@@ -305,8 +303,7 @@ def g_function(order: int, d: float) -> GFunction:
 # kernel integrals (closed forms)
 # ---------------------------------------------------------------------------
 
-def kernel_hyp2f1_moment(a: float, b: float, c: float, e: float, d: float, x: float,
-                         cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def kernel_hyp2f1_moment(a: float, b: float, c: float, e: float, d: float, x: float) -> float:
     """int_0^1 |x-u|^(-d) u^e 2F1(a,b;c;u) du in closed form.
 
     Requires c > a+b (so the integrand is finite at u=1), 0 < x < 1 and
@@ -327,12 +324,12 @@ def kernel_hyp2f1_moment(a: float, b: float, c: float, e: float, d: float, x: fl
     pre = gamma(1 - d) * (
         gamma_ratio(1 + e, 2 - d + e) + gamma_ratio(d - 1 - e, -e)
     )
-    front = pre * x ** (1 - d + e) * pfq(HypParams((a, b, e + 1.0), (c, 2 - d + e)), x, cfg).value
+    front = pre * x ** (1 - d + e) * pfq(HypParams((a, b, e + 1.0), (c, 2 - d + e)), x).value
 
     K = _K_WEIGHTS
     u = _cum_ratio(1.0, (a, b), (c, 1.0), K) / (1 - d + e + np.arange(K))
     table = _build_e_table(u, 1 - d + e, c - a - b + 2.0, gauss_2f1_at_1(a, b, c))
-    return front + _series_dot(table, d, 1.0, x, _decay_rate(x, 1.0 - x))
+    return front + _series_dot(table, ((d, 1.0),), x, _decay_rate(x, 1.0 - x))
 
 
 def kernel_one_minus_power(p: int, d: float, x, one_minus_x=None):
@@ -352,7 +349,7 @@ def kernel_one_minus_power(p: int, d: float, x, one_minus_x=None):
     )
     return _like(
         first + xs ** (1 - d) / (1 - d)
-        * _series_dot(_UNIT, (p + 1) * d - p, 2 - d, xs, _decay_rate(xs, z)),
+        * _series_dot(_UNIT, (((p + 1) * d - p, 2 - d),), xs, _decay_rate(xs, z)),
         x,
     )
 

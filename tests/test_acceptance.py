@@ -134,15 +134,14 @@ def _random_regular_form(rng, unit_gap=False):
 
 def test_criterion_7_thomae_suite():
     rng = np.random.default_rng(777)
-    cfg = sf.EvalConfig(rel_tol=1e-11)
     for _ in range(100):
         form = _random_regular_form(rng)
-        ref = form.evaluate(cfg).value
-        assert abs(th.thomae_fixed_top(form).evaluate(cfg).value - ref) <= 1e-9
-        assert abs(th.thomae_full(form).evaluate(cfg).value - ref) <= 1e-9
+        ref = form.evaluate().value
+        assert abs(th.thomae_fixed_top(form).evaluate().value - ref) <= 1e-9
+        assert abs(th.thomae_full(form).evaluate().value - ref) <= 1e-9
         split_form = _random_regular_form(rng, unit_gap=True)
-        ref = split_form.evaluate(cfg).value
-        assert abs(th.thomae_split(split_form).evaluate(cfg).value - ref) <= 1e-9
+        ref = split_form.evaluate().value
+        assert abs(th.thomae_split(split_form).evaluate().value - ref) <= 1e-9
     for d in np.arange(0.05, 0.50, 0.05):
         p4 = sf.HypParams((2 * d - 1, 2 - 2 * d, 1.0, d), (2 * d, 3 - 2 * d, 2 - d))
         (w1, f1), (w2, f2) = th.split_4f3_contiguous(p4)

@@ -159,7 +159,6 @@ class TestOracle:
     ("phi", "--theta-grid", "x"),
     ("table", "--samples", "0"),
     ("table", "--workers", "0"),
-    ("table", "--tol", "0"),
     ("table", "--method", "bogus"),
     ("table", "--format", "xml"),
     ("oracle", "--region", "c9-1"),
@@ -171,6 +170,14 @@ def test_usage_errors_exit_2_and_write_nothing(capsys, tmp_path, argv):
     captured = capsys.readouterr()
     assert captured.out == "" and not target.exists()
     assert f"argument {argv[1]}:" in captured.err
+
+
+@pytest.mark.parametrize("command", ["table", "verify", "phi"])
+def test_tol_is_a_usage_error(capsys, command):
+    # no subcommand reads a series tolerance: series sum to rounding level
+    assert cli.main([command, "--tol", "1e-10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --tol" in captured.err
 
 
 class TestPhi:

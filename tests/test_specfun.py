@@ -57,12 +57,6 @@ class TestLogGamma:
             sf.log_gamma(-3.0)
 
 
-class TestEvalConfig:
-    def test_rejects_bad_settings(self):
-        with pytest.raises(sf.ParameterDomainError):
-            sf.EvalConfig(rel_tol=0.0)
-
-
 class TestGammaRatio:
     def test_simple(self):
         assert sf.gamma_ratio(3.0, 2.0) == pytest.approx(2.0, rel=1e-13)
@@ -160,12 +154,11 @@ class TestGauss2F1At1:
 
     def test_matches_pfq_random_parameters(self):
         rng = np.random.default_rng(7)
-        cfg = sf.EvalConfig(rel_tol=1e-11)
         for _ in range(50):
             a, b = rng.uniform(0.1, 2.0, size=2)
             c = a + b + rng.uniform(0.3, 3.0)
             closed = sf.gauss_2f1_at_1(a, b, c)
-            series = sf.pfq_at_1(sf.HypParams((a, b), (c,)), cfg)
+            series = sf.pfq_at_1(sf.HypParams((a, b), (c,)))
             assert closed == pytest.approx(
                 series.value, abs=10 * series.error_estimate + 1e-10 * abs(closed)
             )
@@ -247,8 +240,32 @@ class TestPfqAt1:
         for top, bottom in fams:
             r = sf.pfq_at_1(sf.HypParams(top, bottom))
             ref = float(mp.hyper(list(top), list(bottom), 1))
-            assert r.value == pytest.approx(ref, rel=1e-11)
+            assert r.value == pytest.approx(ref, rel=2e-15)
             assert abs(r.value - ref) <= 50 * r.error_estimate + 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("s", [0.5, 0.2, 0.1, 0.05, 0.03, 0.01])
+    @pytest.mark.parametrize("a", [10.0, 20.0, 40.0])
+    def test_small_margin_against_a_thomae_image(self, a, s):
+        # 3F2(a,b,c; e,f; 1) at margin s is Gamma(s)Gamma(e)Gamma(f) /
+        # (Gamma(a)Gamma(e+f-a-c)Gamma(e+f-a-b)) times 3F2(s, f-a, e-a;
+        # e+f-a-c, e+f-a-b; 1), whose margin is a: that image's terms fall like
+        # j^-(1+a), so its plain sum in mpmath is the reference
+        b, c, e = a / 2 + 0.3, a / 2 + 0.6, a + 0.4
+        f = a + b + c + s - e
+        r = sf.pfq_at_1(sf.HypParams((a, b, c), (e, f)))
+        ma, mb, mc, me, mf = (mp.mpf(v) for v in (a, b, c, e, f))
+        ms = me + mf - ma - mb - mc
+        top, bottom = (ms, mf - ma, me - ma), (me + mf - ma - mc, me + mf - ma - mb)
+        term = total = mp.mpf(1)
+        j = 0
+        while abs(term) > mp.mpf(10) ** -30 * abs(total):
+            term *= (top[0] + j) * (top[1] + j) * (top[2] + j) / (
+                (bottom[0] + j) * (bottom[1] + j) * (j + 1))
+            total += term
+            j += 1
+        ref = float(mp.gamma(ms) * mp.gamma(me) * mp.gamma(mf) * total / (
+            mp.gamma(ma) * mp.gamma(bottom[0]) * mp.gamma(bottom[1])))
+        assert r.value == pytest.approx(ref, rel=5e-14)
 
     def test_terminating_with_negative_bottom_allowed(self):
         # top -1 terminates before the bottom -3 can pole
@@ -260,13 +277,15 @@ class TestPfqAt1:
         with pytest.raises(sf.PoleError):
             sf.pfq_at_1(sf.HypParams((0.5, 0.7, 1.2), (-1.0, 2.0)))
 
+
+
+class TestPfq:
     def test_nonconvergence_at_the_term_cap(self, monkeypatch):
-        d = 0.45
-        params = sf.HypParams((1, d, 2 - 2 * d), (2 - d, 3 - 2 * d))
-        # the accelerated sum needs 8192 terms for rel_tol 1e-12 here
+        # 2F1(1, 1; 2; x) = -ln(1-x)/x: at x = 0.999 the terms fall below an
+        # ulp of the sum only after about 30 000 of them
         monkeypatch.setattr(sf, "_MAX_TERMS", 2048)
         with pytest.raises(sf.NonConvergenceError):
-            sf.pfq_at_1(params, sf.EvalConfig(rel_tol=1e-12))
+            sf.pfq(sf.HypParams((1.0, 1.0), (2.0,)), 0.999)
 
 
 class TestProductBinomialIntegral:
@@ -281,10 +300,11 @@ class TestProductBinomialIntegral:
     @pytest.mark.parametrize("p, q, d", [
         (0.5, 0.25, 0.3),
         (0.5, 0.5 * 0.999999, 0.5 - 1e-7),  # both 2F1(1, d; 2 - d) arguments near 1
+        (0.238, 0.191, 6e-6),  # the two-term form cancels; its 2F1 arguments are below 0.85
     ])
     def test_against_quadrature(self, p, q, d):
         ref = mp.quad(lambda z: (1 - p * z) ** (-d) * (1 - q * z) ** (-d), [0, 1])
-        assert sf.product_binomial_integral(p, q, d) == pytest.approx(float(ref), abs=1e-10)
+        assert sf.product_binomial_integral(p, q, d) == pytest.approx(float(ref), rel=1e-13)
 
     @given(
         st.floats(min_value=0.01, max_value=0.99),

@@ -5,6 +5,7 @@ the series engine, which was itself validated against mpmath.
 """
 
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -14,8 +15,6 @@ from rosenblatt import specfun as sf
 from rosenblatt import thomae as th
 
 mp.mp.dps = 30
-
-CFG = sf.EvalConfig(rel_tol=1e-12)
 
 
 def random_convergent_form(rng, *, bottom_gap=None):
@@ -46,7 +45,7 @@ class TestFixedTopRelation:
         d = 0.25
         form = th.ThomaeForm(sf.HypParams((1, d, 2 - 2 * d), (2 - d, 3 - 2 * d)))
         out = th.thomae_fixed_top(form)
-        assert out.evaluate(CFG).value == pytest.approx(form.evaluate(CFG).value, abs=1e-10)
+        assert out.evaluate().value == pytest.approx(form.evaluate().value, abs=1e-10)
 
     def test_zero_top_gives_pure_gamma_ratio(self):
         # c = e makes the transformed series terminate at its first term
@@ -55,19 +54,21 @@ class TestFixedTopRelation:
         form = th.ThomaeForm(sf.HypParams((a, b, c), (e, f)))
         out = th.thomae_fixed_top(form)
         assert 0.0 in out.params.top
-        assert out.prefactor == pytest.approx(form.evaluate(CFG).value, rel=1e-10)
+        assert out.prefactor == pytest.approx(form.evaluate().value, rel=1e-10)
 
     def test_shifted_family_usage(self):
         d, k = 0.2, 1
         form = th.ThomaeForm(sf.HypParams((2 - d + k, d, 3 - 2 * d), (3 - d + k, 4 - 3 * d)))
         out = th.thomae_fixed_top(form)
-        assert out.evaluate(CFG).value == pytest.approx(form.evaluate(CFG).value, rel=1e-10)
+        assert out.evaluate().value == pytest.approx(form.evaluate().value, rel=1e-10)
 
     def test_double_application_returns_to_start(self):
         d = 0.25
         form = th.ThomaeForm(sf.HypParams((1, d, 2 - 2 * d), (2 - d, 3 - 2 * d)))
-        again = th.thomae_fixed_top(th.thomae_fixed_top(form).permuted((0, 1, 2), (1, 0)))
-        assert again.evaluate(CFG).value == pytest.approx(form.evaluate(CFG).value, rel=1e-11)
+        once = th.thomae_fixed_top(form)
+        swapped = replace(once, params=sf.HypParams(once.params.top, once.params.bottom[::-1]))
+        again = th.thomae_fixed_top(swapped)
+        assert again.evaluate().value == pytest.approx(form.evaluate().value, rel=1e-11)
 
 
 class TestFullRelation:
@@ -75,20 +76,20 @@ class TestFullRelation:
         d = 0.25
         form = th.ThomaeForm(sf.HypParams((1, d, d), (2 - d, 2 - d)))
         out = th.thomae_full(form)
-        assert out.evaluate(CFG).value == pytest.approx(form.evaluate(CFG).value, abs=1e-10)
+        assert out.evaluate().value == pytest.approx(form.evaluate().value, abs=1e-10)
 
     def test_value_preserved_low_d(self):
         d = 0.1
         form = th.ThomaeForm(sf.HypParams((1, d, d), (2 - d, 2 - d)))
         out = th.thomae_full(form)
-        assert out.evaluate(CFG).value == pytest.approx(form.evaluate(CFG).value, abs=1e-10)
+        assert out.evaluate().value == pytest.approx(form.evaluate().value, abs=1e-10)
 
     def test_a_equals_e_terminates(self):
         a = 1.3
         form = th.ThomaeForm(sf.HypParams((a, 0.4, 0.7), (a, 2.9)))
         out = th.thomae_full(form)
         assert 0.0 in out.params.top
-        assert out.prefactor == pytest.approx(form.evaluate(CFG).value, rel=1e-10)
+        assert out.prefactor == pytest.approx(form.evaluate().value, rel=1e-10)
 
 
 class TestSplitRelation:
@@ -96,7 +97,7 @@ class TestSplitRelation:
         d = 0.3
         form = th.ThomaeForm(sf.HypParams((2 * d - 1, d, 1.0), (2 * d, 2 - d)))
         split = th.thomae_split(form)
-        assert split.evaluate(CFG).value == pytest.approx(form.evaluate(CFG).value, abs=1e-10)
+        assert split.evaluate().value == pytest.approx(form.evaluate().value, abs=1e-10)
 
     def test_forced_unit_c_is_flagged(self):
         # both remaining tops equal 1, so c = 1 and Gamma(1-c) poles
@@ -119,7 +120,7 @@ class TestSplitRelation:
         rng = np.random.default_rng(15)
         form = random_convergent_form(rng, bottom_gap="unit")
         split = th.thomae_split(form)
-        assert split.evaluate(CFG).value == pytest.approx(form.evaluate(CFG).value, abs=1e-10)
+        assert split.evaluate().value == pytest.approx(form.evaluate().value, abs=1e-10)
 
 
 def _transforms_stay_regular(form, gap=0.35):
@@ -133,10 +134,9 @@ def _transforms_stay_regular(form, gap=0.35):
 
 class TestValuePreservationSweep:
     def test_hundred_random_forms(self):
-        # all three relations within 20 * rel_tol of the direct evaluation
+        # all three relations within 2e-9 of the direct evaluation
         rng = np.random.default_rng(99)
-        cfg = sf.EvalConfig(rel_tol=1e-10)
-        tol = 20 * cfg.rel_tol
+        tol = 2e-9
         done = 0
         attempts = 0
         while done < 100:
@@ -145,15 +145,15 @@ class TestValuePreservationSweep:
             form = random_convergent_form(rng)
             if not _transforms_stay_regular(form):
                 continue
-            ref = form.evaluate(cfg).value
+            ref = form.evaluate().value
             for op in (th.thomae_fixed_top, th.thomae_full):
                 out = op(form)
-                assert abs(out.evaluate(cfg).value - ref) <= tol * max(1.0, abs(ref)), (
+                assert abs(out.evaluate().value - ref) <= tol * max(1.0, abs(ref)), (
                     f"case {done}: {op.__name__} broke value preservation"
                 )
             split_input = random_convergent_form(rng, bottom_gap="unit")
-            ref = split_input.evaluate(cfg).value
-            out = th.thomae_split(split_input).evaluate(cfg).value
+            ref = split_input.evaluate().value
+            out = th.thomae_split(split_input).evaluate().value
             assert abs(out - ref) <= tol * max(1.0, abs(ref))
             done += 1
 
@@ -186,24 +186,21 @@ class TestShiftNegativeBottom:
         # 3F2(1,d,2d-2-k; 2-d,2d-1-k; 1)
         #   = Gamma(2-2d) Gamma(2d-1-k) * (1/Gamma(-k)) 3F2(2-2d,1-d,2d-2-k; -k,2-d; 1)
         d, k = 0.2, 0
-        lhs = sf.pfq_at_1(
-            sf.HypParams((1.0, d, 2 * d - 2 - k), (2 - d, 2 * d - 1 - k)), CFG
-        ).value
+        lhs = sf.pfq_at_1(sf.HypParams((1.0, d, 2 * d - 2 - k), (2 - d, 2 * d - 1 - k))).value
         pref = sf.gamma(2 - 2 * d) * sf.gamma(2 * d - 1 - k)
         rhs = pref * th.shift_negative_bottom(
-            sf.HypParams((2 - 2 * d, 1 - d, 2 * d - 2 - k), (2 - d,)), k, 1.0, CFG
+            sf.HypParams((2 - 2 * d, 1 - d, 2 * d - 2 - k), (2 - d,)), k, 1.0
         )
         assert rhs == pytest.approx(lhs, rel=1e-9)
 
     def test_chain_recovers_closed_sum(self):
         # sum_k w_k 3F2(1,d,2d-2-k;2-d,2d-1-k;1) equals both closed expressions
         d = 0.2
-        cfg = sf.EvalConfig(rel_tol=1e-10)
         K = 600
         vals = []
         w = 1.0
         for k in range(K):
-            f = sf.pfq_at_1(sf.HypParams((1.0, d, 2 * d - 2 - k), (2 - d, 2 * d - 1 - k)), cfg)
+            f = sf.pfq_at_1(sf.HypParams((1.0, d, 2 * d - 2 - k), (2 - d, 2 * d - 1 - k)))
             vals.append(w * f.value)
             w *= (d + k) * (2 - 2 * d + k) / ((2 - d + k) * (3 - 2 * d + k))
         s = 2 - 2 * d
@@ -215,11 +212,11 @@ class TestShiftNegativeBottom:
         s_direct = t2 + (t2 - t1) / (2 ** (s + 1) - 1)
 
         f43 = sf.pfq_at_1(
-            sf.HypParams((2 * d - 1, 2 - 2 * d, 1.0, d), (2 * d, 3 - 2 * d, 2 - d)), CFG
+            sf.HypParams((2 * d - 1, 2 - 2 * d, 1.0, d), (2 * d, 3 - 2 * d, 2 - d))
         ).value
         s_hyp = (1 - d) * sf.gamma_ratio(1 - 2 * d, 2 - 2 * d) * f43
 
-        f1 = sf.pfq_at_1(sf.HypParams((2 - 2 * d, 1.0, d), (3 - 2 * d, 2 - d)), CFG).value
+        f1 = sf.pfq_at_1(sf.HypParams((2 - 2 * d, 1.0, d), (3 - 2 * d, 2 - d))).value
         gterm = (
             sf.gamma(2 - d) ** 2 * sf.gamma(3 - 2 * d)
             * sf.gamma_ratio(2 * d, d)
@@ -241,9 +238,9 @@ class TestContiguous4F3Split:
     def test_paper_parameters(self):
         d = 0.2
         p4 = sf.HypParams((2 * d - 1, 2 - 2 * d, 1.0, d), (2 * d, 3 - 2 * d, 2 - d))
-        direct = sf.pfq_at_1(p4, CFG).value
+        direct = sf.pfq_at_1(p4).value
         (w1, f1), (w2, f2) = th.split_4f3_contiguous(p4)
-        total = w1 * sf.pfq_at_1(f1, CFG).value + w2 * sf.pfq_at_1(f2, CFG).value
+        total = w1 * sf.pfq_at_1(f1).value + w2 * sf.pfq_at_1(f2).value
         assert total == pytest.approx(direct, abs=1e-9)
 
     def test_terminating_top(self):
@@ -257,9 +254,9 @@ class TestContiguous4F3Split:
     def test_second_d_value(self):
         d = 0.35
         p4 = sf.HypParams((2 * d - 1, 2 - 2 * d, 1.0, d), (2 * d, 3 - 2 * d, 2 - d))
-        direct = sf.pfq_at_1(p4, CFG).value
+        direct = sf.pfq_at_1(p4).value
         (w1, f1), (w2, f2) = th.split_4f3_contiguous(p4)
-        total = w1 * sf.pfq_at_1(f1, CFG).value + w2 * sf.pfq_at_1(f2, CFG).value
+        total = w1 * sf.pfq_at_1(f1).value + w2 * sf.pfq_at_1(f2).value
         assert total == pytest.approx(direct, abs=1e-9)
 
     def test_pattern_mismatch(self):
@@ -271,8 +268,8 @@ class TestAlternative4F3Split:
     @pytest.mark.parametrize("d", [0.05, 0.2, 0.45])
     def test_matches_direct_summation(self, d):
         p4 = sf.HypParams((2 * d - 1, 2 - 2 * d, 1.0, d), (2 * d, 3 - 2 * d, 2 - d))
-        direct = sf.pfq_at_1(p4, CFG).value
-        total = sum(w * sf.pfq_at_1(f, CFG).value for w, f in th.split_4f3_alternative(d))
+        direct = sf.pfq_at_1(p4).value
+        total = sum(w * sf.pfq_at_1(f).value for w, f in th.split_4f3_alternative(d))
         assert total == pytest.approx(direct, abs=1e-9)
 
     def test_agrees_with_contiguous_on_grid(self):
@@ -280,8 +277,8 @@ class TestAlternative4F3Split:
         for d in np.arange(0.05, 0.50, 0.05):
             p4 = sf.HypParams((2 * d - 1, 2 - 2 * d, 1.0, d), (2 * d, 3 - 2 * d, 2 - d))
             (w1, f1), (w2, f2) = th.split_4f3_contiguous(p4)
-            va = w1 * sf.pfq_at_1(f1, CFG).value + w2 * sf.pfq_at_1(f2, CFG).value
-            vb = sum(w * sf.pfq_at_1(f, CFG).value for w, f in th.split_4f3_alternative(d))
+            va = w1 * sf.pfq_at_1(f1).value + w2 * sf.pfq_at_1(f2).value
+            vb = sum(w * sf.pfq_at_1(f).value for w, f in th.split_4f3_alternative(d))
             assert abs(va - vb) <= 1e-8
 
     def test_endpoints_rejected(self):
@@ -291,46 +288,13 @@ class TestAlternative4F3Split:
             th.split_4f3_alternative(0.5)
 
 
-class TestBestConvergenceForm:
-    def test_margin_never_decreases(self):
-        d = 0.45
-        form = th.ThomaeForm(sf.HypParams((1, d, 2 - 2 * d), (2 - d, 3 - 2 * d)))
-        best = th.best_convergence_form(form)
-        assert best.margin >= form.margin
-
-    def test_value_preserved_at_worst_margin(self):
-        d = 0.45
-        form = th.ThomaeForm(sf.HypParams((1, d, 2 - 2 * d), (2 - d, 3 - 2 * d)))
-        best = th.best_convergence_form(form)
-        ref = form.evaluate(sf.EvalConfig(rel_tol=1e-13)).value
-        assert best.evaluate(CFG).value == pytest.approx(ref, abs=1e-9)
-
-    def test_idempotent_margin(self):
-        d = 0.45
-        form = th.ThomaeForm(sf.HypParams((1, d, 2 - 2 * d), (2 - d, 3 - 2 * d)))
-        best = th.best_convergence_form(form)
-        again = th.best_convergence_form(best)
-        assert again.margin == pytest.approx(best.margin, rel=1e-12)
-
+class TestEval3F2Optimized:
     def test_optimized_evaluation_wrapper(self):
         d = 0.45
         params = sf.HypParams((1, d, 2 - 2 * d), (2 - d, 3 - 2 * d))
         ref = float(mp.hyper([1, d, 2 - 2 * d], [2 - d, 3 - 2 * d], 1))
-        out = th.eval_3f2_optimized(params, CFG)
+        out = th.eval_3f2_optimized(params)
         assert out.value == pytest.approx(ref, rel=1e-11)
-
-    def test_margin_is_the_orbit_maximum(self):
-        # up to parameter order the orbit has ten members, margins s, a, b, c and e-a ... f-c
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            form = random_convergent_form(rng)
-            a, b, c = form.params.top
-            e, f = form.params.bottom
-            orbit_margins = (form.margin, a, b, c, e - a, e - b, e - c, f - a, f - b, f - c)
-            best = th.best_convergence_form(form)
-            assert best.margin == pytest.approx(max(orbit_margins), abs=1e-12)
-            ref = form.evaluate(CFG).value
-            assert best.evaluate(CFG).value == pytest.approx(ref, abs=1e-9)
 
     @pytest.mark.parametrize("family", [
         lambda d: ((1.0, d, 2 - 2 * d), (2 - d, 3 - 2 * d)),
@@ -341,11 +305,13 @@ class TestBestConvergenceForm:
         lambda d: ((1.0, d, 3 - 3 * d), (2 - d, 4 - 3 * d)),
         lambda d: ((1.0, d, 3 - 3 * d), (3 - 2 * d, 4 - 3 * d)),
     ])
-    def test_cumulant_families_agree_with_raw_series(self, family):
-        # the 3F2 parameter sets that cumulants evaluates through eval_3f2_optimized
+    def test_cumulant_families_agree_across_the_orbit(self, family):
+        # the 3F2 parameter sets cumulants evaluates: each convergent one-relation
+        # image, at another margin, sums to the same value
         for d in np.arange(0.05, 0.46, 0.05):
-            params = sf.HypParams(*family(float(d)))
-            opt = th.eval_3f2_optimized(params)
-            raw = sf.pfq_at_1(params)
-            tol = opt.error_estimate + raw.error_estimate + 1e-14 * abs(raw.value)
-            assert abs(opt.value - raw.value) <= tol, f"d = {d}"
+            form = th.ThomaeForm(sf.HypParams(*family(float(d))))
+            ref = th.eval_3f2_optimized(form.params).value
+            for op in (th.thomae_fixed_top, th.thomae_full):
+                image = op(form)
+                if image.margin > 0:
+                    assert image.evaluate().value == pytest.approx(ref, rel=5e-14), f"d = {d}"

@@ -155,7 +155,7 @@ class TestNodeArrays:
         table = vt._family_table(d, "g3")
         x = np.array([0.0, 0.3, 0.9, 0.999, 1.0])
         lam = np.array([np.inf, -math.log(0.3), -math.log(0.9), -math.log(0.999), 0.0])
-        got = vt._series_dot(table, d, bottom, x, lam)
+        got = vt._series_dot(table, ((d, bottom),), x, lam)
         ref = [full_series_dot(table, d, xi, li, bottom) for xi, li in zip(x, lam)]
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
         assert got[0] == table.E[0]
@@ -177,7 +177,7 @@ class TestNodeArrays:
         d = 0.3
         table = vt._family_table(d, "g3")
         lam = -math.log1p(-z)
-        assert vt._series_dot(table, d, bottom, 1.0 - z, lam) == pytest.approx(
+        assert vt._series_dot(table, ((d, bottom),), 1.0 - z, lam) == pytest.approx(
             full_series_dot(table, d, 1.0 - z, lam, bottom), rel=1e-12)
 
 
@@ -203,7 +203,7 @@ class TestUnitTable2F1:
         lam = -np.log1p(-z)
         for pair in ROUTE_2F1:
             b, c = pair(d)
-            got = vt._series_dot(vt._UNIT, b, c, 1.0 - z, lam)
+            got = vt._series_dot(vt._UNIT, ((b, c),), 1.0 - z, lam)
             for zi, g in zip(zs, got):
                 with mpmath.workdps(30 + math.ceil(-math.log10(zi))):
                     ref = mpmath.hyp2f1(1, b, c, 1 - mpmath.mpf(zi))
