@@ -10,6 +10,16 @@ for d < (k-1)/(2k).  Beyond that the standard error is not an error bar;
 the estimators warn there.  Importance sampling is deliberately omitted
 so the oracle stays auditable.
 
+Each sample takes one power of a product, not one power per factor: the
+k distances |x_i - x_j|, each clamped below at 2^-53, are multiplied and
+the product is raised to -d once.  A product of g clamped distances is at
+least 2^(-53 g), a normal double only for g <= 19, so larger k takes one
+power per group of at most 19 factors.  The region sampler orders each
+sample's k uniforms descending with a compare-exchange network
+(np.maximum/np.minimum over the columns), which moves values exactly as
+np.sort does.  Both integrands work through a chunk in row blocks that
+stay in cache.
+
 Reproducibility contract: streams come from the Philox 4x64 counter-based
 generator, seeded per chunk through SeedSequence(seed, spawn_key=(chunk,)),
 and chunk results are reduced in fixed index order.  Estimates are
@@ -86,7 +96,8 @@ def _run_chunks(sampler, n: int, seed: int, workers: int | None) -> tuple[float,
     def one(args):
         idx, m = args
         vals = sampler(_chunk_rng(seed, idx), m)
-        return float(vals.sum()), float(np.square(vals).sum())
+        total = float(vals.sum())
+        return total, float(np.square(vals, out=vals).sum())
 
     if workers is None or workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -108,6 +119,96 @@ def _finish(total: float, total_sq: float, n: int, seed: int) -> MCEstimate:
     return MCEstimate(mean, se, n, seed)
 
 
+def _sorting_network(k: int) -> list[tuple[int, int]]:
+    """Comparators (i, j), i < j, of Batcher's odd-even merge sort on k wires.
+
+    Applied in order, each putting the larger value on wire i, they sort
+    every row descending (for k = 3, 4, 5: 3, 5 and 9 comparators).
+    """
+    pairs = []
+    p = 1
+    while p < k:
+        q = p
+        while q >= 1:
+            for j in range(q % p, k - q, 2 * q):
+                for i in range(min(q, k - j - q)):
+                    if (i + j) // (2 * p) == (i + j + q) // (2 * p):
+                        pairs.append((i + j, i + j + q))
+            q //= 2
+        p *= 2
+    return pairs
+
+
+def _sorted_columns(x: np.ndarray) -> list[np.ndarray]:
+    """The columns of x, each row sorted descending, as k contiguous arrays.
+
+    The network only moves values, so column i is bitwise column i of
+    np.sort(x, axis=1)[:, ::-1].
+    """
+    cols = [x[:, i].copy() for i in range(x.shape[1])]
+    spare = np.empty(x.shape[0])
+    for i, j in _sorting_network(x.shape[1]):
+        np.minimum(cols[i], cols[j], out=spare)
+        np.maximum(cols[i], cols[j], out=cols[i])
+        cols[j], spare = spare, cols[j]
+    return cols
+
+
+# Factors per power: g clamped distances multiply to at least 2^(-53 g), a
+# normal double for g <= 19 and subnormal or zero beyond.
+_POWER_GROUP = 19
+
+
+def _distance_power(pairs: list[tuple[np.ndarray, np.ndarray]], d: float) -> np.ndarray:
+    """prod over pairs (a, b) of max(|a - b|, _EPS_CLAMP)^(-d), elementwise."""
+    m = pairs[0][0].shape[0]
+    dist = np.empty(m)
+
+    def clamped(a, b, out):
+        np.subtract(a, b, out=out)
+        np.abs(out, out=out)
+        return np.maximum(out, _EPS_CLAMP, out=out)
+
+    result = None
+    for g in range(0, len(pairs), _POWER_GROUP):
+        prod = clamped(*pairs[g], np.empty(m))
+        for a, b in pairs[g + 1:g + _POWER_GROUP]:
+            prod *= clamped(a, b, dist)
+        np.power(prod, -d, out=prod)
+        result = prod if result is None else np.multiply(result, prod, out=result)
+    return result
+
+
+# Rows per integrand pass: a block's k columns and the network's scratch
+# stay in cache, where whole-chunk columns would stream through memory on
+# every ufunc.
+_BLOCK = 1 << 14
+
+
+def _by_blocks(integrand, x: np.ndarray, *args) -> np.ndarray:
+    """integrand(x, *args), evaluated on row blocks of x."""
+    out = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], _BLOCK):
+        out[start:start + _BLOCK] = integrand(x[start:start + _BLOCK], *args)
+    return out
+
+
+def _cyclic_integrand(x: np.ndarray, d: float) -> np.ndarray:
+    """The c_k integrand prod_i |x_i - x_{i+1}|^(-d) (indices mod k) at the
+    rows of the (m, k) uniform array x."""
+    k = x.shape[1]
+    return _distance_power([(x[:, i - 1], x[:, i]) for i in range(k)], d)
+
+
+def _region_integrand(x: np.ndarray, factor_pairs, d: float) -> np.ndarray:
+    """The region integrand over k!, prod (y_i - y_j)^(-d), at the rows of the
+    (m, k) uniform array x sorted descending into y_1 > ... > y_k."""
+    y = _sorted_columns(x)
+    out = _distance_power([(y[i - 1], y[j - 1]) for i, j in factor_pairs], d)
+    out *= 1.0 / math.factorial(x.shape[1])
+    return out
+
+
 def mc_ck(k: int, d: float, n: int, seed: int, workers: int | None = None) -> MCEstimate:
     """Plain Monte-Carlo estimate of the cyclic integral c_k over [0,1]^k."""
     if k < 2:
@@ -115,11 +216,7 @@ def mc_ck(k: int, d: float, n: int, seed: int, workers: int | None = None) -> MC
     _check_domain(k, d, n)
 
     def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
-        x = rng.random((m, k))
-        out = np.maximum(np.abs(x[:, 0] - x[:, k - 1]), _EPS_CLAMP) ** (-d)
-        for i in range(k - 1):
-            out *= np.maximum(np.abs(x[:, i] - x[:, i + 1]), _EPS_CLAMP) ** (-d)
-        return out
+        return _by_blocks(_cyclic_integrand, rng.random((m, k)), d)
 
     return _finish(*_run_chunks(sampler, n, seed, workers), n, seed)
 
@@ -128,18 +225,15 @@ def mc_region(spec: RegionSpec, d: float, n: int, seed: int,
               workers: int | None = None) -> MCEstimate:
     """Monte-Carlo estimate of one ordered-simplex region integral.
 
-    k uniforms sorted descending sample the simplex; the estimator averages
-    the integrand over sorted samples and divides by k! (the simplex volume).
+    k uniforms put in descending order by a compare-exchange network sample
+    the simplex; the estimator averages the integrand, one power of the
+    product of clamped differences (per group of at most 19 factors), over
+    the ordered samples and divides by k! (the simplex volume) last.
     """
     _check_domain(spec.k, d, n)
-    kfact = math.factorial(spec.k)
 
     def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
-        y = np.sort(rng.random((m, spec.k)), axis=1)[:, ::-1]
-        out = np.full(m, 1.0 / kfact)
-        for i, j in spec.factor_pairs:
-            out *= np.maximum(y[:, i - 1] - y[:, j - 1], _EPS_CLAMP) ** (-d)
-        return out
+        return _by_blocks(_region_integrand, rng.random((m, spec.k)), spec.factor_pairs, d)
 
     return _finish(*_run_chunks(sampler, n, seed, workers), n, seed)
 

@@ -1,8 +1,10 @@
 """Tests for the Monte-Carlo and quadrature ground-truth layer."""
 
+import itertools
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from rosenblatt import cumulants as cu
@@ -125,6 +127,69 @@ class TestMcRegion:
             + sum(p.std_error * s.multiplicity for p, s in zip(parts, specs))
         )
         assert abs(total - whole.mean) <= spread
+
+
+def _reference_cyclic(x, d):
+    """The cyclic integrand as k powers, one per clamped distance."""
+    k = x.shape[1]
+    out = np.maximum(np.abs(x[:, 0] - x[:, k - 1]), orc._EPS_CLAMP) ** (-d)
+    for i in range(k - 1):
+        out *= np.maximum(np.abs(x[:, i] - x[:, i + 1]), orc._EPS_CLAMP) ** (-d)
+    return out
+
+
+def _reference_region(x, factor_pairs, d):
+    """The region integrand on np.sort's descending rows, one power per factor."""
+    k = x.shape[1]
+    y = np.sort(x, axis=1)[:, ::-1]
+    out = np.full(x.shape[0], 1.0 / math.factorial(k))
+    for i, j in factor_pairs:
+        out *= np.maximum(y[:, i - 1] - y[:, j - 1], orc._EPS_CLAMP) ** (-d)
+    return out
+
+
+class TestIntegrands:
+    TOP = 1.0 - 2.0**-53  # the largest value Generator.random returns
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_sorting_network_matches_np_sort(self, k):
+        rng = np.random.default_rng(k)
+        corners = np.array(list(itertools.product((0.0, self.TOP), repeat=k)))
+        ties = rng.choice([0.0, 0.25, 0.5, self.TOP], size=(500, k))
+        x = np.vstack([corners, ties, rng.random((500, k))])
+        got = np.stack(orc._sorted_columns(x), axis=1)
+        want = np.sort(x, axis=1)[:, ::-1]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("d", [0.1, 0.3, 0.49])
+    def test_coincident_row_stays_finite_past_nineteen_factors(self, d):
+        # 24 clamped distances multiply to 2^-1272, below the doubles
+        x = np.zeros((1, 24))
+        want = 2.0 ** (53 * 24 * d)
+        got = orc._cyclic_integrand(x, d)[0]
+        assert math.isfinite(got) and got == pytest.approx(want, rel=1e-13)
+        ring = tuple((i, i + 1) for i in range(1, 24)) + ((1, 24),)
+        got = orc._region_integrand(x, ring, d)[0]
+        assert got == pytest.approx(want / math.factorial(24), rel=1e-13)
+
+    @pytest.mark.filterwarnings("ignore:the order-.* integrand has infinite variance")
+    @pytest.mark.parametrize("d", [0.1, 0.3, 0.45])
+    def test_one_power_agrees_with_k_powers(self, d):
+        seed, n = 8, 1 << 16
+        cases = [(k, None) for k in range(2, 6)]
+        cases += [(s.k, s) for s in orc.region_catalog()]
+        for k, spec in cases:
+            x = orc._chunk_rng(seed, 0).random((n, k))
+            if spec is None:
+                got, want = orc._cyclic_integrand(x, d), _reference_cyclic(x, d)
+                est = orc.mc_ck(k, d, n, seed)
+            else:
+                got = orc._region_integrand(x, spec.factor_pairs, d)
+                want = _reference_region(x, spec.factor_pairs, d)
+                est = orc.mc_region(spec, d, n, seed)
+            assert np.max(np.abs(got / want - 1.0)) <= 1e-14, (k, spec)
+            ref = orc._finish(want.sum(), np.square(want).sum(), n, seed)
+            assert est.mean == pytest.approx(ref.mean, rel=1e-14), (k, spec)
 
 
 class TestQuadC3:
