@@ -27,6 +27,7 @@ from . import oracle as orc
 from . import specfun as sf
 from . import thomae as th
 from . import veillette_taqqu as vt
+from .quadrature import QuadratureError
 
 DEFAULT_GRID = tuple(round(0.05 * i, 2) for i in range(11))
 VERIFY_GRID = (0.0, 0.1, 0.25, 0.4, 0.5)
@@ -384,7 +385,7 @@ def main(argv=None) -> int:
     buffer = io.StringIO()
     try:
         code = args.run(args, buffer)
-    except (sf.SpecialFunctionError, ValueError, ArithmeticError) as exc:
+    except (sf.SpecialFunctionError, QuadratureError, ValueError, ArithmeticError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 1
     text = buffer.getvalue()

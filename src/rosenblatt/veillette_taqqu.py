@@ -3,11 +3,12 @@
 The kernel operator (K f)(x) = int_0^1 |x-u|^(-d) f(u) du generates a
 sequence of functions starting from G_1(x) = (1-x)^(-d)/sqrt(1-d), and
 the cumulant factor c_k equals int_0^1 G_mu G_nu dx for any mu+nu = k.
-G_2 and G_3 have closed forms; G_4 is assembled here from the kernel
-images of G_3's four pieces, with direct numerical application of the
-operator kept as an independent cross-check.
+G_2, G_3 and G_4 are K applied piece by piece to the previous G through
+two kernel images: kernel_one_minus_power, and kernel_hyp2f1_moment at
+a = 1 on u^(c-1) 2F1(1, b; c; u), c = n - m d.  Direct numerical
+application of the operator is kept as an independent cross-check.
 
-The closed forms repeatedly produce sums of the family
+The images produce sums of the family
 
     T(x) = sum_k u_k 2F1(-(k+beta), d; 1-(k+beta); x),
 
@@ -15,7 +16,10 @@ whose inner functions telescope:  2F1(-g, d; 1-g; x)
 = sum_j (d)_j x^j/j! * g/(g-j).  Swapping the sums turns T into
 sum_j c_j(x) E_j with x-independent tables E_j = sum_k u_k g_k/(g_k-j),
 computed once per (d, weight family) by FFT convolution.  Beyond the
-table the E_j follow a fitted inverse-power law.
+table the E_j follow a fitted inverse-power law.  As d -> 0, beta =
+n - (m+1)d nears an integer and one kernel entry grows like 1/d; it is
+applied exactly, outside the FFT, so the tables keep their digits down
+to d ~ 1e-16, and a beta that rounds to an integer raises PoleError.
 
 Every series the route needs, sum_j (b)_j/(c)_j x^j E_j, is summed by
 the series engine specfun._series_dot.  Every 2F1 in the closed forms has
@@ -42,14 +46,8 @@ from scipy.fft import irfft, next_fast_len, rfft
 
 from .quadrature import tanh_sinh
 from .specfun import _J_TABLE, _UNIT, _ETable, _decay_rate, _like, _series_dot
-from .specfun import (
-    HypParams,
-    ParameterDomainError,
-    gamma,
-    gamma_ratio,
-    gauss_2f1_at_1,
-    pfq,
-)
+from .specfun import (HypParams, ParameterDomainError, PoleError, gamma, gamma_ratio,
+                      gauss_2f1_at_1, pfq, pfq_at_1)
 from .specfun import hyp_2f1  # noqa: F401  unused here: perfbench's trace wraps this name
 
 _K_WEIGHTS = 1 << 16   # weight range entering the E tables
@@ -92,17 +90,25 @@ def _build_e_table(u: np.ndarray, beta: float, p_decay: float, m1: float) -> _ET
     coefficient is the exact first moment m1 = sum_k u_k (k+beta); the
     subleading terms (the k ~ j resonance and the incomplete-moment
     corrections) are fitted over the top three octaves of the table.
+    The kernel entry at m0 = round(beta) (clamped to the table) is applied
+    directly: in the FFT its 1/(beta-m0) would spread rounding of
+    eps/|beta-m0| over every E_j.
     """
     K = len(u)
     J = _J_TABLE
     if K < 4 * J:
         raise ValueError(f"{K} weights cannot complete a {J}-entry table")
+    if beta == round(beta):
+        raise PoleError(f"E table pole: beta={beta!r} is an integer")
+    m0 = min(max(round(beta), 0), J - 1)
     k = np.arange(K)
     a = u * (k + beta)
     h = 1.0 / (beta - np.arange(-(K - 1), J, dtype=float))
+    h[K - 1 + m0] = 0.0
     # a circular convolution of length >= K + J wraps only onto outputs below K - 1
     m = next_fast_len(K + J, real=True)
     E = irfft(rfft(a, m) * rfft(h, m), m)[K - 1:K - 1 + J].copy()
+    E[m0:] += a[:J - m0] / (beta - m0)
 
     # k >= K completion: sum a_k/(k+beta-j), a_k ~ A k^(1-p), is
     # int_Kh^inf A t^-q/(t-(j-beta)) dt = A Kh^-q sum_n r^n/(q+n), r = (j-beta)/Kh
@@ -144,39 +150,38 @@ def _cum_ratio(first: float, num: tuple[float, ...], den: tuple[float, ...],
     return out
 
 
-@lru_cache(maxsize=64)
-def _family_table(d: float, name: str) -> _ETable:
-    # first moments sum_k u_k (k+beta) collapse to Gauss sums in each family
+def _moment_table(a: float, b: float, c: float, beta: float, p_decay: float) -> _ETable:
+    """E table of the weights (a)_k (b)_k / ((c)_k k! (k+beta)), decaying like
+    k^-p_decay (p_decay = c-a-b+2); their first moment is Gauss's 2F1(a, b; c; 1)."""
     K = _K_WEIGHTS
-    if name == "g3":
-        # (d)_k (2-2d)_k / ((2-d)_k (3-2d)_k): decay k^(2d-3)
-        u = _cum_ratio(1.0, (d, 2 - 2 * d), (2 - d, 3 - 2 * d), K)
-        m1 = (2 - 2 * d) * gauss_2f1_at_1(d, 1.0, 2 - d)
-        return _build_e_table(u, 2 - 2 * d, 3 - 2 * d, m1)
-    if name == "i1":
-        # (d)_m / (3-2d)_m / (3-3d+m): decay k^(3d-4)
-        u = _cum_ratio(1.0, (d,), (3 - 2 * d,), K) / (3 - 3 * d + np.arange(K))
-        return _build_e_table(u, 3 - 3 * d, 4 - 3 * d, gauss_2f1_at_1(d, 1.0, 3 - 2 * d))
-    if name == "i3":
-        # (2d-1)_m / (2-d)_m / (2-2d+m): decay k^(3d-4), sign fixed after m=1
-        u = _cum_ratio(1.0, (2 * d - 1,), (2 - d,), K) / (2 - 2 * d + np.arange(K))
-        return _build_e_table(u, 2 - 2 * d, 4 - 3 * d, gauss_2f1_at_1(2 * d - 1, 1.0, 2 - d))
-    if name == "i2":
-        # (d)_j / (j! (1-d+j)) * E^{g3}_j against the beta = 1-d family; the
-        # weights run on past the g3 table with its fitted law
-        g3_table = _family_table(d, "g3")
-        w = _cum_ratio(1.0, (d,), (1.0,), K) / (1 - d + np.arange(K))
-        jj = np.arange(len(g3_table.E), K, dtype=float)
-        law = sum(coef * jj**e for e, coef in zip(g3_table.tail_exponents, g3_table.tail_coefs))
-        u = w * np.concatenate([g3_table.E, law])
-        m1 = _series_dot(g3_table, ((d, 1.0),), 1.0, 0.0)
+    u = _cum_ratio(1.0, (a, b), (c, 1.0), K) / (beta + np.arange(K))
+    return _build_e_table(u, beta, p_decay, gauss_2f1_at_1(a, b, c))
+
+
+# An image family ((b0, b1), n, m) is that of K[u^(c-1) 2F1(1, b; c; u)],
+# b = b0 + b1 d and c = n - m d; kernel_one_minus_power(p)'s 2F1 piece is
+# ((-p, p+1), 2, 1), and G_2's is the p = 0 one.
+_G2_FAMILY = ((0, 1), 2, 1)
+
+
+@lru_cache(maxsize=64)
+def _family_table(d: float, family) -> _ETable:
+    """E table of an image family, or of "i2", that of the image of the _G2_FAMILY sum."""
+    if family == "i2":
+        # (d)_j / (j! (1-d+j)) * E_j against the beta = 1-d family; the weights
+        # run on past the _G2_FAMILY table with its fitted law
+        inner = _family_table(d, _G2_FAMILY)
+        w = _cum_ratio(1.0, (d,), (1.0,), _K_WEIGHTS) / (1 - d + np.arange(_K_WEIGHTS))
+        jj = np.arange(len(inner.E), _K_WEIGHTS, dtype=float)
+        law = sum(coef * jj**e for e, coef in zip(inner.tail_exponents, inner.tail_coefs))
+        u = w * np.concatenate([inner.E, law])
+        m1 = _series_dot(inner, ((d, 1.0),), 1.0, 0.0)
         # dominant decay: j^(d-1)/j/j = 3-d
         return _build_e_table(u, 1.0 - d, 3.0 - d, m1)
-    raise ValueError(f"unknown family {name!r}")
-
-
-def _family_sum(d: float, name: str, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    return _series_dot(_family_table(d, name), ((d, 1.0),), x, lam)
+    (b0, b1), n, m = family
+    # beta and the decay straight from d: as c - d, beta would keep only c's digits of d near 0
+    return _moment_table(1.0, b0 + b1 * d, n - m * d, n - (m + 1) * d,
+                         n + 1 - b0 - (m + b1) * d)
 
 
 # ---------------------------------------------------------------------------
@@ -190,88 +195,86 @@ def g1(x, d: float, one_minus_x=None):
 
 
 def g2(x, d: float, one_minus_x=None):
-    """G_2(x) = x^(1-d)/(1-d)^(3/2) 2F1(1,d;2-d;x) + G(1-d)^2/G(2-2d) (1-x)^(1-2d)/sqrt(1-d)."""
-    xs, z = _position(x, one_minus_x)
-    f = _series_dot(_UNIT, ((d, 2.0 - d),), xs, _decay_rate(xs, z))
-    return _like(
-        xs ** (1 - d) / (1 - d) ** 1.5 * f
-        + gamma(1 - d) ** 2 / (math.sqrt(1 - d) * gamma(2 - 2 * d)) * z ** (1 - 2 * d),
-        x,
+    """G_2 = K(G_1) = K[(1-u)^(-d)]/sqrt(1-d)."""
+    return kernel_one_minus_power(0, d, x, one_minus_x) / math.sqrt(1 - d)
+
+
+def _pole_ratio(d: float, n: int, m: int) -> float:
+    """Gamma(d-c)/Gamma(1-c) at c = n - m d, exact in d.
+
+    Gamma(t-N) = Gamma(1+t)/(t(t-1)...(t-N)) at t = (m+1)d and md; their
+    leading factors leave m/(m+1), the d -> 0 limit of a different-rate
+    pole pair (-1/4 at (2, 1), -2/9 at (3, 2)).  Any other zero factor is a
+    pole.  (m+1)d is formed as n - beta, so near a pole (d = 1/3 at (3, 2))
+    it matches the image family's E-table resonance to the bit and cancels.
+    """
+    s, t = n - (n - (m + 1) * d), m * d
+    den = (m + 1) * math.prod(s - i for i in range(1, n + 1))
+    if den == 0.0:
+        raise PoleError(f"Gamma({s - n}) pole at d={d} is not cancelled by Gamma({t + 1 - n})")
+    return gamma(1 + s) / gamma(1 + t) * m * math.prod(t - i for i in range(1, n)) / den
+
+
+def _image_prefactor(d: float, n: int, m: int) -> float:
+    """B(1-d, c) + B(1-d, d-c), c = n - m d: the front prefactor of an image."""
+    return gamma(1 - d) * (gamma(n - m * d) / gamma(n + 1 - (m + 1) * d) + _pole_ratio(d, n, m))
+
+
+def _image(family, d: float, xs: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """K[u^(c-1) 2F1(1, b; c; u)] for the image family ((b0, b1), n, m).
+
+    kernel_hyp2f1_moment at a = 1, e = c - 1: the 3F2 collapses to
+    x^(c-d) 2F1(1, b; c+1-d; x), the piece of family ((b0, b1), n+1, m+1).
+    """
+    (b0, b1), n, m = family
+    return (
+        _image_prefactor(d, n, m) * xs ** (n - (m + 1) * d)
+        * _series_dot(_UNIT, ((b0 + b1 * d, n + 1 - (m + 1) * d),), xs, lam)
+        + _series_dot(_family_table(d, family), ((d, 1.0),), xs, lam)
     )
 
 
-def _g3_pole_ratio(d: float) -> float:
-    """Gamma(2d-2)/Gamma(d-1) reduced to Gamma(2d+1)(d-1)/(Gamma(d+1) 2(2d-1)(2d-2)).
-
-    The reduction realizes the d->0 limit -1/4 exactly (the raw ratio is a
-    different-rate pole pair there); valid for d in [0, 0.5).
-    """
-    return gamma(2 * d + 1) * (d - 1) / (gamma(d + 1) * 2 * (2 * d - 1) * (2 * d - 2))
-
-
-def _g3_coefs(d: float) -> tuple[float, float, float, float]:
-    pre = (1 - d) ** 1.5
-    a_coef = gamma(1 - d) / pre * (gamma(2 - d) / gamma(3 - 2 * d) + _g3_pole_ratio(d))
-    s_coef = gamma(2 - 2 * d) / (pre * gamma(3 - 2 * d))
-    c_coef = gamma(1 - d) ** 2 / (pre * gamma(2 - 2 * d))
-    d_coef = gamma(1 - d) ** 3 / (math.sqrt(1 - d) * gamma(3 - 3 * d))
-    return a_coef, s_coef, c_coef, d_coef
+def _power_weight(p: int, d: float) -> float:
+    """B(1-d, (p+1)(1-d)), the weight of (1-x)^((p+1)-(p+2)d) in kernel_one_minus_power(p)."""
+    return gamma(1 - d) * gamma((p + 1) * (1 - d)) / gamma((p + 2) * (1 - d))
 
 
 def g3(x, d: float, one_minus_x=None):
-    """Closed form of G_3 = K(G_2): two 2F1 pieces, a power of 1-x, and the
-    telescoping series summed through its E table.
+    """G_3 = K(G_2): the images of G_2's 2F1 piece and of its power of 1-x.
 
-    At d = 0 the operator is the identity on constants and several pieces
-    become 0*inf limits, so that point is returned exactly.
+    At d = 0, K is the identity on constants (and the tables' beta are
+    integers), so that point is returned exactly.
     """
     xs, z = _position(x, one_minus_x)
     if d == 0.0:
         return _like(np.ones_like(xs), x)
-    a_coef, s_coef, c_coef, d_coef = _g3_coefs(d)
-    lam = _decay_rate(xs, z)
     return _like(
-        a_coef * xs ** (2 - 2 * d) * _series_dot(_UNIT, ((d, 3 - 2 * d),), xs, lam)
-        + s_coef * _family_sum(d, "g3", xs, lam)
-        + c_coef * xs ** (1 - d) * _series_dot(_UNIT, ((2 * d - 1, 2 - d),), xs, lam)
-        + d_coef * z ** (2 - 3 * d),
+        _image(_G2_FAMILY, d, xs, _decay_rate(xs, z)) / (1 - d) ** 1.5
+        + _power_weight(0, d) / math.sqrt(1 - d) * kernel_one_minus_power(1, d, xs, z),
         x,
     )
 
 
 def g4_closed(x, d: float, one_minus_x=None):
-    """G_4 = K(G_3) assembled from the kernel images of G_3's four pieces.
+    """G_4 = K(G_3), piece by piece as g3 writes G_3.
 
-    Each piece is an instance of the two kernel integrals below; the
-    telescoping-series piece aggregates into two further E-table sums.
+    The family sum of G_3's first image has the i2 image, aggregated over
+    the _G2_FAMILY table into one more E-table sum.
     """
     xs, z = _position(x, one_minus_x)
     if d == 0.0:
         return _like(np.ones_like(xs), x)
-    a_coef, s_coef, c_coef, d_coef = _g3_coefs(d)
     lam = _decay_rate(xs, z)
-
-    # image of x^(2-2d) 2F1(1,d;3-2d;x)
-    p1 = gamma(1 - d) * (
-        gamma(3 - 2 * d) / gamma(4 - 3 * d) + gamma_ratio(3 * d - 3, 2 * d - 2)
-    )
-    i1 = (
-        p1 * xs ** (3 - 3 * d) * _series_dot(_UNIT, ((d, 4 - 3 * d),), xs, lam)
-        + _family_sum(d, "i1", xs, lam)
-    )
-    # image of the telescoping series, aggregated over its weights
     i2 = (
-        xs ** (1 - d) / (1 - d) * _series_dot(_family_table(d, "g3"), ((d, 2 - d),), xs, lam)
-        + _family_sum(d, "i2", xs, lam)
+        xs ** (1 - d) / (1 - d) * _series_dot(_family_table(d, _G2_FAMILY), ((d, 2 - d),), xs, lam)
+        + _series_dot(_family_table(d, "i2"), ((d, 1.0),), xs, lam)
     )
-    # image of x^(1-d) 2F1(1,2d-1;2-d;x)
-    p3 = gamma(1 - d) * (gamma(2 - d) / gamma(3 - 2 * d) + _g3_pole_ratio(d))
-    i3 = (
-        p3 * xs ** (2 - 2 * d) * _series_dot(_UNIT, ((2 * d - 1, 3 - 2 * d),), xs, lam)
-        + _family_sum(d, "i3", xs, lam)
+    first = (_image_prefactor(d, 2, 1) * _image(((0, 1), 3, 2), d, xs, lam) + i2) / (1 - d) ** 1.5
+    power = (
+        _image(((-1, 2), 2, 1), d, xs, lam) / (1 - d)
+        + _power_weight(1, d) * kernel_one_minus_power(2, d, xs, z)
     )
-    i4 = kernel_one_minus_power(2, d, xs, one_minus_x=z)
-    return _like(a_coef * i1 + s_coef * i2 + c_coef * i3 + d_coef * i4, x)
+    return _like(first + _power_weight(0, d) / math.sqrt(1 - d) * power, x)
 
 
 @dataclass(frozen=True)
@@ -315,20 +318,19 @@ def kernel_hyp2f1_moment(a: float, b: float, c: float, e: float, d: float, x: fl
 
     where the prefactor Gamma(1-d)(Gamma(1+e)/Gamma(2-d+e)
     + Gamma(d-1-e)/Gamma(-e)) equals B(1-d, d-1-e) + B(1-d, 1+e).
+    At d = 0 the kernel is 1 and the value is the plain moment
+    3F2(a,b,e+1; c,e+2; 1)/(e+1).
     """
     _check_interior(x)
     if c - a - b <= 0:
         raise ParameterDomainError("closed form requires c > a + b")
     if not (0.0 <= d <= 0.5):
         raise ParameterDomainError("requires 0 <= d <= 0.5")
-    pre = gamma(1 - d) * (
-        gamma_ratio(1 + e, 2 - d + e) + gamma_ratio(d - 1 - e, -e)
-    )
+    if d == 0.0:
+        return pfq_at_1(HypParams((a, b, e + 1.0), (c, e + 2.0))).value / (e + 1.0)
+    pre = gamma(1 - d) * (gamma_ratio(1 + e, 2 - d + e) + gamma_ratio(d - 1 - e, -e))
     front = pre * x ** (1 - d + e) * pfq(HypParams((a, b, e + 1.0), (c, 2 - d + e)), x).value
-
-    K = _K_WEIGHTS
-    u = _cum_ratio(1.0, (a, b), (c, 1.0), K) / (1 - d + e + np.arange(K))
-    table = _build_e_table(u, 1 - d + e, c - a - b + 2.0, gauss_2f1_at_1(a, b, c))
+    table = _moment_table(a, b, c, 1 - d + e, c - a - b + 2.0)
     return front + _series_dot(table, ((d, 1.0),), x, _decay_rate(x, 1.0 - x))
 
 
@@ -343,12 +345,8 @@ def kernel_one_minus_power(p: int, d: float, x, one_minus_x=None):
     if not (0.0 <= d <= 0.5):
         raise ParameterDomainError("requires 0 <= d <= 0.5")
     xs, z = _position(x, one_minus_x)
-    first = (
-        gamma(1 - d) * gamma((p + 1) * (1 - d)) / gamma((p + 2) * (1 - d))
-        * z ** ((p + 1) - (p + 2) * d)
-    )
     return _like(
-        first + xs ** (1 - d) / (1 - d)
+        _power_weight(p, d) * z ** ((p + 1) - (p + 2) * d) + xs ** (1 - d) / (1 - d)
         * _series_dot(_UNIT, (((p + 1) * d - p, 2 - d),), xs, _decay_rate(xs, z)),
         x,
     )

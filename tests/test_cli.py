@@ -15,6 +15,7 @@ from rosenblatt import cli
 from rosenblatt import cumulants as cu
 from rosenblatt import specfun as sf
 from rosenblatt import veillette_taqqu as vt
+from rosenblatt.quadrature import QuadratureError
 from reference_values import KAPPA_TABLES, matches_4_significant
 
 
@@ -108,6 +109,35 @@ class TestTable:
         monkeypatch.setattr(cu, "kappa", fail)
         code, out = run_cli(capsys, "table", "--orders", "3", "--d-grid", "0.2")
         assert code == 1 and out == ""
+
+    @pytest.mark.parametrize("d", ["1e-12", "1e-15"])
+    def test_operator_rows_at_tiny_d_hold_their_stated_error(self, capsys, d):
+        args = ("table", "--orders", "3,4,5", "--d-grid", d, "--format", "json")
+        code, out = run_cli(capsys, *args, "--method", "vt")
+        assert code == 0
+        closed = json.loads(run_cli(capsys, *args)[1])
+        for vt_row, closed_row in zip(json.loads(out), closed):
+            assert abs(vt_row["value"] - closed_row["value"]) <= vt_row["error_estimate"]
+            assert vt_row["value"] == pytest.approx(closed_row["value"], rel=1e-12)
+
+    def test_operator_failure_below_rounding_of_the_pole(self, capsys):
+        # at d = 1e-17 the E tables' beta = 2 - 2d rounds to the integer 2
+        code = cli.main(["table", "--method", "vt", "--orders", "5", "--d-grid", "1e-17"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("computation failed:")
+
+    def test_quadrature_failure_exit_1(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise QuadratureError("tanh-sinh did not reach abs_tol=1e-08 within 9 refinements")
+
+        monkeypatch.setattr(vt, "c_k_via_operator", fail)
+        code = cli.main(["table", "--method", "vt", "--orders", "5", "--d-grid", "0.2"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.splitlines() == [
+            "computation failed: tanh-sinh did not reach abs_tol=1e-08 within 9 refinements"]
 
     def test_csv_round_trip(self, capsys):
         code, out = run_cli(capsys, "table", "--orders", "3,4", "--d-grid", "0.1,0.3")

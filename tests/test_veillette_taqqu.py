@@ -63,8 +63,24 @@ class TestGFunctions:
 
     def test_g3_prefactor_limit(self):
         # Gamma(2-d)/Gamma(3-2d) + Gamma(2d-2)/Gamma(d-1) -> 1/2 - 1/4 at d=0
-        val = sf.gamma(2.0) / sf.gamma(3.0) + vt._g3_pole_ratio(0.0)
+        val = sf.gamma(2.0) / sf.gamma(3.0) + vt._pole_ratio(0.0, 2, 1)
         assert val == pytest.approx(0.25, rel=1e-13)
+
+    @pytest.mark.parametrize("d", [0.05, 0.2, 0.3, 0.45])
+    def test_pole_ratio_matches_gamma_ratio(self, d):
+        assert vt._pole_ratio(d, 2, 1) == pytest.approx(sf.gamma_ratio(2 * d - 2, d - 1), rel=1e-13)
+        assert vt._pole_ratio(d, 3, 2) == pytest.approx(sf.gamma_ratio(3 * d - 3, 2 * d - 2),
+                                                        rel=1e-13)
+
+    def test_pole_ratio_limits_at_d_zero(self):
+        # Gamma((m+1)d-n)/Gamma(md+1-n): a pole pair closing in at different rates
+        assert vt._pole_ratio(0.0, 2, 1) == pytest.approx(-1 / 4, rel=1e-15)
+        assert vt._pole_ratio(0.0, 3, 2) == pytest.approx(-2 / 9, rel=1e-15)
+        assert vt._pole_ratio(1e-300, 3, 2) == pytest.approx(-2 / 9, rel=1e-15)
+
+    def test_pole_ratio_keeps_the_g4_pole(self):
+        with pytest.raises(sf.PoleError):
+            vt._pole_ratio(1 / 3, 3, 2)
 
     def test_g4_small_d_continuity(self):
         for x in (0.3, 0.7):
@@ -152,7 +168,7 @@ class TestNodeArrays:
         # bottom None is the j! of the family sums
         d = 0.3
         bottom = 1.0 if bottom is None else bottom
-        table = vt._family_table(d, "g3")
+        table = vt._family_table(d, vt._G2_FAMILY)
         x = np.array([0.0, 0.3, 0.9, 0.999, 1.0])
         lam = np.array([np.inf, -math.log(0.3), -math.log(0.9), -math.log(0.999), 0.0])
         got = vt._series_dot(table, ((d, bottom),), x, lam)
@@ -175,7 +191,7 @@ class TestNodeArrays:
     def test_series_dot_where_the_tail_cut_off_falls_inside_the_rule(self, z, bottom):
         # e^(-lam t) cuts the tail off between t ~ 4e5 and 4e9, inside its quadrature
         d = 0.3
-        table = vt._family_table(d, "g3")
+        table = vt._family_table(d, vt._G2_FAMILY)
         lam = -math.log1p(-z)
         assert vt._series_dot(table, ((d, bottom),), 1.0 - z, lam) == pytest.approx(
             full_series_dot(table, d, 1.0 - z, lam, bottom), rel=1e-12)
@@ -263,6 +279,15 @@ class TestKernelHyp2F1Moment:
             rhs = beta(1 - d, d - 1 - e) + beta(1 - d, 1 + e)
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
+    @pytest.mark.parametrize("e", [0.0, 1.0, 2.0])
+    def test_d_zero_with_integer_exponent(self, e):
+        # 1 - d + e is an integer, a pole of the E table; at d = 0 K is the plain integral
+        a, b, c, x = 0.7, 0.3, 1.9, 0.4
+        val = vt.kernel_hyp2f1_moment(a, b, c, e, 0.0, x)
+        with mpmath.workdps(25):
+            ref = mpmath.quad(lambda u: u**e * mpmath.hyp2f1(a, b, c, u), [0, 1])
+        assert val == pytest.approx(float(ref), rel=1e-14)
+
     def test_divergent_integrand_rejected(self):
         with pytest.raises(sf.ParameterDomainError):
             vt.kernel_hyp2f1_moment(1.0, 1.0, 1.5, 0.5, 0.3, 0.4)
@@ -344,6 +369,24 @@ class TestCkViaOperator:
         assert vt.c_k_via_operator(2, 3, d) == pytest.approx(
             cu.c5_closed(d).value, abs=1e-4
         )
+
+    @pytest.mark.parametrize("d", [1e-12, 1e-15])
+    @pytest.mark.parametrize("mu,nu", [(1, 2), (2, 2), (2, 3)])
+    def test_balanced_pairings_at_tiny_d(self, mu, nu, d):
+        # beta = 2 - 2d sits within 2d of an integer: the E tables' near-resonant term
+        assert vt.c_k_via_operator(mu, nu, d) == pytest.approx(
+            cu.c_closed(mu + nu, d).value, rel=1e-12)
+
+    @pytest.mark.parametrize("offset", [1e-9, -1e-9, 1e-14, -1e-14])
+    def test_g4_pole_cancels_next_to_one_third(self, offset):
+        # the image prefactor's pole and the ((0, 1), 3, 2) E-table resonance share one rounding
+        d = 1 / 3 + offset
+        assert vt.c_k_via_operator(1, 4, d) == pytest.approx(cu.c_closed(5, d).value, rel=1e-10)
+
+    def test_e_table_at_integer_beta_is_a_pole(self):
+        u = vt._cum_ratio(1.0, (0.2,), (1.8,), vt._K_WEIGHTS) / (2.0 + np.arange(vt._K_WEIGHTS))
+        with pytest.raises(sf.PoleError, match="beta=2.0"):
+            vt._build_e_table(u, 2.0, 2.6, 1.0)
 
     def test_unsupported_orders(self):
         with pytest.raises(ValueError):
