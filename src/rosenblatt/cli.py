@@ -128,13 +128,15 @@ def _mc_report(k: int, d: float, args: argparse.Namespace) -> cu.CumulantReport:
 
 def cmd_table(args: argparse.Namespace, stream) -> int:
     methods = ("closed", "vt", "mc") if args.method == "all" else (args.method,)
+    # sigma vanishes at d = 0.5, where only the closed form's limit is defined
+    closed_grid = args.d_grid if "closed" in methods else [d for d in args.d_grid if d == 0.5]
+    closed = {(r.order, r.d): r for r in cu.cumulant_table(closed_grid, args.orders)}
     reports = []
     for k in sorted(args.orders):
         for d in sorted(args.d_grid):
-            # sigma vanishes at d = 0.5, where only the closed form's limit is defined
             for m in methods if d < 0.5 else ("closed",):
                 if m == "closed":
-                    reports.append(cu.kappa(k, d))
+                    reports.append(closed[k, d])
                 elif m == "vt":
                     reports.append(_vt_report(k, d))
                 else:

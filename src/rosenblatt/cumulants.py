@@ -21,16 +21,16 @@ import math
 from dataclasses import dataclass, field
 
 from .specfun import (
+    _EPS,
     HypParams,
     ParameterDomainError,
     SeriesResult,
     gamma,
     gamma_ratio,
     pfq_at_1,
+    pfq_at_1_batch,
 )
 from .thomae import eval_3f2_optimized
-
-_EPS = 2.220446049250313e-16
 
 METHOD_CLOSED = "closed-form"
 METHOD_VT = "vt-operator"
@@ -148,18 +148,28 @@ def c4_region3_alt(d: float) -> float:
     return t1 - t2
 
 
+def _c4_families(d: float):
+    """The (top, bottom) parameters of the one 3F2 in c_4."""
+    return (((2 - 2 * d, 1.0, d), (3 - 2 * d, 2 - d)),)
+
+
+def _c4_assemble(d: float, values) -> SeriesResult:
+    """c_4 from the value of its 3F2 family."""
+    (f,) = values
+    g1 = gamma(1 - d)
+    g2 = gamma(2 - d)
+    bracket = f.value + g1**2 * g2**2 / gamma(2 - 2 * d) ** 2 + 2 * g1 * g2**2 / gamma(3 - 3 * d)
+    scale = 1.0 / ((1 - d) ** 3 * (3 - 4 * d))
+    return SeriesResult(scale * bracket, scale * (f.error_estimate + 8 * _EPS * bracket), f.n_terms)
+
+
 def c4_closed(d: float) -> SeriesResult:
     """c_4 as the three-term bracket over (1-d)^3 (3-4d); 8 times the region sum.
 
     Equivalently kappa_4 = 12(1-2d)^2/((1-d)(3-4d)) * bracket.
     """
     d = _check_d(d)
-    f = _f32((2 - 2 * d, 1.0, d), (3 - 2 * d, 2 - d))
-    g1 = gamma(1 - d)
-    g2 = gamma(2 - d)
-    bracket = f.value + g1**2 * g2**2 / gamma(2 - 2 * d) ** 2 + 2 * g1 * g2**2 / gamma(3 - 3 * d)
-    scale = 1.0 / ((1 - d) ** 3 * (3 - 4 * d))
-    return SeriesResult(scale * bracket, scale * (f.error_estimate + 8 * _EPS * bracket), f.n_terms)
+    return _c4_assemble(d, [_f32(*family) for family in _c4_families(d)])
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +251,41 @@ def c5_region(i: int, d: float, *, region3_variant: str = "corrected") -> float:
     raise ValueError("order-5 region index must be in 1..12")
 
 
+def _c5_families(d: float):
+    """The (top, bottom) parameters of the five 3F2 in c_5."""
+    return (
+        ((d, 1 - d, 3 - 3 * d), (2 - d, 4 - 4 * d)),
+        ((d, 1 - d, 2 - 2 * d), (2 - d, 4 - 4 * d)),
+        ((1.0, d, 3 - 3 * d), (3 - 2 * d, 4 - 3 * d)),
+        ((1.0, d, 3 - 3 * d), (2 - d, 4 - 3 * d)),
+        ((1.0, d, 2 - 2 * d), (2 - d, 3 - 2 * d)),
+    )
+
+
+def _c5_assemble(d: float, values) -> SeriesResult:
+    """c_5 from the values of its five 3F2 families."""
+    g1d = gamma(1 - d)
+    g22 = gamma(2 - 2 * d)
+    g33 = gamma(3 - 3 * d)
+    g44 = gamma(4 - 4 * d)
+    one = 1.0 - d
+    weights = (
+        g1d**3 / (one * g22) * g33 / g44,
+        g1d**2 * g22 / (one * g44),
+        g1d**2 / (6 * one**2 * g22),
+        2 * g1d**2 / (3 * one**2 * g22),
+        g1d**2 / (2 * one**2 * g22),
+    )
+    terms = [(g1d**4 / g44, SeriesResult(1.0, 0.0, 0)), *zip(weights, values)]
+    ratio = gamma_ratio(4 - 5 * d, 6 - 5 * d)
+    value = 10.0 * ratio * sum(w * f.value for w, f in terms)
+    err = 10.0 * abs(ratio) * (
+        sum(abs(w) * f.error_estimate for w, f in terms) + 16 * _EPS * abs(value)
+    )
+    n = max(f.n_terms for _, f in terms)
+    return SeriesResult(value, err, n)
+
+
 def c5_closed(d: float) -> SeriesResult:
     """c_5 = 10 S, where S collects the six surviving terms of the region sum.
 
@@ -249,27 +294,11 @@ def c5_closed(d: float) -> SeriesResult:
     Gamma(4-5d)/Gamma(6-5d) factor times six 3F2-type terms.
     """
     d = _check_d(d)
-    g1d = gamma(1 - d)
-    g22 = gamma(2 - 2 * d)
-    g33 = gamma(3 - 3 * d)
-    g44 = gamma(4 - 4 * d)
-    one = 1.0 - d
+    return _c5_assemble(d, [_f32(*family) for family in _c5_families(d)])
 
-    terms = [
-        (g1d**4 / g44, SeriesResult(1.0, 0.0, 0)),
-        (g1d**3 / (one * g22) * g33 / g44, _f32((d, 1 - d, 3 - 3 * d), (2 - d, 4 - 4 * d))),
-        (g1d**2 * g22 / (one * g44), _f32((d, 1 - d, 2 - 2 * d), (2 - d, 4 - 4 * d))),
-        (g1d**2 / (6 * one**2 * g22), _f32((1.0, d, 3 - 3 * d), (3 - 2 * d, 4 - 3 * d))),
-        (2 * g1d**2 / (3 * one**2 * g22), _f32((1.0, d, 3 - 3 * d), (2 - d, 4 - 3 * d))),
-        (g1d**2 / (2 * one**2 * g22), _f32((1.0, d, 2 - 2 * d), (2 - d, 3 - 2 * d))),
-    ]
-    ratio = gamma_ratio(4 - 5 * d, 6 - 5 * d)
-    value = 10.0 * ratio * sum(w * f.value for w, f in terms)
-    err = 10.0 * abs(ratio) * (
-        sum(abs(w) * f.error_estimate for w, f in terms) + 16 * _EPS * abs(value)
-    )
-    n = max(f.n_terms for _, f in terms)
-    return SeriesResult(value, err, n)
+
+# c_k = assemble(d, values of families(d)) for the orders whose closed form has 3F2 terms
+_SERIES_FORMS = {4: (_c4_families, _c4_assemble), 5: (_c5_families, _c5_assemble)}
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +342,10 @@ def kappa(k: int, d: float) -> CumulantReport:
     if d == 0.0:
         exact = 2.0 ** (k - 1) * math.factorial(k - 1) * 0.5 ** (k / 2)
         return CumulantReport(k, d, exact, METHOD_CLOSED, 0.0)
-    c = c_closed(k, d)
+    return _closed_report(k, d, c_closed(k, d))
+
+
+def _closed_report(k: int, d: float, c: SeriesResult) -> CumulantReport:
     diagnostics = {"series_terms": c.n_terms} if k >= 4 else {}
     return CumulantReport(
         k, d, kappa_from_c(k, d, c.value), METHOD_CLOSED,
@@ -353,6 +385,17 @@ def characteristic_function(theta: float, d: float, K: int = 5) -> Characteristi
 
 
 def cumulant_table(grid, orders) -> list[CumulantReport]:
-    """Closed-form reports for every (order, d) pair, sorted by (order, d)."""
-    pairs = sorted((int(k), _check_d(d)) for k in orders for d in grid)
-    return [kappa(k, d) for k, d in pairs]
+    """Closed-form reports for every (order, d) pair, sorted by (order, d).
+
+    Row by row these are kappa(k, d); the 3F2 values of every c_4 and c_5
+    row at interior d are summed in one pfq_at_1_batch call.
+    """
+    rows = sorted((int(k), _check_d(d)) for k in orders for d in grid)
+    for k, _ in rows:
+        _check_order(k)
+    series = [(k, d) for k, d in rows if k in _SERIES_FORMS and 0.0 < d < 0.5]
+    families = [_SERIES_FORMS[k][0](d) for k, d in series]
+    values = iter(pfq_at_1_batch([HypParams(*f) for row in families for f in row]))
+    c = {(k, d): _SERIES_FORMS[k][1](d, [next(values) for _ in row])
+         for (k, d), row in zip(series, families)}
+    return [_closed_report(k, d, c[k, d]) if (k, d) in c else kappa(k, d) for k, d in rows]

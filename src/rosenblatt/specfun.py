@@ -16,6 +16,11 @@ sum(bottom) - sum(top), yet the integral costs about the same for any s > 0;
 near x = 1 it stays accurate down to 1 - x ~ 1e-280, with no special case
 where c - a - b is an integer.  Power series at |x| < 1 (and p <= q at
 x = 1) are summed term by term to machine precision.
+
+The engine takes a leading axis of parameter sets, so pfq_at_1_batch sums
+many (q+1)Fq at unit argument in one call; pfq_at_1 is the batch of one.
+A cumulant table is one such call: cumulants.cumulant_table gathers the
+3F2 of every c_4 and c_5 row first.
 """
 
 from __future__ import annotations
@@ -245,11 +250,16 @@ def _sum_terminating(top, bottom, x: float, m: int) -> float:
 
 
 def pfq_at_1(params: HypParams) -> SeriesResult:
-    """Generalized hypergeometric series at unit argument.
+    """Generalized hypergeometric series at unit argument: pfq_at_1_batch of one set."""
+    return pfq_at_1_batch([params])[0]
+
+
+def pfq_at_1_batch(sets: list[HypParams]) -> list[SeriesResult]:
+    """Generalized hypergeometric series at unit argument, one result per set.
 
     A terminating series is summed exactly and p <= q by its factorially
     convergent power series.  A (q+1)Fq series, whose terms decay like
-    k^-(1+s) with s the convergence margin, is one call of the series
+    k^-(1+s) with s the convergence margin, is summed by the series
     engine at lam = 0: its j! joins the bottom parameters, tops pair with
     bottoms in order, and the sum runs over a prefix of the unit table
     with the Euler-Maclaurin tail past it.  The prefix length J is at least
@@ -259,25 +269,43 @@ def pfq_at_1(params: HypParams) -> SeriesResult:
     largest parameter), is below an ulp at t = J.  The error estimate,
     relative to the value, is that term at J plus sqrt(J) ulps for the
     rounding of the J-term product chain.
+
+    Every (q+1)Fq set with the same J goes through one engine call: sets
+    with fewer pairs are padded with the pair (1, 1), which is exact (a
+    factor 1 in every term ratio and 0 in every power sum).  A set that
+    diverges or poles raises as it would alone.
     """
-    params.validate()
-    top, bottom = params.top, params.bottom
-    if len(top) > len(bottom) + 1:
-        raise DivergenceError("series with p > q+1 diverges at nonzero argument")
-    m = params.terminating_order()
-    if m is not None:
-        return SeriesResult(_sum_terminating(top, bottom, 1.0, m), 0.0, m + 1)
-    if len(top) <= len(bottom):
-        return _pfq_series(params, 1.0)  # factorial decay
-    s = params.margin
-    if s <= 0:
-        raise DivergenceError(f"convergence margin s={s:.6g} <= 0 at unit argument")
-    pairs = tuple(zip(top, (*bottom, 1.0)))
+    out: list = [None] * len(sets)
+    engine = []
+    for i, params in enumerate(sets):
+        params.validate()
+        top, bottom = params.top, params.bottom
+        if len(top) > len(bottom) + 1:
+            raise DivergenceError("series with p > q+1 diverges at nonzero argument")
+        m = params.terminating_order()
+        if m is not None:
+            out[i] = SeriesResult(_sum_terminating(top, bottom, 1.0, m), 0.0, m + 1)
+        elif len(top) <= len(bottom):
+            out[i] = _pfq_series(params, 1.0)  # factorial decay
+        elif (s := params.margin) <= 0:
+            raise DivergenceError(f"convergence margin s={s:.6g} <= 0 at unit argument")
+        else:
+            engine.append(i)
+    if not engine:
+        return out
+    width = max(len(sets[i].top) for i in engine)
+    pairs = np.array([(*zip(sets[i].top, (*sets[i].bottom, 1.0)),
+                       *((1.0, 1.0),) * (width - len(sets[i].top))) for i in engine])
     powers = np.arange(8.0)
-    g7 = abs(float(_OMITTED_ROW @ sum(p ** powers - q ** powers for p, q in pairs)))
-    J = min(_J_TABLE, max(1024, _ROW * math.ceil((g7 / _EPS) ** (1 / 6) / _ROW)))
-    value = float(_series_dot(_ETable(_UNIT.E[:J], (0.0,), (1.0,)), pairs, 1.0, 0.0))
-    return SeriesResult(value, (math.sqrt(J) * _EPS + g7 / (J - 0.5) ** 6) * abs(value), J)
+    g7 = np.abs(_power_sums(pairs, powers) @ _OMITTED_ROW)
+    J = np.minimum(_J_TABLE, np.maximum(1024, _ROW * np.ceil((g7 / _EPS) ** (1 / 6) / _ROW)))
+    for n in np.unique(J).astype(int).tolist():
+        rows = np.flatnonzero(J == n)
+        values = _series_dot(_ETable(_UNIT.E[:n], (0.0,), (1.0,)), pairs[rows], 1.0, 0.0)
+        for row, value in zip(rows.tolist(), values.tolist()):
+            error = (math.sqrt(n) * _EPS + g7[row] / (n - 0.5) ** 6) * abs(value)
+            out[engine[row]] = SeriesResult(value, float(error), n)
+    return out
 
 
 def _pfq_series(params: HypParams, x: float) -> SeriesResult:
@@ -365,13 +393,18 @@ def _decay_rate(x, z):
         return np.where(z < 0.5, -np.log1p(-z), -np.log(x))
 
 
+def _power_sums(pairs: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """sum of p^m - q^m over each set's (p, q) pairs: one row per set, one column per m."""
+    return (pairs[..., :1] ** powers - pairs[..., 1:] ** powers).sum(axis=-2)
+
+
 @np.errstate(divide="ignore", under="ignore")
-def _series_tail(table: _ETable, pairs, w_J: float, lam: np.ndarray) -> np.ndarray:
-    """sum_{j>=J} w_j e^(-lam j) E_j at each decay rate lam, J = len(table.E).
+def _series_tail(table: _ETable, sets: np.ndarray, w_J: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """sum_{j>=J} w_j e^(-lam j) E_j for each set and decay rate lam, J = len(table.E).
 
     Midpoint Euler-Maclaurin: the integral of f(t) = w(t) e^(-lam t) E(t)
     from t0 = J - 1/2, plus f'(t0)/24.  w(t) continues
-    w_j = prod (p)_j/(q)_j over the (top, bottom) pairs (p, q) from the
+    w_j = prod (p)_j/(q)_j over a set's (top, bottom) pairs (p, q) from the
     cumprod's w_J through the large-t expansion of
     ln Gamma(t+p) - ln Gamma(t+q) (DLMF 5.11.8, five Bernoulli terms)
     summed over the pairs, and E(t) is the table's fitted law, so every
@@ -382,62 +415,92 @@ def _series_tail(table: _ETable, pairs, w_J: float, lam: np.ndarray) -> np.ndarr
     of t throughout keep t itself from overflowing when lam is near the
     smallest normal float; lam = 0 has no cut-off and the doubling panels
     reach u = 42/r, where the slowest law term t f(t) ~ e^(-r u) is below
-    e^-42 (at least u = 1023).
+    e^-42 (at least u = 1023).  With the Jacobian dt = t du, w(t) t falls
+    like t^-s for the margin s = sum(q) - sum(p) - 1, which is rounded
+    once from the parameters: formed as 1 + sum(p - q) it would carry an
+    absolute error of an ulp of 1, a relative error of eps/s in a
+    tail-dominated sum.
+
+    sets is (N, pairs, 2) and w_J (N,); the result is (N, len(lam)).  A set
+    whose integrand falls faster gets zero-width panels where a slower
+    one still has panels.
     """
     J = len(table.E)
     t0 = J - 0.5
     ln_t0 = math.log(t0)
     exps = np.asarray(table.tail_exponents)
     coefs = np.asarray(table.tail_coefs)
-    expo = sum(p - q for p, q in pairs)  # w_j ~ j^expo
-    powers = np.arange(7.0)
-    g = _LNGAMMA_ROWS @ sum(p ** powers - q ** powers for p, q in pairs)
-    ln_wJ = expo * math.log(J) + float(g @ float(J) ** (1 - _LNGAMMA_K))
+    s = np.array([math.fsum((-1.0, *row))
+                  for row in np.concatenate((sets[..., 1], -sets[..., 0]), axis=1).tolist()])
+    expo = -1.0 - s  # w_j ~ j^expo
+    g = _power_sums(sets, np.arange(7.0)) @ _LNGAMMA_ROWS.T
+    ln_wJ = expo * math.log(J) + g @ float(J) ** (1 - _LNGAMMA_K)
+    # per-set values against (set, node, panel, point) arrays
+    g_col, s_col, expo_col, ln_wJ_col = (v[..., None, None, None] for v in (g.T, s, expo, ln_wJ))
 
-    def terms(ln_t, shift):
-        """w(t)/w_J t^e e^shift for each law exponent e (leading axis)."""
+    def terms(ln_t, power, shift):
+        """w(t)/w_J t^(power + e) e^shift for each law exponent e (leading axis)."""
         inv = np.exp(-ln_t)
-        ratio = g[-1]
-        for gk in g[-2::-1]:
+        ratio = g_col[-1]
+        for gk in g_col[-2::-1]:
             ratio = gk + inv * ratio
-        ratio = expo * ln_t + inv * ratio - ln_wJ
+        ratio = power * ln_t + inv * ratio - ln_wJ_col
         return np.exp(np.multiply.outer(exps, ln_t) + (ratio + shift))
 
-    lam = lam[:, None]
+    def weigh(weights, by_exponent):
+        """sum over the law's exponents (leading axis) with the given weights."""
+        return (weights @ by_exponent.reshape(len(weights), -1)).reshape(by_exponent.shape[1:])
+
+    lam = lam[None, :, None]
     ln_lam = np.log(lam)
-    # panel edges in u per node: doublings clipped at u_edge - 12, then unit steps to
-    # u_edge; past u = 42/r the slowest law term, t f(t) ~ e^(-r u), is below e^-42
-    decay = -expo - 1.0 - exps.max()
-    u_end = 42.0 / decay if decay > 0.0 else np.inf
-    doublings = max(_DOUBLINGS, math.ceil(math.log2(u_end + 1.0))) if decay > 0.0 else _DOUBLINGS
+    # panel edges in u per set and node: doublings clipped at u_edge - 12, then unit steps
+    # to u_edge; past u = 42/r the slowest law term, t f(t) ~ e^(-r u), is below e^-42
+    u_end = 42.0 / np.maximum(s - exps.max(), 0.0)  # inf where t f(t) does not decay
+    u_max = np.max(u_end, where=u_end < np.inf, initial=0.0)
+    doublings = max(_DOUBLINGS, math.ceil(math.log2(u_max + 1.0)))
     u_edge = np.minimum(math.log(_EDGE) - ln_lam - ln_t0, 2.0**doublings - 1.0 + _EDGE_PANELS)
     u_lo = u_edge - _EDGE_PANELS
     edges = np.minimum(np.concatenate([
         np.minimum(2.0 ** np.arange(doublings + 1) - 1.0, np.maximum(u_lo, 0.0)),
         np.maximum(u_lo + np.arange(1, _EDGE_PANELS + 1), 0.0),
-    ], axis=1), u_end)
-    lo, half = edges[:, :-1], 0.5 * np.diff(edges, axis=1)
-    used = (half > 0.0).any(axis=0)
-    lo, half = lo[:, used, None], half[:, used, None]
+    ], axis=2), u_end[:, None, None])
+    lo, half = edges[..., :-1], 0.5 * np.diff(edges, axis=2)
+    used = (half > 0.0).any(axis=(0, 1))
+    lo, half = lo[..., used, None], half[..., used, None]
     ln_t = ln_t0 + lo + half * (_GL_NODES + 1.0)
-    lam_t = np.exp(ln_lam[:, :, None] + ln_t)
-    # the Jacobian dt = t du joins the exponent
-    law = np.tensordot(coefs, terms(ln_t, ln_t - lam_t), 1)
-    panels = np.sum(law * half * _GL_WEIGHTS, axis=(1, 2))
+    lam_t = np.exp(ln_lam[..., None] + ln_t)
+    law = weigh(coefs, terms(ln_t, -s_col, -lam_t))  # Jacobian t: t^expo t = t^-s
+    panels = np.sum(law * half * _GL_WEIGHTS, axis=(2, 3))
 
-    # beyond the panels: t = t_g + s/lam with lam t_g = max(36, lam t0), dt = ds/lam
-    live = lam[:, 0] > 0.0
+    # beyond the panels: t = t_g + v/lam with lam t_g = max(36, lam t0), dt = dv/lam
+    live = lam[0, :, 0] > 0.0
     beyond = np.zeros_like(panels)
     if live.any():
-        lam_tg = np.maximum(_EDGE, lam[live] * t0)
-        ln_t = np.log(lam_tg + _LAG_NODES) - ln_lam[live]
-        beyond[live] = np.tensordot(coefs, terms(ln_t, -lam_tg - ln_lam[live]), 1) @ _LAG_WEIGHTS
+        lam_tg = np.maximum(_EDGE, lam[:, live, :, None] * t0)
+        ln_lam_live = ln_lam[:, live, :, None]
+        ln_t = np.log(lam_tg + _LAG_NODES) - ln_lam_live
+        law = weigh(coefs, terms(ln_t, expo_col, -lam_tg - ln_lam_live))
+        beyond[:, live] = (law @ _LAG_WEIGHTS)[..., 0]
 
     # Euler-Maclaurin correction f'(t0)/24, with f'/f = (ln w)' - lam + e/t
-    at_t0 = terms(np.full_like(lam, ln_t0), -lam * t0)[:, :, 0]
-    slope = expo / t0 + float(g @ ((1 - _LNGAMMA_K) * t0 ** -_LNGAMMA_K)) - lam[:, 0]
-    df0 = (coefs @ at_t0) * slope + (coefs * exps / t0) @ at_t0
-    return w_J * (panels + beyond + df0 / 24.0)
+    at_t0 = terms(np.full_like(lam[..., None], ln_t0), expo_col, -lam[..., None] * t0)[..., 0, 0]
+    slope = (expo / t0 + g @ ((1 - _LNGAMMA_K) * t0 ** -_LNGAMMA_K))[:, None] - lam[0, :, 0]
+    df0 = weigh(coefs, at_t0) * slope + weigh(coefs * exps / t0, at_t0)
+    return w_J[:, None] * (panels + beyond + df0 / 24.0)
+
+
+def _pair_weights(sets: np.ndarray, n: int) -> np.ndarray:
+    """w_j = prod (p)_j/(q)_j over each set's pairs for j = 0..n: one row per set."""
+    j = np.arange(n, dtype=float)
+    w = np.ones((len(sets), n + 1))
+    ratio = w[:, 1:]
+    step = np.empty_like(ratio)
+    for p, q in sets.transpose(1, 2, 0)[..., None]:
+        # (p+j)/(q+j) as 1 - (q-p)/(q+j): p + j rounds alike across a whole binade
+        np.divide(q - p, np.add(q, j, out=step), out=step)
+        ratio *= np.subtract(1.0, step, out=step)
+    np.cumprod(ratio, axis=1, out=ratio)
+    return w
 
 
 @np.errstate(divide="ignore", under="ignore")
@@ -447,7 +510,9 @@ def _series_dot(table: _ETable, pairs, x, lam):
     w_j = prod (p)_j/(q)_j over the (top, bottom) pairs (p, q); j! is the
     pair (a, 1), so ((b, c), (a, 1)) on the unit table (E_j = 1) is
     2F1(a, b; c; x), and pairs for every top and bottom parameter at
-    lam = 0 sum a (q+1)Fq at unit argument.  Terms past j = 60/lam are
+    lam = 0 sum a (q+1)Fq at unit argument.  pairs is one set of pairs, or
+    an (N, pairs, 2) array of N sets that share the table, summed at one
+    scalar x and lam; the result is then an (N,) array.  Terms past j = 60/lam are
     dropped, so the sum runs to the longest such cut-off among the nodes.
     For 2F1(1, b; c; x), |w_j| <= 1 (c > b, and c > |b| when b < 0) and
     the dropped terms are below e^-60; for 2F1(a, b; c; x) they are about
@@ -456,33 +521,32 @@ def _series_dot(table: _ETable, pairs, x, lam):
     (-3, 8), 1 - x in [1e-12, 0.15]: see hyp_2f1.
 
     Writing j = R q + r and x^j = e^(-lam R q) e^(-lam r) turns it into one
-    matrix product, sum_q e^(-lam R q) sum_r w_j E_j e^(-lam r), with no
-    product chain along j.  Only nodes whose cut-off passes the table get
-    the tail.  The powers come from lam = -ln x, which is exact near x = 1
-    where x itself has rounded; x only sets the shape of the result.
+    matrix product per set, sum_q e^(-lam R q) sum_r w_j E_j e^(-lam r),
+    with no product chain along j.  Only nodes whose cut-off passes the
+    table get the tail.  The powers come from lam = -ln x, which is exact
+    near x = 1 where x itself has rounded; x only sets the shape of the
+    result.
     """
+    sets = np.asarray(pairs, dtype=float)
+    batch = sets.ndim == 3
+    sets = sets.reshape(-1, *sets.shape[-2:])
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     J = len(table.E)
     n_terms = np.minimum(np.ceil(_CUTOFF / lams) + 1.0, J).astype(np.intp)
     m = int(n_terms.max(initial=1))
     R = min(m, _ROW)
     Q = -(-m // R)
-    j = np.arange(Q * R, dtype=float)
-    ratio = np.ones(Q * R)
-    for p, q in pairs:
-        # (p+j)/(q+j) as 1 - (q-p)/(q+j): p + j rounds alike across a whole binade
-        ratio *= 1.0 - (q - p) / (q + j)
-    w = np.empty(Q * R + 1)
-    w[0] = 1.0
-    np.cumprod(ratio, out=w[1:])
-    weights = (w[:-1] * table.E[:Q * R]).reshape(Q, R)
+    w = _pair_weights(sets, Q * R)
+    weights = w[:, :-1]
+    weights *= table.E[:Q * R]
+    weights = weights.reshape(-1, Q, R)
     rate = np.minimum(lams, 1e3)[:, None]  # x = 0: e^(-lam*0) stays 1, higher powers vanish
-    inner = np.exp(-rate * np.arange(R)) @ weights.T
-    out = np.einsum("nq,nq->n", np.exp(-rate * (R * np.arange(Q))), inner)
+    inner = np.exp(-rate * np.arange(R)) @ weights.transpose(0, 2, 1)
+    out = np.einsum("mq,nmq->nm", np.exp(-rate * (R * np.arange(Q))), inner)
     need = n_terms == J
     if need.any():
-        out[need] += _series_tail(table, pairs, w[J], lams[need])
-    return _like(out, x)
+        out[:, need] += _series_tail(table, sets, w[:, J], lams[need])
+    return out[:, 0] if batch else _like(out[0], x)
 
 
 # ---------------------------------------------------------------------------

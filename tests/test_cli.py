@@ -139,6 +139,27 @@ class TestTable:
         assert captured.err.splitlines() == [
             "computation failed: tanh-sinh did not reach abs_tol=1e-08 within 9 refinements"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_default_grid_output_equals_the_per_row_path(self, capsys, fmt):
+        code, out = run_cli(capsys, "table", "--format", fmt)
+        buffer = io.StringIO()
+        cli.write_reports([cu.kappa(k, d) for k in (3, 4, 5) for d in cli.DEFAULT_GRID],
+                          fmt, buffer)
+        assert code == 0 and out == buffer.getvalue()
+
+    def test_closed_rows_sum_every_series_in_one_engine_call(self, capsys, monkeypatch):
+        # 11 interior d: one c_4 and five c_5 series each, 66 sets in one batch,
+        # one pass of the series engine and no per-row evaluation
+        batches, engine = [], []
+        batch, dot = cu.pfq_at_1_batch, sf._series_dot
+        monkeypatch.setattr(cu, "pfq_at_1_batch",
+                            lambda sets: batches.append(len(sets)) or batch(sets))
+        monkeypatch.setattr(sf, "_series_dot", lambda *args: engine.append(args) or dot(*args))
+        grid = ",".join(str(round(0.04 * i + 0.03, 2)) for i in range(11))
+        code, out = run_cli(capsys, "table", "--orders", "3,4,5", "--d-grid", grid)
+        assert code == 0 and len(parse_csv(out)[1]) == 33
+        assert batches == [66] and len(engine) == 1
+
     def test_csv_round_trip(self, capsys):
         code, out = run_cli(capsys, "table", "--orders", "3,4", "--d-grid", "0.1,0.3")
         reports = cli.read_reports_csv(io.StringIO(out))

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rosenblatt import cumulants as cu
+from rosenblatt import specfun as sf
 from reference_values import GRID, KAPPA_TABLES, matches_4_significant
 
 
@@ -227,6 +230,45 @@ class TestCumulantTable:
 
     def test_empty_grid(self):
         assert cu.cumulant_table([], [3, 4]) == []
+
+    def test_equals_kappa_row_by_row(self):
+        grid = [0.0, 0.5, 0.25, 1 / 3, *np.random.default_rng(5).uniform(0.0, 0.5, size=8)]
+        table = cu.cumulant_table(grid, [2, 3, 4, 5])
+        rows = sorted((k, float(d)) for k in (2, 3, 4, 5) for d in grid)
+        assert [(r.order, r.d) for r in table] == rows
+        for got, (k, d) in zip(table, rows):
+            want = cu.kappa(k, d)
+            assert (got.method, got.diagnostics) == (want.method, want.diagnostics)
+            assert got.value == pytest.approx(want.value, rel=1e-15, abs=0.0)
+            assert got.error_estimate == pytest.approx(want.error_estimate, rel=1e-14, abs=0.0)
+
+    def test_rejects_an_unsupported_order(self):
+        with pytest.raises(ValueError):
+            cu.cumulant_table([0.2], [4, 6])
+
+    @given(st.floats(min_value=0.0, max_value=0.5), st.sampled_from([3, 4, 5]))
+    @settings(max_examples=30, deadline=None)
+    # the smallest floats, and d where regions 6 and 12 are each wrong but their sum is not
+    @example(5e-324, 5)
+    @example(2.2e-16, 5)
+    @example(1e-13, 5)
+    @example(0.499999999999999, 5)
+    def test_batched_row_agrees_with_kappa_and_the_region_sums(self, d, k):
+        # the row comes out of a batch that holds other rows' series too
+        table = cu.cumulant_table([0.1, d, 0.37], [3, 4, 5])
+        row = next(r for r in table if (r.order, r.d) == (k, d))
+        assert abs(row.value - cu.kappa(k, d).value) <= row.error_estimate
+        if k == 3 or not 0.0 < d < 0.5:
+            return
+        c = row.value / cu.kappa_from_c(k, d, 1.0)
+        if k == 4:
+            assert abs(8.0 * sum(cu.c4_region(i, d) for i in (1, 2, 3)) - c) <= 1e-8
+        elif 1.0 - 2.0 * d < 1e-13:
+            # Gamma(2d-1) of regions 6 and 12 is within gamma_ratio's pole tolerance
+            with pytest.raises(sf.PoleError):
+                cu.c5_region(6, d)
+        else:
+            assert abs(10.0 * sum(cu.c5_region(i, d) for i in range(1, 13)) - c) <= 1e-7
 
 
 class TestReportInvariants:

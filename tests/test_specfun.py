@@ -267,6 +267,21 @@ class TestPfqAt1:
             mp.gamma(ma) * mp.gamma(bottom[0]) * mp.gamma(bottom[1])))
         assert r.value == pytest.approx(ref, rel=5e-14)
 
+    @pytest.mark.parametrize("s", [0.01, 0.003])
+    def test_tail_dominated_sum_carries_the_margin_exactly(self, s):
+        # at margin s most of the sum is the tail, whose integrand falls like
+        # t^-s; the reference is the Thomae image with 1.1 in the role of a
+        # (margin 1.1), summed by mpmath: the other images agree with it to 1e-34
+        a, b, c, e, f = 0.8, 0.6, 1.1, 1.3, 1.2 + s
+        r = sf.pfq_at_1(sf.HypParams((a, b, c), (e, f)))
+        ma, mb, mc, me, mf = (mp.mpf(v) for v in (a, b, c, e, f))
+        ms = me + mf - ma - mb - mc
+        bottom = (me + mf - mc - mb, me + mf - mc - ma)
+        ref = mp.gamma(ms) * mp.gamma(me) * mp.gamma(mf) / (
+            mp.gamma(mc) * mp.gamma(bottom[0]) * mp.gamma(bottom[1])
+        ) * mp.hyper([ms, mf - mc, me - mc], list(bottom), 1)
+        assert r.value == pytest.approx(float(ref), rel=5e-15, abs=0.0)
+
     def test_terminating_with_negative_bottom_allowed(self):
         # top -1 terminates before the bottom -3 can pole
         r = sf.pfq_at_1(sf.HypParams((-1.0, 0.5, 2.0), (-3.0, 1.5)))
@@ -277,6 +292,78 @@ class TestPfqAt1:
         with pytest.raises(sf.PoleError):
             sf.pfq_at_1(sf.HypParams((0.5, 0.7, 1.2), (-1.0, 2.0)))
 
+
+
+def cumulant_families(d):
+    """The 3F2 and 4F3 parameter sets of the closed forms at d."""
+    return [
+        ((2 - 2 * d, 1.0, d), (3 - 2 * d, 2 - d)),
+        ((d, 1 - d, 3 - 3 * d), (2 - d, 4 - 4 * d)),
+        ((d, 1 - d, 2 - 2 * d), (2 - d, 4 - 4 * d)),
+        ((1.0, d, 3 - 3 * d), (3 - 2 * d, 4 - 3 * d)),
+        ((1.0, d, 3 - 3 * d), (2 - d, 4 - 3 * d)),
+        ((1.0, d, 2 - 2 * d), (2 - d, 3 - 2 * d)),
+        ((1.0, d, 2 * d - 1), (2 - d, 2 * d)),
+        ((1.0, d, 2 - 2 * d, 3 - 3 * d), (2 - d, 3 - 2 * d, 4 - 4 * d)),
+    ]
+
+
+class TestPfqAt1Batch:
+    def assert_matches_scalar(self, sets):
+        results = sf.pfq_at_1_batch(sets)
+        assert len(results) == len(sets)
+        for got, params in zip(results, sets):
+            want = sf.pfq_at_1(params)
+            assert got.value == pytest.approx(want.value, rel=2e-15, abs=0.0)
+            assert got.n_terms == want.n_terms
+            assert got.error_estimate == pytest.approx(want.error_estimate, rel=1e-14, abs=0.0)
+        return results
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cumulant_families_on_a_random_grid(self, seed):
+        grid = np.random.default_rng(seed).uniform(0.0, 0.5, size=11)
+        self.assert_matches_scalar(
+            [sf.HypParams(top, bottom) for d in grid for top, bottom in cumulant_families(d)])
+
+    def test_mixed_widths_and_prefix_lengths(self):
+        # 2F1, 3F2 and 4F3 sets side by side (padded with the pair (1, 1)); the
+        # large parameters need longer unit-table prefixes than the 1024 minimum
+        sets = [
+            sf.HypParams((1.0, 0.3, 1.4), (1.7, 2.4)),
+            sf.HypParams((1.0, 0.3, 1.4, 2.1), (1.7, 2.4, 3.3)),
+            sf.HypParams((20.0, 10.3, 10.6), (20.4, 20.51)),
+            sf.HypParams((40.0, 20.3, 20.6, 1.5), (40.4, 40.51, 2.5)),
+            sf.HypParams((0.5, 0.25), (1.75,)),
+            sf.HypParams((10.0, 5.3, 5.6), (10.4, 10.6)),
+        ]
+        results = self.assert_matches_scalar(sets)
+        assert len({r.n_terms for r in results}) >= 3
+
+    @pytest.mark.parametrize("bad, error", [
+        (sf.HypParams((1.0, 1.0, 1.0), (1.5, 1.4)), sf.DivergenceError),   # s = -0.1
+        (sf.HypParams((1.0, 1.0, 1.0), (1.5, 1.5)), sf.DivergenceError),   # s = 0
+        (sf.HypParams((1.0, 1.0, 1.0), (2.0,)), sf.DivergenceError),       # p > q + 1
+        (sf.HypParams((0.5, 0.7, 1.2), (-1.0, 2.0)), sf.PoleError),        # bottom pole
+    ], ids=["negative-margin", "zero-margin", "too-many-tops", "bottom-pole"])
+    def test_a_bad_set_raises_as_it_would_alone(self, bad, error):
+        with pytest.raises(error) as alone:
+            sf.pfq_at_1(bad)
+        good = sf.HypParams((1.0, 0.3, 1.4), (1.7, 2.4))
+        with pytest.raises(error) as batched:
+            sf.pfq_at_1_batch([good, bad, good])
+        assert str(batched.value) == str(alone.value)
+
+    def test_terminating_and_factorial_sets_take_the_scalar_branches(self):
+        sets = [
+            sf.HypParams((-2.0, 0.5, 2.0), (1.5, 3.0)),   # terminating
+            sf.HypParams((1.0, 0.3, 1.4), (1.7, 2.4)),    # series engine
+            sf.HypParams((0.5,), (1.5,)),                 # 1F1: factorial decay
+            sf.HypParams((1.0, 0.0, 2.0), (2.0, 3.0)),    # zero top
+        ]
+        assert sf.pfq_at_1_batch(sets) == [sf.pfq_at_1(p) for p in sets]
+
+    def test_empty_batch(self):
+        assert sf.pfq_at_1_batch([]) == []
 
 
 class TestPfq:
