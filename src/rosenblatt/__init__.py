@@ -38,14 +38,12 @@ from .specfun import (
     hyp_2f1,
     log_gamma,
     pfq_at_1,
-    pochhammer,
     product_binomial_integral,
     prudnikov_product_integral,
 )
 from .thomae import (
     SplitForm,
     ThomaeForm,
-    shift_negative_bottom,
     split_4f3_alternative,
     split_4f3_contiguous,
     thomae_fixed_top,
@@ -78,9 +76,8 @@ __all__ = [
     "cumulant_table", "g1", "g2", "g3", "g4_closed", "g_function",
     "gamma_ratio", "gauss_2f1_at_1", "hyp_2f1", "kappa", "kappa_from_c",
     "kernel_hyp2f1_moment", "kernel_one_minus_power", "log_gamma", "mc_ck",
-    "mc_region", "pfq_at_1", "pochhammer", "product_binomial_integral",
-    "prudnikov_product_integral", "quad_c3", "region_catalog",
-    "shift_negative_bottom", "sigma", "split_4f3_alternative",
-    "split_4f3_contiguous", "tanh_sinh", "thomae_fixed_top", "thomae_full",
-    "thomae_split",
+    "mc_region", "pfq_at_1", "product_binomial_integral",
+    "prudnikov_product_integral", "quad_c3", "region_catalog", "sigma",
+    "split_4f3_alternative", "split_4f3_contiguous", "tanh_sinh",
+    "thomae_fixed_top", "thomae_full", "thomae_split",
 ]

@@ -1,9 +1,9 @@
 """Scalar special functions underpinning the cumulant formulas.
 
 Gamma machinery (log-domain with sign tracking, pole-safe ratios),
-Pochhammer symbols, Gauss 2F1 including evaluation at the unit argument,
-a generalized (q+1)Fq-at-unity evaluator, and the series engine that sums
-Gauss-type series at and close to unit argument.
+Gauss 2F1 including evaluation at the unit argument, a generalized
+(q+1)Fq-at-unity evaluator, and the series engine that sums Gauss-type
+series at and close to unit argument.
 
 One engine, _series_dot, sums sum_j w_j x^j E_j with
 w_j = prod (p)_j/(q)_j over (top, bottom) parameter pairs, j! being the
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import bernoulli, roots_laguerre, roots_legendre
 
 
 class SpecialFunctionError(Exception):
@@ -116,29 +115,6 @@ def gamma_ratio(a: float, b: float) -> float:
         sign = -sign if v < 0 else sign
     for v in den:
         log -= math.log(abs(v))
-        sign = -sign if v < 0 else sign
-    return sign * math.exp(log)
-
-
-def pochhammer(a: float, k: int) -> float:
-    """Rising factorial (a)_k = a(a+1)...(a+k-1); (a)_0 = 1."""
-    if k < 0:
-        raise ParameterDomainError("pochhammer requires k >= 0")
-    if k == 0:
-        return 1.0
-    if k <= 30:
-        out = 1.0
-        for i in range(k):
-            out *= a + i
-        return out
-    # log space to dodge overflow for long products
-    log = 0.0
-    sign = 1.0
-    for i in range(k):
-        v = a + i
-        if v == 0.0:
-            return 0.0
-        log += math.log(abs(v))
         sign = -sign if v < 0 else sign
     return sign * math.exp(log)
 
@@ -282,11 +258,8 @@ def pfq_at_1_batch(sets: list[HypParams]) -> list[SeriesResult]:
         top, bottom = params.top, params.bottom
         if len(top) > len(bottom) + 1:
             raise DivergenceError("series with p > q+1 diverges at nonzero argument")
-        m = params.terminating_order()
-        if m is not None:
-            out[i] = SeriesResult(_sum_terminating(top, bottom, 1.0, m), 0.0, m + 1)
-        elif len(top) <= len(bottom):
-            out[i] = _pfq_series(params, 1.0)  # factorial decay
+        if params.terminating_order() is not None or len(top) <= len(bottom):
+            out[i] = _pfq_series(params, 1.0)  # terminating, or factorial decay
         elif (s := params.margin) <= 0:
             raise DivergenceError(f"convergence margin s={s:.6g} <= 0 at unit argument")
         else:
@@ -358,12 +331,12 @@ _ROW = 128             # x^j = x^(R q) x^r with r < R; J is a multiple of R
 _EDGE = 36.0           # the tail integral leaves ln t for Gauss-Laguerre at lam t = 36
 _EDGE_PANELS = 12      # unit panels in ln t below that point
 _DOUBLINGS = 10        # at least this many panels [2^i - 1, 2^(i+1) - 1] in ln(t/t0) first
-_GL_NODES, _GL_WEIGHTS = roots_legendre(20)
-_LAG_NODES, _LAG_WEIGHTS = roots_laguerre(16)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_LAG_NODES, _LAG_WEIGHTS = np.polynomial.laguerre.laggauss(16)
 # ln Gamma(t+b) - ln Gamma(t+c) = (b-c) ln t + sum_{k=2..6} g_k t^(1-k) + O(t^-6)
 # (DLMF 5.11.8) with g_k = (-1)^k (B_k(b) - B_k(c)) / (k(k-1)) for the Bernoulli
 # polynomials B_k; row k-2 holds the weights of b^m - c^m, m = 0..6, in g_k
-_BERNOULLI = bernoulli(7)
+_BERNOULLI = (1.0, -1 / 2, 1 / 6, 0.0, -1 / 30, 0.0, 1 / 42, 0.0)  # B_0 .. B_7
 _LNGAMMA_K = np.arange(2, 7)
 _LNGAMMA_ROWS = np.array([[(-1) ** k * math.comb(k, m) * _BERNOULLI[k - m] / (k * (k - 1))
                            if m <= k else 0.0 for m in range(7)] for k in _LNGAMMA_K])

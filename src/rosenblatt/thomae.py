@@ -19,9 +19,7 @@ from .specfun import (
     PoleError,
     SeriesResult,
     _GammaProduct,
-    pfq,
     pfq_at_1,
-    pochhammer,
 )
 
 
@@ -164,36 +162,6 @@ def thomae_split(form: ThomaeForm) -> SplitForm:
     if matched:
         raise last_pole if last_pole else PoleError("no pole-free split assignment")
     raise PatternMatchError("split requires a bottom parameter equal to a top parameter plus 1")
-
-
-def shift_negative_bottom(params: HypParams, M: int, x: float) -> float:
-    """Regularized value of a series carrying an extra bottom parameter at -M.
-
-    `params` holds the p+1 top parameters and the remaining p-1 bottom
-    parameters; the -M slot is implied.  Multiplying the (divergent-
-    coefficient) series by 1/Gamma(-M) leaves the finite part
-
-        x^(M+1) prod (a_i)_{M+1} / (Gamma(M+2) prod (b_j)_{M+1})
-        * F(a_i + M+1; M+2, b_j + M+1; x).
-    """
-    if M < 0:
-        raise ValueError("M must be a non-negative integer")
-    coef = x ** (M + 1) / math.gamma(M + 2)
-    for a in params.top:
-        coef *= pochhammer(a, M + 1)
-    if coef == 0.0:
-        return 0.0
-    for b in params.bottom:
-        den = pochhammer(b, M + 1)
-        if den == 0.0:
-            raise PoleError(f"shifted bottom parameter {b} hits a pole within the shift")
-        coef /= den
-    shifted = HypParams(
-        tuple(a + M + 1 for a in params.top),
-        (M + 2.0, *(b + M + 1 for b in params.bottom)),
-    )
-    shifted.validate()
-    return coef * pfq(shifted, x).value
 
 
 def split_4f3_contiguous(params: HypParams) -> tuple[tuple[float, HypParams], tuple[float, HypParams]]:

@@ -42,7 +42,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .quadrature import tanh_sinh
 from .specfun import _J_TABLE, _UNIT, _ETable, _decay_rate, _like, _series_dot
@@ -106,8 +105,8 @@ def _build_e_table(u: np.ndarray, beta: float, p_decay: float, m1: float) -> _ET
     h = 1.0 / (beta - np.arange(-(K - 1), J, dtype=float))
     h[K - 1 + m0] = 0.0
     # a circular convolution of length >= K + J wraps only onto outputs below K - 1
-    m = next_fast_len(K + J, real=True)
-    E = irfft(rfft(a, m) * rfft(h, m), m)[K - 1:K - 1 + J].copy()
+    m = K + J
+    E = np.fft.irfft(np.fft.rfft(a, m) * np.fft.rfft(h, m), m)[K - 1:K - 1 + J].copy()
     E[m0:] += a[:J - m0] / (beta - m0)
 
     # k >= K completion: sum a_k/(k+beta-j), a_k ~ A k^(1-p), is

@@ -2,16 +2,19 @@
 
 Oracles are independent of the implementation paths they check:
 an arbitrary-precision Stirling-series log-Gamma, brute-force partial
-sums, mpmath's hypergeometric evaluator, and adaptive quadrature.
+sums, mpmath's hypergeometric evaluator, adaptive quadrature, and scipy's
+Gauss rules.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as scipy_special
 from scipy.integrate import quad
 
 from rosenblatt import specfun as sf
@@ -98,34 +101,6 @@ class TestGammaRatio:
         fwd = sf.gamma_ratio(a, b)
         rev = sf.gamma_ratio(b, a)
         assert fwd * rev == pytest.approx(1.0, rel=1e-9)
-
-
-class TestPochhammer:
-    def test_empty_product(self):
-        assert sf.pochhammer(2.37, 0) == 1.0
-
-    def test_factorial(self):
-        assert sf.pochhammer(1.0, 5) == 120.0
-
-    def test_half(self):
-        assert sf.pochhammer(0.5, 3) == pytest.approx(1.875, rel=1e-15)
-
-    def test_long_product_log_space(self):
-        # k > 30 goes through the log-space path
-        val = sf.pochhammer(0.5, 40)
-        ref = float(mp.rf(mp.mpf("0.5"), 40))
-        assert val == pytest.approx(ref, rel=1e-12)
-
-    @given(
-        st.floats(min_value=0.05, max_value=4.0),
-        st.integers(min_value=0, max_value=20),
-        st.integers(min_value=0, max_value=20),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_splitting_identity(self, a, m, n):
-        lhs = sf.pochhammer(a, m + n)
-        rhs = sf.pochhammer(a, m) * sf.pochhammer(a + m, n)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 class TestGauss2F1At1:
@@ -364,6 +339,35 @@ class TestPfqAt1Batch:
 
     def test_empty_batch(self):
         assert sf.pfq_at_1_batch([]) == []
+
+
+def _exact_tail_rows():
+    # B_0..B_7 from sum_{j<=m} C(m+1, j) B_j = 0, in exact rationals
+    B = [Fraction(1)]
+    for m in range(1, 8):
+        B.append(-sum(math.comb(m + 1, j) * B[j] for j in range(m)) / (m + 1))
+    rows = [[(-1) ** k * math.comb(k, m) * B[k - m] / (k * (k - 1)) if m <= k else Fraction(0)
+             for m in range(7)] for k in range(2, 7)]
+    omitted = [-math.comb(7, m) * B[7 - m] / 42 for m in range(8)]
+    return {"_LNGAMMA_ROWS": rows, "_OMITTED_ROW": omitted}
+
+
+@pytest.mark.parametrize("name", ["_LNGAMMA_ROWS", "_OMITTED_ROW"])
+def test_tail_expansion_rows_match_exact_bernoulli_numbers(name):
+    got = getattr(sf, name)
+    want = np.array(_exact_tail_rows()[name], dtype=float)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 2e-16 * np.abs(want))
+
+
+@pytest.mark.parametrize("nodes, weights, reference", [
+    ("_GL_NODES", "_GL_WEIGHTS", lambda: scipy_special.roots_legendre(20)),
+    ("_LAG_NODES", "_LAG_WEIGHTS", lambda: scipy_special.roots_laguerre(16)),
+], ids=["legendre-20", "laguerre-16"])
+def test_gauss_rules_match_scipy(nodes, weights, reference):
+    ref_nodes, ref_weights = reference()
+    np.testing.assert_allclose(getattr(sf, nodes), ref_nodes, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(getattr(sf, weights), ref_weights, rtol=1e-12, atol=0)
 
 
 class TestPfq:

@@ -4,7 +4,6 @@ Every transformation is checked by value: both sides evaluated through
 the series engine, which was itself validated against mpmath.
 """
 
-import math
 from dataclasses import replace
 
 import mpmath as mp
@@ -158,41 +157,7 @@ class TestValuePreservationSweep:
             done += 1
 
 
-class TestShiftNegativeBottom:
-    def test_zero_top_parameter_gives_zero(self):
-        params = sf.HypParams((0.7, 0.0, 1.1), (1.9,))
-        assert th.shift_negative_bottom(params, 2, 0.5) == 0.0
-
-    def test_m_zero_matches_regularized_limit(self):
-        top, bottom = (0.7, 1.3, 0.4), (1.9,)
-        val = th.shift_negative_bottom(sf.HypParams(top, bottom), 0, 0.5)
-
-        def regularized(eps):
-            tot = mp.mpf(0)
-            for k in range(0, 250):
-                num = mp.mpf(1)
-                for a in top:
-                    num *= mp.rf(a, k)
-                den = mp.rf(-eps, k) * mp.rf(bottom[0], k) * mp.factorial(k)
-                tot += num / den * mp.mpf("0.5") ** k
-            return float(tot / mp.gamma(-eps))
-
-        v1, v2 = regularized(mp.mpf("1e-4")), regularized(mp.mpf("1e-5"))
-        limit = v2 + (v2 - v1) / 9.0  # Richardson in eps
-        assert val == pytest.approx(limit, abs=1e-8)
-
-    def test_operator_route_chain_step(self):
-        # fixed-top relation onto a -k bottom, regularized by the shift:
-        # 3F2(1,d,2d-2-k; 2-d,2d-1-k; 1)
-        #   = Gamma(2-2d) Gamma(2d-1-k) * (1/Gamma(-k)) 3F2(2-2d,1-d,2d-2-k; -k,2-d; 1)
-        d, k = 0.2, 0
-        lhs = sf.pfq_at_1(sf.HypParams((1.0, d, 2 * d - 2 - k), (2 - d, 2 * d - 1 - k))).value
-        pref = sf.gamma(2 - 2 * d) * sf.gamma(2 * d - 1 - k)
-        rhs = pref * th.shift_negative_bottom(
-            sf.HypParams((2 - 2 * d, 1 - d, 2 * d - 2 - k), (2 - d,)), k, 1.0
-        )
-        assert rhs == pytest.approx(lhs, rel=1e-9)
-
+class TestOperatorRouteChain:
     def test_chain_recovers_closed_sum(self):
         # sum_k w_k 3F2(1,d,2d-2-k;2-d,2d-1-k;1) equals both closed expressions
         d = 0.2
@@ -226,12 +191,6 @@ class TestShiftNegativeBottom:
 
         assert s_hyp == pytest.approx(s_split, rel=1e-11)
         assert s_direct == pytest.approx(s_hyp, abs=5e-8)
-
-
-class TestShiftErrors:
-    def test_negative_m_rejected(self):
-        with pytest.raises(ValueError):
-            th.shift_negative_bottom(sf.HypParams((0.5, 0.7, 1.1), (1.9,)), -1, 0.5)
 
 
 class TestContiguous4F3Split:

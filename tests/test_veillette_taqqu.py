@@ -128,6 +128,17 @@ def tanh_sinh_nodes(levels=4):
     return x, z
 
 
+def test_node_levels_nest_into_the_finest_grid():
+    # levels 0.._MAX_LEVEL together hold each multiple of the finest step once
+    ts = np.concatenate([quadrature._nodes(level) for level in range(quadrature._MAX_LEVEL + 1)])
+    step = 0.5 ** quadrature._MAX_LEVEL
+    k = np.sort(ts) / step
+    assert np.array_equal(k, np.round(k))
+    top = math.ceil(quadrature._T_CAP / step) - 1
+    assert np.array_equal(k, np.arange(-top, top + 1))
+    assert ts.size == 6247
+
+
 def full_series_dot(table, d, x, lam, s):
     """sum_j (d)_j/(s)_j x^j E_j over every tabulated j, plus the fitted law
     summed beyond the table by Euler-Maclaurin around an adaptive integral in ln t."""
@@ -395,12 +406,31 @@ class TestCkViaOperator:
             vt.c_k_via_operator(0, 2, 0.2)
 
 
-def test_import_leaves_scipy_signal_out():
-    # the E tables convolve through scipy.fft; scipy.signal costs ~1 s of import
+def _src_env():
     src = str(Path(rosenblatt.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, rosenblatt; print('scipy.signal' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_import_leaves_scipy_signal_out():
+    # numpy is the only runtime dependency: importing the CLI loads no scipy module
+    code = ("import sys, rosenblatt.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["table"],
+    ["table", "--method", "vt", "--d-grid", "0.3333333333333333,0.25"],
+    ["verify", "--method", "vt"],
+    ["oracle"],
+    ["phi"],
+], ids=["table", "table-vt", "verify-vt", "oracle", "phi"])
+def test_command_runs_with_scipy_blocked(argv):
+    blocked = ("import sys; sys.modules['scipy'] = None; "
+               "from rosenblatt.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", blocked, *argv], env=_src_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
