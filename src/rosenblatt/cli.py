@@ -7,6 +7,8 @@ Report rows are emitted as CSV (columns order,d,value,method,
 error_estimate,seed,n_samples, values at 12 significant digits) or as
 JSON mirroring the report fields.  Exit codes: 0 success / all checks
 pass, 1 computation or verification failure, 2 usage error (argparse's).
+An operator or Monte-Carlo row that cannot be computed fails alone: table
+leaves it out with a stderr line, verify fails that row's check.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .quadrature import QuadratureError
 DEFAULT_GRID = tuple(round(0.05 * i, 2) for i in range(11))
 VERIFY_GRID = (0.0, 0.1, 0.25, 0.4, 0.5)
 ORACLE_GRID = DEFAULT_GRID[:-1]  # the oracle's domain is [0, 0.5): c_k diverges at 0.5
+# what a computation raises for inputs it cannot serve; fails one row, or the command
+_COMPUTATION_ERRORS = (sf.SpecialFunctionError, QuadratureError, ValueError, ArithmeticError)
 
 
 # ---------------------------------------------------------------------------
@@ -132,17 +136,24 @@ def cmd_table(args: argparse.Namespace, stream) -> int:
     closed_grid = args.d_grid if "closed" in methods else [d for d in args.d_grid if d == 0.5]
     closed = {(r.order, r.d): r for r in cu.cumulant_table(closed_grid, args.orders)}
     reports = []
+    failed = 0
     for k in sorted(args.orders):
         for d in sorted(args.d_grid):
             for m in methods if d < 0.5 else ("closed",):
                 if m == "closed":
                     reports.append(closed[k, d])
-                elif m == "vt":
-                    reports.append(_vt_report(k, d))
-                else:
-                    reports.append(_mc_report(k, d, args))
+                    continue
+                # a vt or mc row that raises is left out, with its reason on stderr
+                try:
+                    reports.append(_vt_report(k, d) if m == "vt" else _mc_report(k, d, args))
+                except _COMPUTATION_ERRORS as exc:
+                    failed += 1
+                    print(f"row failed: order {k}, d={d}, method {m}: {exc}", file=sys.stderr)
     write_reports(reports, args.output_format, stream)
-    return 0
+    if failed:
+        print(f"computation failed: {failed} of {failed + len(reports)} rows",
+              file=sys.stderr)
+    return 1 if failed else 0
 
 
 def cmd_oracle(args: argparse.Namespace, stream) -> int:
@@ -269,15 +280,23 @@ def cmd_verify(args: argparse.Namespace, stream) -> int:
 
     # closed vs operator route
     if args.method in ("vt", "all"):
-        dev_by_k = {}
+        dev_by_k, failed_by_k = {}, {}
         for d in interior:
             for k in orders:
-                ck = vt.c_k_via_operator(*_pairing(k), d)
+                try:
+                    ck = vt.c_k_via_operator(*_pairing(k), d)
+                except _COMPUTATION_ERRORS as exc:
+                    failed_by_k.setdefault(k, []).append(f"d={d} failed: {exc}")
+                    continue
                 dev = abs(ck - cu.c_closed(k, d).value)
                 dev_by_k[k] = max(dev_by_k.get(k, 0.0), dev)
-        for k, dev in sorted(dev_by_k.items()):
+        for k in sorted(dev_by_k.keys() | failed_by_k.keys()):
             tol = 1e-4 if k == 5 else 1e-5
-            log.record(f"closed-vs-operator-k{k}", dev <= tol, f"max |diff| = {dev:.3g}")
+            dev = dev_by_k.get(k)
+            failures = failed_by_k.get(k, [])
+            detail = ([] if dev is None else [f"max |diff| = {dev:.3g}"]) + failures
+            log.record(f"closed-vs-operator-k{k}", not failures and dev <= tol,
+                       "; ".join(detail))
 
     # closed vs Monte-Carlo, 3 sigma gates
     if args.method in ("mc", "all"):
@@ -387,7 +406,7 @@ def main(argv=None) -> int:
     buffer = io.StringIO()
     try:
         code = args.run(args, buffer)
-    except (sf.SpecialFunctionError, QuadratureError, ValueError, ArithmeticError) as exc:
+    except _COMPUTATION_ERRORS as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 1
     text = buffer.getvalue()

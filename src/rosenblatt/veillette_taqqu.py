@@ -29,9 +29,11 @@ stays accurate uniformly in x, including exponentially close to the
 endpoints where quadrature nodes land.
 
 The G functions, the series engine and the operator's integrands work
-on whole arrays of quadrature nodes, each with its exact distance to 1,
-so one tanh-sinh level is one call.  A scalar abscissa is the one-node
-case and gets a float back.
+on whole arrays of quadrature nodes, each with its exact distance to 1.
+tanh-sinh hands its first four levels (97 nodes) to one call and each
+later level to one more, so on a route row, which stops by level 3, each
+G is evaluated once.  A scalar abscissa is the one-node case and gets a
+float back.
 """
 
 from __future__ import annotations
@@ -366,8 +368,9 @@ def apply_kernel(f: Callable, d: float, x: float, *, abs_tol: float = 1e-9) -> f
     The interval is split at the kernel point u = x; on each piece the
     tanh-sinh nodes absorb both the |x-u|^(-d) endpoint singularity and
     any integrable singularity of f at 0 or 1.  f(u, one_minus_x=...) is
-    called once per quadrature level with the array of nodes u and their
-    exact distances to 1, so endpoint factors stay accurate.
+    called with whole arrays of nodes u (levels 0-3 in one call, then one
+    call per level) and their exact distances to 1, so endpoint factors
+    stay accurate.
     """
     _check_interior(x)
     z = 1.0 - x
@@ -387,7 +390,8 @@ def c_k_via_operator(mu: int, nu: int, d: float, *, abs_tol: float | None = None
     """c_k = int_0^1 G_mu(x) G_nu(x) dx with mu + nu = k in {2,...,5}.
 
     The order-4 factor is the closed-form assembly g4_closed.  The
-    tolerance defaults to default_abs_tol(k).
+    tolerance defaults to default_abs_tol(k).  A pairing (mu, mu) evaluates
+    G_mu once per node array and squares it.
     """
     k = mu + nu
     if k not in (2, 3, 4, 5) or min(mu, nu) < 1 or max(mu, nu) > 4:
@@ -398,10 +402,11 @@ def c_k_via_operator(mu: int, nu: int, d: float, *, abs_tol: float | None = None
         abs_tol = default_abs_tol(k)
 
     gm = g_function(mu, d)
-    gn = gm if nu == mu else g_function(nu, d)
+    gn = g_function(nu, d)
 
     def integrand(u, dl, dr):
-        return gm(u, one_minus_x=dr) * gn(u, one_minus_x=dr)
+        vm = gm(u, one_minus_x=dr)
+        return vm * (vm if nu == mu else gn(u, one_minus_x=dr))
 
     value, _ = tanh_sinh(integrand, 0.0, 1.0, abs_tol=abs_tol)
     return value

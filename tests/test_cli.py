@@ -124,20 +124,59 @@ class TestTable:
         # at d = 1e-17 the E tables' beta = 2 - 2d rounds to the integer 2
         code = cli.main(["table", "--method", "vt", "--orders", "5", "--d-grid", "1e-17"])
         captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("computation failed:")
+        assert code == 1 and parse_csv(captured.out) == (list(cli.CSV_COLUMNS), [])
+        assert captured.err.splitlines() == [
+            "row failed: order 5, d=1e-17, method vt: E table pole: beta=2.0 is an integer",
+            "computation failed: 1 of 1 rows"]
 
     def test_quadrature_failure_exit_1(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise QuadratureError("tanh-sinh did not reach abs_tol=1e-08 within 9 refinements")
 
         monkeypatch.setattr(vt, "c_k_via_operator", fail)
-        code = cli.main(["table", "--method", "vt", "--orders", "5", "--d-grid", "0.2"])
+        code = cli.main(["table", "--method", "vt", "--orders", "5", "--d-grid", "0.2",
+                         "--format", "json"])
         captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
+        assert code == 1 and json.loads(captured.out) == []
         assert captured.err.splitlines() == [
-            "computation failed: tanh-sinh did not reach abs_tol=1e-08 within 9 refinements"]
+            "row failed: order 5, d=0.2, method vt: "
+            "tanh-sinh did not reach abs_tol=1e-08 within 9 refinements",
+            "computation failed: 1 of 1 rows"]
+
+    def test_one_failing_operator_row_leaves_the_others(self, capsys):
+        # G_1^2 = (1-x)^(-2d)/(1-d) keeps more than 1e-10 of its mass below
+        # tanh-sinh's t-cap from d ~ 0.485, so the k = 2 row at 0.49 fails
+        code = cli.main(["table", "--method", "vt", "--orders", "2,3", "--d-grid", "0.3,0.49"])
+        captured = capsys.readouterr()
+        _, rows = parse_csv(captured.out)
+        assert code == 1
+        assert [(r[0], r[1], r[3]) for r in rows] == [
+            ("2", "0.3", cu.METHOD_VT), ("3", "0.3", cu.METHOD_VT), ("3", "0.49", cu.METHOD_VT)]
+        assert captured.err.splitlines() == [
+            "row failed: order 2, d=0.49, method vt: "
+            "tanh-sinh did not reach abs_tol=1e-10 within 9 refinements",
+            "computation failed: 1 of 4 rows"]
+
+    def test_one_failing_monte_carlo_row_leaves_the_closed_rows(self, capsys, monkeypatch):
+        mc_ck = cli.orc.mc_ck
+
+        def fail_at(k, d, *args, **kwargs):
+            if d == 0.2:
+                raise ValueError("no samples at d=0.2")
+            return mc_ck(k, d, *args, **kwargs)
+
+        monkeypatch.setattr(cli.orc, "mc_ck", fail_at)
+        code = cli.main(["table", "--method", "all", "--orders", "3", "--d-grid", "0.1,0.2",
+                         "--samples", "1000"])
+        captured = capsys.readouterr()
+        _, rows = parse_csv(captured.out)
+        assert code == 1
+        assert [(r[1], r[3]) for r in rows] == [
+            ("0.1", cu.METHOD_CLOSED), ("0.1", cu.METHOD_VT), ("0.1", cu.METHOD_MC),
+            ("0.2", cu.METHOD_CLOSED), ("0.2", cu.METHOD_VT)]
+        assert captured.err.splitlines() == [
+            "row failed: order 3, d=0.2, method mc: no samples at d=0.2",
+            "computation failed: 1 of 6 rows"]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_default_grid_output_equals_the_per_row_path(self, capsys, fmt):
@@ -277,6 +316,22 @@ class TestVerify:
         )
         assert code == 0
         assert out.strip().endswith("0 failing check(s)")
+
+    def test_failing_operator_row_fails_its_check_only(self, capsys):
+        code, out = run_cli(capsys, "verify", "--method", "vt", "--orders", "2,3",
+                            "--d-grid", "0.3,0.49")
+        lines = out.splitlines()
+        assert code == 1
+        k2 = next(line for line in lines if "closed-vs-operator-k2" in line)
+        assert k2.startswith("FAIL closed-vs-operator-k2: max |diff| = ")
+        assert k2.endswith("; d=0.49 failed: "
+                           "tanh-sinh did not reach abs_tol=1e-10 within 9 refinements")
+        # the other checks still run and pass
+        passed = [line.split(":")[0] for line in lines if line.startswith("PASS ")]
+        assert passed == ["PASS region-sum-order-4", "PASS region-sum-order-5",
+                          "PASS thomae-value-preservation", "PASS 4f3-decompositions-agree",
+                          "PASS closed-vs-operator-k3"]
+        assert lines[-1] == "FAILED: 1 failing check(s)"
 
     def test_console_script_entry(self):
         # the subprocess does not see pytest's pythonpath setting

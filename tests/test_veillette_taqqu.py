@@ -139,6 +139,25 @@ def test_node_levels_nest_into_the_finest_grid():
     assert ts.size == 6247
 
 
+G_NAMES = ("g1", "g2", "g3", "g4_closed")
+
+
+@pytest.mark.parametrize("d", [0.01, 0.1, 0.25, 0.3333, 0.45, 0.48])
+@pytest.mark.parametrize("name", ["g2", "g3", "g4_closed"])
+def test_first_sweep_batch_equals_per_level_calls(name, d):
+    # tanh-sinh hands levels 0..3 to the integrand in one call; the G values
+    # must not depend on which other nodes share the array
+    batches = []
+    quadrature.tanh_sinh(lambda x, left, right: batches.append((x, right)) or x, 0.0, 1.0)
+    x, z = batches[0]
+    g = getattr(vt, name)
+    sizes = [len(quadrature._nodes(level)) for level in range(quadrature._FIRST_SWEEP + 1)]
+    edges = np.cumsum([0, *sizes])
+    per_level = np.concatenate([g(x[lo:hi], d, one_minus_x=z[lo:hi])
+                                for lo, hi in zip(edges[:-1], edges[1:])])
+    np.testing.assert_allclose(g(x, d, one_minus_x=z), per_level, rtol=1e-15, atol=0.0)
+
+
 def full_series_dot(table, d, x, lam, s):
     """sum_j (d)_j/(s)_j x^j E_j over every tabulated j, plus the fitted law
     summed beyond the table by Euler-Maclaurin around an adaptive integral in ln t."""
@@ -398,6 +417,20 @@ class TestCkViaOperator:
         u = vt._cum_ratio(1.0, (0.2,), (1.8,), vt._K_WEIGHTS) / (2.0 + np.arange(vt._K_WEIGHTS))
         with pytest.raises(sf.PoleError, match="beta=2.0"):
             vt._build_e_table(u, 2.0, 2.6, 1.0)
+
+    @pytest.mark.parametrize("mu,nu", [(1, 1), (1, 2), (2, 2), (2, 3), (1, 4)])
+    def test_each_g_is_evaluated_once_per_row(self, monkeypatch, mu, nu):
+        # tanh-sinh's first sweep covers every level a route row needs, and
+        # a (mu, mu) pairing squares its one evaluation
+        calls = dict.fromkeys(G_NAMES, 0)
+        for name in G_NAMES:
+            def counted(*args, _name=name, _g=getattr(vt, name), **kwargs):
+                calls[_name] += 1
+                return _g(*args, **kwargs)
+            monkeypatch.setattr(vt, name, counted)
+        vt.c_k_via_operator(mu, nu, 0.3)
+        assert calls == {name: int(name in (G_NAMES[mu - 1], G_NAMES[nu - 1]))
+                         for name in G_NAMES}
 
     def test_unsupported_orders(self):
         with pytest.raises(ValueError):
