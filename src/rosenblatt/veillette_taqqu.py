@@ -14,12 +14,16 @@ The images produce sums of the family
 
 whose inner functions telescope:  2F1(-g, d; 1-g; x)
 = sum_j (d)_j x^j/j! * g/(g-j).  Swapping the sums turns T into
-sum_j c_j(x) E_j with x-independent tables E_j = sum_k u_k g_k/(g_k-j),
-computed once per (d, weight family) by FFT convolution.  Beyond the
-table the E_j follow a fitted inverse-power law.  As d -> 0, beta =
-n - (m+1)d nears an integer and one kernel entry grows like 1/d; it is
-applied exactly, outside the FFT, so the tables keep their digits down
-to d ~ 1e-16, and a beta that rounds to an integer raises PoleError.
+sum_j c_j(x) E_j with x-independent tables E_j = sum_k u_k g_k/(g_k-j).
+Each entry is a 3F2 at unit argument whose parameters shift by one with
+j, so contiguous relations (DLMF 16.4) link neighbours: a table is a few
+directly summed entries and a first-order recurrence in j, built once per
+(d, weight family).  Beyond the table the E_j follow a fitted
+inverse-power law.  As d -> 0, beta = n - (m+1)d nears an integer and the
+entries from j = round(beta) on carry a term that grows like 1/d; the
+recurrence forms its small differences from beta - round(beta), which is
+exact, so the tables keep their digits down to d ~ 1e-16, and a beta
+that rounds to an integer raises PoleError.
 
 Every series the route needs, sum_j (b)_j/(c)_j x^j E_j, is summed by
 the series engine specfun._series_dot.  Every 2F1 in the closed forms has
@@ -51,8 +55,6 @@ from .specfun import (HypParams, ParameterDomainError, PoleError, gamma, gamma_r
                       gauss_2f1_at_1, pfq, pfq_at_1)
 from .specfun import hyp_2f1  # noqa: F401  unused here: perfbench's trace wraps this name
 
-_K_WEIGHTS = 1 << 16   # weight range entering the E tables
-
 
 def _check_interior(x: float) -> None:
     if not (0.0 < x < 1.0):
@@ -77,48 +79,55 @@ def _position(x, one_minus_x) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# E tables: sum_k u_k * g_k/(g_k - j) for integer j
+# E tables: sum_k t_k/(k+beta-j) for integer j
 # ---------------------------------------------------------------------------
 
-def _build_e_table(u: np.ndarray, beta: float, p_decay: float, m1: float) -> _ETable:
-    """Table of E_j = sum_k u_k (k+beta)/(k+beta-j) with a fitted large-j law.
+def _affine_scan(r: np.ndarray, q: np.ndarray, x0: float) -> np.ndarray:
+    """x_1..x_n of x_{i+1} = r_i x_i + q_i from x_0, by a log2(n)-step prefix scan of the maps.
 
-    The k-sum is a correlation against 1/(m+beta), done by FFT; the
-    truncated k-range is completed by the integral comparison (weights
-    decay like k^-p_decay), summed as its series in (j-beta)/K, which
-    converges geometrically since K >= 4J.  On j beyond the table,
-    E_j = -m1/j + c j^(1-p) + c2/j^2 + ...: the leading 1/j
-    coefficient is the exact first moment m1 = sum_k u_k (k+beta); the
+    A cumprod/cumsum quotient would divide by the prefix products, which
+    vanish once some r_i is exactly 0.
+    """
+    r, q = r.copy(), q.copy()
+    step = 1
+    while step < len(r):
+        q[step:] += r[step:] * q[:-step]
+        r[step:] *= r[:-step]
+        step *= 2
+    return r * x0 + q
+
+
+def _build_e_table(beta: float, start: np.ndarray, step: Callable, p_decay: float,
+                   m1: float) -> _ETable:
+    """Table of E_j = sum_k t_k/(k+beta-j), j < J, with a fitted large-j law.
+
+    start holds (beta-j) E_j = sum_k t_k (g)_k/(g+1)_k, g = beta-j, for j < n:
+    sums the series engine takes with the extra pair (g, g+1).  The rest
+    of the table follows from the first-order recurrence
+    (j+1-beta) E_{j+1} = rho_j E_j + f_j, whose rho and f step(gap) returns
+    for j = n-1 .. J-2.  gap(x) is j+x-beta, formed as ((j-m0)+x) - (beta-m0)
+    with m0 = round(beta): beta - m0 is exact, so every difference that
+    vanishes as beta nears an integer keeps its digits and shares the
+    resonance's rounding with the callers' prefactors.  The affine maps are
+    composed by a prefix scan.  An integer beta is a pole of the table.
+
+    On j beyond the table, E_j = -m1/j + c j^(1-p) + c2/j^2 + ...: the
+    leading 1/j coefficient is the exact first moment m1 = sum_k t_k; the
     subleading terms (the k ~ j resonance and the incomplete-moment
     corrections) are fitted over the top three octaves of the table.
-    The kernel entry at m0 = round(beta) (clamped to the table) is applied
-    directly: in the FFT its 1/(beta-m0) would spread rounding of
-    eps/|beta-m0| over every E_j.
     """
-    K = len(u)
-    J = _J_TABLE
-    if K < 4 * J:
-        raise ValueError(f"{K} weights cannot complete a {J}-entry table")
     if beta == round(beta):
         raise PoleError(f"E table pole: beta={beta!r} is an integer")
-    m0 = min(max(round(beta), 0), J - 1)
-    k = np.arange(K)
-    a = u * (k + beta)
-    h = 1.0 / (beta - np.arange(-(K - 1), J, dtype=float))
-    h[K - 1 + m0] = 0.0
-    # a circular convolution of length >= K + J wraps only onto outputs below K - 1
-    m = K + J
-    E = np.fft.irfft(np.fft.rfft(a, m) * np.fft.rfft(h, m), m)[K - 1:K - 1 + J].copy()
-    E[m0:] += a[:J - m0] / (beta - m0)
-
-    # k >= K completion: sum a_k/(k+beta-j), a_k ~ A k^(1-p), is
-    # int_Kh^inf A t^-q/(t-(j-beta)) dt = A Kh^-q sum_n r^n/(q+n), r = (j-beta)/Kh
-    r = (np.arange(J) - beta) / (K - 0.5)
-    q = p_decay - 1.0
-    series = np.zeros(J)
-    for n in range(math.ceil(math.log(1e-17) / math.log(J / (K - 0.5))), -1, -1):
-        series = 1.0 / (q + n) + r * series
-    E += a[-1] * ((K - 1) / (K - 0.5)) ** q * series
+    J = _J_TABLE
+    m0 = round(beta)
+    off = beta - m0
+    n = len(start)
+    jm = np.arange(n - 1 - m0, J - 1 - m0, dtype=float)
+    rho, f = step(lambda x: (jm + x) - off)
+    den = (jm + 1.0) - off
+    E = np.empty(J)
+    E[:n] = start / (beta - np.arange(n))
+    E[n:] = _affine_scan(rho / den, f / den, E[n - 1])
 
     exps = [-2.0, -3.0]
     for cand in (1.0 - p_decay, -p_decay):
@@ -135,28 +144,25 @@ def _build_e_table(u: np.ndarray, beta: float, p_decay: float, m1: float) -> _ET
 # weight families
 # ---------------------------------------------------------------------------
 
-def _cum_ratio(first: float, num: tuple[float, ...], den: tuple[float, ...],
-               K: int) -> np.ndarray:
-    """w_0 = first, w_{k+1} = w_k * prod(num+k)/prod(den+k)."""
-    k = np.arange(K - 1, dtype=float)
-    r = np.ones(K - 1)
-    for a in num:
-        r *= a + k
-    for b in den:
-        r /= b + k
-    out = np.empty(K)
-    out[0] = first
-    np.cumprod(r, out=out[1:])
-    out[1:] *= first
-    return out
-
-
 def _moment_table(a: float, b: float, c: float, beta: float, p_decay: float) -> _ETable:
-    """E table of the weights (a)_k (b)_k / ((c)_k k! (k+beta)), decaying like
-    k^-p_decay (p_decay = c-a-b+2); their first moment is Gauss's 2F1(a, b; c; 1)."""
-    K = _K_WEIGHTS
-    u = _cum_ratio(1.0, (a, b), (c, 1.0), K) / (beta + np.arange(K))
-    return _build_e_table(u, beta, p_decay, gauss_2f1_at_1(a, b, c))
+    """E table of t_k = (a)_k (b)_k / ((c)_k k!), decaying like k^-p_decay (p_decay = c-a-b+2).
+
+    Summation by parts on t_{k+1} (c+k)(1+k) = t_k (a+k)(b+k) gives
+    (j+1-beta) E_{j+1} = [(j+a-beta)(j+b-beta) E_j - (c-a-b) S]/(j+c-beta)
+    with S = sum_k t_k = 2F1(a, b; c; 1) (Gauss), the first moment.  The
+    entries up to the first step whose j+c-beta reaches 1 are summed
+    directly, (beta-j) E_j = 3F2(a, b, beta-j; c, beta-j+1; 1), in one
+    series-engine call on the unit table.
+    """
+    s = gauss_2f1_at_1(a, b, c)
+    shifts = beta - np.arange(max(1, math.ceil(2.0 - (c - beta))))
+    sets = np.array([((a, 1.0), (b, c), (g, g + 1.0)) for g in shifts.tolist()])
+
+    def step(gap):
+        den = gap(c)
+        return gap(a) * gap(b) / den, -(c - a - b) * s / den
+
+    return _build_e_table(beta, _series_dot(_UNIT, sets, 1.0, 0.0), step, p_decay, s)
 
 
 # An image family ((b0, b1), n, m) is that of K[u^(c-1) 2F1(1, b; c; u)],
@@ -167,18 +173,38 @@ _G2_FAMILY = ((0, 1), 2, 1)
 
 @lru_cache(maxsize=64)
 def _family_table(d: float, family) -> _ETable:
-    """E table of an image family, or of "i2", that of the image of the _G2_FAMILY sum."""
+    """E table of an image family, or of "i2", that of the image of the _G2_FAMILY sum.
+
+    i2 is E_j = sum_k (d)_k/k! E'_k/(k+1-d-j) over the _G2_FAMILY table E'.
+    E' obeys its own recurrence in k, (k+d) E'_(k+1) = (k+3d-2) E'_k
+    - (1-d)/(k+2d-1), and summing it against (d)_k/k! by parts gives
+    (j+d) E_{j+1} = (j+4d-3) E_j + (1-d) D_j.  D_j is the divided difference
+    (phi_j - phi(2d-1))/(2-3d-j) of phi(s) = sum_k (d)_k/k!/(k+s)
+    = Gamma(s) Gamma(1-d)/Gamma(1-d+s) at phi_j = phi(1-d-j), so
+    phi_j = phi_0 prod_{i<j} (i+2d-1)/(i+d) and phi(2d-1) = -phi_0/(2 cos pi d);
+    D_1, 0/0 at d = 1/3, is its convergent series
+    -sum_k (d)_k/k!/((k-d)(k+2d-1)).
+    """
     if family == "i2":
-        # (d)_j / (j! (1-d+j)) * E_j against the beta = 1-d family; the weights
-        # run on past the _G2_FAMILY table with its fitted law
         inner = _family_table(d, _G2_FAMILY)
-        w = _cum_ratio(1.0, (d,), (1.0,), _K_WEIGHTS) / (1 - d + np.arange(_K_WEIGHTS))
-        jj = np.arange(len(inner.E), _K_WEIGHTS, dtype=float)
-        law = sum(coef * jj**e for e, coef in zip(inner.tail_exponents, inner.tail_coefs))
-        u = w * np.concatenate([inner.E, law])
-        m1 = _series_dot(inner, ((d, 1.0),), 1.0, 0.0)
+        beta = 1.0 - d
+        m1, e0 = _series_dot(inner, np.array([((d, 1.0), (1.0, 1.0)),
+                                              ((d, 1.0), (beta, beta + 1.0))]), 1.0, 0.0)
+        d1 = _series_dot(_UNIT, ((d, 1.0), (-d, 1 - d), (2 * d - 1, 2 * d)), 1.0, 0.0) / (
+            d * (2 * d - 1))
+        phi0 = gamma(1 - d) ** 2 / gamma(2 - 2 * d)
+        i = np.arange(_J_TABLE - 2, dtype=float)
+        phi = phi0 * np.concatenate([[1.0], np.cumprod(((i - 1) + 2 * d) / (i + d))])
+
+        def step(gap):
+            span = gap(2 * d - 1)  # j-2+3d
+            span[1] = 1.0  # j = 1 takes D_1's series instead
+            dq = (-phi0 / (2 * math.cos(math.pi * d)) - phi) / span
+            dq[1] = d1
+            return gap(3 * d - 2), (1 - d) * dq
+
         # dominant decay: j^(d-1)/j/j = 3-d
-        return _build_e_table(u, 1.0 - d, 3.0 - d, m1)
+        return _build_e_table(beta, np.array([e0]), step, 3.0 - d, m1)
     (b0, b1), n, m = family
     # beta and the decay straight from d: as c - d, beta would keep only c's digits of d near 0
     return _moment_table(1.0, b0 + b1 * d, n - m * d, n - (m + 1) * d,

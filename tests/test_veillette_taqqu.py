@@ -14,6 +14,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma, poch
 
@@ -85,6 +87,14 @@ class TestGFunctions:
     def test_g4_small_d_continuity(self):
         for x in (0.3, 0.7):
             assert vt.g4_closed(x, 1e-6) == pytest.approx(1.0, abs=1e-4)
+
+    @pytest.mark.parametrize("d", [0.3, 0.45])
+    @pytest.mark.parametrize("z", [1e-4, 1e-8, 1e-12])
+    def test_g3_near_one_equals_operator_image_of_g2(self, z, d):
+        # the sums there run deep into the E table and its large-j law
+        x = 1.0 - z
+        ref = vt.apply_kernel(vt.g_function(2, d), d, x, abs_tol=1e-13)
+        assert vt.g3(x, d, one_minus_x=1.0 - x) == pytest.approx(ref, rel=1e-11)
 
     def test_g4_equals_operator_image_of_g3(self):
         d, x = 0.25, 0.5
@@ -180,6 +190,35 @@ def full_series_dot(table, d, x, lam, s):
     return main + integral + f(J) / 2 - (f(J + h) - f(J - h)) / (2 * h) / 12
 
 
+def e_table_reference(a, b, c, beta, j_hyp, j_max):
+    """E_j = sum_k (a)_k (b)_k/((c)_k k!)/(k+beta-j), j <= j_max, in 20-digit mpmath.
+
+    Up to j_hyp each entry is mpmath's 3F2(a, b, s; c, s+1; 1)/s at s = beta-j.
+    At a = 1 it is first taken by Thomae's relation to
+    Gamma(s) Gamma(c-b)/Gamma(c-b+s) 3F2(c-1, s, c-b; c, c-b+s; 1), a series of
+    margin 1: the direct one has margin c-1-b, 0.1 for the _G2_FAMILY at
+    d = 0.45, where mpmath's hyp3f2 at 30 digits is itself 1.2e-11 off at
+    j = 100.  Past j_hyp the entries follow from the recurrence
+    (j+1-beta) E_{j+1} = [(j+a-beta)(j+b-beta) E_j - (c-a-b) 2F1(a, b; c; 1)]/(j+c-beta)
+    run in mpmath from the last 3F2 value (each further 3F2 costs about a second).
+    """
+    with mpmath.workdps(20):
+        a, b, c, beta = (mpmath.mpf(v) for v in (a, b, c, beta))
+        out = []
+        for j in range(j_hyp + 1):
+            s = beta - j
+            if a == 1:
+                out.append(mpmath.gamma(s) * mpmath.gamma(c - b) / mpmath.gamma(c - b + s)
+                           * mpmath.hyp3f2(c - 1, s, c - b, c, c - b + s, 1))
+            else:
+                out.append(mpmath.hyp3f2(a, b, s, c, s + 1, 1) / s)
+        gauss = (c - a - b) * mpmath.gammaprod([c, c - a - b], [c - a, c - b])
+        for j in range(j_hyp, j_max):
+            out.append(((j + a - beta) * (j + b - beta) * out[-1] - gauss)
+                       / ((j + c - beta) * (j + 1 - beta)))
+        return [float(v) for v in out]
+
+
 class TestNodeArrays:
     @pytest.mark.parametrize("d", [0.0, 0.25, 0.45])
     @pytest.mark.parametrize("name", ["g1", "g2", "g3", "g4_closed"])
@@ -206,15 +245,23 @@ class TestNodeArrays:
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
         assert got[0] == table.E[0]
 
-    @pytest.mark.parametrize("d", [0.1, 0.3, 0.45])
-    def test_e_table_completion_is_independent_of_the_weight_count(self, d):
-        # the k >= K completion must stand in for the weights past K: four times
-        # as many weights leave E_j alone, up to the completion's O(1/K) terms
-        K = vt._K_WEIGHTS
-        u = vt._cum_ratio(1.0, (d, 2 - 2 * d), (2 - d, 3 - 2 * d), 4 * K)
-        short = vt._build_e_table(u[:K], 2 - 2 * d, 3 - 2 * d, 1.0).E
-        long = vt._build_e_table(u, 2 - 2 * d, 3 - 2 * d, 1.0).E
-        np.testing.assert_allclose(short, long, rtol=0.0, atol=1e-10)
+    @pytest.mark.parametrize("d", [0.05, 0.3, 0.45])
+    @pytest.mark.parametrize("family", [vt._G2_FAMILY, ((0, 1), 3, 2), ((-1, 2), 2, 1), "a=0.7"],
+                             ids=str)
+    def test_e_table_entries_match_mpmath(self, family, d):
+        # E_j = 3F2(a, b, beta-j; c, beta-j+1; 1)/(beta-j) on either side of the resonance
+        # j = m0 = round(beta) and far past it; "a=0.7" is a kernel_hyp2f1_moment table
+        if family == "a=0.7":
+            a, b, c, beta = 0.7, 0.3, 2.0, 1 - d + 1.4
+            table = vt._moment_table(a, b, c, beta, c - a - b + 2)
+        else:
+            (b0, b1), n, m = family
+            a, b, c, beta = 1.0, b0 + b1 * d, n - m * d, n - (m + 1) * d
+            table = vt._family_table(d, family)
+        m0 = round(beta)
+        ref = e_table_reference(a, b, c, beta, m0 + 1, 1000)
+        for j in sorted({0, 1, m0 - 1, m0, m0 + 1, 100, 1000}):
+            assert abs(table.E[j] / ref[j] - 1) <= 1e-12, (j, table.E[j], ref[j])
 
     @pytest.mark.parametrize("bottom", [1.0, 2 - 0.3])
     @pytest.mark.parametrize("z", [1e-8, 1e-6, 1e-4])
@@ -413,10 +460,39 @@ class TestCkViaOperator:
         d = 1 / 3 + offset
         assert vt.c_k_via_operator(1, 4, d) == pytest.approx(cu.c_closed(5, d).value, rel=1e-10)
 
+    def test_affine_scan_matches_the_loop(self):
+        # the prefix scan reassociates the products and sums of x_{i+1} = r_i x_i + q_i;
+        # an exact zero r_i restarts the chain
+        rng = np.random.default_rng(7)
+        r, q = rng.uniform(-1.5, 1.5, 300), rng.uniform(-1.0, 1.0, 300)
+        r[[17, 140]] = 0.0
+        x, loop = 0.75, []
+        for ri, qi in zip(r, q):
+            x = ri * x + qi
+            loop.append(x)
+        np.testing.assert_allclose(vt._affine_scan(r, q, 0.75), loop, rtol=1e-13, atol=1e-15)
+
     def test_e_table_at_integer_beta_is_a_pole(self):
-        u = vt._cum_ratio(1.0, (0.2,), (1.8,), vt._K_WEIGHTS) / (2.0 + np.arange(vt._K_WEIGHTS))
         with pytest.raises(sf.PoleError, match="beta=2.0"):
-            vt._build_e_table(u, 2.0, 2.6, 1.0)
+            vt._moment_table(1.0, 0.2, 1.8, 2.0, 2.6)
+
+    def test_e_tables_are_built_without_an_fft(self, monkeypatch):
+        # every table of one d, the i2 one included, comes from its recurrence in j
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.fft reached by an E-table build")
+
+        for name in np.fft.__all__:
+            monkeypatch.setattr(np.fft, name, refuse)
+        vt._family_table.cache_clear()
+        for family in (vt._G2_FAMILY, ((0, 1), 3, 2), ((-1, 2), 2, 1), "i2"):
+            assert np.isfinite(vt._family_table(0.2371, family).E).all()
+
+    @given(st.floats(min_value=1e-9, max_value=0.45), st.sampled_from([(1, 2), (2, 2), (2, 3)]))
+    @settings(max_examples=12, deadline=None)
+    def test_balanced_pairings_match_the_closed_form(self, d, pairing):
+        mu, nu = pairing
+        assert vt.c_k_via_operator(mu, nu, d) == pytest.approx(
+            cu.c_closed(mu + nu, d).value, rel=1e-12)
 
     @pytest.mark.parametrize("mu,nu", [(1, 1), (1, 2), (2, 2), (2, 3), (1, 4)])
     def test_each_g_is_evaluated_once_per_row(self, monkeypatch, mu, nu):
