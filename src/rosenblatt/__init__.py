@@ -23,7 +23,7 @@ from .cumulants import (
     kappa_from_c,
     sigma,
 )
-from .oracle import MCEstimate, RegionSpec, mc_ck, mc_region, quad_c3, region_catalog
+from .oracle import MCEstimate, RegionSpec, mc_ck, mc_region, region_catalog
 from .quadrature import QuadratureError, tanh_sinh
 from .specfun import (
     DivergenceError,
@@ -77,7 +77,7 @@ __all__ = [
     "gamma_ratio", "gauss_2f1_at_1", "hyp_2f1", "kappa", "kappa_from_c",
     "kernel_hyp2f1_moment", "kernel_one_minus_power", "log_gamma", "mc_ck",
     "mc_region", "pfq_at_1", "product_binomial_integral",
-    "prudnikov_product_integral", "quad_c3", "region_catalog", "sigma",
+    "prudnikov_product_integral", "region_catalog", "sigma",
     "split_4f3_alternative", "split_4f3_contiguous", "tanh_sinh",
     "thomae_fixed_top", "thomae_full", "thomae_split",
 ]

@@ -128,26 +128,6 @@ def c4_region(i: int, d: float) -> float:
     raise ValueError("order-4 region index must be 1, 2 or 3")
 
 
-def c4_region3_alt(d: float) -> float:
-    """Region 3 by the product-of-2F1 route: two terms carrying Gamma(2d-1).
-
-    Interior d only; equals c4_region(3, d).
-    """
-    d = _check_d(d, open_interval=True)
-    t1 = (
-        gamma(3 - 4 * d) * gamma(1 - d) ** 2 * gamma(2 - 2 * d)
-        * gamma_ratio(2 * d - 1, d)
-        / (gamma(5 - 4 * d) * gamma(3 - 3 * d))
-    )
-    f = _f32((2 * d - 1, d, 1.0), (2 * d, 2 - d))
-    t2 = (
-        gamma(3 - 4 * d) * gamma_ratio(2 * d - 1, 2 * d)
-        / ((1 - d) * gamma(5 - 4 * d))
-        * f.value
-    )
-    return t1 - t2
-
-
 def _c4_families(d: float):
     """The (top, bottom) parameters of the one 3F2 in c_4."""
     return (((2 - 2 * d, 1.0, d), (3 - 2 * d, 2 - d)),)

@@ -1,14 +1,14 @@
 """Ground-truth numerics for the cumulant factors.
 
 Plain Monte-Carlo estimation of the cyclic singular integral over the
-unit hypercube and of each ordered-simplex region integral, plus nested
-adaptive quadrature for the order-3 factor.  The integrands are integrable
-for d < 0.5, but their squares are not everywhere: where all k points
-coincide the squared order-k integrand behaves like r^(-2dk) in k-1
-transverse dimensions, so an order-k estimator has finite variance only
-for d < (k-1)/(2k).  Beyond that the standard error is not an error bar;
-the estimators warn there.  Importance sampling is deliberately omitted
-so the oracle stays auditable.
+unit hypercube and of each ordered-simplex region integral.  The
+integrands are integrable for d < 0.5, but their squares are not
+everywhere: where all k points coincide the squared order-k integrand
+behaves like r^(-2dk) in k-1 transverse dimensions, so an order-k
+estimator has finite variance only for d < (k-1)/(2k).  Beyond that the
+standard error is not an error bar; the estimators warn there.
+Importance sampling is deliberately omitted so the oracle stays
+auditable.
 
 Each sample takes one power of a product, not one power per factor: the
 k distances |x_i - x_j|, each clamped below at 2^-53, are multiplied and
@@ -17,26 +17,41 @@ least 2^(-53 g), a normal double only for g <= 19, so larger k takes one
 power per group of at most 19 factors.  The region sampler orders each
 sample's k uniforms descending with a compare-exchange network
 (np.maximum/np.minimum over the columns), which moves values exactly as
-np.sort does.  Both integrands work through a chunk in row blocks that
-stay in cache.
+np.sort does.
+
+Samples come in chunks of 2^20 rows of k uniforms, and each chunk in
+blocks of 2^14 rows.  The unit of work is a contiguous run of a chunk's
+blocks: each chunk is cut into min(workers, blocks) runs, and the runs
+of all chunks share one thread pool.  A run reaches its first row of the
+chunk's stream with Philox.advance and fills one reused (2^14, k)
+buffer block by block, so a worker holds that buffer (640 kB at k = 5)
+and the integrand's block-length scratch, never a chunk-length array.
 
 Reproducibility contract: streams come from the Philox 4x64 counter-based
 generator, seeded per chunk through SeedSequence(seed, spawn_key=(chunk,)),
-and chunk results are reduced in fixed index order.  Estimates are
-bit-identical for a given (seed, n) regardless of worker count.
+and the (sum, sum of squares) of every block is reduced in block order:
+a balanced binary tree within a chunk, then chunk by chunk.  Estimates
+are bit-identical for a given (seed, n) regardless of worker count.
+Versions that summed whole chunks drew the same samples; their means
+are the same when n is a multiple of 2^20 and otherwise differ by at
+most about 2 ulps, from the summation order alone.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from .quadrature import tanh_sinh
 
 _CHUNK = 1 << 20
+# Rows per block: a block's k columns and the integrand's scratch stay in
+# cache, where chunk-length columns would stream through memory on every
+# ufunc.  A multiple of 4, so every block starts on a Philox counter step.
+_BLOCK = 1 << 14
 _EPS_CLAMP = 2.0**-53  # guards the measure-zero coincidence |x_i - x_j| = 0
 
 
@@ -89,27 +104,72 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     )
 
 
-def _run_chunks(sampler, n: int, seed: int, workers: int | None) -> tuple[float, float]:
-    """Accumulate (sum, sum of squares) over chunks, reduced in index order."""
-    sizes = [(i, min(_CHUNK, n - i * _CHUNK)) for i in range((n + _CHUNK - 1) // _CHUNK)]
+def _rng_at(seed: int, chunk: int, row: int, k: int) -> np.random.Generator:
+    """The chunk's generator, moved to row `row` of its (m, k) uniform array.
 
-    def one(args):
-        idx, m = args
-        vals = sampler(_chunk_rng(seed, idx), m)
-        total = float(vals.sum())
-        return total, float(np.square(vals, out=vals).sum())
+    Philox gives four 64-bit draws per counter step and `random` takes one
+    per double, so row * k must be a multiple of 4.
+    """
+    steps, rest = divmod(row * k, 4)
+    if rest:
+        raise ValueError(f"row {row} of a {k}-column stream is not on a Philox counter step")
+    rng = _chunk_rng(seed, chunk)
+    rng.bit_generator.advance(steps)
+    return rng
 
-    if workers is None or workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, sizes))
+
+def _default_workers() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # sched_getaffinity is not on every platform
+        return os.cpu_count() or 1
+
+
+def _run_blocks(integrand, k: int, n: int, seed: int,
+                workers: int | None) -> tuple[float, float]:
+    """(sum, sum of squares) of integrand over n rows of k uniforms.
+
+    Each chunk's blocks are cut into min(workers, blocks) contiguous runs.
+    The block sums of a chunk are added as a balanced binary tree, in
+    block order, and the chunk sums in chunk order, so the result is the
+    same for any worker count.  np.sum adds a 2^20-row array by the same
+    tree above 2^14 rows, so a full chunk sums as it did when whole.
+    """
+    workers = _default_workers() if workers is None else workers
+    if workers < 1:
+        raise ValueError("workers must be positive")
+    runs = []  # (chunk, rows in chunk, first block, stop block)
+    sums = []  # per chunk, the (sum, sum of squares) of each block
+    for chunk in range((n + _CHUNK - 1) // _CHUNK):
+        m = min(_CHUNK, n - chunk * _CHUNK)
+        blocks = (m + _BLOCK - 1) // _BLOCK
+        parts = min(workers, blocks)
+        cuts = [blocks * p // parts for p in range(parts + 1)]
+        runs += [(chunk, m, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        sums.append(np.empty((blocks, 2)))
+
+    def run(args):
+        chunk, m, lo, hi = args
+        rng = _rng_at(seed, chunk, lo * _BLOCK, k)
+        buf = np.empty((_BLOCK, k))
+        for block in range(lo, hi):
+            x = buf[:min(_BLOCK, m - block * _BLOCK)]
+            rng.random(out=x)
+            vals = integrand(x)
+            sums[chunk][block] = vals.sum(), np.square(vals, out=vals).sum()
+
+    if workers == 1 or len(runs) == 1:
+        for r in runs:
+            run(r)
     else:
-        results = [one(s) for s in sizes]
-    total = 0.0
-    total_sq = 0.0
-    for s, s2 in results:  # fixed order: bit-identical for any worker count
-        total += s
-        total_sq += s2
-    return total, total_sq
+        with ThreadPoolExecutor(max_workers=min(workers, len(runs))) as pool:
+            list(pool.map(run, runs))
+    total = np.zeros(2)
+    for part in sums:
+        while len(part) > 1:
+            part = np.concatenate([part[:-1:2] + part[1::2], part[len(part) & ~1:]])
+        total += part[0]
+    return float(total[0]), float(total[1])
 
 
 def _finish(total: float, total_sq: float, n: int, seed: int) -> MCEstimate:
@@ -179,20 +239,6 @@ def _distance_power(pairs: list[tuple[np.ndarray, np.ndarray]], d: float) -> np.
     return result
 
 
-# Rows per integrand pass: a block's k columns and the network's scratch
-# stay in cache, where whole-chunk columns would stream through memory on
-# every ufunc.
-_BLOCK = 1 << 14
-
-
-def _by_blocks(integrand, x: np.ndarray, *args) -> np.ndarray:
-    """integrand(x, *args), evaluated on row blocks of x."""
-    out = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], _BLOCK):
-        out[start:start + _BLOCK] = integrand(x[start:start + _BLOCK], *args)
-    return out
-
-
 def _cyclic_integrand(x: np.ndarray, d: float) -> np.ndarray:
     """The c_k integrand prod_i |x_i - x_{i+1}|^(-d) (indices mod k) at the
     rows of the (m, k) uniform array x."""
@@ -210,15 +256,18 @@ def _region_integrand(x: np.ndarray, factor_pairs, d: float) -> np.ndarray:
 
 
 def mc_ck(k: int, d: float, n: int, seed: int, workers: int | None = None) -> MCEstimate:
-    """Plain Monte-Carlo estimate of the cyclic integral c_k over [0,1]^k."""
+    """Plain Monte-Carlo estimate of the cyclic integral c_k over [0,1]^k.
+
+    `workers` threads share the sampling; None means one per CPU this
+    process may run on (os.sched_getaffinity).  With one worker, or when n
+    fits in one block of 2^14 rows, it runs in the caller's thread, with no
+    pool.  The estimate is the same for every worker count.
+    """
     if k < 2:
         raise ValueError("order k must be >= 2")
     _check_domain(k, d, n)
-
-    def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
-        return _by_blocks(_cyclic_integrand, rng.random((m, k)), d)
-
-    return _finish(*_run_chunks(sampler, n, seed, workers), n, seed)
+    sums = _run_blocks(lambda x: _cyclic_integrand(x, d), k, n, seed, workers)
+    return _finish(*sums, n, seed)
 
 
 def mc_region(spec: RegionSpec, d: float, n: int, seed: int,
@@ -229,46 +278,12 @@ def mc_region(spec: RegionSpec, d: float, n: int, seed: int,
     the simplex; the estimator averages the integrand, one power of the
     product of clamped differences (per group of at most 19 factors), over
     the ordered samples and divides by k! (the simplex volume) last.
+    `workers` is as in mc_ck.
     """
     _check_domain(spec.k, d, n)
-
-    def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
-        return _by_blocks(_region_integrand, rng.random((m, spec.k)), spec.factor_pairs, d)
-
-    return _finish(*_run_chunks(sampler, n, seed, workers), n, seed)
-
-
-def quad_c3(d: float, abs_tol: float = 1e-9) -> float:
-    """c_3 by nested adaptive quadrature of the ordered triple integral.
-
-    The scalings y_2 = y_1 u, y_3 = y_1 u v absorb the coincidence
-    singularities into the endpoints:
-
-        c_3 = 6/(3-3d) * int u^(1-d) (1-u)^(-d) int (1-v)^(-d) (1-uv)^(-d) dv du.
-
-    Both levels refine double-exponential rules until the tolerance is
-    met; the inner integrand receives 1-u through the outer node's exact
-    endpoint distance, so the doubly-singular corner u, v -> 1 is stable.
-    """
-    if not (0.0 <= d < 0.5):
-        raise ValueError("quad_c3 requires 0 <= d < 0.5")
-
-    def inner(eps: float, u: float) -> float:
-        if eps == 0.0:
-            return 1.0 / (1.0 - 2.0 * d)  # int (1-v)^(-2d) dv
-        val, _ = tanh_sinh(
-            lambda v, lv, rv: rv ** (-d) * (eps + u * rv) ** (-d),
-            0.0, 1.0, abs_tol=abs_tol / 50.0,
-        )
-        return val
-
-    def outer(u, lu, ru):
-        return np.array([
-            ui ** (1.0 - d) * ri ** (-d) * inner(ri, ui) for ui, ri in zip(u, ru)
-        ])
-
-    val, err = tanh_sinh(outer, 0.0, 1.0, abs_tol=abs_tol / 3.0)
-    return 6.0 / (3.0 - 3.0 * d) * val
+    sums = _run_blocks(lambda x: _region_integrand(x, spec.factor_pairs, d),
+                       spec.k, n, seed, workers)
+    return _finish(*sums, n, seed)
 
 
 def region_catalog() -> tuple[RegionSpec, ...]:

@@ -79,10 +79,6 @@ class TestOrderFourRegions:
             total = 8.0 * sum(cu.c4_region(i, d) for i in (1, 2, 3))
             assert total == pytest.approx(cu.c4_closed(d).value, abs=1e-8)
 
-    def test_alternative_region3_route(self):
-        for d in (0.2, 0.35):
-            assert cu.c4_region3_alt(d) == pytest.approx(cu.c4_region(3, d), abs=1e-8)
-
     def test_bad_index(self):
         with pytest.raises(ValueError):
             cu.c4_region(4, 0.2)

@@ -1,7 +1,8 @@
-"""Tests for the Monte-Carlo and quadrature ground-truth layer."""
+"""Tests for the Monte-Carlo ground-truth layer."""
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -58,11 +59,6 @@ class TestMcCk:
         a = orc.mc_ck(4, 0.3, 200_000, seed=7)
         b = orc.mc_ck(4, 0.3, 200_000, seed=7)
         assert a == b
-
-    def test_thread_count_invariance(self):
-        a = orc.mc_ck(5, 0.3, 300_000, seed=99, workers=1)
-        b = orc.mc_ck(5, 0.3, 300_000, seed=99, workers=4)
-        assert a.mean == b.mean and a.std_error == b.std_error
 
     def test_convergence_scaling(self):
         # quadrupling n halves the standard error within 20%
@@ -129,6 +125,49 @@ class TestMcRegion:
         assert abs(total - whole.mean) <= spread
 
 
+class TestBlockedSampling:
+    @pytest.mark.parametrize("row", [1 << 14, 3 << 14, 40_000])
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_a_run_draws_the_chunk_stream_from_its_row(self, row, k):
+        m = 1 << 16
+        want = orc._chunk_rng(21, 1).random((m, k))[row:]
+        got = orc._rng_at(21, 1, row, k).random((m - row, k))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_a_row_off_the_counter_step_is_refused(self):
+        with pytest.raises(ValueError, match="counter step"):
+            orc._rng_at(21, 0, 2, 5)
+
+    # one chunk cut into 64 blocks, and a full chunk plus a partial block
+    @pytest.mark.parametrize("n", [1_000_000, (1 << 20) + 12345])
+    def test_thread_count_invariance(self, n):
+        spec = orc.region_catalog()[5]
+        ck = [orc.mc_ck(5, 0.3, n, seed=99, workers=w) for w in (1, 2, 3, 4)]
+        region = [orc.mc_region(spec, 0.3, n, seed=99, workers=w) for w in (1, 2, 3, 4)]
+        assert all(e == ck[0] for e in ck) and all(e == region[0] for e in region)
+
+    def test_a_full_chunk_sums_as_one_array(self):
+        n, d = 1 << 20, 0.3
+        vals = orc._cyclic_integrand(orc._chunk_rng(4, 0).random((n, 3)), d)
+        want = orc._finish(vals.sum(), np.square(vals).sum(), n, 4)
+        assert orc.mc_ck(3, d, n, seed=4, workers=2) == want
+
+    @pytest.mark.parametrize("region", [False, True])
+    def test_memory_stays_at_block_size(self, region):
+        # a whole chunk of k = 5 uniforms alone would take 40 MB
+        spec = orc.region_catalog()[4]
+        tracemalloc.start()
+        try:
+            if region:
+                orc.mc_region(spec, 0.3, (1 << 20) + 1, seed=6, workers=2)
+            else:
+                orc.mc_ck(5, 0.3, (1 << 20) + 1, seed=6, workers=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
 def _reference_cyclic(x, d):
     """The cyclic integrand as k powers, one per clamped distance."""
     k = x.shape[1]
@@ -191,15 +230,3 @@ class TestIntegrands:
             ref = orc._finish(want.sum(), np.square(want).sum(), n, seed)
             assert est.mean == pytest.approx(ref.mean, rel=1e-14), (k, spec)
 
-
-class TestQuadC3:
-    def test_d_zero(self):
-        assert orc.quad_c3(0.0) == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("d,tol", [(0.25, 1e-7), (0.4, 1e-6)])
-    def test_matches_closed_form(self, d, tol):
-        assert orc.quad_c3(d) == pytest.approx(cu.c3_closed(d), abs=tol)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            orc.quad_c3(0.5)
