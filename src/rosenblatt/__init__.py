@@ -36,7 +36,6 @@ from .specfun import (
     gamma_ratio,
     gauss_2f1_at_1,
     hyp_2f1,
-    log_gamma,
     pfq_at_1,
     product_binomial_integral,
     prudnikov_product_integral,
@@ -75,7 +74,7 @@ __all__ = [
     "c5_region", "c_closed", "c_k_via_operator", "characteristic_function",
     "cumulant_table", "g1", "g2", "g3", "g4_closed", "g_function",
     "gamma_ratio", "gauss_2f1_at_1", "hyp_2f1", "kappa", "kappa_from_c",
-    "kernel_hyp2f1_moment", "kernel_one_minus_power", "log_gamma", "mc_ck",
+    "kernel_hyp2f1_moment", "kernel_one_minus_power", "mc_ck",
     "mc_region", "pfq_at_1", "product_binomial_integral",
     "prudnikov_product_integral", "region_catalog", "sigma",
     "split_4f3_alternative", "split_4f3_contiguous", "tanh_sinh",

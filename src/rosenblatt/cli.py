@@ -4,9 +4,10 @@ Monte-Carlo oracle runs, and characteristic-function evaluation.
 argparse is the only configuration layer: each flag's type converts
 and checks its value, and the subcommands read the parsed namespace.
 Report rows are emitted as CSV (columns order,d,value,method,
-error_estimate,seed,n_samples, values at 12 significant digits) or as
-JSON mirroring the report fields.  Exit codes: 0 success / all checks
-pass, 1 computation or verification failure, 2 usage error (argparse's).
+error_estimate,seed,n_samples, values at 12 significant digits, d too
+unless they miss its float) or as JSON mirroring the report fields.
+Exit codes: 0 success / all checks pass, 1 computation or verification
+failure, 2 usage error (argparse's).
 An operator or Monte-Carlo row that cannot be computed fails alone: table
 leaves it out with a stderr line, verify fails that row's check.
 """
@@ -49,6 +50,10 @@ def _fmt(value) -> str:
     return f"{value:.12g}"
 
 
+def _fmt_d(d) -> str:  # 12 digits where they read back to the same float, in full otherwise
+    return _fmt(d) if float(_fmt(d)) == d else repr(float(d))
+
+
 def write_reports(reports: list[cu.CumulantReport], fmt: str, stream) -> None:
     if fmt == "json":
         payload = [
@@ -70,7 +75,7 @@ def write_reports(reports: list[cu.CumulantReport], fmt: str, stream) -> None:
     for r in reports:
         writer.writerow([
             r.order,
-            _fmt(r.d),
+            _fmt_d(r.d),
             _fmt(r.value),
             r.method,
             _fmt(r.error_estimate),
@@ -195,7 +200,7 @@ def cmd_phi(args: argparse.Namespace, stream) -> int:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(("d", "theta", "real", "imag", "diverged"))
         for d, t, re, im, flag in rows:
-            writer.writerow([_fmt(d), _fmt(t), _fmt(re), _fmt(im), int(flag)])
+            writer.writerow([_fmt_d(d), _fmt(t), _fmt(re), _fmt(im), int(flag)])
     return 0
 
 

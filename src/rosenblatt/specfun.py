@@ -394,9 +394,9 @@ def _series_tail(table: _ETable, sets: np.ndarray, w_J: np.ndarray, lam: np.ndar
     absolute error of an ulp of 1, a relative error of eps/s in a
     tail-dominated sum.
 
-    sets is (N, pairs, 2) and w_J (N,); the result is (N, len(lam)).  A set
-    whose integrand falls faster gets zero-width panels where a slower
-    one still has panels.
+    sets is (N, pairs, 2) and w_J (N,); the result is (N, len(lam)).  Only
+    the (set, node, panel) triples of nonzero width are integrated, each
+    summed back to its (set, node) in panel order, as it would be alone.
     """
     J = len(table.E)
     t0 = J - 0.5
@@ -408,23 +408,22 @@ def _series_tail(table: _ETable, sets: np.ndarray, w_J: np.ndarray, lam: np.ndar
     expo = -1.0 - s  # w_j ~ j^expo
     g = _power_sums(sets, np.arange(7.0)) @ _LNGAMMA_ROWS.T
     ln_wJ = expo * math.log(J) + g @ float(J) ** (1 - _LNGAMMA_K)
-    # per-set values against (set, node, panel, point) arrays
-    g_col, s_col, expo_col, ln_wJ_col = (v[..., None, None, None] for v in (g.T, s, expo, ln_wJ))
+    N, M = len(sets), len(lam)
 
-    def terms(ln_t, power, shift):
-        """w(t)/w_J t^(power + e) e^shift for each law exponent e (leading axis)."""
+    def terms(k, ln_t, power, shift):
+        """w(t)/w_J t^(power + e) e^shift per law exponent e (leading axis); row r is set k[r]'s."""
         inv = np.exp(-ln_t)
-        ratio = g_col[-1]
-        for gk in g_col[-2::-1]:
+        g_row = g[k].T[..., None]
+        ratio = g_row[-1]
+        for gk in g_row[-2::-1]:
             ratio = gk + inv * ratio
-        ratio = power * ln_t + inv * ratio - ln_wJ_col
+        ratio = power[k, None] * ln_t + inv * ratio - ln_wJ[k, None]
         return np.exp(np.multiply.outer(exps, ln_t) + (ratio + shift))
 
     def weigh(weights, by_exponent):
         """sum over the law's exponents (leading axis) with the given weights."""
         return (weights @ by_exponent.reshape(len(weights), -1)).reshape(by_exponent.shape[1:])
 
-    lam = lam[None, :, None]
     ln_lam = np.log(lam)
     # panel edges in u per set and node: doublings clipped at u_edge - 12, then unit steps
     # to u_edge; past u = 42/r the slowest law term, t f(t) ~ e^(-r u), is below e^-42
@@ -432,34 +431,35 @@ def _series_tail(table: _ETable, sets: np.ndarray, w_J: np.ndarray, lam: np.ndar
     u_max = np.max(u_end, where=u_end < np.inf, initial=0.0)
     doublings = max(_DOUBLINGS, math.ceil(math.log2(u_max + 1.0)))
     u_edge = np.minimum(math.log(_EDGE) - ln_lam - ln_t0, 2.0**doublings - 1.0 + _EDGE_PANELS)
-    u_lo = u_edge - _EDGE_PANELS
+    u_lo = (u_edge - _EDGE_PANELS)[:, None]
     edges = np.minimum(np.concatenate([
         np.minimum(2.0 ** np.arange(doublings + 1) - 1.0, np.maximum(u_lo, 0.0)),
         np.maximum(u_lo + np.arange(1, _EDGE_PANELS + 1), 0.0),
-    ], axis=2), u_end[:, None, None])
-    lo, half = edges[..., :-1], 0.5 * np.diff(edges, axis=2)
-    used = (half > 0.0).any(axis=(0, 1))
-    lo, half = lo[..., used, None], half[..., used, None]
-    ln_t = ln_t0 + lo + half * (_GL_NODES + 1.0)
-    lam_t = np.exp(ln_lam[..., None] + ln_t)
-    law = weigh(coefs, terms(ln_t, -s_col, -lam_t))  # Jacobian t: t^expo t = t^-s
-    panels = np.sum(law * half * _GL_WEIGHTS, axis=(2, 3))
+    ], axis=1), u_end[:, None, None])
+    half = 0.5 * np.diff(edges, axis=2)
+    k, i, p = np.nonzero(half > 0.0)
+    half = half[k, i, p, None]
+    ln_t = ln_t0 + edges[k, i, p, None] + half * (_GL_NODES + 1.0)
+    lam_t = np.exp(ln_lam[i, None] + ln_t)
+    law = weigh(coefs, terms(k, ln_t, -s, -lam_t))  # Jacobian t: t^expo t = t^-s
+    panels = np.bincount(k * M + i, np.sum(law * half * _GL_WEIGHTS, axis=1), N * M)
 
     # beyond the panels: t = t_g + v/lam with lam t_g = max(36, lam t0), dt = dv/lam
-    live = lam[0, :, 0] > 0.0
-    beyond = np.zeros_like(panels)
+    beyond = np.zeros(N * M)
+    k_all, i_all = np.divmod(np.arange(N * M), M)
+    live = lam[i_all] > 0.0
     if live.any():
-        lam_tg = np.maximum(_EDGE, lam[:, live, :, None] * t0)
-        ln_lam_live = ln_lam[:, live, :, None]
-        ln_t = np.log(lam_tg + _LAG_NODES) - ln_lam_live
-        law = weigh(coefs, terms(ln_t, expo_col, -lam_tg - ln_lam_live))
-        beyond[:, live] = (law @ _LAG_WEIGHTS)[..., 0]
+        k, i = k_all[live], i_all[live]
+        lam_tg = np.maximum(_EDGE, lam[i, None] * t0)
+        ln_t = np.log(lam_tg + _LAG_NODES) - ln_lam[i, None]
+        law = weigh(coefs, terms(k, ln_t, expo, -lam_tg - ln_lam[i, None]))
+        beyond[live] = np.sum(law * _LAG_WEIGHTS, axis=1)  # not @: BLAS rounds by row count
 
     # Euler-Maclaurin correction f'(t0)/24, with f'/f = (ln w)' - lam + e/t
-    at_t0 = terms(np.full_like(lam[..., None], ln_t0), expo_col, -lam[..., None] * t0)[..., 0, 0]
-    slope = (expo / t0 + g @ ((1 - _LNGAMMA_K) * t0 ** -_LNGAMMA_K))[:, None] - lam[0, :, 0]
+    at_t0 = terms(k_all, np.full((N * M, 1), ln_t0), expo, -lam[i_all, None] * t0)[..., 0]
+    slope = (expo / t0 + g @ ((1 - _LNGAMMA_K) * t0 ** -_LNGAMMA_K))[k_all] - lam[i_all]
     df0 = weigh(coefs, at_t0) * slope + weigh(coefs * exps / t0, at_t0)
-    return w_J[:, None] * (panels + beyond + df0 / 24.0)
+    return w_J[:, None] * (panels + beyond + df0 / 24.0).reshape(N, M)
 
 
 def _pair_weights(sets: np.ndarray, n: int) -> np.ndarray:
@@ -484,9 +484,9 @@ def _series_dot(table: _ETable, pairs, x, lam):
     pair (a, 1), so ((b, c), (a, 1)) on the unit table (E_j = 1) is
     2F1(a, b; c; x), and pairs for every top and bottom parameter at
     lam = 0 sum a (q+1)Fq at unit argument.  pairs is one set of pairs, or
-    an (N, pairs, 2) array of N sets that share the table, summed at one
-    scalar x and lam; the result is then an (N,) array.  Terms past j = 60/lam are
-    dropped, so the sum runs to the longest such cut-off among the nodes.
+    an (N, pairs, 2) array of N sets that share the table, each set's row
+    as that set sums alone: (N,) at a scalar x and lam, (N, M) at M nodes.  Terms past
+    j = 60/lam are dropped, so the sum runs to the longest cut-off of the nodes.
     For 2F1(1, b; c; x), |w_j| <= 1 (c > b, and c > |b| when b < 0) and
     the dropped terms are below e^-60; for 2F1(a, b; c; x) they are about
     60^q e^-60 / q! of the sum, q = a + b - c - 1, 1e-12 near
@@ -519,7 +519,7 @@ def _series_dot(table: _ETable, pairs, x, lam):
     need = n_terms == J
     if need.any():
         out[:, need] += _series_tail(table, sets, w[:, J], lams[need])
-    return out[:, 0] if batch else _like(out[0], x)
+    return (out if np.ndim(x) else out[:, 0]) if batch else _like(out[0], x)
 
 
 # ---------------------------------------------------------------------------

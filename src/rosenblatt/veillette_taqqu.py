@@ -30,7 +30,10 @@ the series engine specfun._series_dot.  Every 2F1 in the closed forms has
 a = 1, so 2F1(1, b; c; x) is the same sum over the unit table E_j = 1
 (with no special case where c - b - 1 is an integer), and each evaluation
 stays accurate uniformly in x, including exponentially close to the
-endpoints where quadrature nodes land.
+endpoints where quadrature nodes land.  A G sums its 2F1 pieces in one
+batch on the unit table, and the linear tables and laws fold G_4's three
+family sums at the pair (d, 1) into one "g4" table: G_3 is two engine
+calls, G_4 three.
 
 The G functions, the series engine and the operator's integrands work
 on whole arrays of quadrature nodes, each with its exact distance to 1.
@@ -166,14 +169,28 @@ def _moment_table(a: float, b: float, c: float, beta: float, p_decay: float) -> 
 
 
 # An image family ((b0, b1), n, m) is that of K[u^(c-1) 2F1(1, b; c; u)],
-# b = b0 + b1 d and c = n - m d; kernel_one_minus_power(p)'s 2F1 piece is
-# ((-p, p+1), 2, 1), and G_2's is the p = 0 one.
+# b = b0 + b1 d and c = n - m d, its front piece is of family ((b0, b1), n+1, m+1),
+# kernel_one_minus_power(p)'s 2F1 piece is ((-p, p+1), 2, 1), G_2's is the p = 0
+# one, and G_3's are the front of G_2's image and kernel_one_minus_power(1)'s.
 _G2_FAMILY = ((0, 1), 2, 1)
+_G3_PIECES = (((0, 1), 3, 2), ((-1, 2), 2, 1))
+
+
+def _piece(family, d: float) -> tuple[float, float]:
+    """(b, c) of the family's 2F1(1, b; c; x)."""
+    (b0, b1), n, m = family
+    return b0 + b1 * d, n - m * d
+
+
+def _unit_sum(d: float, pieces, xs: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """sum of w x^(c-1) 2F1(1, b; c; x), c-1 = (n-1) - m d, over (w, family) pieces: one call."""
+    values = _series_dot(_UNIT, np.array([[_piece(f, d)] for _, f in pieces]), xs, lam)
+    return sum(w * xs ** ((n - 1) - m * d) * v for (w, (_, n, m)), v in zip(pieces, values))
 
 
 @lru_cache(maxsize=64)
 def _family_table(d: float, family) -> _ETable:
-    """E table of an image family, or of "i2", that of the image of the _G2_FAMILY sum.
+    """E table of an image family, of "i2", that of the image of the _G2_FAMILY sum, or of "g4".
 
     i2 is E_j = sum_k (d)_k/k! E'_k/(k+1-d-j) over the _G2_FAMILY table E'.
     E' obeys its own recurrence in k, (k+d) E'_(k+1) = (k+3d-2) E'_k
@@ -184,7 +201,19 @@ def _family_table(d: float, family) -> _ETable:
     phi_j = phi_0 prod_{i<j} (i+2d-1)/(i+d) and phi(2d-1) = -phi_0/(2 cos pi d);
     D_1, 0/0 at d = 1/3, is its convergent series
     -sum_k (d)_k/k!/((k-d)(k+2d-1)).
+
+    "g4" is G_4's family sums at the pair (d, 1) in one table: the _G3_PIECES
+    and i2 tables, built uncached and weighted as G_4 weighs them, laws and all.
     """
+    if family == "g4":
+        r = (1 - d) ** -1.5
+        parts = [(w, _family_table.__wrapped__(d, f)) for w, f in zip(
+            (_image_prefactor(d, 2, 1) * r, _power_weight(0, d) * r, r), (*_G3_PIECES, "i2"))]
+        law = {}
+        for w, t in parts:
+            for e, coef in zip(t.tail_exponents, t.tail_coefs):
+                law[e] = law.get(e, 0.0) + w * coef
+        return _ETable(sum(w * t.E for w, t in parts), tuple(law), tuple(law.values()))
     if family == "i2":
         inner = _family_table(d, _G2_FAMILY)
         beta = 1.0 - d
@@ -207,8 +236,7 @@ def _family_table(d: float, family) -> _ETable:
         return _build_e_table(beta, np.array([e0]), step, 3.0 - d, m1)
     (b0, b1), n, m = family
     # beta and the decay straight from d: as c - d, beta would keep only c's digits of d near 0
-    return _moment_table(1.0, b0 + b1 * d, n - m * d, n - (m + 1) * d,
-                         n + 1 - b0 - (m + b1) * d)
+    return _moment_table(1.0, *_piece(family, d), n - (m + 1) * d, n + 1 - b0 - (m + b1) * d)
 
 
 # ---------------------------------------------------------------------------
@@ -247,61 +275,52 @@ def _image_prefactor(d: float, n: int, m: int) -> float:
     return gamma(1 - d) * (gamma(n - m * d) / gamma(n + 1 - (m + 1) * d) + _pole_ratio(d, n, m))
 
 
-def _image(family, d: float, xs: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """K[u^(c-1) 2F1(1, b; c; u)] for the image family ((b0, b1), n, m).
-
-    kernel_hyp2f1_moment at a = 1, e = c - 1: the 3F2 collapses to
-    x^(c-d) 2F1(1, b; c+1-d; x), the piece of family ((b0, b1), n+1, m+1).
-    """
-    (b0, b1), n, m = family
-    return (
-        _image_prefactor(d, n, m) * xs ** (n - (m + 1) * d)
-        * _series_dot(_UNIT, ((b0 + b1 * d, n + 1 - (m + 1) * d),), xs, lam)
-        + _series_dot(_family_table(d, family), ((d, 1.0),), xs, lam)
-    )
-
-
 def _power_weight(p: int, d: float) -> float:
     """B(1-d, (p+1)(1-d)), the weight of (1-x)^((p+1)-(p+2)d) in kernel_one_minus_power(p)."""
     return gamma(1 - d) * gamma((p + 1) * (1 - d)) / gamma((p + 2) * (1 - d))
 
 
+def _one_minus_power(p: int, d: float, z: np.ndarray):
+    """kernel_one_minus_power(p)'s power of 1-x, and the (weight, family) of its 2F1 piece."""
+    return _power_weight(p, d) * z ** ((p + 1) - (p + 2) * d), (1 / (1 - d), ((-p, p + 1), 2, 1))
+
+
 def g3(x, d: float, one_minus_x=None):
     """G_3 = K(G_2): the images of G_2's 2F1 piece and of its power of 1-x.
 
-    At d = 0, K is the identity on constants (and the tables' beta are
-    integers), so that point is returned exactly.
+    A power of 1-x, the _G2_FAMILY sum and the two _G3_PIECES, these in
+    one unit-table call.  At d = 0, K is the identity on constants (and
+    the tables' beta are integers), so that point is returned exactly.
     """
     xs, z = _position(x, one_minus_x)
     if d == 0.0:
         return _like(np.ones_like(xs), x)
-    return _like(
-        _image(_G2_FAMILY, d, xs, _decay_rate(xs, z)) / (1 - d) ** 1.5
-        + _power_weight(0, d) / math.sqrt(1 - d) * kernel_one_minus_power(1, d, xs, z),
-        x,
-    )
+    lam, r, w = _decay_rate(xs, z), (1 - d) ** -1.5, _power_weight(0, d) / math.sqrt(1 - d)
+    power, (v, piece) = _one_minus_power(1, d, z)
+    unit = _unit_sum(d, [(_image_prefactor(d, 2, 1) * r, _G3_PIECES[0]), (w * v, piece)], xs, lam)
+    return _like(unit + w * power
+                 + r * _series_dot(_family_table(d, _G2_FAMILY), ((d, 1.0),), xs, lam), x)
 
 
 def g4_closed(x, d: float, one_minus_x=None):
     """G_4 = K(G_3), piece by piece as g3 writes G_3.
 
-    The family sum of G_3's first image has the i2 image, aggregated over
-    the _G2_FAMILY table into one more E-table sum.
+    The _G3_PIECES' images are two front pieces and two family sums, the
+    _G2_FAMILY sum's is i2 (a _G2_FAMILY sum at (d, 2-d) and the "i2"
+    table's), the power's is kernel_one_minus_power(2): one unit-table call
+    for the three pieces, one "g4" call for the sums at (d, 1), three in all.
     """
     xs, z = _position(x, one_minus_x)
     if d == 0.0:
         return _like(np.ones_like(xs), x)
-    lam = _decay_rate(xs, z)
-    i2 = (
-        xs ** (1 - d) / (1 - d) * _series_dot(_family_table(d, _G2_FAMILY), ((d, 2 - d),), xs, lam)
-        + _series_dot(_family_table(d, "i2"), ((d, 1.0),), xs, lam)
-    )
-    first = (_image_prefactor(d, 2, 1) * _image(((0, 1), 3, 2), d, xs, lam) + i2) / (1 - d) ** 1.5
-    power = (
-        _image(((-1, 2), 2, 1), d, xs, lam) / (1 - d)
-        + _power_weight(1, d) * kernel_one_minus_power(2, d, xs, z)
-    )
-    return _like(first + _power_weight(0, d) / math.sqrt(1 - d) * power, x)
+    lam, r, w = _decay_rate(xs, z), (1 - d) ** -1.5, _power_weight(0, d) / math.sqrt(1 - d)
+    p21, w1 = _image_prefactor(d, 2, 1), w * _power_weight(1, d)
+    power, (v, piece) = _one_minus_power(2, d, z)
+    unit = _unit_sum(d, [(p21 * _image_prefactor(d, 3, 2) * r, ((0, 1), 4, 3)),
+                         (w * p21 / (1 - d), ((-1, 2), 3, 2)), (w1 * v, piece)], xs, lam)
+    i2 = xs ** (1 - d) / (1 - d) * _series_dot(_family_table(d, _G2_FAMILY), ((d, 2 - d),), xs, lam)
+    return _like(unit + w1 * power + r * i2
+                 + _series_dot(_family_table(d, "g4"), ((d, 1.0),), xs, lam), x)
 
 
 @dataclass(frozen=True)
@@ -372,11 +391,8 @@ def kernel_one_minus_power(p: int, d: float, x, one_minus_x=None):
     if not (0.0 <= d <= 0.5):
         raise ParameterDomainError("requires 0 <= d <= 0.5")
     xs, z = _position(x, one_minus_x)
-    return _like(
-        _power_weight(p, d) * z ** ((p + 1) - (p + 2) * d) + xs ** (1 - d) / (1 - d)
-        * _series_dot(_UNIT, (((p + 1) * d - p, 2 - d),), xs, _decay_rate(xs, z)),
-        x,
-    )
+    power, piece = _one_minus_power(p, d, z)
+    return _like(power + _unit_sum(d, [piece], xs, _decay_rate(xs, z)), x)
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,19 @@ class TestTable:
         assert code == 0 and len(parse_csv(out)[1]) == 33
         assert batches == [66] and len(engine) == 1
 
+    def test_d_prints_as_computed(self, capsys):
+        # 0.499999999999999 reads back as 0.5 from 12 digits, so it prints in full
+        code, out = run_cli(capsys, "table", "--orders", "3", "--d-grid", "0.499999999999999,0.3")
+        assert code == 0 and [row[1] for row in parse_csv(out)[1]] == ["0.3", "0.499999999999999"]
+        code, out = run_cli(capsys, "phi", "--d-grid", "0.499999999999999", "--theta-grid", "0.5")
+        assert code == 0 and parse_csv(out)[1][0][0] == "0.499999999999999"
+
+    def test_default_grid_d_column_is_unchanged(self, capsys):
+        # every default d reads back from 12 digits, so it keeps that form: 0, not 0.0
+        code, out = run_cli(capsys, "table")
+        grid = ["0", "0.05", "0.1", "0.15", "0.2", "0.25", "0.3", "0.35", "0.4", "0.45", "0.5"]
+        assert code == 0 and [row[1] for row in parse_csv(out)[1]] == grid * 3
+
     def test_csv_round_trip(self, capsys):
         code, out = run_cli(capsys, "table", "--orders", "3,4", "--d-grid", "0.1,0.3")
         reports = cli.read_reports_csv(io.StringIO(out))

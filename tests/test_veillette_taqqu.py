@@ -152,14 +152,19 @@ def test_node_levels_nest_into_the_finest_grid():
 G_NAMES = ("g1", "g2", "g3", "g4_closed")
 
 
+def first_sweep_nodes():
+    """The 97 nodes tanh-sinh hands to the integrand's first call, and their distances to 1."""
+    batches = []
+    quadrature.tanh_sinh(lambda x, left, right: batches.append((x, right)) or x, 0.0, 1.0)
+    return batches[0]
+
+
 @pytest.mark.parametrize("d", [0.01, 0.1, 0.25, 0.3333, 0.45, 0.48])
 @pytest.mark.parametrize("name", ["g2", "g3", "g4_closed"])
 def test_first_sweep_batch_equals_per_level_calls(name, d):
     # tanh-sinh hands levels 0..3 to the integrand in one call; the G values
     # must not depend on which other nodes share the array
-    batches = []
-    quadrature.tanh_sinh(lambda x, left, right: batches.append((x, right)) or x, 0.0, 1.0)
-    x, z = batches[0]
+    x, z = first_sweep_nodes()
     g = getattr(vt, name)
     sizes = [len(quadrature._nodes(level)) for level in range(quadrature._FIRST_SWEEP + 1)]
     edges = np.cumsum([0, *sizes])
@@ -272,6 +277,53 @@ class TestNodeArrays:
         lam = -math.log1p(-z)
         assert vt._series_dot(table, ((d, bottom),), 1.0 - z, lam) == pytest.approx(
             full_series_dot(table, d, 1.0 - z, lam, bottom), rel=1e-12)
+
+    @pytest.mark.parametrize("d", [0.05, 0.25, 0.45])
+    def test_node_array_batch_equals_per_set_calls(self, d):
+        # each set's row of an (N, M) batch is what that set sums alone, to the bit
+        x, z = first_sweep_nodes()
+        lam = sf._decay_rate(x, z)
+        unit = np.array([[pair(d)] for pair in ROUTE_2F1])
+        family = np.array([[(d, 1.0)], [(d, 2 - d)], [(d, 1.5)]])
+        for table, sets in ((vt._UNIT, unit), (vt._family_table(d, vt._G2_FAMILY), family)):
+            got = vt._series_dot(table, sets, x, lam)
+            assert got.shape == (len(sets), len(x))
+            assert np.array_equal(got, [vt._series_dot(table, s, x, lam) for s in sets])
+
+    def test_series_tail_on_a_node_array_equals_one_node_calls(self):
+        # lam = 0 has no cut-off, lam near 60/J cuts the sum off at the table's end,
+        # and 1e-300 puts the cut-off where t itself would overflow
+        J = sf._J_TABLE
+        table = vt._family_table(0.3, vt._G2_FAMILY)
+        sets = np.array([[(0.3, 1.0)], [(0.3, 1.7)], [(0.3, 2.4)]])
+        w_J = sf._pair_weights(sets, J)[:, J]
+        lam = np.array([0.0, 60 / J, 60 / J * (1 - 1e-12), 60 / J * (1 + 1e-9), 1e-300, 1e-8])
+        one = [sf._series_tail(table, sets, w_J, lam[i:i + 1])[:, 0] for i in range(len(lam))]
+        assert np.array_equal(sf._series_tail(table, sets, w_J, lam), np.transpose(one))
+
+    @pytest.mark.parametrize("d", [1e-9, 0.05, 0.25, 1 / 3 - 1e-12, 1 / 3 + 1e-12, 0.45, 0.49])
+    def test_g4_table_sums_its_weighted_parts(self, d):
+        # tables and laws are linear; the two sides round 16384-term sums in different
+        # orders, and a single table's sum moves by up to ~2e-15 with the node array alone
+        x, z = first_sweep_nodes()
+        lam = sf._decay_rate(x, z)
+        r = (1 - d) ** -1.5
+        weights = (vt._image_prefactor(d, 2, 1) * r, vt._power_weight(0, d) * r, r)
+        parts = [w * vt._series_dot(vt._family_table.__wrapped__(d, f), ((d, 1.0),), x, lam)
+                 for w, f in zip(weights, (((0, 1), 3, 2), ((-1, 2), 2, 1), "i2"))]
+        got = vt._series_dot(vt._family_table(d, "g4"), ((d, 1.0),), x, lam)
+        assert np.all(np.abs(got - sum(parts)) <= 4e-15 * sum(np.abs(p) for p in parts))
+
+    @pytest.mark.parametrize("name,most", [("g3", 2), ("g4_closed", 3)])
+    def test_series_engine_calls_per_g(self, monkeypatch, name, most):
+        # once the tables of d are built, a G is one unit-table batch and its family sums
+        x, z = first_sweep_nodes()
+        g = getattr(vt, name)
+        g(x, 0.3, one_minus_x=z)
+        calls, dot = [], vt._series_dot
+        monkeypatch.setattr(vt, "_series_dot", lambda *args: calls.append(args) or dot(*args))
+        g(x, 0.3, one_minus_x=z)
+        assert 0 < len(calls) <= most
 
 
 # the 2F1(1, b; c; x) pieces of G_2..G_4 and kernel_one_minus_power
