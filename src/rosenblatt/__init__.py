@@ -50,7 +50,6 @@ from .thomae import (
     thomae_split,
 )
 from .veillette_taqqu import (
-    GFunction,
     apply_kernel,
     c_k_via_operator,
     g1,
@@ -66,7 +65,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CharacteristicFunctionValue", "CumulantReport", "DivergenceError",
-    "DomainError", "GFunction", "HypParams", "MCEstimate",
+    "DomainError", "HypParams", "MCEstimate",
     "NonConvergenceError", "ParameterDomainError", "PoleError",
     "QuadratureError", "RegionSpec", "SeriesResult", "SpecialFunctionError",
     "SplitForm", "ThomaeForm", "apply_kernel",

@@ -118,7 +118,7 @@ def _pairing(k: int) -> tuple[int, int]:
 
 def _vt_report(k: int, d: float) -> cu.CumulantReport:
     abs_tol = vt.default_abs_tol(k)
-    c_k = vt.c_k_via_operator(*_pairing(k), d, abs_tol=abs_tol)
+    c_k = vt.c_k_via_operator(*_pairing(k), d)
     # 100 tolerances: a stated bound, not the quadrature's own error estimate
     return cu.CumulantReport(
         k, d, cu.kappa_from_c(k, d, c_k), cu.METHOD_VT, cu.kappa_from_c(k, d, abs_tol * 100),

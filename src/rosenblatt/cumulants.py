@@ -24,6 +24,7 @@ from .specfun import (
     _EPS,
     HypParams,
     ParameterDomainError,
+    PoleError,
     SeriesResult,
     gamma,
     gamma_ratio,
@@ -148,8 +149,7 @@ def c4_closed(d: float) -> SeriesResult:
 
     Equivalently kappa_4 = 12(1-2d)^2/((1-d)(3-4d)) * bracket.
     """
-    d = _check_d(d)
-    return _c4_assemble(d, [_f32(*family) for family in _c4_families(d)])
+    return c_closed(4, d)
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +163,17 @@ def c5_region(i: int, d: float, *, region3_variant: str = "corrected") -> float:
     """Closed form of ordered-simplex region i (1..12) of the order-5 integral.
 
     Regions 6 and 12 require 0 < d < 0.5 (Gamma(2d-1) poles at both
-    endpoints).  Region 3's second term is printed with denominator
-    Gamma(6-5d)^2 in the source; the Monte-Carlo oracle selects the
-    "corrected" reading Gamma(6-5d)Gamma(4-4d), under which the term is
-    exactly the region-2 value.  The rejected reading stays available as
-    region3_variant="printed".
+    endpoints).  They keep their digits down to d ~ 1e-16: Gamma(2d-1)/Gamma(2d)
+    is written 1/(2d-1), Gamma(2d-1)/Gamma(d) as
+    Gamma(1+2d)/(2(2d-1)Gamma(1+d)), and 3F2(1, d, 2d-1; 2-d, 2d; 1) as
+    1 + (2d-1)/(2(2-d)) 3F2(1, 2d, d+1; 3-d, 2d+1; 1), which takes the
+    factor d/(2d) = 1/2 of every later term exactly.  Within 1e-13 of
+    d = 0.5 their 1/(2d-1) terms cancel to noise, and they raise PoleError.
+
+    Region 3's second term is printed with denominator Gamma(6-5d)^2 in
+    the source; the Monte-Carlo oracle selects the "corrected" reading
+    Gamma(6-5d)Gamma(4-4d), under which the term is exactly the region-2
+    value.  The rejected reading stays available as region3_variant="printed".
     """
     if region3_variant not in REGION3_VARIANTS:
         raise ValueError(f"unknown region3_variant {region3_variant!r}")
@@ -197,14 +203,18 @@ def c5_region(i: int, d: float, *, region3_variant: str = "corrected") -> float:
     if i in (5, 10):
         f = pfq_at_1(HypParams((1.0, d, 2 - 2 * d, 3 - 3 * d), (2 - d, 3 - 2 * d, 4 - 4 * d)))
         return g1d / (2 * (1 - d) ** 2) * g33 * g45 / (g44 * g65) * f.value
-    if i == 6:
-        f1 = _f32((1.0, d, 2 * d - 1), (2 - d, 2 * d))
+    if i in (6, 12):
+        if 1 - 2 * d < 1e-13:
+            raise PoleError(f"Gamma(2d-1) of region {i} is not cancelled at d={d}")
+        f = _f32((1.0, 2 * d, d + 1), (3 - d, 2 * d + 1))
+        f1 = 1 + (2 * d - 1) / (2 * (2 - d)) * f.value
+        front = g1d / (1 - d) / (2 * d - 1) * g33 * g45 / (g65 * g44) * f1
+        back = (g1d**3 * g45 / (g44 * g65) * g22 * gamma_ratio(1 + 2 * d, 1 + d)
+                / (2 * (2 * d - 1)))
+        if i == 12:
+            return back - front
         f3 = _f32((1.0, d, 3 - 3 * d), (2 - d, 4 - 3 * d))
-        return (
-            g1d / (1 - d) * gamma_ratio(2 * d - 1, 2 * d) * g33 * g45 / (g65 * g44) * f1.value
-            - g1d**3 * g45 / (g44 * g65) * g22 * gamma_ratio(2 * d - 1, d)
-            + g1d**2 / (3 * (1 - d) ** 2) * g45 / (g65 * g22) * f3.value
-        )
+        return front - back + g1d**2 / (3 * (1 - d) ** 2) * g45 / (g65 * g22) * f3.value
     if i == 7:
         f1 = _f32((1.0, d, 2 - 2 * d), (2 - d, 3 - 2 * d))
         f2 = pfq_at_1(HypParams((1.0, d, 2 - 2 * d, 3 - 3 * d), (2 - d, 3 - 2 * d, 4 - 4 * d)))
@@ -221,12 +231,6 @@ def c5_region(i: int, d: float, *, region3_variant: str = "corrected") -> float:
         return (
             g1d**2 / (3 * (1 - d) ** 2) * g45 / (g65 * g22) * f1.value
             - g1d * g45 * g33 / (2 * (1 - d) ** 2 * g65 * g44) * f2.value
-        )
-    if i == 12:
-        f = _f32((1.0, d, 2 * d - 1), (2 - d, 2 * d))
-        return (
-            g1d**3 * g45 / (g44 * g65) * g22 * gamma_ratio(2 * d - 1, d)
-            - g1d / (1 - d) * gamma_ratio(2 * d - 1, 2 * d) * g33 * g45 / (g44 * g65) * f.value
         )
     raise ValueError("order-5 region index must be in 1..12")
 
@@ -273,8 +277,7 @@ def c5_closed(d: float) -> SeriesResult:
     the Gamma(2d-1) pieces of regions 6 and 12; what survives is a
     Gamma(4-5d)/Gamma(6-5d) factor times six 3F2-type terms.
     """
-    d = _check_d(d)
-    return _c5_assemble(d, [_f32(*family) for family in _c5_families(d)])
+    return c_closed(5, d)
 
 
 # c_k = assemble(d, values of families(d)) for the orders whose closed form has 3F2 terms
@@ -302,9 +305,9 @@ def c_closed(k: int, d: float) -> SeriesResult:
     if k == 3:
         c3 = c3_closed(d)
         return SeriesResult(c3, 8 * _EPS * c3, 0)
-    if k == 4:
-        return c4_closed(d)
-    return c5_closed(d)
+    d = _check_d(d)
+    families, assemble = _SERIES_FORMS[k]
+    return assemble(d, [_f32(*family) for family in families(d)])
 
 
 def kappa(k: int, d: float) -> CumulantReport:

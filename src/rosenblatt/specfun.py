@@ -55,8 +55,8 @@ class ParameterDomainError(SpecialFunctionError):
 _INT_TOL = 1e-12
 
 
-def _nonpos_int(x: float, tol: float = _INT_TOL) -> bool:
-    return x < 0.5 and abs(x - round(x)) <= tol and round(x) <= 0
+def _nonpos_int(x: float) -> bool:
+    return x < 0.5 and abs(x - round(x)) <= _INT_TOL and round(x) <= 0
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +154,6 @@ class _GammaProduct:
         return self.sign * math.exp(self.log)
 
 
-def gamma_product(numerator: tuple[float, ...] = (), denominator: tuple[float, ...] = ()) -> float:
-    """prod Gamma(numerator) / prod Gamma(denominator), 0.0 on denominator poles."""
-    return _GammaProduct(numerator, denominator).value()
-
-
 # ---------------------------------------------------------------------------
 # Hypergeometric parameter types
 # ---------------------------------------------------------------------------
@@ -209,20 +204,6 @@ class SeriesResult(NamedTuple):
 
 _MAX_TERMS = 1_000_000  # term cap of the power series at |x| < 1
 _EPS = float(np.finfo(float).eps)
-
-
-def _sum_terminating(top, bottom, x: float, m: int) -> float:
-    total = 1.0
-    t = 1.0
-    for k in range(m):
-        r = x / (k + 1.0)
-        for a in top:
-            r *= a + k
-        for b in bottom:
-            r /= b + k
-        t *= r
-        total += t
-    return total
 
 
 def pfq_at_1(params: HypParams) -> SeriesResult:
@@ -284,17 +265,17 @@ def pfq_at_1_batch(sets: list[HypParams]) -> list[SeriesResult]:
 def _pfq_series(params: HypParams, x: float) -> SeriesResult:
     """Plain pFq power series for |x| < 1 (or factorially convergent p <= q).
 
-    It stops after three terms in a row below one ulp of the partial sum.
+    A series that terminates at order m (top parameter -m) sums exactly its
+    m + 1 terms, so it never reaches a zero bottom divisor past term m, and
+    reports error 0; any other stops after three terms in a row below one
+    ulp of the partial sum.
     """
     params.validate()
     m = params.terminating_order()
-    if m is not None:
-        return SeriesResult(_sum_terminating(params.top, params.bottom, x, m), 0.0, m + 1)
     S = 1.0
     t = 1.0
-    k = 0
     small = 0
-    while k < _MAX_TERMS:
+    for k in range(_MAX_TERMS if m is None else m):
         r = x / (k + 1.0)
         for a in params.top:
             r *= a + k
@@ -302,23 +283,15 @@ def _pfq_series(params: HypParams, x: float) -> SeriesResult:
             r /= b + k
         t *= r
         S += t
-        k += 1
-        if abs(t) < _EPS * abs(S):
+        if m is None and abs(t) < _EPS * abs(S):
             small += 1
             if small >= 3:
-                return SeriesResult(S, abs(t), k)
+                return SeriesResult(S, abs(t), k + 1)
         else:
             small = 0
+    if m is not None:
+        return SeriesResult(S, 0.0, m + 1)
     raise NonConvergenceError(f"pFq series did not converge within {_MAX_TERMS} terms")
-
-
-def pfq(params: HypParams, x: float) -> SeriesResult:
-    """pFq at real argument: |x| < 1 by direct series, x = 1 via pfq_at_1."""
-    if x == 1.0:
-        return pfq_at_1(params)
-    if abs(x) >= 1.0:
-        raise ParameterDomainError(f"pfq requires |x| < 1 or x = 1, got {x}")
-    return _pfq_series(params, x)
 
 
 # ---------------------------------------------------------------------------
@@ -546,12 +519,11 @@ def hyp_2f1(a: float, b: float, c: float, x: float, one_minus_x: float | None = 
     within 3e-6 of -1, 0, 1 or 2; 1.5e-13 for a, b in [-2, 2], c in
     (-3, 4); 3.6e-11 for a, b in [-5, 5], c in (0, 8), where the series
     cancels to 1e-5 of its largest term.  `one_minus_x` may carry the exact
-    distance to 1 when x itself is within rounding of 1.
+    distance to 1 when x itself is within rounding of 1.  A non-positive
+    integer c raises PoleError unless a or b terminates the series first.
     """
-    if _nonpos_int(c):
-        term = HypParams((a, b), (c,)).terminating_order()
-        if term is None or term >= int(round(-c)) + 1:
-            raise PoleError(f"2F1 bottom parameter c={c} is a non-positive integer")
+    params = HypParams((a, b), (c,))
+    params.validate()
     z = (1.0 - x) if one_minus_x is None else one_minus_x
     if x == 0.0 or a == 0.0 or b == 0.0:
         return 1.0
@@ -559,7 +531,6 @@ def hyp_2f1(a: float, b: float, c: float, x: float, one_minus_x: float | None = 
         return gauss_2f1_at_1(a, b, c)
     if not (-1.0 < x < 1.0 or 0.0 < z < 1.0):
         raise ParameterDomainError(f"2F1 requires |x| < 1 (or x = 1), got x={x}")
-    params = HypParams((a, b), (c,))
     if params.terminating_order() is not None or x <= 0.85:
         return _pfq_series(params, x).value
     return _series_dot(_UNIT, ((b, c), (a, 1.0)), x, _decay_rate(x, z))
@@ -610,36 +581,31 @@ def prudnikov_product_integral(alpha: float, a: float, b: float, c: float,
     Evaluates int_0^1 x^(alpha-1) (1-x)^(c-1) 2F1(a,b;c;1-x) 2F1(a2,b2;c2;1-x) dx.
     The second term's third numerator Gamma factor is Gamma(a2+b2-c2) (the
     printed source table carries a sign slip there).  Requires both 4F3
-    series to converge (margin c - c2 + 1 > 0).
+    series to converge (margin c - c2 + 1 > 0); pfq_at_1 raises
+    DivergenceError otherwise.
 
     A documented library call that no command reaches, kept because it
     records the corrected table formula; tests check it against quadrature.
     """
     if alpha <= 0 or c <= 0:
         raise ParameterDomainError("integral requires alpha > 0 and c > 0")
-    pref1 = gamma_product(
+    pref1 = _GammaProduct(
         (c, c2, c2 - a2 - b2, alpha, c - a - b + alpha),
         (c - a + alpha, c - b + alpha, c2 - a2, c2 - b2),
-    )
-    pref2 = gamma_product(
+    ).value()
+    pref2 = _GammaProduct(
         (c, c2, a2 + b2 - c2, c2 - a2 - b2 + alpha, c + c2 - a - a2 - b - b2 + alpha),
         (a2, b2, c + c2 - a - a2 - b2 + alpha, c + c2 - a2 - b - b2 + alpha),
-    )
+    ).value()
     out = 0.0
     if pref1 != 0.0:
-        f1 = HypParams(
+        out += pref1 * pfq_at_1(HypParams(
             (a2, b2, alpha, c - a - b + alpha),
             (c - a + alpha, c - b + alpha, a2 + b2 - c2 + 1.0),
-        )
-        if f1.terminating_order() is None and f1.margin <= 0:
-            raise DivergenceError(f"first 4F3 margin {f1.margin:.6g} <= 0")
-        out += pref1 * pfq_at_1(f1).value
+        )).value
     if pref2 != 0.0:
-        f2 = HypParams(
+        out += pref2 * pfq_at_1(HypParams(
             (c2 - a2, c2 - b2, c2 - a2 - b2 + alpha, c + c2 - a - a2 - b - b2 + alpha),
             (c2 - a2 - b2 + 1.0, c + c2 - a - a2 - b2 + alpha, c + c2 - a2 - b - b2 + alpha),
-        )
-        if f2.terminating_order() is None and f2.margin <= 0:
-            raise DivergenceError(f"second 4F3 margin {f2.margin:.6g} <= 0")
-        out += pref2 * pfq_at_1(f2).value
+        )).value
     return out

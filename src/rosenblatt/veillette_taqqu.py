@@ -46,16 +46,15 @@ float back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .quadrature import tanh_sinh
-from .specfun import _J_TABLE, _UNIT, _ETable, _decay_rate, _like, _series_dot
+from .specfun import _J_TABLE, _UNIT, _ETable, _decay_rate, _like, _pfq_series, _series_dot
 from .specfun import (HypParams, ParameterDomainError, PoleError, gamma, gamma_ratio,
-                      gauss_2f1_at_1, pfq, pfq_at_1)
+                      gauss_2f1_at_1, pfq_at_1)
 from .specfun import hyp_2f1  # noqa: F401  unused here: perfbench's trace wraps this name
 
 
@@ -323,28 +322,17 @@ def g4_closed(x, d: float, one_minus_x=None):
                  + _series_dot(_family_table(d, "g4"), ((d, 1.0),), xs, lam), x)
 
 
-@dataclass(frozen=True)
-class GFunction:
-    """A member of the operator recursion, evaluated at a node or a node array."""
-
-    order: int
-    d: float
-    evaluator: Callable
-
-    def __call__(self, x, one_minus_x=None):
-        return self.evaluator(x, one_minus_x=one_minus_x)
-
-
-def g_function(order: int, d: float) -> GFunction:
-    """G_k for k in 1..4 (closed forms; order 4 uses the assembled image)."""
+def g_function(order: int, d: float) -> Callable:
+    """G_k, k in 1..4, at d as f(x, one_minus_x=None): f calls g1, g2, g3 or
+    g4_closed (the assembled image), looked up in this module at each call."""
     if order == 1:
-        return GFunction(1, d, lambda x, one_minus_x=None: g1(x, d, one_minus_x))
+        return lambda x, one_minus_x=None: g1(x, d, one_minus_x)
     if order == 2:
-        return GFunction(2, d, lambda x, one_minus_x=None: g2(x, d, one_minus_x))
+        return lambda x, one_minus_x=None: g2(x, d, one_minus_x)
     if order == 3:
-        return GFunction(3, d, lambda x, one_minus_x=None: g3(x, d, one_minus_x))
+        return lambda x, one_minus_x=None: g3(x, d, one_minus_x)
     if order == 4:
-        return GFunction(4, d, lambda x, one_minus_x=None: g4_closed(x, d, one_minus_x))
+        return lambda x, one_minus_x=None: g4_closed(x, d, one_minus_x)
     raise ValueError("orders 1..4 are supported")
 
 
@@ -375,7 +363,8 @@ def kernel_hyp2f1_moment(a: float, b: float, c: float, e: float, d: float, x: fl
     if d == 0.0:
         return pfq_at_1(HypParams((a, b, e + 1.0), (c, e + 2.0))).value / (e + 1.0)
     pre = gamma(1 - d) * (gamma_ratio(1 + e, 2 - d + e) + gamma_ratio(d - 1 - e, -e))
-    front = pre * x ** (1 - d + e) * pfq(HypParams((a, b, e + 1.0), (c, 2 - d + e)), x).value
+    f = _pfq_series(HypParams((a, b, e + 1.0), (c, 2 - d + e)), x)  # 0 < x < 1: its power series
+    front = pre * x ** (1 - d + e) * f.value
     table = _moment_table(a, b, c, 1 - d + e, c - a - b + 2.0)
     return front + _series_dot(table, ((d, 1.0),), x, _decay_rate(x, 1.0 - x))
 
@@ -400,7 +389,7 @@ def kernel_one_minus_power(p: int, d: float, x, one_minus_x=None):
 # ---------------------------------------------------------------------------
 
 def default_abs_tol(k: int) -> float:
-    """The absolute quadrature tolerance c_k_via_operator uses for c_k by default."""
+    """The absolute quadrature tolerance c_k_via_operator integrates c_k to."""
     return 1e-10 if k <= 4 else 1e-8
 
 
@@ -428,20 +417,18 @@ def apply_kernel(f: Callable, d: float, x: float, *, abs_tol: float = 1e-9) -> f
     return v1 + v2
 
 
-def c_k_via_operator(mu: int, nu: int, d: float, *, abs_tol: float | None = None) -> float:
+def c_k_via_operator(mu: int, nu: int, d: float) -> float:
     """c_k = int_0^1 G_mu(x) G_nu(x) dx with mu + nu = k in {2,...,5}.
 
-    The order-4 factor is the closed-form assembly g4_closed.  The
-    tolerance defaults to default_abs_tol(k).  A pairing (mu, mu) evaluates
-    G_mu once per node array and squares it.
+    The order-4 factor is the closed-form assembly g4_closed.  tanh-sinh
+    integrates to the fixed absolute tolerance default_abs_tol(k).  A
+    pairing (mu, mu) evaluates G_mu once per node array and squares it.
     """
     k = mu + nu
     if k not in (2, 3, 4, 5) or min(mu, nu) < 1 or max(mu, nu) > 4:
         raise ValueError("need mu, nu in 1..4 with mu+nu in 2..5")
     if not (0.0 <= d < 0.5):
         raise ParameterDomainError("operator route requires 0 <= d < 0.5")
-    if abs_tol is None:
-        abs_tol = default_abs_tol(k)
 
     gm = g_function(mu, d)
     gn = g_function(nu, d)
@@ -450,5 +437,5 @@ def c_k_via_operator(mu: int, nu: int, d: float, *, abs_tol: float | None = None
         vm = gm(u, one_minus_x=dr)
         return vm * (vm if nu == mu else gn(u, one_minus_x=dr))
 
-    value, _ = tanh_sinh(integrand, 0.0, 1.0, abs_tol=abs_tol)
+    value, _ = tanh_sinh(integrand, 0.0, 1.0, abs_tol=default_abs_tol(k))
     return value

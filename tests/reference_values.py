@@ -2,6 +2,7 @@
 
 Eleven-point grids d = 0, 0.05, ..., 0.50, printed to four significant
 figures; the matching helper checks agreement to the displayed precision.
+Regions 6 and 12 of the order-5 integral have 20-digit values near d = 0.
 """
 
 import math
@@ -21,3 +22,20 @@ def matches_4_significant(value: float, reference: float) -> bool:
         return value == 0.0
     half_ulp = 0.5 * 10.0 ** (math.floor(math.log10(abs(reference))) - 3)
     return abs(value - reference) <= half_ulp * 1.02  # tiny slack for ties
+
+
+# (region 6, region 12) of the order-5 integral, to 20 digits: their closed
+# forms evaluated once with mpmath at 50 digits (mp.gamma, mp.hyp3f2 at 1,
+# Gamma(2d-1) taken as it stands) at the float d.  Both tend to 1/120.
+C5_REGIONS_6_12 = {
+    1e-16: (0.0083333333333333384028, 0.0083333333333333396528),
+    1e-14: (0.0083333333333338402778, 0.0083333333333339652778),
+    6e-14: (0.0083333333333363750000, 0.0083333333333371250000),
+    1e-13: (0.0083333333333384027778, 0.0083333333333396527778),
+    1e-12: (0.0083333333333840277778, 0.0083333333333965277778),
+    1e-10: (0.0083333333384027777795, 0.0083333333396527777804),
+    1e-6: (0.0083333840279535155648, 0.0083333965280413931068),
+    0.1: (0.015745953889890229317, 0.018348586267260741715),
+    0.25: (0.046595740306853399756, 0.069052093826886538823),
+    0.45: (0.29115135129145519319, 0.60403305316851303215),
+}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rosenblatt import cumulants as cu
 from rosenblatt import specfun as sf
-from reference_values import GRID, KAPPA_TABLES, matches_4_significant
+from reference_values import C5_REGIONS_6_12, GRID, KAPPA_TABLES, matches_4_significant
 
 
 class TestSigma:
@@ -110,6 +110,12 @@ class TestOrderFiveRegions:
             for d in (0.0, 0.5):
                 with pytest.raises(cu.DomainError):
                     cu.c5_region(i, d)
+
+    @pytest.mark.parametrize("d", sorted(C5_REGIONS_6_12))
+    def test_regions_6_and_12_against_references(self, d):
+        # their Gamma(2d-1) ratios and 3F2(1, d, 2d-1; 2-d, 2d; 1) keep their digits near d = 0
+        for i, ref in zip((6, 12), C5_REGIONS_6_12[d]):
+            assert cu.c5_region(i, d) == pytest.approx(ref, rel=2e-12, abs=0.0)
 
     def test_region_sum_matches_total(self):
         # the 4F3 terms cancel in the sum: 10 * sum of regions = c_5

@@ -370,13 +370,39 @@ def test_gauss_rules_match_scipy(nodes, weights, reference):
     np.testing.assert_allclose(getattr(sf, weights), ref_weights, rtol=1e-12, atol=0)
 
 
+def terminating_sum(top, bottom, x, m):
+    """The m + 1 terms of a terminating pFq, by the term ratio, in the series' own order."""
+    total = t = 1.0
+    for k in range(m):
+        r = x / (k + 1.0)
+        for a in top:
+            r *= a + k
+        for b in bottom:
+            r /= b + k
+        t *= r
+        total += t
+    return total
+
+
 class TestPfq:
     def test_nonconvergence_at_the_term_cap(self, monkeypatch):
         # 2F1(1, 1; 2; x) = -ln(1-x)/x: at x = 0.999 the terms fall below an
         # ulp of the sum only after about 30 000 of them
         monkeypatch.setattr(sf, "_MAX_TERMS", 2048)
         with pytest.raises(sf.NonConvergenceError):
-            sf.pfq(sf.HypParams((1.0, 1.0), (2.0,)), 0.999)
+            sf._pfq_series(sf.HypParams((1.0, 1.0), (2.0,)), 0.999)
+
+    @pytest.mark.parametrize("params, m", [
+        (sf.HypParams((-2.0, 0.5), (-2.0,)), 2),  # a fourth term would divide by the zero bottom
+        (sf.HypParams((-3.0, 1.5, 2.0), (0.5, -4.0)), 3),
+        (sf.HypParams((1.0, -4.0, 0.3), (2.5, 1.7)), 4),
+        (sf.HypParams((-7.0, 0.25, 0.5), (1.5, 2.5)), 7),
+        (sf.HypParams((0.0, 1.0), (2.0,)), 0),
+    ])
+    @pytest.mark.parametrize("x", [1.0, 0.3, -0.7])
+    def test_terminating_series_sums_exactly_its_terms(self, params, m, x):
+        want = terminating_sum(params.top, params.bottom, x, m)
+        assert tuple(sf._pfq_series(params, x)) == (want, 0.0, m + 1)
 
 
 class TestProductBinomialIntegral:
