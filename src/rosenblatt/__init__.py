@@ -24,7 +24,7 @@ from .cumulants import (
     sigma,
 )
 from .oracle import MCEstimate, RegionSpec, mc_ck, mc_region, region_catalog
-from .quadrature import QuadratureError, tanh_sinh
+from .quadrature import QuadratureError
 from .specfun import (
     DivergenceError,
     HypParams,
@@ -33,8 +33,6 @@ from .specfun import (
     PoleError,
     SeriesResult,
     SpecialFunctionError,
-    gamma_ratio,
-    gauss_2f1_at_1,
     hyp_2f1,
     pfq_at_1,
     product_binomial_integral,
@@ -72,10 +70,9 @@ __all__ = [
     "c2_closed", "c3_closed", "c4_closed", "c4_region", "c5_closed",
     "c5_region", "c_closed", "c_k_via_operator", "characteristic_function",
     "cumulant_table", "g1", "g2", "g3", "g4_closed", "g_function",
-    "gamma_ratio", "gauss_2f1_at_1", "hyp_2f1", "kappa", "kappa_from_c",
-    "kernel_hyp2f1_moment", "kernel_one_minus_power", "mc_ck",
-    "mc_region", "pfq_at_1", "product_binomial_integral",
-    "prudnikov_product_integral", "region_catalog", "sigma",
-    "split_4f3_alternative", "split_4f3_contiguous", "tanh_sinh",
-    "thomae_fixed_top", "thomae_full", "thomae_split",
+    "hyp_2f1", "kappa", "kappa_from_c", "kernel_hyp2f1_moment",
+    "kernel_one_minus_power", "mc_ck", "mc_region", "pfq_at_1",
+    "product_binomial_integral", "prudnikov_product_integral",
+    "region_catalog", "sigma", "split_4f3_alternative",
+    "split_4f3_contiguous", "thomae_fixed_top", "thomae_full", "thomae_split",
 ]

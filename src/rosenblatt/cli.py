@@ -54,34 +54,27 @@ def _fmt_d(d) -> str:  # 12 digits where they read back to the same float, in fu
     return _fmt(d) if float(_fmt(d)) == d else repr(float(d))
 
 
-def write_reports(reports: list[cu.CumulantReport], fmt: str, stream) -> None:
+def _emit(records: list[dict], fmt: str, stream, header, row) -> None:
+    """records as indented JSON, or as CSV: the header, then row(record) for each."""
     if fmt == "json":
-        payload = [
-            {
-                "order": r.order,
-                "d": r.d,
-                "value": r.value,
-                "method": r.method,
-                "error_estimate": r.error_estimate,
-                "diagnostics": r.diagnostics,
-            }
-            for r in reports
-        ]
-        json.dump(payload, stream, indent=2)
+        json.dump(records, stream, indent=2)
         stream.write("\n")
         return
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in reports:
-        writer.writerow([
-            r.order,
-            _fmt_d(r.d),
-            _fmt(r.value),
-            r.method,
-            _fmt(r.error_estimate),
-            r.diagnostics.get("seed", ""),
-            r.diagnostics.get("n_samples", ""),
-        ])
+    writer.writerow(header)
+    writer.writerows(row(r) for r in records)
+
+
+def _report_row(r: dict) -> list:
+    return [r["order"], _fmt_d(r["d"]), _fmt(r["value"]), r["method"], _fmt(r["error_estimate"]),
+            r["diagnostics"].get("seed", ""), r["diagnostics"].get("n_samples", "")]
+
+
+def write_reports(reports: list[cu.CumulantReport], fmt: str, stream) -> None:
+    records = [{"order": r.order, "d": r.d, "value": r.value, "method": r.method,
+                "error_estimate": r.error_estimate, "diagnostics": r.diagnostics}
+               for r in reports]
+    _emit(records, fmt, stream, CSV_COLUMNS, _report_row)
 
 
 def read_reports_csv(stream) -> list[cu.CumulantReport]:
@@ -182,25 +175,16 @@ def cmd_oracle(args: argparse.Namespace, stream) -> int:
 def cmd_phi(args: argparse.Namespace, stream) -> int:
     K = max(args.orders) if args.orders else 5
     thetas = args.theta_grid or tuple(np.linspace(-0.2, 0.2, 9))
+    header = ("d", "theta", "real", "imag", "diverged")
     rows = []
     for d in sorted(args.d_grid):
         for theta in thetas:
             out = cu.characteristic_function(theta, d, K)
-            rows.append((d, theta, out.value.real, out.value.imag, out.diverged))
-    if args.output_format == "json":
-        json.dump(
-            [
-                {"d": d, "theta": t, "real": re, "imag": im, "diverged": flag}
-                for d, t, re, im, flag in rows
-            ],
-            stream, indent=2,
-        )
-        stream.write("\n")
-    else:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(("d", "theta", "real", "imag", "diverged"))
-        for d, t, re, im, flag in rows:
-            writer.writerow([_fmt_d(d), _fmt(t), _fmt(re), _fmt(im), int(flag)])
+            rows.append(dict(zip(header, (d, theta, out.value.real, out.value.imag,
+                                          out.diverged))))
+    _emit(rows, args.output_format, stream, header,
+          lambda r: [_fmt_d(r["d"]), _fmt(r["theta"]), _fmt(r["real"]), _fmt(r["imag"]),
+                     int(r["diverged"])])
     return 0
 
 
@@ -247,8 +231,7 @@ def cmd_verify(args: argparse.Namespace, stream) -> int:
             8.0 * sum(cu.c4_region(i, d) for i in (1, 2, 3)) - cu.c4_closed(d).value
         ))
         dev5 = max(dev5, abs(
-            10.0 * sum(cu.c5_region(i, d, region3_variant=args.region3_variant)
-                       for i in range(1, 13))
+            10.0 * sum(cu.c5_region(i, d) for i in range(1, 13))
             - cu.c5_closed(d).value
         ))
     if interior:
@@ -313,14 +296,16 @@ def cmd_verify(args: argparse.Namespace, stream) -> int:
                 sigma_dev = abs(est.mean - truth) / max(est.std_error, 1e-300)
                 worst = max(worst, sigma_dev)
             log.record(f"closed-vs-mc-k{k}", worst <= 3.0, f"max deviation = {worst:.2f} sigma")
-        # the order-5 region-3 reading, decided by the oracle
+        # the order-5 region-3 reading, decided by the oracle; the printed
+        # reading's deviation is shown, not gated (small --samples may not resolve it)
         spec = next(s for s in orc.region_catalog() if s.name == "c5-3")
         d = interior[0] if interior else 0.25
         est = orc.mc_region(spec, d, args.mc_samples, args.seed, workers=args.workers)
-        truth = cu.c5_region(3, d, region3_variant=args.region3_variant)
-        sigma_dev = abs(est.mean - truth) / max(est.std_error, 1e-300)
-        log.record("region3-order5-reading", sigma_dev <= 3.0,
-                   f"deviation = {sigma_dev:.2f} sigma (variant {args.region3_variant})")
+        corrected, printed = (
+            abs(est.mean - cu.c5_region(3, d, region3_variant=v)) / max(est.std_error, 1e-300)
+            for v in ("corrected", "printed"))
+        log.record("region3-order5-reading", corrected <= 3.0,
+                   f"corrected {corrected:.2f} sigma, printed {printed:.2f} sigma")
 
     stream.write(f"{'OK' if log.failures == 0 else 'FAILED'}: "
                  f"{log.failures} failing check(s)\n")
@@ -397,9 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--region", default=None, metavar="REGION",
                            choices=[s.name for s in orc.region_catalog()],
                            help="estimate one named simplex region (e.g. c5-3)")
-        if name == "verify":
-            p.add_argument("--region3-variant", default="corrected",
-                           choices=("corrected", "printed"))
     return parser
 
 

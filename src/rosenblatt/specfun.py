@@ -14,8 +14,9 @@ Euler-Maclaurin integral of the Gamma-ratio expansion of w_j.  Terms at
 unit argument decay only like j^-(1+s), s the convergence margin
 sum(bottom) - sum(top), yet the integral costs about the same for any s > 0;
 near x = 1 it stays accurate down to 1 - x ~ 1e-280, with no special case
-where c - a - b is an integer.  Power series at |x| < 1 (and p <= q at
-x = 1) are summed term by term to machine precision.
+where c - a - b is an integer.  Below unit argument one rule,
+_pfq_below_1, sums every (q+1)Fq: term by term to machine precision up
+to x = 0.85 (as p <= q at x = 1 is), the engine above.
 
 The engine takes a leading axis of parameter sets, so pfq_at_1_batch sums
 many (q+1)Fq at unit argument in one call; pfq_at_1 is the batch of one.
@@ -127,7 +128,7 @@ class _GammaProduct:
     `sign`.
     """
 
-    def __init__(self, numerator=(), denominator=()) -> None:
+    def __init__(self, numerator, denominator) -> None:
         self.log = 0.0
         self.sign = 1
         self.pole = self.zero = False
@@ -193,9 +194,6 @@ class SeriesResult(NamedTuple):
     value: float
     error_estimate: float
     n_terms: int
-
-    def __float__(self) -> float:
-        return self.value
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +509,11 @@ def gauss_2f1_at_1(a: float, b: float, c: float) -> float:
 def hyp_2f1(a: float, b: float, c: float, x: float, one_minus_x: float | None = None) -> float:
     """Gauss 2F1(a,b;c;x) for |x| < 1, or x = 1 when c-a-b > 0.
 
-    Terminating cases sum exactly, x <= 0.85 by the power series to
-    machine precision, x = 1 by Gauss's sum, and 0.85 < x < 1 by the series
-    engine on the unit table, with no special case at an integer c - a - b.
+    x = 1 is Gauss's sum; every other x goes through _pfq_below_1, the
+    rule every (q+1)Fq below unit argument shares: terminating cases and
+    x <= 0.85 by the power series to machine precision, 0.85 < x < 1 by
+    the series engine on the unit table, with no special case at an
+    integer c - a - b.
     Against mpmath for 1 - x in [1e-12, 0.15] the worst relative error was
     5.8e-15 for 2F1(1, d; 2-d; x), d in (0, 0.5); 2.7e-14 with c - a - b
     within 3e-6 of -1, 0, 1 or 2; 1.5e-13 for a, b in [-2, 2], c in
@@ -531,9 +531,22 @@ def hyp_2f1(a: float, b: float, c: float, x: float, one_minus_x: float | None = 
         return gauss_2f1_at_1(a, b, c)
     if not (-1.0 < x < 1.0 or 0.0 < z < 1.0):
         raise ParameterDomainError(f"2F1 requires |x| < 1 (or x = 1), got x={x}")
+    return _pfq_below_1(params, x, z)
+
+
+def _pfq_below_1(params: HypParams, x: float, one_minus_x: float) -> float:
+    """(q+1)Fq(params; x) at x < 1, one_minus_x the exact 1 - x: every such sum's one rule.
+
+    A terminating series, or x <= 0.85, by its power series, where it is
+    more accurate and four to five times faster than the engine; any other
+    by one series-engine call on the unit table, the reversed tops paired
+    with (*bottom, 1), so a 2F1 is ((b, c), (a, 1)).  Near 1 the power
+    series would need up to its term cap; the engine's cost does not grow.
+    """
     if params.terminating_order() is not None or x <= 0.85:
         return _pfq_series(params, x).value
-    return _series_dot(_UNIT, ((b, c), (a, 1.0)), x, _decay_rate(x, z))
+    pairs = tuple(zip(reversed(params.top), (*params.bottom, 1.0)))
+    return _series_dot(_UNIT, pairs, x, _decay_rate(x, one_minus_x))
 
 
 # ---------------------------------------------------------------------------

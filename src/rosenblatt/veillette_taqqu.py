@@ -52,7 +52,7 @@ from typing import Callable
 import numpy as np
 
 from .quadrature import tanh_sinh
-from .specfun import _J_TABLE, _UNIT, _ETable, _decay_rate, _like, _pfq_series, _series_dot
+from .specfun import _J_TABLE, _UNIT, _ETable, _decay_rate, _like, _pfq_below_1, _series_dot
 from .specfun import (HypParams, ParameterDomainError, PoleError, gamma, gamma_ratio,
                       gauss_2f1_at_1, pfq_at_1)
 from .specfun import hyp_2f1  # noqa: F401  unused here: perfbench's trace wraps this name
@@ -325,15 +325,10 @@ def g4_closed(x, d: float, one_minus_x=None):
 def g_function(order: int, d: float) -> Callable:
     """G_k, k in 1..4, at d as f(x, one_minus_x=None): f calls g1, g2, g3 or
     g4_closed (the assembled image), looked up in this module at each call."""
-    if order == 1:
-        return lambda x, one_minus_x=None: g1(x, d, one_minus_x)
-    if order == 2:
-        return lambda x, one_minus_x=None: g2(x, d, one_minus_x)
-    if order == 3:
-        return lambda x, one_minus_x=None: g3(x, d, one_minus_x)
-    if order == 4:
-        return lambda x, one_minus_x=None: g4_closed(x, d, one_minus_x)
-    raise ValueError("orders 1..4 are supported")
+    if order not in (1, 2, 3, 4):
+        raise ValueError("orders 1..4 are supported")
+    name = ("g1", "g2", "g3", "g4_closed")[order - 1]
+    return lambda x, one_minus_x=None: globals()[name](x, d, one_minus_x)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +348,10 @@ def kernel_hyp2f1_moment(a: float, b: float, c: float, e: float, d: float, x: fl
     where the prefactor Gamma(1-d)(Gamma(1+e)/Gamma(2-d+e)
     + Gamma(d-1-e)/Gamma(-e)) equals B(1-d, d-1-e) + B(1-d, 1+e).
     At d = 0 the kernel is 1 and the value is the plain moment
-    3F2(a,b,e+1; c,e+2; 1)/(e+1).
+    3F2(a,b,e+1; c,e+2; 1)/(e+1).  The front 3F2 is summed by hyp_2f1's
+    rule (specfun._pfq_below_1), so near x = 1 it is the series engine's
+    sum and as accurate as hyp_2f1 there; the family sum's error is the
+    E table's fitted law beyond J.
     """
     _check_interior(x)
     if c - a - b <= 0:
@@ -363,10 +361,10 @@ def kernel_hyp2f1_moment(a: float, b: float, c: float, e: float, d: float, x: fl
     if d == 0.0:
         return pfq_at_1(HypParams((a, b, e + 1.0), (c, e + 2.0))).value / (e + 1.0)
     pre = gamma(1 - d) * (gamma_ratio(1 + e, 2 - d + e) + gamma_ratio(d - 1 - e, -e))
-    f = _pfq_series(HypParams((a, b, e + 1.0), (c, 2 - d + e)), x)  # 0 < x < 1: its power series
-    front = pre * x ** (1 - d + e) * f.value
+    z = 1.0 - x
+    front = pre * x ** (1 - d + e) * _pfq_below_1(HypParams((a, b, e + 1.0), (c, 2 - d + e)), x, z)
     table = _moment_table(a, b, c, 1 - d + e, c - a - b + 2.0)
-    return front + _series_dot(table, ((d, 1.0),), x, _decay_rate(x, 1.0 - x))
+    return front + _series_dot(table, ((d, 1.0),), x, _decay_rate(x, z))
 
 
 def kernel_one_minus_power(p: int, d: float, x, one_minus_x=None):

@@ -39,3 +39,22 @@ C5_REGIONS_6_12 = {
     0.25: (0.046595740306853399756, 0.069052093826886538823),
     0.45: (0.29115135129145519319, 0.60403305316851303215),
 }
+
+
+# kernel_hyp2f1_moment(a, b, c, e, d, x) near x = 1, keyed by (a, b, c, e, d)
+# and then 1 - x (x = 1.0 - gap, so 1 - x is exact): mpmath at 45 digits of
+# int_0^x t^-d f(x-t) dt + int_0^(1-x) t^-d f(x+t) dt, f(u) = u^e 2F1(a, b; c; u),
+# the first integral split at 1 - x times powers of 2 (45- and 30-digit
+# values agree to 1e-23 relative).
+KERNEL_HYP2F1_NEAR_1 = {
+    (1.0, 0.3, 1.7, 0.7, 0.3): {
+        1e-4: 1.212012080413749068742,
+        1e-6: 1.208631756570621998963,
+        1e-9: 1.208479933041555793295,
+    },
+    (0.984, 0.2, 2.835, 1.192, 0.406): {
+        1e-4: 1.084946620043143001568,
+        1e-6: 1.077737877902054575121,
+        1e-9: 1.077234099355883301654,
+    },
+}

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -314,13 +315,18 @@ class TestVerify:
         assert code == 0
         assert "PASS endpoint-kappa-at-half" in out
 
-    def test_injected_wrong_reading_fails(self, capsys):
-        code, out = run_cli(
-            capsys, "verify", "--method", "mc", "--d-grid", "0.3",
-            "--samples", "150000", "--region3-variant", "printed",
-        )
-        assert code == 1
-        assert "FAIL region3-order5-reading" in out
+    def test_region3_check_passes_and_shows_the_printed_reading_off(self, capsys):
+        code, out = run_cli(capsys, "verify", "--method", "mc", "--d-grid", "0.3",
+                            "--samples", "150000")
+        line = next(line for line in out.splitlines() if "region3-order5-reading" in line)
+        corrected, printed = map(float, re.fullmatch(
+            r"PASS region3-order5-reading: corrected (\S+) sigma, printed (\S+) sigma",
+            line).groups())
+        assert code == 0
+        assert corrected <= 3.0 < printed
+
+    def test_region3_variant_flag_is_a_usage_error(self, capsys):
+        assert cli.main(["verify", "--method", "closed", "--region3-variant", "printed"]) == 2
 
     def test_full_method_run_passes(self, capsys):
         code, out = run_cli(

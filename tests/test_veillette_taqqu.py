@@ -24,6 +24,7 @@ from rosenblatt import cumulants as cu
 from rosenblatt import quadrature
 from rosenblatt import specfun as sf
 from rosenblatt import veillette_taqqu as vt
+from reference_values import KERNEL_HYP2F1_NEAR_1
 
 
 def split_quad(f, x, tol=1e-12):
@@ -420,6 +421,14 @@ class TestKernelHyp2F1Moment:
     def test_divergent_integrand_rejected(self):
         with pytest.raises(sf.ParameterDomainError):
             vt.kernel_hyp2f1_moment(1.0, 1.0, 1.5, 0.5, 0.3, 0.4)
+
+    @pytest.mark.parametrize("params", list(KERNEL_HYP2F1_NEAR_1),
+                             ids=["c-a-b=0.4", "c-a-b=1.651"])
+    @pytest.mark.parametrize("gap", [1e-4, 1e-6, 1e-9])
+    def test_near_one_matches_stored_references(self, params, gap):
+        # the front 3F2 near x = 1 is hyp_2f1's engine sum, not a power series at its term cap
+        ref = KERNEL_HYP2F1_NEAR_1[params][gap]
+        assert vt.kernel_hyp2f1_moment(*params, 1.0 - gap) == pytest.approx(ref, rel=1e-13)
 
 
 class TestKernelOneMinusPower:
