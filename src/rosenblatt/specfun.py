@@ -218,10 +218,11 @@ def pfq_at_1_batch(sets: list[HypParams]) -> list[SeriesResult]:
     engine at lam = 0: its j! joins the bottom parameters, tops pair with
     bottoms in order, and the sum runs over a prefix of the unit table
     with the Euler-Maclaurin tail past it.  The prefix length J is at least
-    1024, a multiple of the engine's row and at most the whole table;
-    within that it grows until g_7 t^-6, the first term the tail's
-    Gamma-ratio expansion leaves out (about the seventh power of the
-    largest parameter), is below an ulp at t = J.  The error estimate,
+    1024, a multiple of the engine's row and at most _J_PFQ = 16384, a cap
+    of its own (the operator route's tables are shorter); within that it
+    grows until g_7 t^-6, the first term the tail's Gamma-ratio expansion
+    leaves out (about the seventh power of the largest parameter), is
+    below an ulp at t = J.  The error estimate,
     relative to the value, is that term at J plus sqrt(J) ulps for the
     rounding of the J-term product chain.
 
@@ -250,10 +251,10 @@ def pfq_at_1_batch(sets: list[HypParams]) -> list[SeriesResult]:
                        *((1.0, 1.0),) * (width - len(sets[i].top))) for i in engine])
     powers = np.arange(8.0)
     g7 = np.abs(_power_sums(pairs, powers) @ _OMITTED_ROW)
-    J = np.minimum(_J_TABLE, np.maximum(1024, _ROW * np.ceil((g7 / _EPS) ** (1 / 6) / _ROW)))
+    J = np.minimum(_J_PFQ, np.maximum(1024, _ROW * np.ceil((g7 / _EPS) ** (1 / 6) / _ROW)))
     for n in np.unique(J).astype(int).tolist():
         rows = np.flatnonzero(J == n)
-        values = _series_dot(_ETable(_UNIT.E[:n], (0.0,), (1.0,)), pairs[rows], 1.0, 0.0)
+        values = _series_dot(_ETable(np.ones(n), _UNIT.law), pairs[rows], 1.0, 0.0)
         for row, value in zip(rows.tolist(), values.tolist()):
             error = (math.sqrt(n) * _EPS + g7[row] / (n - 0.5) ** 6) * abs(value)
             out[engine[row]] = SeriesResult(value, float(error), n)
@@ -296,7 +297,8 @@ def _pfq_series(params: HypParams, x: float) -> SeriesResult:
 # Series engine at and near unit argument: sum_j prod (p)_j/(q)_j x^j E_j
 # ---------------------------------------------------------------------------
 
-_J_TABLE = 1 << 14     # tabulated E_j range; tails are fitted beyond
+_J_TABLE = 1 << 11     # tabulated E_j range; each table's exact large-j law beyond
+_J_PFQ = 1 << 14       # longest unit-table prefix of a (q+1)Fq at unit argument
 _CUTOFF = 60.0         # series terms below e^-60 (relative to w_0 = 1) are dropped
 _ROW = 128             # x^j = x^(R q) x^r with r < R; J is a multiple of R
 _EDGE = 36.0           # the tail integral leaves ln t for Gauss-Laguerre at lam t = 36
@@ -317,13 +319,56 @@ _OMITTED_ROW = np.array([-math.comb(7, m) * _BERNOULLI[7 - m] / 42 for m in rang
 
 @dataclass(frozen=True)
 class _ETable:
+    """Entries E_j, j < J, and the large-j law of E past them.
+
+    The law is a tuple of families (e0, delta, coefs), each
+    t^e0 phi(ln t) sum_n coefs[n] t^-n, with phi = 1 where delta is None
+    and phi(u) = (1 - e^(-delta u))/delta (u at delta = 0) otherwise: the
+    finite form of a pair of powers t^e0, t^(e0-delta) whose coefficients
+    grow like 1/delta and cancel.
+    """
+
     E: np.ndarray
-    tail_exponents: tuple[float, ...]
-    tail_coefs: tuple[float, ...]
+    law: tuple
 
 
 # E_j = 1 exactly: _series_dot on it, or on a prefix of it, sums a (q+1)Fq
-_UNIT = _ETable(np.ones(_J_TABLE), (0.0,), (1.0,))
+_UNIT = _ETable(np.ones(_J_TABLE), ((0.0, None, np.ones(1)),))
+
+
+def _law_sum(law, ln_t: np.ndarray, inv: np.ndarray, base: np.ndarray,
+             slope: bool = False) -> np.ndarray:
+    """e^base times the law at t = e^ln_t = 1/inv (with slope, times its t-derivative).
+
+    Each family is t^e0 phi(ln t) P(1/t), P by Horner in 1/t; t^e0 is a
+    product of 1/t for an integer e0, so a family costs one exponential
+    only for a fractional e0 and one expm1 for its phi.
+    """
+    total = None
+    for e0, delta, coefs in law:
+        poly = coefs[-1]
+        for c in coefs[-2::-1]:
+            poly = c + inv * poly
+        if delta is None:
+            phi, dphi = 1.0, 0.0
+        elif delta == 0.0:
+            phi, dphi = ln_t, 1.0
+        else:
+            phi, dphi = -np.expm1(-delta * ln_t) / delta, np.exp(-delta * ln_t)
+        if slope:
+            dpoly = 0.0
+            for n in range(len(coefs) - 1, 0, -1):
+                dpoly = n * coefs[n] + inv * dpoly
+            poly = ((e0 * phi + dphi) * poly - phi * inv * dpoly) * inv
+        else:
+            poly = phi * poly
+        if e0 != round(e0):
+            poly = np.exp(e0 * ln_t) * poly
+        else:
+            for _ in range(-round(e0)):
+                poly = inv * poly
+        total = poly if total is None else total + poly
+    return np.exp(base) * total
 
 
 def _like(values: np.ndarray, x):
@@ -351,16 +396,17 @@ def _series_tail(table: _ETable, sets: np.ndarray, w_J: np.ndarray, lam: np.ndar
     w_j = prod (p)_j/(q)_j over a set's (top, bottom) pairs (p, q) from the
     cumprod's w_J through the large-t expansion of
     ln Gamma(t+p) - ln Gamma(t+q) (DLMF 5.11.8, five Bernoulli terms)
-    summed over the pairs, and E(t) is the table's fitted law, so every
-    exponent shares one quadrature.  The integral is taken in
-    u = ln(t/t0), where a power law is exponential: doubling
+    summed over the pairs, and E(t) is the table's large-j law, each of
+    its families at most one exponential and one expm1 per point, so the
+    whole law shares one quadrature.  The integral is taken in u = ln(t/t0), where
+    a power law is exponential: doubling
     Gauss-Legendre panels up to 12 units below the cut-off lam t = 36,
     unit panels across it, and Gauss-Laguerre in t beyond it.  Logarithms
     of t throughout keep t itself from overflowing when lam is near the
     smallest normal float; lam = 0 has no cut-off and the doubling panels
-    reach u = 42/r, where the slowest law term t f(t) ~ e^(-r u) is below
-    e^-42 (at least u = 1023).  With the Jacobian dt = t du, w(t) t falls
-    like t^-s for the margin s = sum(q) - sum(p) - 1, which is rounded
+    reach u = 42/r, where the slowest law family t f(t) ~ e^(-r u) is
+    below e^-42 (at least u = 1023).  With the Jacobian dt = t du, w(t) t
+    falls like t^-s for the margin s = sum(q) - sum(p) - 1, which is rounded
     once from the parameters: formed as 1 + sum(p - q) it would carry an
     absolute error of an ulp of 1, a relative error of eps/s in a
     tail-dominated sum.
@@ -372,8 +418,6 @@ def _series_tail(table: _ETable, sets: np.ndarray, w_J: np.ndarray, lam: np.ndar
     J = len(table.E)
     t0 = J - 0.5
     ln_t0 = math.log(t0)
-    exps = np.asarray(table.tail_exponents)
-    coefs = np.asarray(table.tail_coefs)
     s = np.array([math.fsum((-1.0, *row))
                   for row in np.concatenate((sets[..., 1], -sets[..., 0]), axis=1).tolist()])
     expo = -1.0 - s  # w_j ~ j^expo
@@ -381,24 +425,21 @@ def _series_tail(table: _ETable, sets: np.ndarray, w_J: np.ndarray, lam: np.ndar
     ln_wJ = expo * math.log(J) + g @ float(J) ** (1 - _LNGAMMA_K)
     N, M = len(sets), len(lam)
 
-    def terms(k, ln_t, power, shift):
-        """w(t)/w_J t^(power + e) e^shift per law exponent e (leading axis); row r is set k[r]'s."""
+    def law(k, ln_t, power, shift, slope=False):
+        """w(t)/w_J t^power e^shift times the law (or its slope); row r is set k[r]'s."""
         inv = np.exp(-ln_t)
         g_row = g[k].T[..., None]
         ratio = g_row[-1]
         for gk in g_row[-2::-1]:
             ratio = gk + inv * ratio
         ratio = power[k, None] * ln_t + inv * ratio - ln_wJ[k, None]
-        return np.exp(np.multiply.outer(exps, ln_t) + (ratio + shift))
-
-    def weigh(weights, by_exponent):
-        """sum over the law's exponents (leading axis) with the given weights."""
-        return (weights @ by_exponent.reshape(len(weights), -1)).reshape(by_exponent.shape[1:])
+        return _law_sum(table.law, ln_t, inv, ratio + shift, slope)
 
     ln_lam = np.log(lam)
     # panel edges in u per set and node: doublings clipped at u_edge - 12, then unit steps
-    # to u_edge; past u = 42/r the slowest law term, t f(t) ~ e^(-r u), is below e^-42
-    u_end = 42.0 / np.maximum(s - exps.max(), 0.0)  # inf where t f(t) does not decay
+    # to u_edge; past u = 42/r the slowest law family, t f(t) ~ e^(-r u), is below e^-42
+    top = max(e0 + max(0.0, -(delta or 0.0)) for e0, delta, _ in table.law)
+    u_end = 42.0 / np.maximum(s - top, 0.0)  # inf where t f(t) does not decay
     u_max = np.max(u_end, where=u_end < np.inf, initial=0.0)
     doublings = max(_DOUBLINGS, math.ceil(math.log2(u_max + 1.0)))
     u_edge = np.minimum(math.log(_EDGE) - ln_lam - ln_t0, 2.0**doublings - 1.0 + _EDGE_PANELS)
@@ -412,8 +453,8 @@ def _series_tail(table: _ETable, sets: np.ndarray, w_J: np.ndarray, lam: np.ndar
     half = half[k, i, p, None]
     ln_t = ln_t0 + edges[k, i, p, None] + half * (_GL_NODES + 1.0)
     lam_t = np.exp(ln_lam[i, None] + ln_t)
-    law = weigh(coefs, terms(k, ln_t, -s, -lam_t))  # Jacobian t: t^expo t = t^-s
-    panels = np.bincount(k * M + i, np.sum(law * half * _GL_WEIGHTS, axis=1), N * M)
+    f = law(k, ln_t, -s, -lam_t)  # Jacobian t: t^expo t = t^-s
+    panels = np.bincount(k * M + i, np.sum(f * half * _GL_WEIGHTS, axis=1), N * M)
 
     # beyond the panels: t = t_g + v/lam with lam t_g = max(36, lam t0), dt = dv/lam
     beyond = np.zeros(N * M)
@@ -423,13 +464,13 @@ def _series_tail(table: _ETable, sets: np.ndarray, w_J: np.ndarray, lam: np.ndar
         k, i = k_all[live], i_all[live]
         lam_tg = np.maximum(_EDGE, lam[i, None] * t0)
         ln_t = np.log(lam_tg + _LAG_NODES) - ln_lam[i, None]
-        law = weigh(coefs, terms(k, ln_t, expo, -lam_tg - ln_lam[i, None]))
-        beyond[live] = np.sum(law * _LAG_WEIGHTS, axis=1)  # not @: BLAS rounds by row count
+        f = law(k, ln_t, expo, -lam_tg - ln_lam[i, None])
+        beyond[live] = np.sum(f * _LAG_WEIGHTS, axis=1)  # not @: BLAS rounds by row count
 
-    # Euler-Maclaurin correction f'(t0)/24, with f'/f = (ln w)' - lam + e/t
-    at_t0 = terms(k_all, np.full((N * M, 1), ln_t0), expo, -lam[i_all, None] * t0)[..., 0]
+    # Euler-Maclaurin correction f'(t0)/24: (ln w)' - lam on f, plus w e^(-lam t) E'(t)
+    at_t0 = (k_all, np.full((N * M, 1), ln_t0), expo, -lam[i_all, None] * t0)
     slope = (expo / t0 + g @ ((1 - _LNGAMMA_K) * t0 ** -_LNGAMMA_K))[k_all] - lam[i_all]
-    df0 = weigh(coefs, at_t0) * slope + weigh(coefs * exps / t0, at_t0)
+    df0 = law(*at_t0)[:, 0] * slope + law(*at_t0, slope=True)[:, 0]
     return w_J[:, None] * (panels + beyond + df0 / 24.0).reshape(N, M)
 
 
@@ -445,6 +486,11 @@ def _pair_weights(sets: np.ndarray, n: int) -> np.ndarray:
         ratio *= np.subtract(1.0, step, out=step)
     np.cumprod(ratio, axis=1, out=ratio)
     return w
+
+
+def _powers(lam_j: np.ndarray) -> np.ndarray:
+    """e^(-lam j), zero past the cut-off lam j = 60: no subnormal reaches the matrix product."""
+    return np.exp(np.where(lam_j > _CUTOFF, -np.inf, -lam_j))
 
 
 @np.errstate(divide="ignore", under="ignore")
@@ -466,10 +512,10 @@ def _series_dot(table: _ETable, pairs, x, lam):
 
     Writing j = R q + r and x^j = e^(-lam R q) e^(-lam r) turns it into one
     matrix product per set, sum_q e^(-lam R q) sum_r w_j E_j e^(-lam r),
-    with no product chain along j.  Only nodes whose cut-off passes the
-    table get the tail.  The powers come from lam = -ln x, which is exact
-    near x = 1 where x itself has rounded; x only sets the shape of the
-    result.
+    with no product chain along j; each factor is zero past the node's
+    cut-off.  Only nodes whose cut-off passes the table get the tail.  The
+    powers come from lam = -ln x, which is exact near x = 1 where x itself
+    has rounded; x only sets the shape of the result.
     """
     sets = np.asarray(pairs, dtype=float)
     batch = sets.ndim == 3
@@ -485,8 +531,9 @@ def _series_dot(table: _ETable, pairs, x, lam):
     weights *= table.E[:Q * R]
     weights = weights.reshape(-1, Q, R)
     rate = np.minimum(lams, 1e3)[:, None]  # x = 0: e^(-lam*0) stays 1, higher powers vanish
-    inner = np.exp(-rate * np.arange(R)) @ weights.transpose(0, 2, 1)
-    out = np.einsum("mq,nmq->nm", np.exp(-rate * (R * np.arange(Q))), inner)
+    # a matrix-vector product per node: BLAS would round a matrix product by its row count
+    inner = (weights[:, None] @ _powers(rate * np.arange(R))[None, :, :, None])[..., 0]
+    out = np.einsum("mq,nmq->nm", _powers(rate * (R * np.arange(Q))), inner)
     need = n_terms == J
     if need.any():
         out[:, need] += _series_tail(table, sets, w[:, J], lams[need])

@@ -18,12 +18,16 @@ sum_j c_j(x) E_j with x-independent tables E_j = sum_k u_k g_k/(g_k-j).
 Each entry is a 3F2 at unit argument whose parameters shift by one with
 j, so contiguous relations (DLMF 16.4) link neighbours: a table is a few
 directly summed entries and a first-order recurrence in j, built once per
-(d, weight family).  Beyond the table the E_j follow a fitted
-inverse-power law.  As d -> 0, beta = n - (m+1)d nears an integer and the
-entries from j = round(beta) on carry a term that grows like 1/d; the
-recurrence forms its small differences from beta - round(beta), which is
-exact, so the tables keep their digits down to d ~ 1e-16, and a beta
-that rounds to an integer raises PoleError.
+(d, weight family), J = 2048 entries long.  Beyond the table the E_j
+follow the exact large-j law of the same recurrence: its formal solution
+in powers of 1/j (DLMF 5.11 for the Gamma ratios) plus the homogeneous
+solution with its amplitude in closed form, kept as a few power families
+that the series engine sums with at most one exponential each.  As
+d -> 0, beta = n - (m+1)d nears an integer and the entries from
+j = round(beta) on carry a term that grows like 1/d; the recurrence
+forms its small differences from beta - round(beta), which is exact, so
+the tables keep their digits down to d ~ 1e-16, and a beta that rounds
+to an integer raises PoleError.
 
 Every series the route needs, sum_j (b)_j/(c)_j x^j E_j, is summed by
 the series engine specfun._series_dot.  Every 2F1 in the closed forms has
@@ -53,8 +57,8 @@ import numpy as np
 
 from .quadrature import tanh_sinh
 from .specfun import _J_TABLE, _UNIT, _ETable, _decay_rate, _like, _pfq_below_1, _series_dot
-from .specfun import (HypParams, ParameterDomainError, PoleError, gamma, gamma_ratio,
-                      gauss_2f1_at_1, pfq_at_1)
+from .specfun import (HypParams, ParameterDomainError, PoleError, _GammaProduct, gamma,
+                      gamma_ratio, gauss_2f1_at_1, pfq_at_1)
 from .specfun import hyp_2f1  # noqa: F401  unused here: perfbench's trace wraps this name
 
 
@@ -99,9 +103,8 @@ def _affine_scan(r: np.ndarray, q: np.ndarray, x0: float) -> np.ndarray:
     return r * x0 + q
 
 
-def _build_e_table(beta: float, start: np.ndarray, step: Callable, p_decay: float,
-                   m1: float) -> _ETable:
-    """Table of E_j = sum_k t_k/(k+beta-j), j < J, with a fitted large-j law.
+def _build_e_table(beta: float, start: np.ndarray, step: Callable, law: Callable) -> _ETable:
+    """Table of E_j = sum_k t_k/(k+beta-j), j < J, with its exact large-j law.
 
     start holds (beta-j) E_j = sum_k t_k (g)_k/(g+1)_k, g = beta-j, for j < n:
     sums the series engine takes with the extra pair (g, g+1).  The rest
@@ -113,10 +116,10 @@ def _build_e_table(beta: float, start: np.ndarray, step: Callable, p_decay: floa
     resonance's rounding with the callers' prefactors.  The affine maps are
     composed by a prefix scan.  An integer beta is a pole of the table.
 
-    On j beyond the table, E_j = -m1/j + c j^(1-p) + c2/j^2 + ...: the
-    leading 1/j coefficient is the exact first moment m1 = sum_k t_k; the
-    subleading terms (the k ~ j resonance and the incomplete-moment
-    corrections) are fitted over the top three octaves of the table.
+    law() gives the families of E_j beyond the table (_ETable): the formal
+    solution of the same recurrence in powers of 1/j, read off it
+    coefficient by coefficient, plus its homogeneous solution with a
+    closed-form amplitude; nothing is fitted to the entries.
     """
     if beta == round(beta):
         raise PoleError(f"E table pole: beta={beta!r} is an integer")
@@ -130,24 +133,168 @@ def _build_e_table(beta: float, start: np.ndarray, step: Callable, p_decay: floa
     E = np.empty(J)
     E[:n] = start / (beta - np.arange(n))
     E[n:] = _affine_scan(rho / den, f / den, E[n - 1])
+    return _ETable(E, law())
 
-    exps = [-2.0, -3.0]
-    for cand in (1.0 - p_decay, -p_decay):
-        if all(abs(cand - e) > 0.1 for e in exps) and cand > -4.0:
-            exps.append(cand)
-    lo = J // 8
-    jj = np.arange(lo, J, dtype=float)
-    design = np.stack([jj**e for e in exps], axis=1)
-    coefs, *_ = np.linalg.lstsq(design, E[lo:] + m1 / jj, rcond=None)
-    return _ETable(E, (-1.0, *exps), (-m1, *coefs))
+
+# ---------------------------------------------------------------------------
+# large-j laws: formal solutions of a table's recurrence in powers of 1/t
+# ---------------------------------------------------------------------------
+
+_LAW_TERMS = 8  # powers of 1/t per family; the first left out is below 1e-20 of the law at t = J
+_NEAR = 0.1     # a pair of exponents closer than this is interpolated across their coincidence
+_CHEB = np.cos((np.arange(16) + 0.5) * math.pi / 16)  # Chebyshev points, and barycentric weights
+_BARY = (-1.0) ** np.arange(16) * np.sin((np.arange(16) + 0.5) * math.pi / 16)
+_L = np.arange(_LAW_TERMS, dtype=float)
+_I_PLUS_L = _L[:, None] + _L
+_TRI_ROW, _TRI_COL = np.tril_indices(_LAW_TERMS, -1)
+
+
+def _series_solution(U, V, s, shift, rhs=None) -> np.ndarray:
+    """c_n of E(t) = t^s sum_n c_n t^-n, n < _LAW_TERMS, a formal solution of
+    U(t) E(t+1) - V(t) E(t) = t^(s+deg-1) sum_n rhs_n t^-n.
+
+    U and V are monic of degree deg, given by (U_1 .. U_deg) and (V_1 .. V_deg)
+    in falling powers, so the homogeneous solution's exponent is V_1 - U_1.
+    Matching powers of t gives c_n (shift - n) = rhs_n - sum_{i<n} c_i mu(n-i+1, s-i),
+    mu(k, s') = sum_q U_q binom(s', k-q) - V_k: a triangular solve whose
+    diagonal shift - n, shift = s - (V_1 - U_1), the caller forms exactly.
+    rhs None is the homogeneous solution (shift 0) with c_0 = 1.  Every
+    argument may carry a leading axis of parameter nodes.
+    """
+    K = _LAW_TERMS
+    s = np.broadcast_to(s, np.broadcast(s, shift, *U, *V).shape)
+    # binom(s - i, l) for i < K, l <= K, by a running product along l
+    binom = np.ones((*s.shape, K, K + 1))
+    np.cumprod((s[..., None, None] - _I_PLUS_L) / (_L + 1.0), axis=-1, out=binom[..., 1:])
+    mu = binom.copy()
+    for q, u in enumerate(U, 1):
+        mu[..., q:] += np.asarray(u)[..., None, None] * binom[..., :-q]
+    for k, v in enumerate(V, 1):
+        mu[..., k] -= np.asarray(v)[..., None]
+    below = mu[..., _TRI_COL, _TRI_ROW - _TRI_COL + 1]  # mu(n-i+1, s-i), i < n, row by row
+    c = np.zeros((*s.shape, K))
+    c[..., 0] = 1.0 if rhs is None else np.asarray(rhs)[..., 0] / shift
+    for n in range(1, K):
+        acc = -np.sum(below[..., n * (n - 1) // 2:n * (n + 1) // 2] * c[..., :n], axis=-1)
+        c[..., n] = (acc if rhs is None else np.asarray(rhs)[..., n] + acc) / (shift - n)
+    return c
+
+
+def _cot_pi(x):
+    return 1.0 / np.tan(math.pi * np.asarray(x, dtype=float))
+
+
+def _across(rows: Callable, delta: float) -> np.ndarray:
+    """rows(deltas) at deltas = delta, interpolated across delta = 0.
+
+    rows(deltas) gives a law's coefficient rows at parameters whose offset
+    from a coincidence of two exponents is each of deltas.  Across
+    delta = 0 the rows are analytic while the two halves of a coefficient
+    grow like 1/delta and cancel, losing eps/delta.  So where
+    |delta| < _NEAR the rows are interpolated (barycentric form) from 16
+    Chebyshev nodes in [-_NEAR, _NEAR], where at most 100 eps is lost;
+    their nearest other singularity is 0.5 away or more, so the
+    interpolation error is below rounding.
+    """
+    if abs(delta) >= _NEAR:
+        return rows(np.array([delta]))[0]
+    w = _BARY / (delta - _NEAR * _CHEB)
+    return np.tensordot(w / w.sum(), rows(_NEAR * _CHEB), axes=1)
+
+
+def _pair_rows(U, V, m: int, deltas: np.ndarray, rhs: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """Per node, the rows of the families (-1, None) and (-m, delta) of
+    P + amp H: P the formal particular solution, from t^-1, for rhs; H the
+    homogeneous one, t^(-m-delta) h~ = t^-m (1 - delta phi) h~, whose first
+    part joins P's t^-m power, the two halves that cancel across delta = 0."""
+    law = _series_solution(U, V, -1.0, (m - 1) + deltas, rhs)
+    h = _series_solution(U, V, -(m + deltas), 0.0)
+    law[:, m - 1:] += amp[:, None] * h[:, :_LAW_TERMS - m + 1]
+    return np.stack([law, -(deltas * amp)[:, None] * h], axis=1)
+
+
+def _moment_law(a: float, b: float, c: float, beta: float, gap: float) -> tuple:
+    """Large-j law of sum_k t_k/(k+beta-j), t_k = (a)_k (b)_k/((c)_k k!), gap = c-a-b+1.
+
+    With x = j - beta the table solves (x+1)(x+c) E(x+1) - (x+a)(x+b) E(x)
+    = -(c-a-b) S, S = 2F1(a, b; c; 1).  The exact E is its formal
+    particular solution, -S/t + ..., plus C h for the homogeneous
+    h = Gamma(x+a)Gamma(x+b)/(Gamma(x+c)Gamma(x+1)) ~ t^-gap, with
+    C = pi A (cot pi gap + cot pi beta), A = Gamma(c)/(Gamma(a)Gamma(b)),
+    from the resonance k ~ j of the sum; both are solved in t = j.  The
+    two meet where gap nears an integer m and are taken across that
+    coincidence along c, beta held (_across).  The caller forms gap
+    exactly: for the b0 = 0 image families it is beta itself, whose
+    resonance then sits in cot pi beta, formed from beta - m0.
+    """
+    m = round(gap)
+    off = beta - round(beta)
+    V = ((a - beta) + (b - beta), (a - beta) * (b - beta))
+
+    def rows(deltas):
+        cs = c + (deltas - (gap - m))
+        S = np.array([_GammaProduct((ci, (m - 1) + x), (ci - a, ci - b)).value()
+                      for ci, x in zip(cs.tolist(), deltas.tolist())])
+        A = np.array([_GammaProduct((ci,), (a, b)).value() for ci in cs.tolist()])
+        rhs = np.zeros((len(cs), _LAW_TERMS))
+        rhs[:, 0] = -((m - 1) + deltas) * S
+        U = ((1.0 - beta) + (cs - beta), (1.0 - beta) * (cs - beta))
+        return _pair_rows(U, V, m, deltas, rhs, math.pi * A * (_cot_pi(deltas) + _cot_pi(off)))
+
+    P, Q = _across(rows, gap - m)
+    return ((-1.0, None, P), (-float(m), gap - m, Q))
+
+
+def _i2_law(d: float) -> tuple:
+    """Large-j law of the i2 table, from (j+d) E_{j+1} - (j+4d-3) E_j = (1-d) D_j.
+
+    D_j = (phi(j) - phi(2d-1))/(2-3d-j) with phi(t) = -2 cos(pi d) Gamma(1-d)
+    Gamma(t+2d-1)/Gamma(t+d) ~ t^(d-1) (its product form at the integers,
+    continued by reflection), so the particular solution has two families:
+    powers of t from the constant phi(2d-1), and t^(d-1) times powers from
+    phi(t).  The homogeneous solution H = Gamma(t+4d-3)/Gamma(t+d) has the
+    amplitude -pi (cot 3 pi d + cot pi d) C'/Gamma(d), C' the _G2_FAMILY
+    law's C, as H(j) is (d)_x/x! times that family's h at x = j - 1 + d
+    (checked against 30-digit runs of the recurrence to 2e-13 at d = 0.1,
+    0.2, 0.3, 0.45).  H meets the t^-2 power at d = 1/3 and, with the
+    t^(d-3) power, the t^-3 one at d = 0, where the table is finite (the
+    weights (d)_k/k! cancel both resonances): all three families are
+    taken across these coincidences along d.
+    """
+    gap = 3.0 - 3.0 * d
+    m = round(gap)
+
+    def rows(deltas):
+        ds = d + (gap - m - deltas) / 3.0
+        # Gamma(1-d), Gamma(2-2d) and Gamma(2-d)/Gamma(d)^2 per node
+        g1, g22, g2 = np.array([(gamma(1 - x), gamma(2 - 2 * x),
+                                 gamma(2 - x) * (x / gamma(1 + x)) ** 2) for x in ds.tolist()]).T
+        cos = np.cos(math.pi * ds)
+        beta = 2.0 - 2.0 * ds  # the _G2_FAMILY table's, to the bit
+        amp = 2 * math.pi**2 * (_cot_pi(deltas) - _cot_pi(ds)) * g2 * _cot_pi(beta - np.round(beta))
+        # 1/(t - kap) times a series in 1/t: the running sums g_k = f_k + kap g_(k-1)
+        const = np.zeros((len(ds), _LAW_TERMS))
+        const[:, 0] = (1 - ds) * -g1 ** 2 / (2 * cos * g22)
+        varying = ((ds - 1) * -2 * cos * g1)[:, None] * _series_solution(
+            (ds,), (2 * ds - 1,), ds - 1, 0.0)
+        kap = 2 - 3 * ds
+        for k in range(1, _LAW_TERMS):
+            const[:, k] += kap * const[:, k - 1]
+            varying[:, k] += kap * varying[:, k - 1]
+        pair = _pair_rows((ds,), (4 * ds - 3,), m, deltas, const, amp)
+        from_phi = _series_solution((ds,), (4 * ds - 3,), ds - 2, 1 - 2 * ds, varying)
+        return np.concatenate([pair, from_phi[:, None]], axis=1)
+
+    P, Q, R = _across(rows, gap - m)
+    return ((-1.0, None, P), (-float(m), gap - m, Q), (d - 2, None, R))
 
 
 # ---------------------------------------------------------------------------
 # weight families
 # ---------------------------------------------------------------------------
 
-def _moment_table(a: float, b: float, c: float, beta: float, p_decay: float) -> _ETable:
-    """E table of t_k = (a)_k (b)_k / ((c)_k k!), decaying like k^-p_decay (p_decay = c-a-b+2).
+def _moment_table(a: float, b: float, c: float, beta: float, gap: float) -> _ETable:
+    """E table of t_k = (a)_k (b)_k / ((c)_k k!), with gap = c-a-b+1 as _moment_law takes it.
 
     Summation by parts on t_{k+1} (c+k)(1+k) = t_k (a+k)(b+k) gives
     (j+1-beta) E_{j+1} = [(j+a-beta)(j+b-beta) E_j - (c-a-b) S]/(j+c-beta)
@@ -164,7 +311,8 @@ def _moment_table(a: float, b: float, c: float, beta: float, p_decay: float) -> 
         den = gap(c)
         return gap(a) * gap(b) / den, -(c - a - b) * s / den
 
-    return _build_e_table(beta, _series_dot(_UNIT, sets, 1.0, 0.0), step, p_decay, s)
+    return _build_e_table(beta, _series_dot(_UNIT, sets, 1.0, 0.0), step,
+                          lambda: _moment_law(a, b, c, beta, gap))
 
 
 # An image family ((b0, b1), n, m) is that of K[u^(c-1) 2F1(1, b; c; u)],
@@ -210,14 +358,13 @@ def _family_table(d: float, family) -> _ETable:
             (_image_prefactor(d, 2, 1) * r, _power_weight(0, d) * r, r), (*_G3_PIECES, "i2"))]
         law = {}
         for w, t in parts:
-            for e, coef in zip(t.tail_exponents, t.tail_coefs):
-                law[e] = law.get(e, 0.0) + w * coef
-        return _ETable(sum(w * t.E for w, t in parts), tuple(law), tuple(law.values()))
+            for e0, delta, coefs in t.law:
+                law[e0, delta] = law.get((e0, delta), 0.0) + w * coefs
+        return _ETable(sum(w * t.E for w, t in parts), tuple((*k, v) for k, v in law.items()))
     if family == "i2":
         inner = _family_table(d, _G2_FAMILY)
         beta = 1.0 - d
-        m1, e0 = _series_dot(inner, np.array([((d, 1.0), (1.0, 1.0)),
-                                              ((d, 1.0), (beta, beta + 1.0))]), 1.0, 0.0)
+        e0 = _series_dot(inner, ((d, 1.0), (beta, beta + 1.0)), 1.0, 0.0)
         d1 = _series_dot(_UNIT, ((d, 1.0), (-d, 1 - d), (2 * d - 1, 2 * d)), 1.0, 0.0) / (
             d * (2 * d - 1))
         phi0 = gamma(1 - d) ** 2 / gamma(2 - 2 * d)
@@ -231,11 +378,11 @@ def _family_table(d: float, family) -> _ETable:
             dq[1] = d1
             return gap(3 * d - 2), (1 - d) * dq
 
-        # dominant decay: j^(d-1)/j/j = 3-d
-        return _build_e_table(beta, np.array([e0]), step, 3.0 - d, m1)
+        return _build_e_table(beta, np.array([e0]), step, lambda: _i2_law(d))
     (b0, b1), n, m = family
-    # beta and the decay straight from d: as c - d, beta would keep only c's digits of d near 0
-    return _moment_table(1.0, *_piece(family, d), n - (m + 1) * d, n + 1 - b0 - (m + b1) * d)
+    # beta and the gap straight from d: as c - d, beta would keep only c's digits of d near 0,
+    # and for b0 = 0 the gap is then beta itself, to the bit
+    return _moment_table(1.0, *_piece(family, d), n - (m + 1) * d, (n - b0) - (m + b1) * d)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +497,9 @@ def kernel_hyp2f1_moment(a: float, b: float, c: float, e: float, d: float, x: fl
     At d = 0 the kernel is 1 and the value is the plain moment
     3F2(a,b,e+1; c,e+2; 1)/(e+1).  The front 3F2 is summed by hyp_2f1's
     rule (specfun._pfq_below_1), so near x = 1 it is the series engine's
-    sum and as accurate as hyp_2f1 there; the family sum's error is the
-    E table's fitted law beyond J.
+    sum and as accurate as hyp_2f1 there, and the family sum past the
+    table is its exact large-j law, including where c - a - b is at or
+    near an integer.
     """
     _check_interior(x)
     if c - a - b <= 0:
@@ -363,7 +511,7 @@ def kernel_hyp2f1_moment(a: float, b: float, c: float, e: float, d: float, x: fl
     pre = gamma(1 - d) * (gamma_ratio(1 + e, 2 - d + e) + gamma_ratio(d - 1 - e, -e))
     z = 1.0 - x
     front = pre * x ** (1 - d + e) * _pfq_below_1(HypParams((a, b, e + 1.0), (c, 2 - d + e)), x, z)
-    table = _moment_table(a, b, c, 1 - d + e, c - a - b + 2.0)
+    table = _moment_table(a, b, c, 1 - d + e, c - a - b + 1.0)
     return front + _series_dot(table, ((d, 1.0),), x, _decay_rate(x, z))
 
 

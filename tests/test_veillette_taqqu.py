@@ -24,7 +24,7 @@ from rosenblatt import cumulants as cu
 from rosenblatt import quadrature
 from rosenblatt import specfun as sf
 from rosenblatt import veillette_taqqu as vt
-from reference_values import KERNEL_HYP2F1_NEAR_1
+from reference_values import E_TABLE_RECURRENCE, G3_NEAR_1, KERNEL_HYP2F1_NEAR_1
 
 
 def split_quad(f, x, tol=1e-12):
@@ -175,8 +175,8 @@ def test_first_sweep_batch_equals_per_level_calls(name, d):
 
 
 def full_series_dot(table, d, x, lam, s):
-    """sum_j (d)_j/(s)_j x^j E_j over every tabulated j, plus the fitted law
-    summed beyond the table by Euler-Maclaurin around an adaptive integral in ln t."""
+    """sum_j (d)_j/(s)_j x^j E_j over every tabulated j, plus the table's large-j law
+    summed beyond it by Euler-Maclaurin around an adaptive integral in ln t."""
     J = len(table.E)
     jj = np.arange(J - 1, dtype=float)
     c = np.concatenate([[1.0], np.cumprod((d + jj) * x / (s + jj))])
@@ -186,7 +186,7 @@ def full_series_dot(table, d, x, lam, s):
 
     def f(t):
         # c_t = Gamma(d+t) Gamma(s) / (Gamma(s+t) Gamma(d)) x^t, free of lgamma cancellation
-        law = sum(coef * t**e for e, coef in zip(table.tail_exponents, table.tail_coefs))
+        law = float(sf._law_sum(table.law, math.log(t), 1 / t, 0.0))
         return poch(s + t, d - s) * gamma(s) / gamma(d) * math.exp(-lam * t) * law
 
     cuts = math.log(J) + np.arange(0.0, 65.0, 4.0)
@@ -259,7 +259,7 @@ class TestNodeArrays:
         # j = m0 = round(beta) and far past it; "a=0.7" is a kernel_hyp2f1_moment table
         if family == "a=0.7":
             a, b, c, beta = 0.7, 0.3, 2.0, 1 - d + 1.4
-            table = vt._moment_table(a, b, c, beta, c - a - b + 2)
+            table = vt._moment_table(a, b, c, beta, c - a - b + 1)
         else:
             (b0, b1), n, m = family
             a, b, c, beta = 1.0, b0 + b1 * d, n - m * d, n - (m + 1) * d
@@ -304,7 +304,7 @@ class TestNodeArrays:
 
     @pytest.mark.parametrize("d", [1e-9, 0.05, 0.25, 1 / 3 - 1e-12, 1 / 3 + 1e-12, 0.45, 0.49])
     def test_g4_table_sums_its_weighted_parts(self, d):
-        # tables and laws are linear; the two sides round 16384-term sums in different
+        # tables and laws are linear; the two sides round J-term sums in different
         # orders, and a single table's sum moves by up to ~2e-15 with the node array alone
         x, z = first_sweep_nodes()
         lam = sf._decay_rate(x, z)
@@ -365,6 +365,45 @@ class TestUnitTable2F1:
         assert vt.c_k_via_operator(1, 3, d) == pytest.approx(cu.c_closed(4, d).value, rel=1e-10)
 
 
+def _law_table(name, d):
+    """The route table, or the "a=0.7" kernel_hyp2f1_moment table, of a stored reference."""
+    if name == "a=0.7":
+        a, b, c = 0.7, 0.3, 2.0
+        return vt._moment_table(a, b, c, 1 - d + 1.4, c - a - b + 1)
+    return vt._family_table.__wrapped__(d, "i2" if name == "i2" else {
+        "g2": vt._G2_FAMILY, "g32": ((0, 1), 3, 2), "m12": ((-1, 2), 2, 1)}[name])
+
+
+@pytest.mark.parametrize("name,d", list(E_TABLE_RECURRENCE), ids=str)
+def test_large_j_law_matches_the_recurrence(name, d):
+    # the law past the table against 40-digit runs of the table's own recurrence, and the
+    # table's last entry, which carries the rounding of its J - 1 steps
+    J = sf._J_TABLE
+    ref = E_TABLE_RECURRENCE[name, d]
+    table = _law_table(name, d)
+    t = np.array([J, 2 * J, 8 * J], dtype=float)
+    law = sf._law_sum(table.law, np.log(t), 1 / t, 0.0)
+    np.testing.assert_allclose(law, [ref[j] for j in t.astype(int).tolist()], rtol=1e-14, atol=0.0)
+    assert abs(table.E[J - 1] / ref[J - 1] - 1) <= 3e-13
+
+
+@pytest.mark.parametrize("d", sorted(G3_NEAR_1))
+def test_g3_near_one_matches_stored_references(d):
+    # stored values, not apply_kernel: near d = 1/2 the numeric operator is itself 3e-11 off here
+    assert vt.g3(1 - 1e-12, d, one_minus_x=1e-12) == pytest.approx(G3_NEAR_1[d], rel=1e-13)
+
+
+def test_series_powers_hold_no_subnormal(monkeypatch):
+    # the powers of the main sum are zero past each node's cut-off, never subnormal
+    x, z = first_sweep_nodes()
+    seen, powers = [], sf._powers
+    monkeypatch.setattr(sf, "_powers", lambda lam_j: seen.append(powers(lam_j)) or seen[-1])
+    vt.g2(x, 0.05, one_minus_x=z)
+    assert seen
+    for p in seen:
+        assert not np.any((p != 0.0) & (np.abs(p) < np.finfo(float).tiny))
+
+
 class TestKernelHyp2F1Moment:
     def test_pure_power_weight(self):
         # b = 0 reduces to int |x-u|^(-d) u^e du
@@ -423,7 +462,7 @@ class TestKernelHyp2F1Moment:
             vt.kernel_hyp2f1_moment(1.0, 1.0, 1.5, 0.5, 0.3, 0.4)
 
     @pytest.mark.parametrize("params", list(KERNEL_HYP2F1_NEAR_1),
-                             ids=["c-a-b=0.4", "c-a-b=1.651"])
+                             ids=["c-a-b=0.4", "c-a-b=1.651", "c-a-b=1.0003", "c-a-b=1.041"])
     @pytest.mark.parametrize("gap", [1e-4, 1e-6, 1e-9])
     def test_near_one_matches_stored_references(self, params, gap):
         # the front 3F2 near x = 1 is hyp_2f1's engine sum, not a power series at its term cap
@@ -535,7 +574,7 @@ class TestCkViaOperator:
 
     def test_e_table_at_integer_beta_is_a_pole(self):
         with pytest.raises(sf.PoleError, match="beta=2.0"):
-            vt._moment_table(1.0, 0.2, 1.8, 2.0, 2.6)
+            vt._moment_table(1.0, 0.2, 1.8, 2.0, 1.6)
 
     def test_e_tables_are_built_without_an_fft(self, monkeypatch):
         # every table of one d, the i2 one included, comes from its recurrence in j
@@ -547,6 +586,24 @@ class TestCkViaOperator:
         vt._family_table.cache_clear()
         for family in (vt._G2_FAMILY, ((0, 1), 3, 2), ((-1, 2), 2, 1), "i2"):
             assert np.isfinite(vt._family_table(0.2371, family).E).all()
+
+    def test_e_tables_are_built_without_a_fit(self, monkeypatch):
+        # every large-j law is read off its table's recurrence: nothing is fitted to the entries
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.lstsq reached by an E-table build")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        for d in (1e-9, 0.2371, 1 / 3 + 1e-9, 0.49):
+            for family in (vt._G2_FAMILY, ((0, 1), 3, 2), ((-1, 2), 2, 1), "i2", "g4"):
+                assert np.isfinite(vt._family_table.__wrapped__(d, family).E).all()
+        assert math.isfinite(vt.kernel_hyp2f1_moment(0.7, 0.3, 2.0, 1.4, 0.3, 1 - 1e-9))
+
+    def test_g4_near_one_is_continuous_in_d(self):
+        # the law's exponents follow d itself: no set of them switches on the last bit of d
+        x, z = 1 - 1e-10, 1e-10
+        values = [vt.g4_closed(x, d, one_minus_x=z)
+                  for d in (math.nextafter(0.3, 0.0), 0.3, math.nextafter(0.3, 1.0))]
+        assert max(values) - min(values) <= 1e-14 * abs(values[1])
 
     @given(st.floats(min_value=1e-9, max_value=0.45), st.sampled_from([(1, 2), (2, 2), (2, 3)]))
     @settings(max_examples=12, deadline=None)
