@@ -119,7 +119,9 @@ def _build_e_table(beta: float, start: np.ndarray, step: Callable, law: Callable
     law() gives the families of E_j beyond the table (_ETable): the formal
     solution of the same recurrence in powers of 1/j, read off it
     coefficient by coefficient, plus its homogeneous solution with a
-    closed-form amplitude; nothing is fitted to the entries.
+    closed-form amplitude; nothing is fitted to the entries.  It is called
+    here, after the pole check, as an integer beta makes its amplitude
+    infinite.
     """
     if beta == round(beta):
         raise PoleError(f"E table pole: beta={beta!r} is an integer")
@@ -206,10 +208,12 @@ def _pair_rows(U, V, m: int, deltas: np.ndarray, rhs: np.ndarray, amp: np.ndarra
     """Per node, the rows of the families (-1, None) and (-m, delta) of
     P + amp H: P the formal particular solution, from t^-1, for rhs; H the
     homogeneous one, t^(-m-delta) h~ = t^-m (1 - delta phi) h~, whose first
-    part joins P's t^-m power, the two halves that cancel across delta = 0."""
+    part joins P's t^-m power, the two halves that cancel across delta = 0.
+    Powers of that first part past P's last, t^-_LAW_TERMS, are left out
+    like P's own."""
     law = _series_solution(U, V, -1.0, (m - 1) + deltas, rhs)
     h = _series_solution(U, V, -(m + deltas), 0.0)
-    law[:, m - 1:] += amp[:, None] * h[:, :_LAW_TERMS - m + 1]
+    law[:, m - 1:] += amp[:, None] * h[:, :max(0, _LAW_TERMS - m + 1)]
     return np.stack([law, -(deltas * amp)[:, None] * h], axis=1)
 
 

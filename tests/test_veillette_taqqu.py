@@ -24,7 +24,8 @@ from rosenblatt import cumulants as cu
 from rosenblatt import quadrature
 from rosenblatt import specfun as sf
 from rosenblatt import veillette_taqqu as vt
-from reference_values import E_TABLE_RECURRENCE, G3_NEAR_1, KERNEL_HYP2F1_NEAR_1
+from reference_values import (E_TABLE_RECURRENCE, G3_NEAR_1, KERNEL_HYP2F1_LARGE_GAP,
+                              KERNEL_HYP2F1_NEAR_1)
 
 
 def split_quad(f, x, tol=1e-12):
@@ -467,6 +468,13 @@ class TestKernelHyp2F1Moment:
     def test_near_one_matches_stored_references(self, params, gap):
         # the front 3F2 near x = 1 is hyp_2f1's engine sum, not a power series at its term cap
         ref = KERNEL_HYP2F1_NEAR_1[params][gap]
+        assert vt.kernel_hyp2f1_moment(*params, 1.0 - gap) == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("params", list(KERNEL_HYP2F1_LARGE_GAP),
+                             ids=["c-a-b=10", "c-a-b=8.7", "c-a-b=29"])
+    @pytest.mark.parametrize("gap", [1e-4, 1e-9])
+    def test_large_c_minus_a_minus_b_matches_stored_references(self, params, gap):
+        ref = KERNEL_HYP2F1_LARGE_GAP[params][gap]
         assert vt.kernel_hyp2f1_moment(*params, 1.0 - gap) == pytest.approx(ref, rel=1e-13)
 
 
