@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .specfun import (
     _EPS,
@@ -28,9 +29,9 @@ from .specfun import (
     SeriesResult,
     gamma,
     gamma_ratio,
-    pfq_at_1,
     pfq_at_1_batch,
 )
+from .specfun import pfq_at_1  # noqa: F401  unused here: perfbench's trace wraps this name
 from .thomae import eval_3f2_optimized
 
 METHOD_CLOSED = "closed-form"
@@ -84,8 +85,26 @@ def kappa_from_c(k: int, d: float, c_k: float) -> float:
     return 2.0 ** (k - 1) * math.factorial(k - 1) * sigma(d) ** k * c_k
 
 
-def _f32(top, bottom) -> SeriesResult:
-    return eval_3f2_optimized(HypParams(top, bottom))
+def _series(d: float) -> dict[str, tuple]:
+    """(top, bottom) of the seven unit-argument series at d, each named after the
+    first order-5 region that reads it; the first five are c_5's 3F2, "r4" is c_4's."""
+    return {
+        "r3": ((d, 1 - d, 3 - 3 * d), (2 - d, 4 - 4 * d)),
+        "r2": ((d, 1 - d, 2 - 2 * d), (2 - d, 4 - 4 * d)),  # also regions 9 and printed 3
+        "r8": ((1.0, d, 3 - 3 * d), (3 - 2 * d, 4 - 3 * d)),
+        "r11": ((1.0, d, 3 - 3 * d), (2 - d, 4 - 3 * d)),  # also region 6
+        "r4": ((1.0, d, 2 - 2 * d), (2 - d, 3 - 2 * d)),  # also regions 7 and 11
+        "r5": ((1.0, d, 2 - 2 * d, 3 - 3 * d),  # the 4F3, also regions 7 and 10
+               (2 - d, 3 - 2 * d, 4 - 4 * d)),
+        "r6": ((1.0, 2 * d, d + 1), (3 - d, 2 * d + 1)),  # also region 12
+    }
+
+
+@lru_cache(maxsize=64)
+def _series_values(d: float) -> dict[str, SeriesResult]:
+    """The values of _series(d) from one pfq_at_1_batch call; every caller shares the dict."""
+    sets = _series(d)
+    return dict(zip(sets, pfq_at_1_batch([HypParams(*p) for p in sets.values()])))
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +143,9 @@ def c4_region(i: int, d: float) -> float:
             2 * gamma(2 - 2 * d) ** 2 * gamma(5 - 4 * d)
         )
     if i == 3:
-        f = _f32((1.0, d, 2 - 2 * d), (2 - d, 3 - 2 * d))
+        f = _series_values(d)["r4"]
         return gamma(3 - 4 * d) / (2 * (1 - d) ** 2 * gamma(5 - 4 * d)) * f.value
     raise ValueError("order-4 region index must be 1, 2 or 3")
-
-
-def _c4_families(d: float):
-    """The (top, bottom) parameters of the one 3F2 in c_4."""
-    return (((2 - 2 * d, 1.0, d), (3 - 2 * d, 2 - d)),)
 
 
 def _c4_assemble(d: float, values) -> SeriesResult:
@@ -172,8 +186,8 @@ def c5_region(i: int, d: float, *, region3_variant: str = "corrected") -> float:
 
     Region 3's second term is printed with denominator Gamma(6-5d)^2 in
     the source; the Monte-Carlo oracle selects the "corrected" reading
-    Gamma(6-5d)Gamma(4-4d), under which the term is exactly the region-2
-    value.  The rejected reading stays available as region3_variant="printed".
+    Gamma(6-5d)Gamma(4-4d), under which region 3 is its first term minus
+    region 2's.  The rejected reading stays available as region3_variant="printed".
     """
     if region3_variant not in REGION3_VARIANTS:
         raise ValueError(f"unknown region3_variant {region3_variant!r}")
@@ -184,66 +198,43 @@ def c5_region(i: int, d: float, *, region3_variant: str = "corrected") -> float:
     g44 = gamma(4 - 4 * d)
     g33 = gamma(3 - 3 * d)
     g22 = gamma(2 - 2 * d)
+    f = _series_values(d)  # the series of all twelve regions at d, from one engine call
 
     if i == 1:
         return g1d**4 * g45 / (g44 * g65)
-    if i in (2, 9):
-        f = _f32((d, 1 - d, 2 - 2 * d), (2 - d, 4 - 4 * d))
-        return g1d**2 / (1 - d) * g45 * g22 / (g65 * g44) * f.value
-    if i == 3:
-        f = _f32((d, 1 - d, 3 - 3 * d), (2 - d, 4 - 4 * d))
-        first = g1d**3 / ((1 - d) * g22) * (g45 / g44) * (g33 / g65) * f.value
-        if region3_variant == "corrected":
-            return first - c5_region(2, d)
-        f2 = _f32((d, 1 - d, 2 - 2 * d), (2 - d, 4 - 4 * d))
-        return first - g1d**2 / (1 - d) * g45 * g22 / (g65 * g65) * f2.value
+    if i in (2, 3, 9):
+        g = g65 if i == 3 and region3_variant == "printed" else g44
+        two = g1d**2 / (1 - d) * g45 * g22 / (g65 * g) * f["r2"].value
+        if i != 3:
+            return two
+        return g1d**3 / ((1 - d) * g22) * (g45 / g44) * (g33 / g65) * f["r3"].value - two
     if i == 4:
-        f = _f32((1.0, d, 2 - 2 * d), (2 - d, 3 - 2 * d))
-        return gamma(1 - d) / (2 * (1 - d) ** 2) * g33 * g45 / (g44 * g65) * f.value
+        return gamma(1 - d) / (2 * (1 - d) ** 2) * g33 * g45 / (g44 * g65) * f["r4"].value
     if i in (5, 10):
-        f = pfq_at_1(HypParams((1.0, d, 2 - 2 * d, 3 - 3 * d), (2 - d, 3 - 2 * d, 4 - 4 * d)))
-        return g1d / (2 * (1 - d) ** 2) * g33 * g45 / (g44 * g65) * f.value
+        return g1d / (2 * (1 - d) ** 2) * g33 * g45 / (g44 * g65) * f["r5"].value
     if i in (6, 12):
         if 1 - 2 * d < 1e-13:
             raise PoleError(f"Gamma(2d-1) of region {i} is not cancelled at d={d}")
-        f = _f32((1.0, 2 * d, d + 1), (3 - d, 2 * d + 1))
-        f1 = 1 + (2 * d - 1) / (2 * (2 - d)) * f.value
+        f1 = 1 + (2 * d - 1) / (2 * (2 - d)) * f["r6"].value
         front = g1d / (1 - d) / (2 * d - 1) * g33 * g45 / (g65 * g44) * f1
         back = (g1d**3 * g45 / (g44 * g65) * g22 * gamma_ratio(1 + 2 * d, 1 + d)
                 / (2 * (2 * d - 1)))
         if i == 12:
             return back - front
-        f3 = _f32((1.0, d, 3 - 3 * d), (2 - d, 4 - 3 * d))
-        return front - back + g1d**2 / (3 * (1 - d) ** 2) * g45 / (g65 * g22) * f3.value
+        return front - back + g1d**2 / (3 * (1 - d) ** 2) * g45 / (g65 * g22) * f["r11"].value
     if i == 7:
-        f1 = _f32((1.0, d, 2 - 2 * d), (2 - d, 3 - 2 * d))
-        f2 = pfq_at_1(HypParams((1.0, d, 2 - 2 * d, 3 - 3 * d), (2 - d, 3 - 2 * d, 4 - 4 * d)))
         return (
-            g1d**2 / (2 * (1 - d) ** 2) * g45 / (g65 * g22) * f1.value
-            - g1d / (1 - d) ** 2 * (g33 / g44) * (g45 / g65) * f2.value
+            g1d**2 / (2 * (1 - d) ** 2) * g45 / (g65 * g22) * f["r4"].value
+            - g1d / (1 - d) ** 2 * (g33 / g44) * (g45 / g65) * f["r5"].value
         )
     if i == 8:
-        f = _f32((1.0, d, 3 - 3 * d), (3 - 2 * d, 4 - 3 * d))
-        return g1d**2 / (3 * (1 - d)) * g45 / (g65 * gamma(3 - 2 * d)) * f.value
+        return g1d**2 / (3 * (1 - d)) * g45 / (g65 * gamma(3 - 2 * d)) * f["r8"].value
     if i == 11:
-        f1 = _f32((1.0, d, 3 - 3 * d), (2 - d, 4 - 3 * d))
-        f2 = _f32((1.0, d, 2 - 2 * d), (2 - d, 3 - 2 * d))
         return (
-            g1d**2 / (3 * (1 - d) ** 2) * g45 / (g65 * g22) * f1.value
-            - g1d * g45 * g33 / (2 * (1 - d) ** 2 * g65 * g44) * f2.value
+            g1d**2 / (3 * (1 - d) ** 2) * g45 / (g65 * g22) * f["r11"].value
+            - g1d * g45 * g33 / (2 * (1 - d) ** 2 * g65 * g44) * f["r4"].value
         )
     raise ValueError("order-5 region index must be in 1..12")
-
-
-def _c5_families(d: float):
-    """The (top, bottom) parameters of the five 3F2 in c_5."""
-    return (
-        ((d, 1 - d, 3 - 3 * d), (2 - d, 4 - 4 * d)),
-        ((d, 1 - d, 2 - 2 * d), (2 - d, 4 - 4 * d)),
-        ((1.0, d, 3 - 3 * d), (3 - 2 * d, 4 - 3 * d)),
-        ((1.0, d, 3 - 3 * d), (2 - d, 4 - 3 * d)),
-        ((1.0, d, 2 - 2 * d), (2 - d, 3 - 2 * d)),
-    )
 
 
 def _c5_assemble(d: float, values) -> SeriesResult:
@@ -280,8 +271,9 @@ def c5_closed(d: float) -> SeriesResult:
     return c_closed(5, d)
 
 
-# c_k = assemble(d, values of families(d)) for the orders whose closed form has 3F2 terms
-_SERIES_FORMS = {4: (_c4_families, _c4_assemble), 5: (_c5_families, _c5_assemble)}
+# c_k = assemble(d, values of these _series(d)) for the orders whose closed form has 3F2 terms
+_SERIES_FORMS = {4: (("r4",), _c4_assemble),
+                 5: (("r3", "r2", "r8", "r11", "r4"), _c5_assemble)}
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +298,9 @@ def c_closed(k: int, d: float) -> SeriesResult:
         c3 = c3_closed(d)
         return SeriesResult(c3, 8 * _EPS * c3, 0)
     d = _check_d(d)
-    families, assemble = _SERIES_FORMS[k]
-    return assemble(d, [_f32(*family) for family in families(d)])
+    names, assemble = _SERIES_FORMS[k]
+    sets = _series(d)
+    return assemble(d, [eval_3f2_optimized(HypParams(*sets[name])) for name in names])
 
 
 def kappa(k: int, d: float) -> CumulantReport:
@@ -370,15 +363,19 @@ def characteristic_function(theta: float, d: float, K: int = 5) -> Characteristi
 def cumulant_table(grid, orders) -> list[CumulantReport]:
     """Closed-form reports for every (order, d) pair, sorted by (order, d).
 
-    Row by row these are kappa(k, d); the 3F2 values of every c_4 and c_5
-    row at interior d are summed in one pfq_at_1_batch call.
+    Row by row these are kappa(k, d); the distinct 3F2 of every c_4 and c_5
+    row at interior d (c_4's is one of c_5's) are summed in one
+    pfq_at_1_batch call.
     """
     rows = sorted((int(k), _check_d(d)) for k in orders for d in grid)
     for k, _ in rows:
         _check_order(k)
     series = [(k, d) for k, d in rows if k in _SERIES_FORMS and 0.0 < d < 0.5]
-    families = [_SERIES_FORMS[k][0](d) for k, d in series]
-    values = iter(pfq_at_1_batch([HypParams(*f) for row in families for f in row]))
-    c = {(k, d): _SERIES_FORMS[k][1](d, [next(values) for _ in row])
-         for (k, d), row in zip(series, families)}
+    sets = {}
+    for k, d in series:
+        params = _series(d)
+        sets.update(((d, name), params[name]) for name in _SERIES_FORMS[k][0])
+    values = dict(zip(sets, pfq_at_1_batch([HypParams(*p) for p in sets.values()])))
+    c = {(k, d): _SERIES_FORMS[k][1](d, [values[d, name] for name in _SERIES_FORMS[k][0]])
+         for k, d in series}
     return [_closed_report(k, d, c[k, d]) if (k, d) in c else kappa(k, d) for k, d in rows]

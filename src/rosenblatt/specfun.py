@@ -21,7 +21,7 @@ to x = 0.85 (as p <= q at x = 1 is), the engine above.
 The engine takes a leading axis of parameter sets, so pfq_at_1_batch sums
 many (q+1)Fq at unit argument in one call; pfq_at_1 is the batch of one.
 A cumulant table is one such call: cumulants.cumulant_table gathers the
-3F2 of every c_4 and c_5 row first.
+distinct 3F2 of every c_4 and c_5 row first.
 """
 
 from __future__ import annotations

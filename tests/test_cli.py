@@ -188,8 +188,8 @@ class TestTable:
         assert code == 0 and out == buffer.getvalue()
 
     def test_closed_rows_sum_every_series_in_one_engine_call(self, capsys, monkeypatch):
-        # 11 interior d: one c_4 and five c_5 series each, 66 sets in one batch,
-        # one pass of the series engine and no per-row evaluation
+        # 11 interior d: five c_5 series each, c_4's being one of them, 55 sets in
+        # one batch, one pass of the series engine and no per-row evaluation
         batches, engine = [], []
         batch, dot = cu.pfq_at_1_batch, sf._series_dot
         monkeypatch.setattr(cu, "pfq_at_1_batch",
@@ -198,7 +198,7 @@ class TestTable:
         grid = ",".join(str(round(0.04 * i + 0.03, 2)) for i in range(11))
         code, out = run_cli(capsys, "table", "--orders", "3,4,5", "--d-grid", grid)
         assert code == 0 and len(parse_csv(out)[1]) == 33
-        assert batches == [66] and len(engine) == 1
+        assert batches == [55] and len(engine) == 1
 
     def test_d_prints_as_computed(self, capsys):
         # 0.499999999999999 reads back as 0.5 from 12 digits, so it prints in full
@@ -350,6 +350,19 @@ class TestVerify:
         assert passed == ["PASS region-sum-order-4", "PASS region-sum-order-5",
                           "PASS thomae-value-preservation", "PASS 4f3-decompositions-agree",
                           "PASS closed-vs-operator-k3"]
+        assert lines[-1] == "FAILED: 1 failing check(s)"
+
+    def test_failing_region_sum_fails_its_check_only(self, capsys):
+        # region 6 raises within 1e-13 of d = 0.5; the other checks still run
+        code, out = run_cli(capsys, "verify", "--method", "closed",
+                            "--d-grid", "0.499999999999999")
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[1] == ("FAIL region-sum-order-5: d=0.499999999999999 failed: "
+                            "Gamma(2d-1) of region 6 is not cancelled at d=0.499999999999999")
+        assert [line.split(":")[0] for line in lines if line.startswith("PASS ")] == [
+            "PASS region-sum-order-4", "PASS thomae-value-preservation",
+            "PASS 4f3-decompositions-agree"]
         assert lines[-1] == "FAILED: 1 failing check(s)"
 
     def test_console_script_entry(self):

@@ -123,6 +123,17 @@ class TestOrderFiveRegions:
             total = 10.0 * sum(cu.c5_region(i, d) for i in range(1, 13))
             assert total == pytest.approx(cu.c5_closed(d).value, abs=1e-7)
 
+    def test_every_region_at_one_d_shares_one_engine_call(self, monkeypatch):
+        # the seven series of all 15 regions at one d come from one batch
+        batches, batch = [], cu.pfq_at_1_batch
+        monkeypatch.setattr(cu, "pfq_at_1_batch",
+                            lambda sets: batches.append(len(sets)) or batch(sets))
+        cu._series_values.cache_clear()
+        d = 0.2371
+        sum(cu.c4_region(i, d) for i in (1, 2, 3))
+        sum(cu.c5_region(i, d) for i in range(1, 13))
+        assert batches == [7]
+
     def test_printed_region3_variant_breaks_the_sum(self):
         d = 0.25
         total = 10.0 * (

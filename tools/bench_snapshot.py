@@ -5,15 +5,19 @@
 
 `run` starts perfbench/run.py once per workload end to end (--trace 0)
 and once traced (--trace 1).  For each run it keeps both stdout lines,
-the run record and the result, and for an end-to-end run the raw
-`wall_clock` figures of perfbench/.work/run-<workload>-seed<seed>-trace0.json
-(unscaled, next to the reference-scaled metrics).  The file also names the
-commit and the command.  perfbench's environment() imports scipy, so
-`run` needs scipy as well as numpy; without it, it stops and says so.
+the run record and the result, the run's own wall-clock seconds
+(`wall_s`: setup, operations and the checks outside the timing), and for an
+end-to-end run the raw `wall_clock` figures of
+perfbench/.work/run-<workload>-seed<seed>-trace0.json (unscaled, next to the
+reference-scaled metrics).  The file also names the commit and the command.
+perfbench's environment() imports scipy, so `run` needs scipy as well as
+numpy; without it, it stops and says so.
 
 `compare` prints every metric of both files, end-to-end and per layer, and
 flags an end-to-end metric more than 10% worse in the second file (by the
-direction BENCHMARK.json gives it); it exits 1 if any is flagged.
+direction BENCHMARK.json gives it); it exits 1 if any is flagged.  It then
+prints each run's `wall_s` ("-" where a file has none), which it never flags:
+it is what a benchmark run costs, not a metric of the package.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,13 +47,15 @@ def run(out: Path, seed: int, seconds: float) -> int:
         for trace in (0, 1):
             cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                    "--seconds", str(seconds), "--trace", str(trace)]
+            start = time.perf_counter()
             proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+            wall = time.perf_counter() - start
             if proc.returncode != 0:
                 print(proc.stderr, file=sys.stderr)
                 return proc.returncode
             record, result = (json.loads(line) for line in proc.stdout.splitlines()[-2:])
             entry = {"workload": workload, "trace": trace, "command": " ".join(cmd[1:]),
-                     "record": record, "result": result}
+                     "wall_s": round(wall, 2), "record": record, "result": result}
             if trace == 0:
                 work = ROOT / "perfbench" / ".work" / f"run-{workload}-seed{seed}-trace0.json"
                 entry["wall_clock"] = json.loads(work.read_text(encoding="utf-8"))["wall_clock"]
@@ -59,8 +66,11 @@ def run(out: Path, seed: int, seconds: float) -> int:
     return 0
 
 
-def _metrics(path: Path) -> dict:
-    runs = json.loads(path.read_text(encoding="utf-8"))["runs"]
+def _runs(path: Path) -> list:
+    return json.loads(path.read_text(encoding="utf-8"))["runs"]
+
+
+def _metrics(runs: list) -> dict:
     return {(r["workload"], r["trace"], name): m["value"]
             for r in runs for name, m in r["result"]["metrics"].items()}
 
@@ -68,7 +78,8 @@ def _metrics(path: Path) -> dict:
 def compare(old: Path, new: Path) -> int:
     better = {m["name"]: m["better"] for m in
               json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]}
-    a, b = _metrics(old), _metrics(new)
+    runs_a, runs_b = _runs(old), _runs(new)
+    a, b = _metrics(runs_a), _metrics(runs_b)
     flagged = 0
     for key in sorted(a.keys() & b.keys()):
         workload, trace, name = key
@@ -77,6 +88,12 @@ def compare(old: Path, new: Path) -> int:
         flagged += worse
         print(f"{workload:15s} {name:45s} {a[key]:12.4g} {b[key]:12.4g} {change:+8.1%}"
               + ("  WORSE" if worse else ""))
+    walls = [{(r["workload"], r["trace"]): r.get("wall_s", "-") for r in runs}
+             for runs in (runs_a, runs_b)]
+    for key in sorted(walls[0].keys() | walls[1].keys()):
+        workload, trace = key
+        print(f"{workload:15s} {f'wall_s (trace {trace}, not flagged)':45s} "
+              f"{walls[0].get(key, '-'):>12} {walls[1].get(key, '-'):>12}")
     return 1 if flagged else 0
 
 
