@@ -9,14 +9,18 @@ One engine, _series_dot, sums sum_j w_j x^j E_j with
 w_j = prod (p)_j/(q)_j over (top, bottom) parameter pairs, j! being the
 pair (a, 1): a (q+1)Fq at unit argument on a prefix of the unit table
 E_j = 1, Gauss 2F1 near x = 1 on the whole unit table, and the operator
-route's telescoping sums on its E tables.  Past the table the sum is one
-Euler-Maclaurin integral of the Gamma-ratio expansion of w_j.  Terms at
-unit argument decay only like j^-(1+s), s the convergence margin
-sum(bottom) - sum(top), yet the integral costs about the same for any s > 0;
-near x = 1 it stays accurate down to 1 - x ~ 1e-280, with no special case
-where c - a - b is an integer.  Below unit argument one rule,
-_pfq_below_1, sums every (q+1)Fq: term by term to machine precision up
-to x = 0.85 (as p <= q at x = 1 is), the engine above.
+route's telescoping sums on its E tables.  Past the table, w_j is its
+Gamma-ratio expansion in powers of 1/j (DLMF 5.11.8) and E_j the table's
+large-j law.  At unit argument, where terms decay only like j^-(1+s), s
+the convergence margin sum(bottom) - sum(top), their product is a short
+sum of Hurwitz zeta values zeta(sig, J) and difference quotients of
+them, each by its large-J expansion (DLMF 25.11.43): a closed form whose
+cost does not depend on s, so a (q+1)Fq needs only a 128-term prefix,
+and the table itself is one plain sum.  Below unit argument the tail is
+one Euler-Maclaurin integral, accurate down to 1 - x ~ 1e-280 with no
+special case where c - a - b is an integer, and one rule, _pfq_below_1,
+sums every (q+1)Fq: term by term to machine precision up to x = 0.85
+(as p <= q at x = 1 is), the engine above.
 
 The engine takes a leading axis of parameter sets, so pfq_at_1_batch sums
 many (q+1)Fq at unit argument in one call; pfq_at_1 is the batch of one.
@@ -176,18 +180,26 @@ class HypParams:
         return sum(self.bottom) - sum(self.top)
 
     def terminating_order(self) -> int | None:
-        """Smallest |a| over non-positive-integer top parameters, or None."""
-        orders = [int(round(-a)) for a in self.top if _nonpos_int(a)]
+        """Smallest |a| over top parameters that are exactly non-positive integers, or None.
+
+        Exactly: a top parameter 1e-13 is summed as 1e-13, not as the
+        terminating 0 that _nonpos_int's tolerance would read.
+        """
+        orders = [int(-a) for a in self.top if a <= 0 and a == round(a)]
         return min(orders) if orders else None
 
-    def validate(self) -> None:
-        """Reject bottom parameters at non-positive integers unless a top terminates first."""
+    def validate(self) -> int | None:
+        """Reject bottom parameters at non-positive integers unless a top terminates first.
+
+        Returns terminating_order(), so a caller classifies the set once.
+        """
         term = self.terminating_order()
         for b in self.bottom:
             if _nonpos_int(b) and (term is None or term >= int(round(-b)) + 1):
                 raise PoleError(
                     f"bottom parameter {b} is a non-positive integer; series undefined"
                 )
+        return term
 
 
 class SeriesResult(NamedTuple):
@@ -217,28 +229,30 @@ def pfq_at_1_batch(sets: list[HypParams]) -> list[SeriesResult]:
     k^-(1+s) with s the convergence margin, is summed by the series
     engine at lam = 0: its j! joins the bottom parameters, tops pair with
     bottoms in order, and the sum runs over a prefix of the unit table
-    with the Euler-Maclaurin tail past it.  The prefix length J is at least
-    1024, a multiple of the engine's row and at most _J_PFQ = 16384, a cap
-    of its own (the operator route's tables are shorter); within that it
-    grows until g_7 t^-6, the first term the tail's Gamma-ratio expansion
-    leaves out (about the seventh power of the largest parameter), is
-    below an ulp at t = J.  The error estimate,
-    relative to the value, is that term at J plus sqrt(J) ulps for the
-    rounding of the J-term product chain.
+    with the tail past it in closed form (_zeta_tail).  The prefix length
+    J starts at one _ROW, 128 terms, and grows in rows (to at most _J_PFQ)
+    until the first terms the tail's two expansions leave out are below an
+    ulp at t = J: a_(K+1) J^-(K+1) of w_j's series in 1/j, bounded by the
+    same recurrence on |g_k|, and the fifth Bernoulli term of the Hurwitz
+    zeta function's, B_10/10! s (1+s)_9 J^-10 relative to the tail's
+    leading J^-s/s.  The error estimate, relative to the value, is those
+    two terms at J plus sqrt(J) ulps for the rounding of the J-term
+    product chain.
 
-    Every (q+1)Fq set with the same J goes through one engine call: sets
-    with fewer pairs are padded with the pair (1, 1), which is exact (a
-    factor 1 in every term ratio and 0 in every power sum).  A set that
-    diverges or poles raises as it would alone.
+    Each set is classified once.  Every (q+1)Fq set with the same J goes
+    through one engine call: sets with fewer pairs are padded with the
+    pair (1, 1), which is exact (a factor 1 in every term ratio and 0 in
+    every power sum).  A set that diverges or poles raises as it would
+    alone.
     """
     out: list = [None] * len(sets)
     engine = []
     for i, params in enumerate(sets):
-        params.validate()
+        terminating = params.validate() is not None
         top, bottom = params.top, params.bottom
         if len(top) > len(bottom) + 1:
             raise DivergenceError("series with p > q+1 diverges at nonzero argument")
-        if params.terminating_order() is not None or len(top) <= len(bottom):
+        if terminating or len(top) <= len(bottom):
             out[i] = _pfq_series(params, 1.0)  # terminating, or factorial decay
         elif (s := params.margin) <= 0:
             raise DivergenceError(f"convergence margin s={s:.6g} <= 0 at unit argument")
@@ -249,15 +263,19 @@ def pfq_at_1_batch(sets: list[HypParams]) -> list[SeriesResult]:
     width = max(len(sets[i].top) for i in engine)
     pairs = np.array([(*zip(sets[i].top, (*sets[i].bottom, 1.0)),
                        *((1.0, 1.0),) * (width - len(sets[i].top))) for i in engine])
-    powers = np.arange(8.0)
-    g7 = np.abs(_power_sums(pairs, powers) @ _OMITTED_ROW)
-    J = np.minimum(_J_PFQ, np.maximum(1024, _ROW * np.ceil((g7 / _EPS) ** (1 / 6) / _ROW)))
+    s = _margins(pairs)
+    omitted = _exp_series(np.abs(_power_sums(pairs, np.arange(_TAIL_TERMS + 3.0))
+                                 @ _LNGAMMA_ROWS.T))[:, -1]
+    zeta = _ZETA[-1] * s * np.prod(s[:, None] + np.arange(1.0, 10.0), axis=1)
+    reach = np.maximum((omitted / _EPS) ** (1 / (_TAIL_TERMS + 1)), (zeta / _EPS) ** 0.1)
+    J = np.minimum(_J_PFQ, _ROW * np.maximum(1.0, np.ceil(reach / _ROW)))
     for n in np.unique(J).astype(int).tolist():
         rows = np.flatnonzero(J == n)
         values = _series_dot(_ETable(np.ones(n), _UNIT.law), pairs[rows], 1.0, 0.0)
-        for row, value in zip(rows.tolist(), values.tolist()):
-            error = (math.sqrt(n) * _EPS + g7[row] / (n - 0.5) ** 6) * abs(value)
-            out[engine[row]] = SeriesResult(value, float(error), n)
+        errors = (math.sqrt(n) * _EPS + omitted[rows] / float(n) ** (_TAIL_TERMS + 1)
+                  + zeta[rows] / float(n) ** 10) * np.abs(values)
+        for row, value, error in zip(rows.tolist(), values.tolist(), errors.tolist()):
+            out[engine[row]] = SeriesResult(value, error, n)
     return out
 
 
@@ -267,9 +285,8 @@ def _pfq_series(params: HypParams, x: float) -> SeriesResult:
     A series that terminates at order m (top parameter -m) sums exactly its
     m + 1 terms, so it never reaches a zero bottom divisor past term m, and
     reports error 0; any other stops after three terms in a row below one
-    ulp of the partial sum.
+    ulp of the partial sum.  The caller has validated the set.
     """
-    params.validate()
     m = params.terminating_order()
     S = 1.0
     t = 1.0
@@ -303,18 +320,25 @@ _CUTOFF = 60.0         # series terms below e^-60 (relative to w_0 = 1) are drop
 _ROW = 128             # x^j = x^(R q) x^r with r < R; J is a multiple of R
 _EDGE = 36.0           # the tail integral leaves ln t for Gauss-Laguerre at lam t = 36
 _EDGE_PANELS = 12      # unit panels in ln t below that point
-_DOUBLINGS = 10        # at least this many panels [2^i - 1, 2^(i+1) - 1] in ln(t/t0) first
+_DOUBLINGS = 10        # panels [2^i - 1, 2^(i+1) - 1] in ln(t/t0) first: they reach u = 1023
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _LAG_NODES, _LAG_WEIGHTS = np.polynomial.laguerre.laggauss(16)
-# ln Gamma(t+b) - ln Gamma(t+c) = (b-c) ln t + sum_{k=2..6} g_k t^(1-k) + O(t^-6)
-# (DLMF 5.11.8) with g_k = (-1)^k (B_k(b) - B_k(c)) / (k(k-1)) for the Bernoulli
-# polynomials B_k; row k-2 holds the weights of b^m - c^m, m = 0..6, in g_k
-_BERNOULLI = (1.0, -1 / 2, 1 / 6, 0.0, -1 / 30, 0.0, 1 / 42, 0.0)  # B_0 .. B_7
-_LNGAMMA_K = np.arange(2, 7)
-_LNGAMMA_ROWS = np.array([[(-1) ** k * math.comb(k, m) * _BERNOULLI[k - m] / (k * (k - 1))
-                           if m <= k else 0.0 for m in range(7)] for k in _LNGAMMA_K])
-# g_7, the first term the expansion leaves out: the weights of b^m - c^m, m = 0..7
-_OMITTED_ROW = np.array([-math.comb(7, m) * _BERNOULLI[7 - m] / 42 for m in range(8)])
+# ln Gamma(t+b) - ln Gamma(t+c) = (b-c) ln t + sum_{k>=2} g_k t^(1-k) (DLMF 5.11.8) with
+# g_k = (-1)^k (B_k(b) - B_k(c)) / (k(k-1)) for the Bernoulli polynomials B_k; row k-2
+# holds the weights of b^m - c^m, m = 0.._TAIL_TERMS+2, in g_k, each one integer quotient
+# from the numerators and denominators of B_0 .. B_14.  At lam = 0 the tail takes
+# g_2 .. g_(_TAIL_TERMS+1), powers t^-1 .. t^-_TAIL_TERMS, and the last row is the first
+# term left out; the panels at lam > 0, where J = _J_TABLE, take the first five rows
+_TAIL_TERMS = 12
+_BERNOULLI = ((1, 1), (-1, 2), (1, 6), (0, 1), (-1, 30), (0, 1), (1, 42), (0, 1), (-1, 30),
+              (0, 1), (5, 66), (0, 1), (-691, 2730), (0, 1), (7, 6))
+_LNGAMMA_ROWS = np.array([[(-1) ** k * math.comb(k, m) * _BERNOULLI[k - m][0]
+                           / (_BERNOULLI[k - m][1] * k * (k - 1)) if m <= k else 0.0
+                           for m in range(_TAIL_TERMS + 3)] for k in range(2, _TAIL_TERMS + 3)])
+# B_2k/(2k)!, k = 1..5: the large-J expansion of the Hurwitz zeta function (DLMF 25.11.43)
+# zeta(sig, J) = J^(1-sig) (1/(sig-1) + 1/(2J) + sum_k B_2k/(2k)! (sig)_(2k-1) J^-2k); the
+# tail takes k <= 4 and the fifth is the first term left out
+_ZETA = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160)
 
 
 @dataclass(frozen=True)
@@ -387,42 +411,140 @@ def _power_sums(pairs: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return (pairs[..., :1] ** powers - pairs[..., 1:] ** powers).sum(axis=-2)
 
 
+def _margins(sets: np.ndarray) -> np.ndarray:
+    """s = sum(q) - sum(p) - 1 over each set's (p, q) pairs, w_j ~ j^-(1+s), rounded once by fsum."""
+    return np.array([math.fsum((-1.0, *row))
+                     for row in np.concatenate((sets[..., 1], -sets[..., 0]), axis=1).tolist()])
+
+
+def _exp_series(gam: np.ndarray) -> np.ndarray:
+    """a_0 .. a_K of exp(sum_m gam_m t^-m) = sum_n a_n t^-n, m = 1..K, one row per set,
+    by the exponential recurrence n a_n = sum_(m=1..n) m gam_m a_(n-m)."""
+    K = gam.shape[1]
+    m_gam = gam * np.arange(1.0, K + 1)
+    rev = np.zeros((len(gam), K + 1))  # a_n in column K - n: a_(n-1) .. a_0 is one forward slice
+    rev[:, K] = 1.0
+    for n in range(1, K + 1):
+        rev[:, K - n] = np.einsum("ij,ij->i", m_gam[:, :n], rev[:, K - n + 1:]) / n
+    return rev[:, ::-1]
+
+
+def _hurwitz(sm1: np.ndarray, x: float) -> np.ndarray:
+    """J^(sig-1) zeta(sig, J) for sig = 1 + sm1 and x = 1/J: its large-J expansion to B_8."""
+    sig = sm1 + 1.0
+    x2 = x * x
+    h = _ZETA[3]
+    for k in (3, 2, 1):
+        h = _ZETA[k - 1] + x2 * (sig + (2 * k - 1)) * (sig + 2 * k) * h
+    return 1.0 / sm1 + 0.5 * x + x2 * sig * h
+
+
+def _hurwitz_quotient(sm1: np.ndarray, x: float, delta: float, ln_J: float) -> np.ndarray:
+    """J^(sig-1) sum_(j>=J) j^-sig phi(ln j), phi(u) = (1 - e^(-delta u))/delta (u at delta = 0).
+
+    That is (zeta(sig) - zeta(sig+delta))/delta, taken term by term in the
+    expansion so that nothing cancels as delta -> 0:
+    (Z(sig) - Z(sig+delta))/delta + Z(sig+delta) phi(ln J) for Z = _hurwitz, whose
+    difference quotient is 1/((sig-1)(sig-1+delta)) plus the Bernoulli terms'
+    D_m = ((sig)_m - (sig+delta)_m)/delta = (sig+m-1) D_(m-1) - (sig+delta)_(m-1).
+    """
+    sig = sm1 + 1.0
+    x2 = x * x
+    quotient = 1.0 / (sm1 * (sm1 + delta))
+    D, rising, x2k = 0.0, 1.0, 1.0
+    for m in range(1, 8):
+        D = (sig + (m - 1)) * D - rising
+        rising = rising * (sig + (delta + (m - 1)))
+        if m % 2:
+            x2k *= x2
+            quotient = quotient + _ZETA[m // 2] * x2k * D
+    phi = ln_J if delta == 0.0 else -math.expm1(-delta * ln_J) / delta
+    return quotient + _hurwitz(sm1 + delta, x) * phi
+
+
+def _zeta_tail(law, J: int, s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum_(j>=J) (w_j/w_J) E_j at unit argument, in closed form: one value per set.
+
+    w_j/w_J = (j/J)^expo exp(G(j) - G(J)), expo = -1 - s and G the
+    Bernoulli expansion g_2 t^-1 + ... to t^-_TAIL_TERMS; exp G is a
+    power series in 1/t (_exp_series), and times a law family
+    t^e0 phi(ln t) P(1/t) it leaves sums of j^-sig phi(ln j), sig = n - e0 + 1 + s:
+    Hurwitz zeta values and, for a phi family, their difference quotients,
+    each by its large-J expansion.  sig - 1 is formed as (n - e0) + s from
+    the fsum'd margin, so where it is s itself it carries no rounding of
+    1 + s.  Every power is taken at x = 1/J, so J^(1-sig) times J^-expo is
+    J^(1+e0-n) and no power of J overflows.
+    """
+    x = 1.0 / J
+    ln_J = math.log(J)
+    n = np.arange(_TAIL_TERMS + 1.0)
+    scaled = g[:, :_TAIL_TERMS] * x ** n[1:]  # g_(m+1) J^-m
+    a = _exp_series(scaled)
+    total = 0.0
+    for e0, delta, coefs in law:
+        c = coefs[:_TAIL_TERMS + 1] * x ** n[:len(coefs)]
+        b = a * c[0]
+        for i in range(1, len(c)):
+            b[:, i:] += c[i] * a[:, :-i]
+        sm1 = (n - e0) + s[:, None]
+        z = _hurwitz(sm1, x) if delta is None else _hurwitz_quotient(sm1, x, delta, ln_J)
+        power = x ** -e0 if e0 == round(e0) else math.exp(e0 * ln_J)
+        total = total + power * np.sum(b * z, axis=1)
+    return J * np.exp(-np.sum(scaled, axis=1)) * total
+
+
 @np.errstate(divide="ignore", under="ignore")
 def _series_tail(table: _ETable, sets: np.ndarray, w_J: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """sum_{j>=J} w_j e^(-lam j) E_j for each set and decay rate lam, J = len(table.E).
 
-    Midpoint Euler-Maclaurin: the integral of f(t) = w(t) e^(-lam t) E(t)
-    from t0 = J - 1/2, plus f'(t0)/24.  w(t) continues
-    w_j = prod (p)_j/(q)_j over a set's (top, bottom) pairs (p, q) from the
-    cumprod's w_J through the large-t expansion of
-    ln Gamma(t+p) - ln Gamma(t+q) (DLMF 5.11.8, five Bernoulli terms)
-    summed over the pairs, and E(t) is the table's large-j law, each of
-    its families at most one exponential and one expm1 per point, so the
-    whole law shares one quadrature.  The integral is taken in u = ln(t/t0), where
-    a power law is exponential: doubling
-    Gauss-Legendre panels up to 12 units below the cut-off lam t = 36,
-    unit panels across it, and Gauss-Laguerre in t beyond it.  Logarithms
-    of t throughout keep t itself from overflowing when lam is near the
-    smallest normal float; lam = 0 has no cut-off and the doubling panels
-    reach u = 42/r, where the slowest law family t f(t) ~ e^(-r u) is
-    below e^-42 (at least u = 1023).  With the Jacobian dt = t du, w(t) t
-    falls like t^-s for the margin s = sum(q) - sum(p) - 1, which is rounded
-    once from the parameters: formed as 1 + sum(p - q) it would carry an
-    absolute error of an ulp of 1, a relative error of eps/s in a
-    tail-dominated sum.
+    w(t) continues w_j = prod (p)_j/(q)_j over a set's (top, bottom) pairs
+    (p, q) from the cumprod's w_J through the large-t expansion of
+    ln Gamma(t+p) - ln Gamma(t+q) (DLMF 5.11.8) summed over the pairs, and
+    E(t) is the table's large-j law.  The margin s = sum(q) - sum(p) - 1,
+    w(t) ~ t^-(1+s), is rounded once from the parameters: formed as
+    1 + sum(p - q) it would carry an absolute error of an ulp of 1, a
+    relative error of eps/s in a tail-dominated sum.
+
+    At lam = 0 the tail is a closed form, _zeta_tail: no quadrature.
+
+    At lam > 0 it is midpoint Euler-Maclaurin: the integral of
+    f(t) = w(t) e^(-lam t) E(t) from t0 = J - 1/2, plus f'(t0)/24, with
+    w(t) from the first five Bernoulli terms and each law family at most
+    one exponential and one expm1 per point, so the whole law shares one
+    quadrature.  The integral is taken in u = ln(t/t0), where a power law
+    is exponential: doubling Gauss-Legendre panels up to 12 units below
+    the cut-off lam t = 36, unit panels across it, and Gauss-Laguerre in t
+    beyond it.  Logarithms of t throughout keep t itself from overflowing
+    when lam is near the smallest normal float.  Past u = 42/r, where the
+    slowest law family t f(t) ~ e^(-r u) is below e^-42, no panel is
+    evaluated.
 
     sets is (N, pairs, 2) and w_J (N,); the result is (N, len(lam)).  Only
     the (set, node, panel) triples of nonzero width are integrated, each
     summed back to its (set, node) in panel order, as it would be alone.
     """
     J = len(table.E)
+    s = _margins(sets)
+    powers = _power_sums(sets, np.arange(_TAIL_TERMS + 3.0))
+    out = np.empty((len(sets), len(lam)))
+    zero = lam == 0.0
+    if zero.any():
+        out[:, zero] = _zeta_tail(table.law, J, s, powers @ _LNGAMMA_ROWS.T)[:, None]
+    if not zero.all():
+        out[:, ~zero] = _panel_tail(table, sets, s, powers[:, :7] @ _LNGAMMA_ROWS[:5, :7].T,
+                                    lam[~zero])
+    return w_J[:, None] * out
+
+
+def _panel_tail(table: _ETable, sets: np.ndarray, s: np.ndarray, g: np.ndarray,
+                lam: np.ndarray) -> np.ndarray:
+    """_series_tail's sums at lam > 0, over w_J: the panels, Gauss-Laguerre and f'(t0)/24."""
+    J = len(table.E)
     t0 = J - 0.5
     ln_t0 = math.log(t0)
-    s = np.array([math.fsum((-1.0, *row))
-                  for row in np.concatenate((sets[..., 1], -sets[..., 0]), axis=1).tolist()])
     expo = -1.0 - s  # w_j ~ j^expo
-    g = _power_sums(sets, np.arange(7.0)) @ _LNGAMMA_ROWS.T
-    ln_wJ = expo * math.log(J) + g @ float(J) ** (1 - _LNGAMMA_K)
+    k5 = np.arange(2, 7)  # g_2 .. g_6
+    ln_wJ = expo * math.log(J) + g @ float(J) ** (1 - k5)
     N, M = len(sets), len(lam)
 
     def law(k, ln_t, power, shift, slope=False):
@@ -437,15 +559,13 @@ def _series_tail(table: _ETable, sets: np.ndarray, w_J: np.ndarray, lam: np.ndar
 
     ln_lam = np.log(lam)
     # panel edges in u per set and node: doublings clipped at u_edge - 12, then unit steps
-    # to u_edge; past u = 42/r the slowest law family, t f(t) ~ e^(-r u), is below e^-42
+    # to u_edge (at most 741 at the smallest subnormal lam); past u = 42/r the slowest law
+    # family, t f(t) ~ e^(-r u), is below e^-42
     top = max(e0 + max(0.0, -(delta or 0.0)) for e0, delta, _ in table.law)
     u_end = 42.0 / np.maximum(s - top, 0.0)  # inf where t f(t) does not decay
-    u_max = np.max(u_end, where=u_end < np.inf, initial=0.0)
-    doublings = max(_DOUBLINGS, math.ceil(math.log2(u_max + 1.0)))
-    u_edge = np.minimum(math.log(_EDGE) - ln_lam - ln_t0, 2.0**doublings - 1.0 + _EDGE_PANELS)
-    u_lo = (u_edge - _EDGE_PANELS)[:, None]
+    u_lo = (math.log(_EDGE) - ln_lam - ln_t0 - _EDGE_PANELS)[:, None]
     edges = np.minimum(np.concatenate([
-        np.minimum(2.0 ** np.arange(doublings + 1) - 1.0, np.maximum(u_lo, 0.0)),
+        np.minimum(2.0 ** np.arange(_DOUBLINGS + 1) - 1.0, np.maximum(u_lo, 0.0)),
         np.maximum(u_lo + np.arange(1, _EDGE_PANELS + 1), 0.0),
     ], axis=1), u_end[:, None, None])
     half = 0.5 * np.diff(edges, axis=2)
@@ -457,21 +577,17 @@ def _series_tail(table: _ETable, sets: np.ndarray, w_J: np.ndarray, lam: np.ndar
     panels = np.bincount(k * M + i, np.sum(f * half * _GL_WEIGHTS, axis=1), N * M)
 
     # beyond the panels: t = t_g + v/lam with lam t_g = max(36, lam t0), dt = dv/lam
-    beyond = np.zeros(N * M)
-    k_all, i_all = np.divmod(np.arange(N * M), M)
-    live = lam[i_all] > 0.0
-    if live.any():
-        k, i = k_all[live], i_all[live]
-        lam_tg = np.maximum(_EDGE, lam[i, None] * t0)
-        ln_t = np.log(lam_tg + _LAG_NODES) - ln_lam[i, None]
-        f = law(k, ln_t, expo, -lam_tg - ln_lam[i, None])
-        beyond[live] = np.sum(f * _LAG_WEIGHTS, axis=1)  # not @: BLAS rounds by row count
+    k, i = np.divmod(np.arange(N * M), M)
+    lam_tg = np.maximum(_EDGE, lam[i, None] * t0)
+    ln_t = np.log(lam_tg + _LAG_NODES) - ln_lam[i, None]
+    f = law(k, ln_t, expo, -lam_tg - ln_lam[i, None])
+    beyond = np.sum(f * _LAG_WEIGHTS, axis=1)  # not @: BLAS rounds by row count
 
     # Euler-Maclaurin correction f'(t0)/24: (ln w)' - lam on f, plus w e^(-lam t) E'(t)
-    at_t0 = (k_all, np.full((N * M, 1), ln_t0), expo, -lam[i_all, None] * t0)
-    slope = (expo / t0 + g @ ((1 - _LNGAMMA_K) * t0 ** -_LNGAMMA_K))[k_all] - lam[i_all]
+    at_t0 = (k, np.full((N * M, 1), ln_t0), expo, -lam[i, None] * t0)
+    slope = (expo / t0 + g @ ((1 - k5) * t0 ** -k5))[k] - lam[i]
     df0 = law(*at_t0)[:, 0] * slope + law(*at_t0, slope=True)[:, 0]
-    return w_J[:, None] * (panels + beyond + df0 / 24.0).reshape(N, M)
+    return (panels + beyond + df0 / 24.0).reshape(N, M)
 
 
 def _pair_weights(sets: np.ndarray, n: int) -> np.ndarray:
@@ -515,13 +631,19 @@ def _series_dot(table: _ETable, pairs, x, lam):
     with no product chain along j; each factor is zero past the node's
     cut-off.  Only nodes whose cut-off passes the table get the tail.  The
     powers come from lam = -ln x, which is exact near x = 1 where x itself
-    has rounded; x only sets the shape of the result.
+    has rounded; x only sets the shape of the result.  At unit argument
+    (lam = 0 at every node) every power is 1: the whole table is one plain
+    sum, and the tail its closed form.
     """
     sets = np.asarray(pairs, dtype=float)
     batch = sets.ndim == 3
     sets = sets.reshape(-1, *sets.shape[-2:])
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     J = len(table.E)
+    if not lams.any():  # unit argument: every power is 1, the table one sum, the tail closed
+        w = _pair_weights(sets, J)
+        out = np.sum(w[:, :J] * table.E, axis=1)[:, None] + _series_tail(table, sets, w[:, J], lams)
+        return (out if np.ndim(x) else out[:, 0]) if batch else _like(out[0], x)
     n_terms = np.minimum(np.ceil(_CUTOFF / lams) + 1.0, J).astype(np.intp)
     m = int(n_terms.max(initial=1))
     R = min(m, _ROW)
@@ -590,7 +712,7 @@ def _pfq_below_1(params: HypParams, x: float, one_minus_x: float) -> float:
     with (*bottom, 1), so a 2F1 is ((b, c), (a, 1)).  Near 1 the power
     series would need up to its term cap; the engine's cost does not grow.
     """
-    if params.terminating_order() is not None or x <= 0.85:
+    if params.validate() is not None or x <= 0.85:
         return _pfq_series(params, x).value
     pairs = tuple(zip(reversed(params.top), (*params.bottom, 1.0)))
     return _series_dot(_UNIT, pairs, x, _decay_rate(x, one_minus_x))

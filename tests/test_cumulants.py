@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from rosenblatt import cumulants as cu
 from rosenblatt import specfun as sf
-from reference_values import C5_REGIONS_6_12, GRID, KAPPA_TABLES, matches_4_significant
+from reference_values import (C5_REGIONS_6_12, C_CLOSED_SMALL_D, GRID, KAPPA_TABLES,
+                              matches_4_significant)
 
 
 class TestSigma:
@@ -182,6 +183,12 @@ class TestDispatch:
             assert cu.kappa(k, 0.5).error_estimate == 0.0
             assert cu.kappa(k, 0.25).error_estimate > 0.0
         assert cu.kappa(2, 0.25).error_estimate == 0.0
+
+    @pytest.mark.parametrize("k, d", sorted(C_CLOSED_SMALL_D))
+    def test_small_d_within_the_stated_error(self, k, d):
+        # a top parameter d = 1e-12 is summed as d, not as a terminating 0
+        c = cu.c_closed(k, d)
+        assert abs(c.value - C_CLOSED_SMALL_D[k, d]) <= c.error_estimate
 
     def test_report_method_tag(self):
         assert cu.kappa(4, 0.3).method == "closed-form"

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from scipy import special as scipy_special
 from scipy.integrate import quad
 
+from reference_values import PFQ_AT_1_MPMATH, TAIL_DOMINATED_MPMATH, ZETA_TAILS
+from rosenblatt import cumulants
 from rosenblatt import specfun as sf
 
 mp.mp.dps = 40
@@ -205,6 +207,7 @@ class TestPfqAt1:
 
     @pytest.mark.parametrize("d", [0.1, 0.25, 0.45])
     def test_against_mpmath(self, d):
+        # the references are mp.hyper at 40 digits, stored (PFQ_AT_1_MPMATH)
         fams = [
             ((1, d, 2 - 2 * d), (2 - d, 3 - 2 * d)),
             ((d, 1 - d, 3 - 3 * d), (2 - d, 4 - 4 * d)),
@@ -212,9 +215,8 @@ class TestPfqAt1:
             ((1, d, 3 - 3 * d), (3 - 2 * d, 4 - 3 * d)),
             ((1, d, 2 - 2 * d, 3 - 3 * d), (2 - d, 3 - 2 * d, 4 - 4 * d)),
         ]
-        for top, bottom in fams:
+        for (top, bottom), ref in zip(fams, PFQ_AT_1_MPMATH[d]):
             r = sf.pfq_at_1(sf.HypParams(top, bottom))
-            ref = float(mp.hyper(list(top), list(bottom), 1))
             assert r.value == pytest.approx(ref, rel=2e-15)
             assert abs(r.value - ref) <= 50 * r.error_estimate + 1e-14 * abs(ref)
 
@@ -244,18 +246,13 @@ class TestPfqAt1:
 
     @pytest.mark.parametrize("s", [0.01, 0.003])
     def test_tail_dominated_sum_carries_the_margin_exactly(self, s):
-        # at margin s most of the sum is the tail, whose integrand falls like
-        # t^-s; the reference is the Thomae image with 1.1 in the role of a
-        # (margin 1.1), summed by mpmath: the other images agree with it to 1e-34
+        # at margin s most of the sum is the tail, which falls like t^-s; the
+        # reference is the Thomae image with 1.1 in the role of a (margin 1.1),
+        # summed by mpmath (the other images agree with it to 1e-34), stored
         a, b, c, e, f = 0.8, 0.6, 1.1, 1.3, 1.2 + s
         r = sf.pfq_at_1(sf.HypParams((a, b, c), (e, f)))
-        ma, mb, mc, me, mf = (mp.mpf(v) for v in (a, b, c, e, f))
-        ms = me + mf - ma - mb - mc
-        bottom = (me + mf - mc - mb, me + mf - mc - ma)
-        ref = mp.gamma(ms) * mp.gamma(me) * mp.gamma(mf) / (
-            mp.gamma(mc) * mp.gamma(bottom[0]) * mp.gamma(bottom[1])
-        ) * mp.hyper([ms, mf - mc, me - mc], list(bottom), 1)
-        assert r.value == pytest.approx(float(ref), rel=5e-15, abs=0.0)
+        assert r.value == pytest.approx(TAIL_DOMINATED_MPMATH[s], rel=5e-15, abs=0.0)
+        assert abs(r.value - TAIL_DOMINATED_MPMATH[s]) <= r.error_estimate
 
     def test_terminating_with_negative_bottom_allowed(self):
         # top -1 terminates before the bottom -3 can pole
@@ -302,7 +299,7 @@ class TestPfqAt1Batch:
 
     def test_mixed_widths_and_prefix_lengths(self):
         # 2F1, 3F2 and 4F3 sets side by side (padded with the pair (1, 1)); the
-        # large parameters need longer unit-table prefixes than the 1024 minimum
+        # large parameters need longer unit-table prefixes than the 128-term first row
         sets = [
             sf.HypParams((1.0, 0.3, 1.4), (1.7, 2.4)),
             sf.HypParams((1.0, 0.3, 1.4, 2.1), (1.7, 2.4, 3.3)),
@@ -342,22 +339,59 @@ class TestPfqAt1Batch:
 
 
 def _exact_tail_rows():
-    # B_0..B_7 from sum_{j<=m} C(m+1, j) B_j = 0, in exact rationals
+    # B_0..B_(K+2) from sum_{j<=m} C(m+1, j) B_j = 0, in exact rationals
+    K = sf._TAIL_TERMS
     B = [Fraction(1)]
-    for m in range(1, 8):
+    for m in range(1, K + 3):
         B.append(-sum(math.comb(m + 1, j) * B[j] for j in range(m)) / (m + 1))
     rows = [[(-1) ** k * math.comb(k, m) * B[k - m] / (k * (k - 1)) if m <= k else Fraction(0)
-             for m in range(7)] for k in range(2, 7)]
-    omitted = [-math.comb(7, m) * B[7 - m] / 42 for m in range(8)]
-    return {"_LNGAMMA_ROWS": rows, "_OMITTED_ROW": omitted}
+             for m in range(K + 3)] for k in range(2, K + 3)]
+    zeta = [B[2 * k] / math.factorial(2 * k) for k in range(1, 6)]
+    return {"_LNGAMMA_ROWS": rows, "_ZETA": zeta}
 
 
-@pytest.mark.parametrize("name", ["_LNGAMMA_ROWS", "_OMITTED_ROW"])
+@pytest.mark.parametrize("name", ["_LNGAMMA_ROWS", "_ZETA"])
 def test_tail_expansion_rows_match_exact_bernoulli_numbers(name):
-    got = getattr(sf, name)
+    # the Gamma-ratio rows, g_2 .. g_(K+2) with the last the first term left out, and
+    # the Hurwitz zeta expansion's B_2k/(2k)!: literals against exact rationals
+    got = np.asarray(getattr(sf, name))
     want = np.array(_exact_tail_rows()[name], dtype=float)
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= 2e-16 * np.abs(want))
+
+
+UNIT_TAILS = sorted(key for key in ZETA_TAILS if isinstance(key[0], float))
+
+
+@pytest.mark.parametrize("d, name", UNIT_TAILS, ids=[f"{d}-{name}" for d, name in UNIT_TAILS])
+def test_unit_argument_tail_is_a_hurwitz_zeta_sum(d, name):
+    # sum_(j>=128) w_j/w_128 at lam = 0 against stored 40-digit tails (ZETA_TAILS)
+    top, bottom = cumulants._series(d)[name]
+    sets = np.array([list(zip(top, (*bottom, 1.0)))])
+    table = sf._ETable(np.ones(128), sf._UNIT.law)
+    tail = sf._series_tail(table, sets, np.ones(1), np.zeros(1))[0, 0]
+    assert tail == pytest.approx(ZETA_TAILS[d, name], rel=2e-14, abs=0.0)
+
+
+def test_tail_of_a_tail_dominated_sum_carries_the_margin_exactly():
+    # margin 0.003: the tail is about 0.996 of the sum, and its leading term is 1/s
+    sets = np.array([[(0.8, 1.3), (0.6, 1.2 + 0.003), (1.1, 1.0)]])
+    table = sf._ETable(np.ones(128), sf._UNIT.law)
+    tail = sf._series_tail(table, sets, np.ones(1), np.zeros(1))[0, 0]
+    assert tail == pytest.approx(ZETA_TAILS["margin", 0.003], rel=2e-14, abs=0.0)
+
+
+def test_a_tail_at_unit_argument_evaluates_no_panel(monkeypatch):
+    # lam = 0 is a closed form: neither the panels nor any law evaluation at a point
+    def panel(*args, **kwargs):
+        raise AssertionError("a lam = 0 tail reached the quadrature")
+
+    monkeypatch.setattr(sf, "_panel_tail", panel)
+    monkeypatch.setattr(sf, "_law_sum", panel)
+    sets = [sf.HypParams(top, bottom) for d in (0.05, 0.3, 0.49)
+            for top, bottom in cumulant_families(d)]
+    assert all(r.n_terms == 128 for r in sf.pfq_at_1_batch(sets))
+    sf.pfq_at_1(sf.HypParams((40.0, 20.3, 20.6, 1.5), (40.4, 40.51, 2.5)))
 
 
 @pytest.mark.parametrize("nodes, weights, reference", [

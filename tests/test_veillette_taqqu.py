@@ -25,7 +25,7 @@ from rosenblatt import quadrature
 from rosenblatt import specfun as sf
 from rosenblatt import veillette_taqqu as vt
 from reference_values import (E_TABLE_RECURRENCE, G3_NEAR_1, KERNEL_HYP2F1_LARGE_GAP,
-                              KERNEL_HYP2F1_NEAR_1)
+                              KERNEL_HYP2F1_NEAR_1, ZETA_TAILS)
 
 
 def split_quad(f, x, tol=1e-12):
@@ -291,6 +291,25 @@ class TestNodeArrays:
             got = vt._series_dot(table, sets, x, lam)
             assert got.shape == (len(sets), len(x))
             assert np.array_equal(got, [vt._series_dot(table, s, x, lam) for s in sets])
+
+    @pytest.mark.parametrize("name, d", [("i2", 1 / 3 - 1e-9), ("i2", 1 / 3 + 1e-9),
+                                         ("delta=0", 0.3)], ids=["i2-below", "i2-above", "delta=0"])
+    def test_law_tail_at_unit_argument_in_closed_form(self, monkeypatch, name, d):
+        # i2 near 1/3 has a phi family at delta = -+3e-9 and the fractional power t^(d-2),
+        # the moment table a phi family at delta = 0; no panel is evaluated
+        def panel(*args):
+            raise AssertionError("a lam = 0 tail reached the quadrature")
+
+        if name == "i2":
+            table = vt._family_table(d, "i2")
+            assert any(delta is not None and 0 < abs(delta) < 1e-8 for _, delta, _ in table.law)
+            assert any(e0 != round(e0) for e0, _, _ in table.law)
+        else:
+            table = vt._moment_table(1.0, 0.25, 2.25, 1.4, 2.0)
+            assert any(delta == 0.0 for _, delta, _ in table.law)
+        monkeypatch.setattr(sf, "_panel_tail", panel)
+        tail = sf._series_tail(table, np.array([[(d, 1.0)]]), np.ones(1), np.zeros(1))[0, 0]
+        assert tail == pytest.approx(ZETA_TAILS[name, d], rel=2e-14, abs=0.0)
 
     def test_series_tail_on_a_node_array_equals_one_node_calls(self):
         # lam = 0 has no cut-off, lam near 60/J cuts the sum off at the table's end,
