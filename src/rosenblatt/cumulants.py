@@ -21,12 +21,15 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
+
 from .specfun import (
     _EPS,
     HypParams,
     ParameterDomainError,
     PoleError,
     SeriesResult,
+    _pfq_at_1_pairs,
     gamma,
     gamma_ratio,
     pfq_at_1_batch,
@@ -85,19 +88,40 @@ def kappa_from_c(k: int, d: float, c_k: float) -> float:
     return 2.0 ** (k - 1) * math.factorial(k - 1) * sigma(d) ** k * c_k
 
 
+# The seven unit-argument series, each named after the first order-5 region that reads it;
+# the first five are c_5's 3F2, "r4" is c_4's.  Every top and bottom parameter is a form
+# (a, b), the value a + b d, which rounds as the expression it stands for: 1 - d is
+# 1 + (-1) d and 3 - 3d is 3 + (-3) d bit for bit, so _series(d) and the table's pair
+# arrays (_pair_forms) read the same floats from the one table
+_SERIES = {
+    "r3": (((0, 1), (1, -1), (3, -3)), ((2, -1), (4, -4))),  # d, 1-d, 3-3d; 2-d, 4-4d
+    "r2": (((0, 1), (1, -1), (2, -2)), ((2, -1), (4, -4))),  # also regions 9 and printed 3
+    "r8": (((1, 0), (0, 1), (3, -3)), ((3, -2), (4, -3))),
+    "r11": (((1, 0), (0, 1), (3, -3)), ((2, -1), (4, -3))),  # also region 6
+    "r4": (((1, 0), (0, 1), (2, -2)), ((2, -1), (3, -2))),  # also regions 7 and 11
+    "r5": (((1, 0), (0, 1), (2, -2), (3, -3)),  # the 4F3, also regions 7 and 10
+           ((2, -1), (3, -2), (4, -4))),
+    "r6": (((1, 0), (0, 2), (1, 1)), ((3, -1), (1, 2))),  # 1, 2d, d+1; 3-d, 2d+1; also region 12
+}
+
+
 def _series(d: float) -> dict[str, tuple]:
-    """(top, bottom) of the seven unit-argument series at d, each named after the
-    first order-5 region that reads it; the first five are c_5's 3F2, "r4" is c_4's."""
-    return {
-        "r3": ((d, 1 - d, 3 - 3 * d), (2 - d, 4 - 4 * d)),
-        "r2": ((d, 1 - d, 2 - 2 * d), (2 - d, 4 - 4 * d)),  # also regions 9 and printed 3
-        "r8": ((1.0, d, 3 - 3 * d), (3 - 2 * d, 4 - 3 * d)),
-        "r11": ((1.0, d, 3 - 3 * d), (2 - d, 4 - 3 * d)),  # also region 6
-        "r4": ((1.0, d, 2 - 2 * d), (2 - d, 3 - 2 * d)),  # also regions 7 and 11
-        "r5": ((1.0, d, 2 - 2 * d, 3 - 3 * d),  # the 4F3, also regions 7 and 10
-               (2 - d, 3 - 2 * d, 4 - 4 * d)),
-        "r6": ((1.0, 2 * d, d + 1), (3 - d, 2 * d + 1)),  # also region 12
-    }
+    """(top, bottom) of each of the seven unit-argument series at d, from the forms of _SERIES."""
+    return {name: tuple(tuple(a + b * d for a, b in side) for side in forms)
+            for name, forms in _SERIES.items()}
+
+
+@lru_cache(maxsize=8)
+def _pair_forms(names: tuple) -> np.ndarray:
+    """The named series' (top, bottom) pairs as forms, an (n_names, width, 2, 2) array.
+
+    Tops pair in order with (*bottom, 1) and sets are padded with the pair
+    (1, 1), as pfq_at_1_batch pairs a HypParams; the last axis is (a, b),
+    so forms[..., 0] + forms[..., 1] * d is the pair array at d.
+    """
+    width = max(len(_SERIES[name][0]) for name in names)
+    return np.array([[*zip(top, (*bottom, (1, 0))), *(((1, 0), (1, 0)),) * (width - len(top))]
+                     for top, bottom in (_SERIES[name] for name in names)], dtype=float)
 
 
 @lru_cache(maxsize=64)
@@ -363,19 +387,26 @@ def characteristic_function(theta: float, d: float, K: int = 5) -> Characteristi
 def cumulant_table(grid, orders) -> list[CumulantReport]:
     """Closed-form reports for every (order, d) pair, sorted by (order, d).
 
-    Row by row these are kappa(k, d); the distinct 3F2 of every c_4 and c_5
-    row at interior d (c_4's is one of c_5's) are summed in one
-    pfq_at_1_batch call.
+    Row by row these are kappa(k, d), bit for bit.  The 3F2 of every c_4
+    and c_5 row at interior d are built in one array pass: the forms of
+    _SERIES at the vector of distinct d give an (n_d * n_names, width, 2)
+    pair array, n_names being c_5's five series (c_4's is one of them)
+    or c_4's one, and _pfq_at_1_pairs sums them all in one engine call.
+    Each distinct (k, d) is then assembled once by _c4_assemble or
+    _c5_assemble, and every row reported by _closed_report, as kappa does.
     """
     rows = sorted((int(k), _check_d(d)) for k in orders for d in grid)
     for k, _ in rows:
         _check_order(k)
-    series = [(k, d) for k, d in rows if k in _SERIES_FORMS and 0.0 < d < 0.5]
-    sets = {}
-    for k, d in series:
-        params = _series(d)
-        sets.update(((d, name), params[name]) for name in _SERIES_FORMS[k][0])
-    values = dict(zip(sets, pfq_at_1_batch([HypParams(*p) for p in sets.values()])))
-    c = {(k, d): _SERIES_FORMS[k][1](d, [values[d, name] for name in _SERIES_FORMS[k][0]])
-         for k, d in series}
+    series_orders = sorted({k for k, _ in rows if k in _SERIES_FORMS})
+    names = tuple(dict.fromkeys(name for k in series_orders for name in _SERIES_FORMS[k][0]))
+    ds = sorted({d for _, d in rows if 0.0 < d < 0.5}) if names else []
+    c = {}
+    if ds:
+        forms = _pair_forms(names)
+        pairs = forms[..., 0] + forms[..., 1] * np.array(ds)[:, None, None, None]
+        results = iter(_pfq_at_1_pairs(pairs.reshape(-1, *forms.shape[1:3])))
+        values = {d: dict(zip(names, results)) for d in ds}
+        c = {(k, d): _SERIES_FORMS[k][1](d, [values[d][name] for name in _SERIES_FORMS[k][0]])
+             for k in series_orders for d in ds}
     return [_closed_report(k, d, c[k, d]) if (k, d) in c else kappa(k, d) for k, d in rows]

@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,6 +161,9 @@ def _run_blocks(integrand, k: int, n: int, seed: int,
         for r in runs:
             run(r)
     else:
+        # imported here: with logging, it is several ms of `import rosenblatt`
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=min(workers, len(runs))) as pool:
             list(pool.map(run, runs))
     total = np.zeros(2)

@@ -24,8 +24,10 @@ sums every (q+1)Fq: term by term to machine precision up to x = 0.85
 
 The engine takes a leading axis of parameter sets, so pfq_at_1_batch sums
 many (q+1)Fq at unit argument in one call; pfq_at_1 is the batch of one.
-A cumulant table is one such call: cumulants.cumulant_table gathers the
-distinct 3F2 of every c_4 and c_5 row first.
+Both end in _pfq_at_1_pairs, which takes the sets as one array of
+(top, bottom) pairs.  A cumulant table is one such call:
+cumulants.cumulant_table builds that array for every c_4 and c_5 row from
+its d grid.
 """
 
 from __future__ import annotations
@@ -224,26 +226,14 @@ def pfq_at_1(params: HypParams) -> SeriesResult:
 def pfq_at_1_batch(sets: list[HypParams]) -> list[SeriesResult]:
     """Generalized hypergeometric series at unit argument, one result per set.
 
-    A terminating series is summed exactly and p <= q by its factorially
-    convergent power series.  A (q+1)Fq series, whose terms decay like
-    k^-(1+s) with s the convergence margin, is summed by the series
-    engine at lam = 0: its j! joins the bottom parameters, tops pair with
-    bottoms in order, and the sum runs over a prefix of the unit table
-    with the tail past it in closed form (_zeta_tail).  The prefix length
-    J starts at one _ROW, 128 terms, and grows in rows (to at most _J_PFQ)
-    until the first terms the tail's two expansions leave out are below an
-    ulp at t = J: a_(K+1) J^-(K+1) of w_j's series in 1/j, bounded by the
-    same recurrence on |g_k|, and the fifth Bernoulli term of the Hurwitz
-    zeta function's, B_10/10! s (1+s)_9 J^-10 relative to the tail's
-    leading J^-s/s.  The error estimate, relative to the value, is those
-    two terms at J plus sqrt(J) ulps for the rounding of the J-term
-    product chain.
-
-    Each set is classified once.  Every (q+1)Fq set with the same J goes
-    through one engine call: sets with fewer pairs are padded with the
-    pair (1, 1), which is exact (a factor 1 in every term ratio and 0 in
-    every power sum).  A set that diverges or poles raises as it would
-    alone.
+    Each set is classified once.  A terminating series is summed exactly
+    and p <= q by its factorially convergent power series.  Every (q+1)Fq
+    set, whose terms decay like k^-(1+s) with s the convergence margin,
+    goes to the series engine in one _pfq_at_1_pairs call: its j! joins
+    the bottom parameters, tops pair with bottoms in order, and sets with
+    fewer pairs are padded with the pair (1, 1), which is exact (a factor
+    1 in every term ratio and 0 in every power sum).  A set that diverges
+    or poles raises as it would alone.
     """
     out: list = [None] * len(sets)
     engine = []
@@ -263,19 +253,63 @@ def pfq_at_1_batch(sets: list[HypParams]) -> list[SeriesResult]:
     width = max(len(sets[i].top) for i in engine)
     pairs = np.array([(*zip(sets[i].top, (*sets[i].bottom, 1.0)),
                        *((1.0, 1.0),) * (width - len(sets[i].top))) for i in engine])
+    for i, result in zip(engine, _pfq_at_1_pairs(pairs)):
+        out[i] = result
+    return out
+
+
+def _pfq_at_1_pairs(pairs: np.ndarray) -> list[SeriesResult]:
+    """(q+1)Fq at unit argument for an (N, pairs, 2) array of (top, bottom) pairs: the engine.
+
+    A set is its tops paired in order with (*bottom, 1), padded with the
+    pair (1, 1), as pfq_at_1_batch builds it from HypParams; a caller that
+    has its parameters as arrays (cumulants.cumulant_table) builds the
+    array itself.  The whole array is checked at once: a margin s <= 0
+    raises DivergenceError and a bottom at a non-positive integer
+    PoleError, with pfq_at_1_batch's messages, and a top that is exactly a
+    non-positive integer ParameterDomainError (a terminating series is
+    pfq_at_1_batch's to sum term by term).
+
+    Each set is summed by the series engine at lam = 0 over a prefix of
+    the unit table, with the tail past it in closed form (_zeta_tail).
+    The prefix length J starts at one _ROW, 128 terms, and grows in rows
+    (to at most _J_PFQ) until the first terms the tail's two expansions
+    leave out are below an ulp at t = J: a_(K+1) J^-(K+1) of w_j's series
+    in 1/j, bounded by the same recurrence on |g_k|, and the fifth
+    Bernoulli term of the Hurwitz zeta function's, B_10/10! s (1+s)_9
+    J^-10 relative to the tail's leading J^-s/s.  The error estimate,
+    relative to the value, is those two terms at J plus sqrt(J) ulps for
+    the rounding of the J-term product chain.  Each set's margin
+    (_margins) and power sums (_power_sums) are formed once, for J and
+    for the tail, and the sets that share a J share one _series_dot call.
+    """
+    p, q = pairs[..., 0], pairs[..., 1]
+    terminating = (p <= 0.0) & (p == np.rint(p))
+    if terminating.any():
+        raise ParameterDomainError(f"top parameter {float(p[terminating][0])} terminates the "
+                                   "series; pfq_at_1_batch sums it term by term")
+    pole = (q < 0.5) & (np.abs(q - np.rint(q)) <= _INT_TOL)
+    if pole.any():
+        raise PoleError(f"bottom parameter {float(q[pole][0])} is a non-positive integer; "
+                        "series undefined")
     s = _margins(pairs)
-    omitted = _exp_series(np.abs(_power_sums(pairs, np.arange(_TAIL_TERMS + 3.0))
-                                 @ _LNGAMMA_ROWS.T))[:, -1]
+    if (s <= 0.0).any():
+        raise DivergenceError(f"convergence margin s={float(s[s <= 0.0][0]):.6g} <= 0 "
+                              "at unit argument")
+    powers = _power_sums(pairs, np.arange(_TAIL_TERMS + 3.0))
+    omitted = _exp_series(np.abs(powers @ _LNGAMMA_ROWS.T))[:, -1]
     zeta = _ZETA[-1] * s * np.prod(s[:, None] + np.arange(1.0, 10.0), axis=1)
     reach = np.maximum((omitted / _EPS) ** (1 / (_TAIL_TERMS + 1)), (zeta / _EPS) ** 0.1)
-    J = np.minimum(_J_PFQ, _ROW * np.maximum(1.0, np.ceil(reach / _ROW)))
-    for n in np.unique(J).astype(int).tolist():
-        rows = np.flatnonzero(J == n)
-        values = _series_dot(_ETable(np.ones(n), _UNIT.law), pairs[rows], 1.0, 0.0)
+    J = np.minimum(_J_PFQ, _ROW * np.maximum(1.0, np.ceil(reach / _ROW))).astype(int).tolist()
+    out: list = [None] * len(pairs)
+    for n in sorted(set(J)):  # not np.unique: its first call imports numpy.ma
+        rows = [i for i, m in enumerate(J) if m == n]
+        values = _series_dot(_ETable(np.ones(n), _UNIT.law), pairs[rows], 1.0, 0.0,
+                             sums=(s[rows], powers[rows]))
         errors = (math.sqrt(n) * _EPS + omitted[rows] / float(n) ** (_TAIL_TERMS + 1)
                   + zeta[rows] / float(n) ** 10) * np.abs(values)
-        for row, value, error in zip(rows.tolist(), values.tolist(), errors.tolist()):
-            out[engine[row]] = SeriesResult(value, error, n)
+        for row, value, error in zip(rows, values.tolist(), errors.tolist()):
+            out[row] = SeriesResult(value, error, n)
     return out
 
 
@@ -494,7 +528,8 @@ def _zeta_tail(law, J: int, s: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(divide="ignore", under="ignore")
-def _series_tail(table: _ETable, sets: np.ndarray, w_J: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def _series_tail(table: _ETable, sets: np.ndarray, w_J: np.ndarray, lam: np.ndarray,
+                 sums=None) -> np.ndarray:
     """sum_{j>=J} w_j e^(-lam j) E_j for each set and decay rate lam, J = len(table.E).
 
     w(t) continues w_j = prod (p)_j/(q)_j over a set's (top, bottom) pairs
@@ -522,10 +557,12 @@ def _series_tail(table: _ETable, sets: np.ndarray, w_J: np.ndarray, lam: np.ndar
     sets is (N, pairs, 2) and w_J (N,); the result is (N, len(lam)).  Only
     the (set, node, panel) triples of nonzero width are integrated, each
     summed back to its (set, node) in panel order, as it would be alone.
+    sums, when given, is the sets' (margins, power sums) as a caller that
+    has formed them passes them on (_pfq_at_1_pairs); they are formed here
+    otherwise.
     """
     J = len(table.E)
-    s = _margins(sets)
-    powers = _power_sums(sets, np.arange(_TAIL_TERMS + 3.0))
+    s, powers = sums or (_margins(sets), _power_sums(sets, np.arange(_TAIL_TERMS + 3.0)))
     out = np.empty((len(sets), len(lam)))
     zero = lam == 0.0
     if zero.any():
@@ -610,7 +647,7 @@ def _powers(lam_j: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(divide="ignore", under="ignore")
-def _series_dot(table: _ETable, pairs, x, lam):
+def _series_dot(table: _ETable, pairs, x, lam, sums=None):
     """sum_j w_j x^j E_j, table plus tail, at each node.
 
     w_j = prod (p)_j/(q)_j over the (top, bottom) pairs (p, q); j! is the
@@ -633,7 +670,8 @@ def _series_dot(table: _ETable, pairs, x, lam):
     powers come from lam = -ln x, which is exact near x = 1 where x itself
     has rounded; x only sets the shape of the result.  At unit argument
     (lam = 0 at every node) every power is 1: the whole table is one plain
-    sum, and the tail its closed form.
+    sum, and the tail its closed form.  sums passes the sets' margins and
+    power sums on to the tail (_series_tail).
     """
     sets = np.asarray(pairs, dtype=float)
     batch = sets.ndim == 3
@@ -642,7 +680,8 @@ def _series_dot(table: _ETable, pairs, x, lam):
     J = len(table.E)
     if not lams.any():  # unit argument: every power is 1, the table one sum, the tail closed
         w = _pair_weights(sets, J)
-        out = np.sum(w[:, :J] * table.E, axis=1)[:, None] + _series_tail(table, sets, w[:, J], lams)
+        tail = _series_tail(table, sets, w[:, J], lams, sums)
+        out = np.sum(w[:, :J] * table.E, axis=1)[:, None] + tail
         return (out if np.ndim(x) else out[:, 0]) if batch else _like(out[0], x)
     n_terms = np.minimum(np.ceil(_CUTOFF / lams) + 1.0, J).astype(np.intp)
     m = int(n_terms.max(initial=1))
@@ -658,7 +697,7 @@ def _series_dot(table: _ETable, pairs, x, lam):
     out = np.einsum("mq,nmq->nm", _powers(rate * (R * np.arange(Q))), inner)
     need = n_terms == J
     if need.any():
-        out[:, need] += _series_tail(table, sets, w[:, J], lams[need])
+        out[:, need] += _series_tail(table, sets, w[:, J], lams[need], sums)
     return (out if np.ndim(x) else out[:, 0]) if batch else _like(out[0], x)
 
 

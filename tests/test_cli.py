@@ -191,10 +191,11 @@ class TestTable:
         # 11 interior d: five c_5 series each, c_4's being one of them, 55 sets in
         # one batch, one pass of the series engine and no per-row evaluation
         batches, engine = [], []
-        batch, dot = cu.pfq_at_1_batch, sf._series_dot
-        monkeypatch.setattr(cu, "pfq_at_1_batch",
+        batch, dot = cu._pfq_at_1_pairs, sf._series_dot
+        monkeypatch.setattr(cu, "_pfq_at_1_pairs",
                             lambda sets: batches.append(len(sets)) or batch(sets))
-        monkeypatch.setattr(sf, "_series_dot", lambda *args: engine.append(args) or dot(*args))
+        monkeypatch.setattr(sf, "_series_dot",
+                            lambda *args, **kwargs: engine.append(args) or dot(*args, **kwargs))
         grid = ",".join(str(round(0.04 * i + 0.03, 2)) for i in range(11))
         code, out = run_cli(capsys, "table", "--orders", "3,4,5", "--d-grid", grid)
         assert code == 0 and len(parse_csv(out)[1]) == 33

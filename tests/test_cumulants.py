@@ -262,6 +262,51 @@ class TestCumulantTable:
             assert got.value == pytest.approx(want.value, rel=1e-15, abs=0.0)
             assert got.error_estimate == pytest.approx(want.error_estimate, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("orders", [(2, 3, 4, 5), (3, 4, 5), (4,), (5,), (5, 4), (2, 3)],
+                             ids=str)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_array_pass_is_kappa_field_by_field(self, seed, orders):
+        # the endpoints, a d drawn twice and a lone d, each report == kappa's, bit for bit
+        draws = np.random.default_rng(seed).uniform(0.0, 0.5, size=9).tolist()
+        grid = [0.0, draws[4], 0.5, *draws, 1 / 3]
+        table = cu.cumulant_table(grid, orders)
+        assert table == [cu.kappa(k, d) for k, d in sorted((k, d) for k in orders for d in grid)]
+        assert cu.cumulant_table(draws[:1], orders) == [cu.kappa(k, draws[0])
+                                                        for k in sorted(orders)]
+
+    @pytest.mark.parametrize("d", [5e-324, 1e-12, 0.1, 0.2371, 1 / 3, 0.45, 0.499999999999999])
+    def test_series_forms_round_as_the_parameters_they_stand_for(self, d):
+        assert cu._series(d) == {
+            "r3": ((d, 1 - d, 3 - 3 * d), (2 - d, 4 - 4 * d)),
+            "r2": ((d, 1 - d, 2 - 2 * d), (2 - d, 4 - 4 * d)),
+            "r8": ((1.0, d, 3 - 3 * d), (3 - 2 * d, 4 - 3 * d)),
+            "r11": ((1.0, d, 3 - 3 * d), (2 - d, 4 - 3 * d)),
+            "r4": ((1.0, d, 2 - 2 * d), (2 - d, 3 - 2 * d)),
+            "r5": ((1.0, d, 2 - 2 * d, 3 - 3 * d), (2 - d, 3 - 2 * d, 4 - 4 * d)),
+            "r6": ((1.0, 2 * d, d + 1), (3 - d, 2 * d + 1)),
+        }
+
+    def test_pair_arrays_are_the_series_parameters(self):
+        # the forms at a vector of d give, bit for bit, the pairs pfq_at_1_batch forms from
+        # each _series(d) set: tops with (*bottom, 1)
+        ds = [5e-324, 1e-12, 0.1, 1 / 3, 0.45, 0.499999999999999]
+        names = tuple(cu._SERIES)
+        forms = cu._pair_forms(names)
+        pairs = forms[..., 0] + forms[..., 1] * np.array(ds)[:, None, None, None]
+        for d, at_d in zip(ds, pairs):
+            for name, got in zip(names, at_d):
+                top, bottom = cu._series(d)[name]
+                want = [*zip(top, (*bottom, 1.0)), *((1.0, 1.0),) * (len(got) - len(top))]
+                assert got.tolist() == [list(p) for p in want]
+
+    def test_one_engine_batch_forms_margins_and_power_sums_once(self, monkeypatch):
+        calls = []
+        for name in ("_margins", "_power_sums"):
+            monkeypatch.setattr(sf, name, lambda *args, _name=name, _f=getattr(sf, name):
+                                calls.append(_name) or _f(*args))
+        cu.cumulant_table(GRID, [3, 4, 5])
+        assert calls == ["_margins", "_power_sums"]
+
     def test_rejects_an_unsupported_order(self):
         with pytest.raises(ValueError):
             cu.cumulant_table([0.2], [4, 6])

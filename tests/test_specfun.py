@@ -337,6 +337,38 @@ class TestPfqAt1Batch:
     def test_empty_batch(self):
         assert sf.pfq_at_1_batch([]) == []
 
+    def test_engine_forms_margins_and_power_sums_once(self, monkeypatch):
+        # sets with three prefix lengths: one margin and one power-sum pass size them all
+        # and feed every tail
+        calls = []
+        for name in ("_margins", "_power_sums"):
+            monkeypatch.setattr(sf, name, lambda *args, _name=name, _f=getattr(sf, name):
+                                calls.append(_name) or _f(*args))
+        results = sf.pfq_at_1_batch([
+            sf.HypParams((1.0, 0.3, 1.4), (1.7, 2.4)),
+            sf.HypParams((20.0, 10.3, 10.6), (20.4, 20.51)),
+            sf.HypParams((40.0, 20.3, 20.6, 1.5), (40.4, 40.51, 2.5)),
+        ])
+        assert len({r.n_terms for r in results}) == 3
+        assert calls == ["_margins", "_power_sums"]
+
+    @pytest.mark.parametrize("bad, error", [
+        (sf.HypParams((1.0, 1.0, 1.0), (1.5, 1.4)), sf.DivergenceError),
+        (sf.HypParams((0.5, 0.7, 1.2), (-1.0, 2.0)), sf.PoleError),
+        (sf.HypParams((1.0, -2.0, 1.2), (0.5, 2.0)), sf.ParameterDomainError),
+    ], ids=["negative-margin", "bottom-pole", "terminating-top"])
+    def test_pair_array_entry_checks_the_whole_array(self, bad, error):
+        # the engine entry raises pfq_at_1_batch's errors; a terminating top, which
+        # pfq_at_1_batch sums term by term, is not the engine's to sum
+        good = sf.HypParams((1.0, 0.3, 1.4), (1.7, 2.4))
+        pairs = np.array([list(zip(p.top, (*p.bottom, 1.0))) for p in (good, bad, good)])
+        with pytest.raises(error) as entry:
+            sf._pfq_at_1_pairs(pairs)
+        if error is not sf.ParameterDomainError:
+            with pytest.raises(error) as batched:
+                sf.pfq_at_1_batch([good, bad, good])
+            assert str(entry.value) == str(batched.value)
+
 
 def _exact_tail_rows():
     # B_0..B_(K+2) from sum_{j<=m} C(m+1, j) B_j = 0, in exact rationals

@@ -24,8 +24,8 @@ from rosenblatt import cumulants as cu
 from rosenblatt import quadrature
 from rosenblatt import specfun as sf
 from rosenblatt import veillette_taqqu as vt
-from reference_values import (E_TABLE_RECURRENCE, G3_NEAR_1, KERNEL_HYP2F1_LARGE_GAP,
-                              KERNEL_HYP2F1_NEAR_1, ZETA_TAILS)
+from reference_values import (E_TABLE_ENTRIES, E_TABLE_RECURRENCE, G3_NEAR_1,
+                              KERNEL_HYP2F1_LARGE_GAP, KERNEL_HYP2F1_NEAR_1, ZETA_TAILS)
 
 
 def split_quad(f, x, tol=1e-12):
@@ -197,35 +197,6 @@ def full_series_dot(table, d, x, lam, s):
     return main + integral + f(J) / 2 - (f(J + h) - f(J - h)) / (2 * h) / 12
 
 
-def e_table_reference(a, b, c, beta, j_hyp, j_max):
-    """E_j = sum_k (a)_k (b)_k/((c)_k k!)/(k+beta-j), j <= j_max, in 20-digit mpmath.
-
-    Up to j_hyp each entry is mpmath's 3F2(a, b, s; c, s+1; 1)/s at s = beta-j.
-    At a = 1 it is first taken by Thomae's relation to
-    Gamma(s) Gamma(c-b)/Gamma(c-b+s) 3F2(c-1, s, c-b; c, c-b+s; 1), a series of
-    margin 1: the direct one has margin c-1-b, 0.1 for the _G2_FAMILY at
-    d = 0.45, where mpmath's hyp3f2 at 30 digits is itself 1.2e-11 off at
-    j = 100.  Past j_hyp the entries follow from the recurrence
-    (j+1-beta) E_{j+1} = [(j+a-beta)(j+b-beta) E_j - (c-a-b) 2F1(a, b; c; 1)]/(j+c-beta)
-    run in mpmath from the last 3F2 value (each further 3F2 costs about a second).
-    """
-    with mpmath.workdps(20):
-        a, b, c, beta = (mpmath.mpf(v) for v in (a, b, c, beta))
-        out = []
-        for j in range(j_hyp + 1):
-            s = beta - j
-            if a == 1:
-                out.append(mpmath.gamma(s) * mpmath.gamma(c - b) / mpmath.gamma(c - b + s)
-                           * mpmath.hyp3f2(c - 1, s, c - b, c, c - b + s, 1))
-            else:
-                out.append(mpmath.hyp3f2(a, b, s, c, s + 1, 1) / s)
-        gauss = (c - a - b) * mpmath.gammaprod([c, c - a - b], [c - a, c - b])
-        for j in range(j_hyp, j_max):
-            out.append(((j + a - beta) * (j + b - beta) * out[-1] - gauss)
-                       / ((j + c - beta) * (j + 1 - beta)))
-        return [float(v) for v in out]
-
-
 class TestNodeArrays:
     @pytest.mark.parametrize("d", [0.0, 0.25, 0.45])
     @pytest.mark.parametrize("name", ["g1", "g2", "g3", "g4_closed"])
@@ -257,17 +228,16 @@ class TestNodeArrays:
                              ids=str)
     def test_e_table_entries_match_mpmath(self, family, d):
         # E_j = 3F2(a, b, beta-j; c, beta-j+1; 1)/(beta-j) on either side of the resonance
-        # j = m0 = round(beta) and far past it; "a=0.7" is a kernel_hyp2f1_moment table
+        # j = m0 = round(beta) and far past it, against stored 20-digit mpmath values
+        # (E_TABLE_ENTRIES); "a=0.7" is a kernel_hyp2f1_moment table
         if family == "a=0.7":
             a, b, c, beta = 0.7, 0.3, 2.0, 1 - d + 1.4
             table = vt._moment_table(a, b, c, beta, c - a - b + 1)
         else:
-            (b0, b1), n, m = family
-            a, b, c, beta = 1.0, b0 + b1 * d, n - m * d, n - (m + 1) * d
             table = vt._family_table(d, family)
-        m0 = round(beta)
-        ref = e_table_reference(a, b, c, beta, m0 + 1, 1000)
-        for j in sorted({0, 1, m0 - 1, m0, m0 + 1, 100, 1000}):
+        names = {vt._G2_FAMILY: "g2", ((0, 1), 3, 2): "g32", ((-1, 2), 2, 1): "m12"}
+        ref = E_TABLE_ENTRIES[names.get(family, family), d]
+        for j in ref:
             assert abs(table.E[j] / ref[j] - 1) <= 1e-12, (j, table.E[j], ref[j])
 
     @pytest.mark.parametrize("bottom", [1.0, 2 - 0.3])
