@@ -16,9 +16,12 @@ the convergence margin sum(bottom) - sum(top), their product is a short
 sum of Hurwitz zeta values zeta(sig, J) and difference quotients of
 them, each by its large-J expansion (DLMF 25.11.43): a closed form whose
 cost does not depend on s, so a (q+1)Fq needs only a 128-term prefix,
-and the table itself is one plain sum.  Below unit argument the tail is
-one Euler-Maclaurin integral, accurate down to 1 - x ~ 1e-280 with no
-special case where c - a - b is an integer, and one rule, _pfq_below_1,
+and the table itself is one plain sum.  Below unit argument, x = e^-lam,
+the same product leaves sums of j^-sig e^(-lam j): the incomplete gamma
+integral E_sig(lam J) by Lerch's series, or a Gauss-Legendre rule where
+that series would cancel, plus Euler-Maclaurin end terms at J.  It is
+accurate down to 1 - x ~ 1e-280, with the poles that meet where c - a - b
+is an integer paired into one finite form, and one rule, _pfq_below_1,
 sums every (q+1)Fq: term by term to machine precision up to x = 0.85
 (as p <= q at x = 1 is), the engine above.
 
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -352,17 +356,12 @@ _J_TABLE = 1 << 11     # tabulated E_j range; each table's exact large-j law bey
 _J_PFQ = 1 << 14       # longest unit-table prefix of a (q+1)Fq at unit argument
 _CUTOFF = 60.0         # series terms below e^-60 (relative to w_0 = 1) are dropped
 _ROW = 128             # x^j = x^(R q) x^r with r < R; J is a multiple of R
-_EDGE = 36.0           # the tail integral leaves ln t for Gauss-Laguerre at lam t = 36
-_EDGE_PANELS = 12      # unit panels in ln t below that point
-_DOUBLINGS = 10        # panels [2^i - 1, 2^(i+1) - 1] in ln(t/t0) first: they reach u = 1023
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
-_LAG_NODES, _LAG_WEIGHTS = np.polynomial.laguerre.laggauss(16)
 # ln Gamma(t+b) - ln Gamma(t+c) = (b-c) ln t + sum_{k>=2} g_k t^(1-k) (DLMF 5.11.8) with
 # g_k = (-1)^k (B_k(b) - B_k(c)) / (k(k-1)) for the Bernoulli polynomials B_k; row k-2
 # holds the weights of b^m - c^m, m = 0.._TAIL_TERMS+2, in g_k, each one integer quotient
-# from the numerators and denominators of B_0 .. B_14.  At lam = 0 the tail takes
+# from the numerators and denominators of B_0 .. B_14.  The tail takes
 # g_2 .. g_(_TAIL_TERMS+1), powers t^-1 .. t^-_TAIL_TERMS, and the last row is the first
-# term left out; the panels at lam > 0, where J = _J_TABLE, take the first five rows
+# term left out
 _TAIL_TERMS = 12
 _BERNOULLI = ((1, 1), (-1, 2), (1, 6), (0, 1), (-1, 30), (0, 1), (1, 42), (0, 1), (-1, 30),
               (0, 1), (5, 66), (0, 1), (-691, 2730), (0, 1), (7, 6))
@@ -373,6 +372,54 @@ _LNGAMMA_ROWS = np.array([[(-1) ** k * math.comb(k, m) * _BERNOULLI[k - m][0]
 # zeta(sig, J) = J^(1-sig) (1/(sig-1) + 1/(2J) + sum_k B_2k/(2k)! (sig)_(2k-1) J^-2k); the
 # tail takes k <= 4 and the fifth is the first term left out
 _ZETA = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160)
+# [n, i]: n - i, the column of a_(n-i) in a product of two series in 1/t; -1 (a zero
+# column) where i > n
+_SHIFTS = np.subtract.outer(np.arange(_TAIL_TERMS + 1), np.arange(_TAIL_TERMS + 1))
+_SHIFTS[_SHIFTS < 0] = -1
+# Below unit argument (lam > 0) the tail's sums take Lerch's series where z = lam J is at
+# most _Z_LERCH, _LERCH_TERMS terms of it (z^k/k! < 1e-18 past them), and a Gauss-Legendre
+# rule in ln u above it, where the series would cancel to e^(-2z) of its terms.  They start
+# at J = _J_TABLE, where powers of 1/t past _LERCH_POWERS are below rounding: the tails of
+# the operator route's tables and of 2F1 sets with parameters up to 8 are the same to the
+# bit with all _TAIL_TERMS
+_Z_LERCH = 0.5
+_LERCH_TERMS = 16
+_LERCH_POWERS = 7
+# 1/Gamma(1-eps) = sum_j _RGAMMA[j] eps^j, to 1e-17 for |eps| <= 3/4: the Taylor coefficients
+# of the entire 1/Gamma(1+x) at x = -eps, from 40-digit mpmath (DLMF 5.7.1)
+_RGAMMA = np.array([
+    1.0, -5.7721566490153286e-1, -6.5587807152025388e-1, 4.2002635034095236e-2,
+    1.6653861138229149e-1, 4.2197734555544337e-2, -9.6219715278769736e-3, -7.2189432466630995e-3,
+    -1.1651675918590651e-3, 2.1524167411495097e-4, 1.2805028238811619e-4, 2.0134854780788239e-5,
+    -1.2504934821426707e-6, -1.1330272319816959e-6, -2.0563384169776071e-7, -6.1160951044814158e-9,
+    5.0020076444692229e-9, 1.1812745704870201e-9, 1.0434267116911005e-10, -7.7822634399050713e-12,
+    -3.6968056186422057e-12, -5.100370287454476e-13, -2.0583260535665068e-14, 5.348122539423018e-15,
+    1.2267786282382608e-15, 1.1812593016974588e-16])
+# its divided difference between eps and eps' is -sum_(i,l) eps^i H[i, l] eps'^l with the
+# Hankel matrix H[i, l] = _RGAMMA[i + l + 1] (and _RGAMMA[i + l + 2] for (series - 1)/eps)
+_RGAMMA_HANKEL = np.array([[[_RGAMMA[i + l + m] if i + l + m < len(_RGAMMA) else 0.0
+                             for l in range(len(_RGAMMA))] for i in range(len(_RGAMMA))]
+                           for m in (1, 2)])
+# 1/(i+l+2)!: exp's second divided difference at 0, u, v is sum_(i,l) u^i v^l/(i+l+2)!
+_EXP_QUOTIENT = np.array([[1.0 / math.factorial(i + l + 2) for l in range(11)] for i in range(11)])
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-node Gauss-Legendre rule on [-1, 1]: numpy's nodes, weights 2/((1-x^2) P_n'(x)^2).
+
+    numpy's own weights are up to 6e-14 off at the ends, where the tail's
+    integrands put their weight; from P_n' by the three-term recurrence
+    they are within 6e-15 (against a 40-digit rule, n = 32).
+    """
+    x = np.polynomial.legendre.leggauss(n)[0]
+    p0, p1 = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    slope = n * (x * p1 - p0) / ((x - 1.0) * (x + 1.0))
+    return x, 2.0 / ((1.0 - x) * (1.0 + x) * slope * slope)
+
+
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(32)
 
 
 @dataclass(frozen=True)
@@ -392,41 +439,6 @@ class _ETable:
 
 # E_j = 1 exactly: _series_dot on it, or on a prefix of it, sums a (q+1)Fq
 _UNIT = _ETable(np.ones(_J_TABLE), ((0.0, None, np.ones(1)),))
-
-
-def _law_sum(law, ln_t: np.ndarray, inv: np.ndarray, base: np.ndarray,
-             slope: bool = False) -> np.ndarray:
-    """e^base times the law at t = e^ln_t = 1/inv (with slope, times its t-derivative).
-
-    Each family is t^e0 phi(ln t) P(1/t), P by Horner in 1/t; t^e0 is a
-    product of 1/t for an integer e0, so a family costs one exponential
-    only for a fractional e0 and one expm1 for its phi.
-    """
-    total = None
-    for e0, delta, coefs in law:
-        poly = coefs[-1]
-        for c in coefs[-2::-1]:
-            poly = c + inv * poly
-        if delta is None:
-            phi, dphi = 1.0, 0.0
-        elif delta == 0.0:
-            phi, dphi = ln_t, 1.0
-        else:
-            phi, dphi = -np.expm1(-delta * ln_t) / delta, np.exp(-delta * ln_t)
-        if slope:
-            dpoly = 0.0
-            for n in range(len(coefs) - 1, 0, -1):
-                dpoly = n * coefs[n] + inv * dpoly
-            poly = ((e0 * phi + dphi) * poly - phi * inv * dpoly) * inv
-        else:
-            poly = phi * poly
-        if e0 != round(e0):
-            poly = np.exp(e0 * ln_t) * poly
-        else:
-            for _ in range(-round(e0)):
-                poly = inv * poly
-        total = poly if total is None else total + poly
-    return np.exp(base) * total
 
 
 def _like(values: np.ndarray, x):
@@ -496,35 +508,277 @@ def _hurwitz_quotient(sm1: np.ndarray, x: float, delta: float, ln_J: float) -> n
     return quotient + _hurwitz(sm1 + delta, x) * phi
 
 
+def _tail_series(law, J: int, g: np.ndarray, terms: int = _TAIL_TERMS):
+    """J e^(-G(J)) per set, and per law family J^e0 and the rows b of the tail's sums.
+
+    w_j/w_J = (j/J)^expo exp(G(j) - G(J)), expo = -1 - s and G the
+    Bernoulli expansion g_2 t^-1 + ... to t^-terms; exp G is a
+    power series in 1/t (_exp_series), and times a law family
+    t^e0 phi(ln t) P(1/t) it is sum_n b_n (J/t)^n, one row of b per set:
+    the product of the two series, added term by term in order (a running
+    sum).  Every power is taken at x = 1/J, so J^(1-sig) times J^-expo is
+    J^(1+e0-n) and no power of J overflows.
+    """
+    x = 1.0 / J
+    n = np.arange(terms + 1.0)
+    scaled = g[:, :terms] * x ** n[1:]  # g_(m+1) J^-m
+    a = _exp_series(scaled)
+    width = min(max(len(coefs) for *_, coefs in law), len(n))
+    c = np.zeros((len(law), width))
+    for row, (_, _, coefs) in zip(c, law):
+        row[:len(coefs)] = coefs[:width] * x ** n[:min(len(coefs), width)]
+    # a_(n-i) for n, i (zero where i > n) times c_i, summed over i in order
+    shifted = np.concatenate([a, np.zeros((len(a), 1))], axis=1)[:, _SHIFTS[:terms + 1, :width]]
+    b = (shifted * c[:, None, None, :]).cumsum(axis=-1)[..., -1]
+    powers = [x ** -e0 if e0 == round(e0) else math.exp(e0 * math.log(J)) for e0, *_ in law]
+    return J * np.exp(-scaled.sum(axis=1)), powers, b
+
+
 def _zeta_tail(law, J: int, s: np.ndarray, g: np.ndarray) -> np.ndarray:
     """sum_(j>=J) (w_j/w_J) E_j at unit argument, in closed form: one value per set.
 
-    w_j/w_J = (j/J)^expo exp(G(j) - G(J)), expo = -1 - s and G the
-    Bernoulli expansion g_2 t^-1 + ... to t^-_TAIL_TERMS; exp G is a
-    power series in 1/t (_exp_series), and times a law family
-    t^e0 phi(ln t) P(1/t) it leaves sums of j^-sig phi(ln j), sig = n - e0 + 1 + s:
-    Hurwitz zeta values and, for a phi family, their difference quotients,
-    each by its large-J expansion.  sig - 1 is formed as (n - e0) + s from
-    the fsum'd margin, so where it is s itself it carries no rounding of
-    1 + s.  Every power is taken at x = 1/J, so J^(1-sig) times J^-expo is
-    J^(1+e0-n) and no power of J overflows.
+    The family sums (_tail_series) leave sums of j^-sig phi(ln j),
+    sig = n - e0 + 1 + s: Hurwitz zeta values and, for a phi family, their
+    difference quotients, each by its large-J expansion.  sig - 1 is
+    formed as (n - e0) + s from the fsum'd margin, so where it is s itself
+    it carries no rounding of 1 + s.
     """
     x = 1.0 / J
     ln_J = math.log(J)
     n = np.arange(_TAIL_TERMS + 1.0)
-    scaled = g[:, :_TAIL_TERMS] * x ** n[1:]  # g_(m+1) J^-m
-    a = _exp_series(scaled)
+    scale, powers, rows = _tail_series(law, J, g)
     total = 0.0
-    for e0, delta, coefs in law:
-        c = coefs[:_TAIL_TERMS + 1] * x ** n[:len(coefs)]
-        b = a * c[0]
-        for i in range(1, len(c)):
-            b[:, i:] += c[i] * a[:, :-i]
+    for (e0, delta, _), power, b in zip(law, powers, rows):
         sm1 = (n - e0) + s[:, None]
         z = _hurwitz(sm1, x) if delta is None else _hurwitz_quotient(sm1, x, delta, ln_J)
-        power = x ** -e0 if e0 == round(e0) else math.exp(e0 * ln_J)
-        total = total + power * np.sum(b * z, axis=1)
-    return J * np.exp(-np.sum(scaled, axis=1)) * total
+        total = total + power * (b * z).sum(axis=1)
+    return scale * total
+
+
+def _exprel(x: np.ndarray) -> np.ndarray:
+    """(e^x - 1)/x, and its limit 1 at x = 0."""
+    return np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
+
+
+def _powers_of(x: np.ndarray, n: int) -> np.ndarray:
+    """x^0 .. x^(n-1) along a new last axis, by running products."""
+    out = np.empty((*x.shape, n))
+    out[..., 0] = 1.0
+    out[..., 1:] = x[..., None]
+    return out.cumprod(axis=-1, out=out)
+
+
+def _exprel_quotient(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(_exprel(u) - _exprel(v))/(u - v), the derivative at u = v: exp's divided difference at 0, u, v.
+
+    With p the argument of larger magnitude and q the other it is
+    (e^q _exprel(p - q) - _exprel(q))/p, which cancels only as p -> 0;
+    where |p| < 1/8 it is the double series sum_(i,l) u^i v^l/(i+l+2)!,
+    whose terms of degree 11 and up are below 1e-17 there.
+    """
+    larger = np.abs(u) >= np.abs(v)
+    p, q = np.where(larger, u, v), np.where(larger, v, u)
+    small = np.abs(p) < 0.125
+    out = np.divide(np.exp(q) * _exprel(p - q) - _exprel(q), p, out=np.zeros_like(p),
+                    where=~small)
+    if small.any():
+        out[small] = np.einsum("ri,ri->r", _powers_of(u[small], 11),
+                               np.einsum("rl,il->ri", _powers_of(v[small], 11), _EXP_QUOTIENT))
+    return out
+
+
+def _resonant_rows(eps: np.ndarray, delta: np.ndarray | None, k: np.ndarray):
+    """(R - 1)/eps at eps, one column per k; with delta, also at eps + delta, and the
+    divided difference of the two, (value at eps - value at eps + delta)/delta.
+
+    R = Gamma(1-eps) k!/(1+eps)_k = 1/(P G), P = prod_(i<=k) (1 + eps/i)
+    and G = 1/Gamma(1-eps) (_RGAMMA), so (R - 1)/eps = -(Q G + Gq)/(P G)
+    with Q = (P - 1)/eps = sum_(i<=k) P_(i-1)/i and Gq = (G - 1)/eps.  Each
+    piece and its divided difference between the two points is a sum or a
+    product with no eps in a denominator, so all are finite at eps = 0.
+    eps and delta hold one value per group, k one column per term of it.
+    """
+    at = (eps if delta is None else np.stack([eps, eps + delta]))[..., None]
+    i = np.arange(1.0, int(k.max()) + 1.0)
+    ends = np.zeros_like(at)
+    P = np.cumprod(np.concatenate([ends + 1.0, 1.0 + at / i], axis=-1), axis=-1)
+    Q = np.cumsum(np.concatenate([ends, P[..., :-1] / i], axis=-1), axis=-1)
+    powers = _powers_of(at[..., 0], len(_RGAMMA))
+    G = (powers * _RGAMMA).sum(axis=-1)[..., None]
+    Gq = (powers[..., :-1] * _RGAMMA[1:]).sum(axis=-1)[..., None]
+    if delta is None:
+        P, Q = np.stack([P, Q])[:, np.arange(len(k))[:, None], k]
+        return (-(Q * G + Gq) / (P * G),)
+    dP = -P[1] * np.cumsum(np.concatenate([ends[0], P[0, :, :-1] / (i * P[1, :, 1:])], axis=-1),
+                           axis=-1)
+    dQ = np.cumsum(np.concatenate([ends[0], dP[:, :-1] / i], axis=-1), axis=-1)
+    P, P2, Q, Q2, dP, dQ = np.stack([*P, *Q, dP, dQ])[:, np.arange(len(k))[:, None], k]
+    (G, G2), (Gq, Gq2) = G, Gq
+    dG, dGq = -np.einsum("hgl,gl->hg", np.einsum("gi,hil->hgl", powers[0], _RGAMMA_HANKEL),
+                         powers[1])[..., None]
+    rq2 = -(Q2 * G2 + Gq2) / (P2 * G2)
+    return (-(Q * G + Gq) / (P * G), rq2,
+            -((dQ * G + Q2 * dG + dGq) + rq2 * (dP * G + P2 * dG)) / (P * G))
+
+
+def _lerch_sums(a, eps, delta, k, b, z):
+    """sum_n b_n E_sig(z), E_sig(z) = int_1^inf u^-sig e^(-z u) du at sig = 1 + a_n,
+    for z <= _Z_LERCH by Lerch's series (DLMF 8.19.8); with delta, also
+    sum_n b_n (E_sig - E_(sig+delta))/delta.
+
+    E_sig(z) = Gamma(-a) z^a + sum_j (-z)^j/(j! (a - j)).  The pole of Gamma(-a)
+    at the integer k nearest a + delta/2 meets that of the j = k term; the
+    pair is (-z)^k/k! F, F = (1 - R z^eps)/eps for eps = a - k,
+    R = Gamma(1-eps) k!/(1+eps)_k, written -ln z _exprel(eps ln z) - z^eps (R-1)/eps
+    (_resonant_rows): finite at eps = 0, with no switch on its size.  The
+    delta-quotient is that of each term: 1/((a-j)(a+delta-j)) for j != k and,
+    for F, exp's divided difference at 0, eps ln z, (eps+delta) ln z
+    (_exprel_quotient) and that of (R-1)/eps.  a, b and k are (G, n) for G
+    groups, each with one eps and delta (None: no quotient); the sums are
+    (G, len(z)).
+    """
+    L = np.log(z)
+    u = eps[:, None] * L
+    e_u = np.exp(u)
+    j = np.arange(_LERCH_TERMS)
+    off = j != k[..., None]
+    inv = [np.divide(1.0, a[..., None] - j, out=np.zeros(off.shape), where=off)]
+    if delta is not None:
+        inv.append(inv[0] * np.divide(1.0, (a + delta[:, None])[..., None] - j,
+                                      out=np.zeros(off.shape), where=off))
+    # (-z)^i/i! by running products: a column per series term, and per resonant k
+    powers = np.empty((len(z), max(_LERCH_TERMS, int(k.max()) + 1)))
+    powers[:, 0] = 1.0
+    powers[:, 1:] = -z[:, None] / np.arange(1.0, powers.shape[1])
+    powers.cumprod(axis=1, out=powers)
+    # per group and node: the series sums, and sum_n b_n (-z)^k/k! times 1, (R-1)/eps, ...
+    series = np.einsum("hgj,mj->hgm", np.einsum("gn,hgnj->hgj", b, np.stack(inv)),
+                       powers[:, :_LERCH_TERMS])
+    paired = k >= 0
+    rows = _resonant_rows(eps, delta, np.maximum(k, 0))
+    at_k = np.einsum("hgn,mgn->hgm", np.stack([b, *(b * r for r in rows)]) * paired,
+                     powers[:, np.maximum(k, 0)])
+    value = series[0] - L * _exprel(u) * at_k[0] - e_u * at_k[1]
+    if not paired.all():  # a < -1/2, a negative margin: Gamma(-a) z^a has no pole to pair
+        if delta is not None:  # only unit-table laws, one power family, reach a < -1/2
+            raise ParameterDomainError("a phi law family with a sum exponent below 1/2")
+        gam = np.zeros_like(a)
+        gam[~paired] = [math.gamma(-v) for v in a[~paired].tolist()]
+        value = value + np.einsum("gn,gmn->gm", b * gam, np.exp(a[:, None, :] * L[:, None]))
+    if delta is None:
+        return value[None]
+    return np.array([value, series[1] + L * L * _exprel_quotient(u, (eps + delta)[:, None] * L)
+                     * at_k[0] - e_u * (at_k[3] - L * _exprel(delta[:, None] * L) * at_k[2])])
+
+
+def _gauss_sums(a, delta, b, z):
+    """_lerch_sums' sums for z > _Z_LERCH, by 32-point Gauss-Legendre in w = ln u.
+
+    The integrand e^(-z - z expm1(w)) sum_n b_n e^(-a_n w), times
+    phi_delta(w) for the quotient, is entire; the rule ends where it has
+    fallen below e^-40 of its largest value: by w = 40/r for the slowest
+    rate r = a_0 (a_0 + delta where that is smaller) or by
+    z expm1(w) = 40 + 2g (1 + ln(1 + g/z)), g = max(0, -r), past the peak
+    that a negative rate puts at ln(g/z).  Against 50-digit E_sig its sums
+    are within 2.3e-15, and those of 2F1 with margins down to -10 within
+    8.1e-15.  The continued fraction of the incomplete gamma function
+    (DLMF 8.9.2), the closed form here, needs 95 terms at z = 1 and 35 at
+    z = 3; with its quotient that is 1.1 ms a call against 0.1 ms.
+    """
+    rate = a[:, 0] if delta is None else a[:, 0] + np.minimum(delta, 0.0)
+    grow = np.maximum(-rate, 0.0)[:, None]
+    end = np.divide(40.0, rate, out=np.full(rate.shape, np.inf), where=rate > 0.0)[:, None]
+    half = 0.5 * np.minimum(np.log1p((40.0 + 2.0 * grow * (1.0 + np.log1p(grow / z))) / z),
+                            end)[..., None]
+    w = half * (_GL_NODES + 1.0)
+    f = np.exp(-z[:, None] * np.expm1(w) - a[:, :1, None] * w) * np.einsum(
+        "gn,gmqn->gmq", b, _powers_of(np.exp(-w), b.shape[1])) * (half * _GL_WEIGHTS)
+    if delta is not None:
+        f = np.array([f, f * (w * _exprel(-delta[:, None, None] * w))])
+    return np.exp(-z) * f.sum(axis=-1).reshape(-1, *f.shape[-3:-1])
+
+
+@lru_cache(maxsize=4)
+def _end_weights(J: int) -> np.ndarray:
+    """[i, m]: the weight of (sig)_i z^m in _euler_maclaurin_ends at x = 1/J."""
+    x = 1.0 / J
+    weights = np.zeros((8, 8))
+    weights[0, 0] = 0.5 * x
+    for k, zeta in enumerate(_ZETA[:4], 1):
+        for i in range(2 * k):
+            weights[i, 2 * k - 1 - i] += zeta * x ** (2 * k) * math.comb(2 * k - 1, i)
+    return weights
+
+
+def _euler_maclaurin_ends(sig, delta, b, z, J: int):
+    """sum_n b_n e^-z ends(sig_n) and, with delta, the sum of their delta-quotients: ends(sig)
+    the Euler-Maclaurin end terms at J of sum_(j>=J) j^-sig e^(-lam j), scaled by
+    J^(sig-1) e^(lam J).
+
+    They are x/2 + sum_(k<=4) B_2k/(2k)! x^2k sum_i C(2k-1, i) (sig)_i z^(2k-1-i),
+    x = 1/J and z = lam J, from the odd derivatives of t^-sig e^(-lam t) at
+    t = J; at z = 0 they are _hurwitz's.  The quotient of (sig)_i is
+    -(sig+delta)_i sum_(l<i) (sig)_l/(sig+delta)_(l+1), with no delta in a
+    denominator.
+    """
+    coef = np.exp(-z)[:, None] * np.einsum("mp,ip->mi", _powers_of(z, 8), _end_weights(J))
+    steps = np.arange(7.0)
+    ones = np.ones((*sig.shape, 1))
+    rising = np.cumprod(np.concatenate([ones, sig[..., None] + steps], axis=-1), axis=-1)
+    if delta is None:
+        rising = rising[None]
+    else:
+        shifted = np.cumprod(np.concatenate([ones, (sig + delta[:, None])[..., None] + steps],
+                                            axis=-1), axis=-1)
+        rising = np.array([rising, -shifted * np.cumsum(np.concatenate(
+            [ones - 1.0, rising[..., :-1] / shifted[..., 1:]], axis=-1), axis=-1)])
+    return np.einsum("hgi,mi->hgm", np.einsum("gn,hgni->hgi", b, rising), coef)
+
+
+def _lerch_tail(law, J: int, s: np.ndarray, g: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """sum_(j>=J) (w_j/w_J) e^(-lam j) E_j below unit argument (lam > 0), in closed form.
+
+    The family sums (_tail_series) leave, per set and node,
+    J^(sig-1) sum_(j>=J) j^-sig e^(-lam j) phi(ln j), sig = n - e0 + 1 + s:
+    by Euler-Maclaurin the integral E_sig(z) = int_1^inf u^-sig e^(-z u) du,
+    z = lam J, plus the end terms at J (_euler_maclaurin_ends).  E_sig is
+    Lerch's series at z <= _Z_LERCH (_lerch_sums), and Gauss-Legendre in ln u
+    above it (_gauss_sums), where the series cancels and the incomplete
+    gamma's continued fraction needs 95 terms at z = 1.  A phi family takes
+    the quotient term by term, (T(sig) - T(sig+delta))/delta
+    + T(sig+delta) phi(ln J) as _hurwitz_quotient does; a law without one
+    forms no quotient.  Every family and set is one group, each summed over
+    n before any node is touched; a node's value does not depend on the
+    other nodes.
+    """
+    ln_J = math.log(J)
+    n = np.arange(_LERCH_POWERS + 1.0)
+    scale, powers, rows = _tail_series(law, J, g, _LERCH_POWERS)
+    e0 = np.repeat([family[0] for family in law], len(s))
+    margin = np.tile(s, len(law))
+    a = (n - e0[:, None]) + margin[:, None]
+    b = (np.array(powers)[:, None, None] * rows).reshape(len(a), -1)
+    delta = None
+    if any(family[1] is not None for family in law):
+        delta = np.repeat([family[1] or 0.0 for family in law], len(s))
+    k0 = np.rint(a[:, 0] + (0.0 if delta is None else 0.5 * delta))
+    eps = (-e0 - k0) + margin  # exact but for the one rounding of s, at an integer e0
+    k = (k0[:, None] + n).astype(np.intp)
+    z = lam * J
+    sums = np.empty((1 if delta is None else 2, len(a), len(z)))
+    below = z <= _Z_LERCH
+    if below.any():
+        sums[..., below] = _lerch_sums(a, eps, delta, k, b, z[below])
+    if not below.all():
+        sums[..., ~below] = _gauss_sums(a, delta, b, z[~below])
+    sums += _euler_maclaurin_ends(1.0 + a, delta, b, z, J)
+    value = sums[0]
+    if delta is not None:  # phi families: (T(sig) - T(sig+delta))/delta + T(sig+delta) phi(ln J)
+        is_phi = np.repeat([d is not None for _, d, _ in law], len(s))[:, None]
+        phi = np.repeat([ln_J if not d else -math.expm1(-d * ln_J) / d for _, d, _ in law],
+                        len(s))[:, None]
+        value = np.where(is_phi, sums[1] + (value - delta[:, None] * sums[1]) * phi, value)
+    return scale[:, None] * value.reshape(len(law), len(s), len(z)).sum(axis=0)
 
 
 @np.errstate(divide="ignore", under="ignore")
@@ -540,23 +794,13 @@ def _series_tail(table: _ETable, sets: np.ndarray, w_J: np.ndarray, lam: np.ndar
     1 + sum(p - q) it would carry an absolute error of an ulp of 1, a
     relative error of eps/s in a tail-dominated sum.
 
-    At lam = 0 the tail is a closed form, _zeta_tail: no quadrature.
+    Both are closed forms in the same terms (_tail_series): at lam = 0
+    Hurwitz zeta values (_zeta_tail), at lam > 0 Lerch's series or its
+    integral (_lerch_tail).  Neither evaluates the law at a point, and
+    neither has a quadrature whose panels depend on lam; each node's
+    value is what it is alone.
 
-    At lam > 0 it is midpoint Euler-Maclaurin: the integral of
-    f(t) = w(t) e^(-lam t) E(t) from t0 = J - 1/2, plus f'(t0)/24, with
-    w(t) from the first five Bernoulli terms and each law family at most
-    one exponential and one expm1 per point, so the whole law shares one
-    quadrature.  The integral is taken in u = ln(t/t0), where a power law
-    is exponential: doubling Gauss-Legendre panels up to 12 units below
-    the cut-off lam t = 36, unit panels across it, and Gauss-Laguerre in t
-    beyond it.  Logarithms of t throughout keep t itself from overflowing
-    when lam is near the smallest normal float.  Past u = 42/r, where the
-    slowest law family t f(t) ~ e^(-r u) is below e^-42, no panel is
-    evaluated.
-
-    sets is (N, pairs, 2) and w_J (N,); the result is (N, len(lam)).  Only
-    the (set, node, panel) triples of nonzero width are integrated, each
-    summed back to its (set, node) in panel order, as it would be alone.
+    sets is (N, pairs, 2) and w_J (N,); the result is (N, len(lam)).
     sums, when given, is the sets' (margins, power sums) as a caller that
     has formed them passes them on (_pfq_at_1_pairs); they are formed here
     otherwise.
@@ -565,66 +809,12 @@ def _series_tail(table: _ETable, sets: np.ndarray, w_J: np.ndarray, lam: np.ndar
     s, powers = sums or (_margins(sets), _power_sums(sets, np.arange(_TAIL_TERMS + 3.0)))
     out = np.empty((len(sets), len(lam)))
     zero = lam == 0.0
+    g = powers @ _LNGAMMA_ROWS.T
     if zero.any():
-        out[:, zero] = _zeta_tail(table.law, J, s, powers @ _LNGAMMA_ROWS.T)[:, None]
+        out[:, zero] = _zeta_tail(table.law, J, s, g)[:, None]
     if not zero.all():
-        out[:, ~zero] = _panel_tail(table, sets, s, powers[:, :7] @ _LNGAMMA_ROWS[:5, :7].T,
-                                    lam[~zero])
+        out[:, ~zero] = _lerch_tail(table.law, J, s, g, lam[~zero])
     return w_J[:, None] * out
-
-
-def _panel_tail(table: _ETable, sets: np.ndarray, s: np.ndarray, g: np.ndarray,
-                lam: np.ndarray) -> np.ndarray:
-    """_series_tail's sums at lam > 0, over w_J: the panels, Gauss-Laguerre and f'(t0)/24."""
-    J = len(table.E)
-    t0 = J - 0.5
-    ln_t0 = math.log(t0)
-    expo = -1.0 - s  # w_j ~ j^expo
-    k5 = np.arange(2, 7)  # g_2 .. g_6
-    ln_wJ = expo * math.log(J) + g @ float(J) ** (1 - k5)
-    N, M = len(sets), len(lam)
-
-    def law(k, ln_t, power, shift, slope=False):
-        """w(t)/w_J t^power e^shift times the law (or its slope); row r is set k[r]'s."""
-        inv = np.exp(-ln_t)
-        g_row = g[k].T[..., None]
-        ratio = g_row[-1]
-        for gk in g_row[-2::-1]:
-            ratio = gk + inv * ratio
-        ratio = power[k, None] * ln_t + inv * ratio - ln_wJ[k, None]
-        return _law_sum(table.law, ln_t, inv, ratio + shift, slope)
-
-    ln_lam = np.log(lam)
-    # panel edges in u per set and node: doublings clipped at u_edge - 12, then unit steps
-    # to u_edge (at most 741 at the smallest subnormal lam); past u = 42/r the slowest law
-    # family, t f(t) ~ e^(-r u), is below e^-42
-    top = max(e0 + max(0.0, -(delta or 0.0)) for e0, delta, _ in table.law)
-    u_end = 42.0 / np.maximum(s - top, 0.0)  # inf where t f(t) does not decay
-    u_lo = (math.log(_EDGE) - ln_lam - ln_t0 - _EDGE_PANELS)[:, None]
-    edges = np.minimum(np.concatenate([
-        np.minimum(2.0 ** np.arange(_DOUBLINGS + 1) - 1.0, np.maximum(u_lo, 0.0)),
-        np.maximum(u_lo + np.arange(1, _EDGE_PANELS + 1), 0.0),
-    ], axis=1), u_end[:, None, None])
-    half = 0.5 * np.diff(edges, axis=2)
-    k, i, p = np.nonzero(half > 0.0)
-    half = half[k, i, p, None]
-    ln_t = ln_t0 + edges[k, i, p, None] + half * (_GL_NODES + 1.0)
-    lam_t = np.exp(ln_lam[i, None] + ln_t)
-    f = law(k, ln_t, -s, -lam_t)  # Jacobian t: t^expo t = t^-s
-    panels = np.bincount(k * M + i, np.sum(f * half * _GL_WEIGHTS, axis=1), N * M)
-
-    # beyond the panels: t = t_g + v/lam with lam t_g = max(36, lam t0), dt = dv/lam
-    k, i = np.divmod(np.arange(N * M), M)
-    lam_tg = np.maximum(_EDGE, lam[i, None] * t0)
-    ln_t = np.log(lam_tg + _LAG_NODES) - ln_lam[i, None]
-    f = law(k, ln_t, expo, -lam_tg - ln_lam[i, None])
-    beyond = np.sum(f * _LAG_WEIGHTS, axis=1)  # not @: BLAS rounds by row count
-
-    # Euler-Maclaurin correction f'(t0)/24: (ln w)' - lam on f, plus w e^(-lam t) E'(t)
-    at_t0 = (k, np.full((N * M, 1), ln_t0), expo, -lam[i, None] * t0)
-    slope = (expo / t0 + g @ ((1 - k5) * t0 ** -k5))[k] - lam[i]
-    df0 = law(*at_t0)[:, 0] * slope + law(*at_t0, slope=True)[:, 0]
-    return (panels + beyond + df0 / 24.0).reshape(N, M)
 
 
 def _pair_weights(sets: np.ndarray, n: int) -> np.ndarray:
@@ -670,8 +860,8 @@ def _series_dot(table: _ETable, pairs, x, lam, sums=None):
     powers come from lam = -ln x, which is exact near x = 1 where x itself
     has rounded; x only sets the shape of the result.  At unit argument
     (lam = 0 at every node) every power is 1: the whole table is one plain
-    sum, and the tail its closed form.  sums passes the sets' margins and
-    power sums on to the tail (_series_tail).
+    sum.  At every lam the tail is _series_tail's closed form, to which
+    sums passes the sets' margins and power sums.
     """
     sets = np.asarray(pairs, dtype=float)
     batch = sets.ndim == 3
@@ -722,13 +912,16 @@ def hyp_2f1(a: float, b: float, c: float, x: float, one_minus_x: float | None = 
     x <= 0.85 by the power series to machine precision, 0.85 < x < 1 by
     the series engine on the unit table, with no special case at an
     integer c - a - b.
-    Against mpmath for 1 - x in [1e-12, 0.15] the worst relative error was
-    5.8e-15 for 2F1(1, d; 2-d; x), d in (0, 0.5); 2.7e-14 with c - a - b
-    within 3e-6 of -1, 0, 1 or 2; 1.5e-13 for a, b in [-2, 2], c in
-    (-3, 4); 3.6e-11 for a, b in [-5, 5], c in (0, 8), where the series
-    cancels to 1e-5 of its largest term.  `one_minus_x` may carry the exact
-    distance to 1 when x itself is within rounding of 1.  A non-positive
-    integer c raises PoleError unless a or b terminates the series first.
+    Against mpmath for 1 - x log-uniform in [1e-12, 0.15], 80 draws each,
+    the worst relative error was 2.0e-15 for 2F1(1, d; 2-d; x), d in
+    (0, 0.5); 2.5e-14 with c - a - b within 3e-6 of -1, 0, 1 or 2; 3.7e-12
+    for a, b in [-2, 2], c in (-3, 4) and 3.2e-12 for a, b in [-5, 5], c in
+    (0, 8), where the series cancels.  At small margins, 2F1(1, d; 2-d;
+    1 - e) is within 3.2e-15 of 320-digit mpmath for d up to 0.499 and e
+    down to 1e-225, and so are 2F1(1, b; c) with c - b an integer.
+    `one_minus_x` may carry the exact distance to 1 when x itself is within
+    rounding of 1.  A non-positive integer c raises PoleError unless a or b
+    terminates the series first.
     """
     params = HypParams((a, b), (c,))
     params.validate()

@@ -2,8 +2,8 @@
 
 Oracles are independent of the implementation paths they check:
 an arbitrary-precision Stirling-series log-Gamma, brute-force partial
-sums, mpmath's hypergeometric evaluator, adaptive quadrature, and scipy's
-Gauss rules.
+sums, mpmath's hypergeometric evaluator, adaptive quadrature, and a
+40-digit Gauss-Legendre rule.
 """
 
 import math
@@ -14,10 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special as scipy_special
 from scipy.integrate import quad
 
-from reference_values import PFQ_AT_1_MPMATH, TAIL_DOMINATED_MPMATH, ZETA_TAILS
+from reference_values import HYP2F1_NEAR_1, PFQ_AT_1_MPMATH, TAIL_DOMINATED_MPMATH, ZETA_TAILS
 from rosenblatt import cumulants
 from rosenblatt import specfun as sf
 
@@ -180,6 +179,14 @@ class TestHyp2F1:
         a, b, c = 1.0, -1.25, 1.75
         ref = float(mp.hyp2f1(a, b, c, x))
         assert sf.hyp_2f1(a, b, c, x) == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("b, c", list(HYP2F1_NEAR_1), ids=str)
+    def test_small_margins_and_integer_orders_match_stored_mpmath(self, b, c):
+        # 1 - x = e down to 1e-225, carried by one_minus_x alone; HYP2F1_NEAR_1 holds
+        # 320-digit values.  Margins c - b - 1 down to 0.002 and c - b at or within 4e-12 of
+        # an integer, where the engine tail's Gamma pole meets its series' pole
+        for e, ref in HYP2F1_NEAR_1[b, c].items():
+            assert sf.hyp_2f1(1.0, b, c, 1.0 - e, e) == pytest.approx(ref, rel=1e-13, abs=0.0), e
 
     def test_delegates_to_gauss_at_one(self):
         assert sf.hyp_2f1(1.0, 0.2, 2.0, 1.0) == pytest.approx(
@@ -413,27 +420,29 @@ def test_tail_of_a_tail_dominated_sum_carries_the_margin_exactly():
     assert tail == pytest.approx(ZETA_TAILS["margin", 0.003], rel=2e-14, abs=0.0)
 
 
-def test_a_tail_at_unit_argument_evaluates_no_panel(monkeypatch):
-    # lam = 0 is a closed form: neither the panels nor any law evaluation at a point
-    def panel(*args, **kwargs):
-        raise AssertionError("a lam = 0 tail reached the quadrature")
-
-    monkeypatch.setattr(sf, "_panel_tail", panel)
-    monkeypatch.setattr(sf, "_law_sum", panel)
+def test_a_tail_at_unit_argument_evaluates_no_panel(monkeypatch, law_spy):
+    # lam = 0 is a closed form: neither the lam > 0 route nor any law evaluation at a point
+    monkeypatch.setattr(sf, "_UNIT", law_spy(sf._UNIT))
     sets = [sf.HypParams(top, bottom) for d in (0.05, 0.3, 0.49)
             for top, bottom in cumulant_families(d)]
     assert all(r.n_terms == 128 for r in sf.pfq_at_1_batch(sets))
     sf.pfq_at_1(sf.HypParams((40.0, 20.3, 20.6, 1.5), (40.4, 40.51, 2.5)))
 
 
-@pytest.mark.parametrize("nodes, weights, reference", [
-    ("_GL_NODES", "_GL_WEIGHTS", lambda: scipy_special.roots_legendre(20)),
-    ("_LAG_NODES", "_LAG_WEIGHTS", lambda: scipy_special.roots_laguerre(16)),
-], ids=["legendre-20", "laguerre-16"])
-def test_gauss_rules_match_scipy(nodes, weights, reference):
-    ref_nodes, ref_weights = reference()
-    np.testing.assert_allclose(getattr(sf, nodes), ref_nodes, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(getattr(sf, weights), ref_weights, rtol=1e-12, atol=0)
+def test_gauss_legendre_rule_matches_a_40_digit_rule():
+    # the nodes of P_n by Newton's method in 40 digits, from the float nodes, and their
+    # weights 2/((1-x^2) P_n'(x)^2); numpy's leggauss weights are 5.8e-14 off at the ends
+    n = len(sf._GL_NODES)
+    for x, w in zip(sf._GL_NODES, sf._GL_WEIGHTS):
+        r = mp.mpf(x)
+        for _ in range(3):
+            p0, p1 = mp.mpf(1), r
+            for j in range(2, n + 1):
+                p0, p1 = p1, ((2 * j - 1) * r * p1 - (j - 1) * p0) / j
+            slope = n * (r * p1 - p0) / (r * r - 1)
+            r -= p1 / slope
+        assert abs(x - r) <= 1e-16
+        assert abs(w / (2 / ((1 - r * r) * slope * slope)) - 1) <= 1e-14
 
 
 def terminating_sum(top, bottom, x, m):

@@ -25,7 +25,8 @@ from rosenblatt import quadrature
 from rosenblatt import specfun as sf
 from rosenblatt import veillette_taqqu as vt
 from reference_values import (E_TABLE_ENTRIES, E_TABLE_RECURRENCE, G3_NEAR_1,
-                              KERNEL_HYP2F1_LARGE_GAP, KERNEL_HYP2F1_NEAR_1, ZETA_TAILS)
+                              KERNEL_HYP2F1_LARGE_GAP, KERNEL_HYP2F1_NEAR_1, LERCH_TAILS, LERCH_Z,
+                              ZETA_TAILS)
 
 
 def split_quad(f, x, tol=1e-12):
@@ -175,6 +176,22 @@ def test_first_sweep_batch_equals_per_level_calls(name, d):
     np.testing.assert_allclose(g(x, d, one_minus_x=z), per_level, rtol=1e-15, atol=0.0)
 
 
+def law_at(law, t):
+    """A table's large-j law evaluated at t (a float or an array): each family
+    t^e0 phi(ln t) P(1/t), P by Horner in 1/t, summed.  The engine never evaluates
+    the law pointwise; these tests do, to check it."""
+    ln_t = np.log(t)
+    total = 0.0
+    for e0, delta, coefs in law:
+        poly = coefs[-1]
+        for c in coefs[-2::-1]:
+            poly = c + poly / t
+        if delta is not None:
+            poly = poly * (ln_t if delta == 0.0 else -np.expm1(-delta * ln_t) / delta)
+        total = total + np.exp(e0 * ln_t) * poly
+    return total
+
+
 def full_series_dot(table, d, x, lam, s):
     """sum_j (d)_j/(s)_j x^j E_j over every tabulated j, plus the table's large-j law
     summed beyond it by Euler-Maclaurin around an adaptive integral in ln t."""
@@ -187,7 +204,7 @@ def full_series_dot(table, d, x, lam, s):
 
     def f(t):
         # c_t = Gamma(d+t) Gamma(s) / (Gamma(s+t) Gamma(d)) x^t, free of lgamma cancellation
-        law = float(sf._law_sum(table.law, math.log(t), 1 / t, 0.0))
+        law = float(law_at(table.law, t))
         return poch(s + t, d - s) * gamma(s) / gamma(d) * math.exp(-lam * t) * law
 
     cuts = math.log(J) + np.arange(0.0, 65.0, 4.0)
@@ -264,12 +281,9 @@ class TestNodeArrays:
 
     @pytest.mark.parametrize("name, d", [("i2", 1 / 3 - 1e-9), ("i2", 1 / 3 + 1e-9),
                                          ("delta=0", 0.3)], ids=["i2-below", "i2-above", "delta=0"])
-    def test_law_tail_at_unit_argument_in_closed_form(self, monkeypatch, name, d):
+    def test_law_tail_at_unit_argument_in_closed_form(self, law_spy, name, d):
         # i2 near 1/3 has a phi family at delta = -+3e-9 and the fractional power t^(d-2),
-        # the moment table a phi family at delta = 0; no panel is evaluated
-        def panel(*args):
-            raise AssertionError("a lam = 0 tail reached the quadrature")
-
+        # the moment table a phi family at delta = 0; the law is not evaluated at a point
         if name == "i2":
             table = vt._family_table(d, "i2")
             assert any(delta is not None and 0 < abs(delta) < 1e-8 for _, delta, _ in table.law)
@@ -277,9 +291,20 @@ class TestNodeArrays:
         else:
             table = vt._moment_table(1.0, 0.25, 2.25, 1.4, 2.0)
             assert any(delta == 0.0 for _, delta, _ in table.law)
-        monkeypatch.setattr(sf, "_panel_tail", panel)
-        tail = sf._series_tail(table, np.array([[(d, 1.0)]]), np.ones(1), np.zeros(1))[0, 0]
+        tail = sf._series_tail(law_spy(table), np.array([[(d, 1.0)]]), np.ones(1), np.zeros(1))[0, 0]
         assert tail == pytest.approx(ZETA_TAILS[name, d], rel=2e-14, abs=0.0)
+
+    @pytest.mark.parametrize("name, d", list(LERCH_TAILS), ids=str)
+    def test_law_tail_below_unit_argument_in_closed_form(self, name, d):
+        # the same kinds of law at lam > 0, z = lam J from 1e-270 to just below the cut-off
+        # 60, on both sides of the Lerch series' reach, in one node array
+        if name == "delta=0":
+            table = vt._moment_table(1.0, 0.25, 2.25, 1.4, 2.0)
+        else:
+            table = vt._family_table(d, "i2" if name == "i2" else vt._G2_FAMILY)
+        lam = np.array(LERCH_Z) / sf._J_TABLE
+        tail = sf._series_tail(table, np.array([[(d, 1.0)]]), np.ones(1), lam)[0]
+        np.testing.assert_allclose(tail, LERCH_TAILS[name, d], rtol=2e-14, atol=0.0)
 
     def test_series_tail_on_a_node_array_equals_one_node_calls(self):
         # lam = 0 has no cut-off, lam near 60/J cuts the sum off at the table's end,
@@ -372,7 +397,7 @@ def test_large_j_law_matches_the_recurrence(name, d):
     ref = E_TABLE_RECURRENCE[name, d]
     table = _law_table(name, d)
     t = np.array([J, 2 * J, 8 * J], dtype=float)
-    law = sf._law_sum(table.law, np.log(t), 1 / t, 0.0)
+    law = law_at(table.law, t)
     np.testing.assert_allclose(law, [ref[j] for j in t.astype(int).tolist()], rtol=1e-14, atol=0.0)
     assert abs(table.E[J - 1] / ref[J - 1] - 1) <= 3e-13
 
