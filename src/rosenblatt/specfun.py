@@ -372,10 +372,6 @@ _LNGAMMA_ROWS = np.array([[(-1) ** k * math.comb(k, m) * _BERNOULLI[k - m][0]
 # zeta(sig, J) = J^(1-sig) (1/(sig-1) + 1/(2J) + sum_k B_2k/(2k)! (sig)_(2k-1) J^-2k); the
 # tail takes k <= 4 and the fifth is the first term left out
 _ZETA = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160)
-# [n, i]: n - i, the column of a_(n-i) in a product of two series in 1/t; -1 (a zero
-# column) where i > n
-_SHIFTS = np.subtract.outer(np.arange(_TAIL_TERMS + 1), np.arange(_TAIL_TERMS + 1))
-_SHIFTS[_SHIFTS < 0] = -1
 # Below unit argument (lam > 0) the tail's sums take Lerch's series where z = lam J is at
 # most _Z_LERCH, _LERCH_TERMS terms of it (z^k/k! < 1e-18 past them), and a Gauss-Legendre
 # rule in ln u above it, where the series would cancel to e^(-2z) of its terms.  They start
@@ -514,24 +510,23 @@ def _tail_series(law, J: int, g: np.ndarray, terms: int = _TAIL_TERMS):
     w_j/w_J = (j/J)^expo exp(G(j) - G(J)), expo = -1 - s and G the
     Bernoulli expansion g_2 t^-1 + ... to t^-terms; exp G is a
     power series in 1/t (_exp_series), and times a law family
-    t^e0 phi(ln t) P(1/t) it is sum_n b_n (J/t)^n, one row of b per set:
-    the product of the two series, added term by term in order (a running
-    sum).  Every power is taken at x = 1/J, so J^(1-sig) times J^-expo is
+    t^e0 phi(ln t) P(1/t) it is sum_n b_n (J/t)^n, one row of b per set.
+    Every power is taken at x = 1/J, so J^(1-sig) times J^-expo is
     J^(1+e0-n) and no power of J overflows.
     """
     x = 1.0 / J
     n = np.arange(terms + 1.0)
     scaled = g[:, :terms] * x ** n[1:]  # g_(m+1) J^-m
     a = _exp_series(scaled)
-    width = min(max(len(coefs) for *_, coefs in law), len(n))
-    c = np.zeros((len(law), width))
-    for row, (_, _, coefs) in zip(c, law):
-        row[:len(coefs)] = coefs[:width] * x ** n[:min(len(coefs), width)]
-    # a_(n-i) for n, i (zero where i > n) times c_i, summed over i in order
-    shifted = np.concatenate([a, np.zeros((len(a), 1))], axis=1)[:, _SHIFTS[:terms + 1, :width]]
-    b = (shifted * c[:, None, None, :]).cumsum(axis=-1)[..., -1]
+    rows = []
+    for _, _, coefs in law:
+        c = coefs[:terms + 1] * x ** n[:len(coefs)]
+        b = a * c[0]
+        for i in range(1, len(c)):
+            b[:, i:] += c[i] * a[:, :-i]
+        rows.append(b)
     powers = [x ** -e0 if e0 == round(e0) else math.exp(e0 * math.log(J)) for e0, *_ in law]
-    return J * np.exp(-scaled.sum(axis=1)), powers, b
+    return J * np.exp(-scaled.sum(axis=1)), powers, rows
 
 
 def _zeta_tail(law, J: int, s: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -757,7 +752,7 @@ def _lerch_tail(law, J: int, s: np.ndarray, g: np.ndarray, lam: np.ndarray) -> n
     e0 = np.repeat([family[0] for family in law], len(s))
     margin = np.tile(s, len(law))
     a = (n - e0[:, None]) + margin[:, None]
-    b = (np.array(powers)[:, None, None] * rows).reshape(len(a), -1)
+    b = (np.array(powers)[:, None, None] * np.array(rows)).reshape(len(a), -1)
     delta = None
     if any(family[1] is not None for family in law):
         delta = np.repeat([family[1] or 0.0 for family in law], len(s))
