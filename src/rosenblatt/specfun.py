@@ -564,7 +564,8 @@ def _powers_of(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def _exprel_quotient(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(_exprel(u) - _exprel(v))/(u - v), the derivative at u = v: exp's divided difference at 0, u, v.
+    """(_exprel(u) - _exprel(v))/(u - v), its derivative at u = v: exp's divided difference
+    at 0, u, v.
 
     With p the argument of larger magnitude and q the other it is
     (e^q _exprel(p - q) - _exprel(q))/p, which cancels only as p -> 0;
@@ -628,9 +629,11 @@ def _lerch_sums(a, eps, delta, k, b, z):
     (_resonant_rows): finite at eps = 0, with no switch on its size.  The
     delta-quotient is that of each term: 1/((a-j)(a+delta-j)) for j != k and,
     for F, exp's divided difference at 0, eps ln z, (eps+delta) ln z
-    (_exprel_quotient) and that of (R-1)/eps.  a, b and k are (G, n) for G
-    groups, each with one eps and delta (None: no quotient); the sums are
-    (G, len(z)).
+    (_exprel_quotient) and that of (R-1)/eps.  Where a < -1/2 (k < 0), a
+    negative margin, Gamma(-a) has no pole near and stands alone.  a, b and k
+    are (G, n) for G groups, each with one eps and delta (None: no
+    quotient); the result stacks the sums and, with delta, the quotients,
+    each (G, len(z)).
     """
     L = np.log(z)
     u = eps[:, None] * L
@@ -912,7 +915,7 @@ def hyp_2f1(a: float, b: float, c: float, x: float, one_minus_x: float | None = 
     (0, 0.5); 2.5e-14 with c - a - b within 3e-6 of -1, 0, 1 or 2; 3.7e-12
     for a, b in [-2, 2], c in (-3, 4) and 3.2e-12 for a, b in [-5, 5], c in
     (0, 8), where the series cancels.  At small margins, 2F1(1, d; 2-d;
-    1 - e) is within 3.2e-15 of 320-digit mpmath for d up to 0.499 and e
+    1 - e) is within 3.4e-15 of 320-digit mpmath for d up to 0.499 and e
     down to 1e-225, and so are 2F1(1, b; c) with c - b an integer.
     `one_minus_x` may carry the exact distance to 1 when x itself is within
     rounding of 1.  A non-positive integer c raises PoleError unless a or b

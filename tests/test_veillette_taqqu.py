@@ -291,7 +291,8 @@ class TestNodeArrays:
         else:
             table = vt._moment_table(1.0, 0.25, 2.25, 1.4, 2.0)
             assert any(delta == 0.0 for _, delta, _ in table.law)
-        tail = sf._series_tail(law_spy(table), np.array([[(d, 1.0)]]), np.ones(1), np.zeros(1))[0, 0]
+        sets = np.array([[(d, 1.0)]])
+        tail = sf._series_tail(law_spy(table), sets, np.ones(1), np.zeros(1))[0, 0]
         assert tail == pytest.approx(ZETA_TAILS[name, d], rel=2e-14, abs=0.0)
 
     @pytest.mark.parametrize("name, d", list(LERCH_TAILS), ids=str)
