@@ -500,8 +500,12 @@ def _hurwitz_quotient(sm1: np.ndarray, x: float, delta: float, ln_J: float) -> n
         if m % 2:
             x2k *= x2
             quotient = quotient + _ZETA[m // 2] * x2k * D
-    phi = ln_J if delta == 0.0 else -math.expm1(-delta * ln_J) / delta
-    return quotient + _hurwitz(sm1 + delta, x) * phi
+    return quotient + _hurwitz(sm1 + delta, x) * _phi(delta, ln_J)
+
+
+def _phi(delta: float, u: float) -> float:
+    """A law family's phi_delta(u) = (1 - e^(-delta u))/delta, and u at delta = 0."""
+    return u if delta == 0.0 else -math.expm1(-delta * u) / delta
 
 
 def _tail_series(law, J: int, g: np.ndarray, terms: int = _TAIL_TERMS):
@@ -773,8 +777,7 @@ def _lerch_tail(law, J: int, s: np.ndarray, g: np.ndarray, lam: np.ndarray) -> n
     value = sums[0]
     if delta is not None:  # phi families: (T(sig) - T(sig+delta))/delta + T(sig+delta) phi(ln J)
         is_phi = np.repeat([d is not None for _, d, _ in law], len(s))[:, None]
-        phi = np.repeat([ln_J if not d else -math.expm1(-d * ln_J) / d for _, d, _ in law],
-                        len(s))[:, None]
+        phi = np.repeat([_phi(d or 0.0, ln_J) for _, d, _ in law], len(s))[:, None]
         value = np.where(is_phi, sums[1] + (value - delta[:, None] * sums[1]) * phi, value)
     return scale[:, None] * value.reshape(len(law), len(s), len(z)).sum(axis=0)
 

@@ -128,9 +128,9 @@ def _runs(path: Path) -> list:
 def _command_times(path: Path) -> dict:
     """Median wall time per command, and the tier-1 time, of a file ({} for older files)."""
     data = json.loads(path.read_text(encoding="utf-8"))
-    times = {c["name"]: c["median_s"] for c in data.get("commands", [])}
+    times = {f"{c['name']} (median s)": c["median_s"] for c in data.get("commands", [])}
     if "tier1" in data:
-        times["tier-1 suite"] = data["tier1"]["wall_s"]
+        times["tier-1 suite (s, one run)"] = data["tier1"]["wall_s"]
     return times
 
 
@@ -162,10 +162,10 @@ def compare(old: Path, new: Path) -> int:
     for name in [*times_a, *(n for n in times_b if n not in times_a)]:
         a_s, b_s = times_a.get(name), times_b.get(name)
         if a_s is None or b_s is None:
-            print(f"{'command':15s} {name + ' (median s)':45s} {a_s or '-':>12} {b_s or '-':>12}")
+            print(f"{'command':15s} {name:45s} {a_s or '-':>12} {b_s or '-':>12}")
             continue
         change = b_s / a_s - 1
-        print(f"{'command':15s} {name + ' (median s)':45s} {a_s:12.4g} {b_s:12.4g} {change:+8.1%}"
+        print(f"{'command':15s} {name:45s} {a_s:12.4g} {b_s:12.4g} {change:+8.1%}"
               + (f"  SLOWER ({NOISE})" if change > WORSE else ""))
     return 1 if flagged else 0
 
