@@ -11,19 +11,19 @@ pair (a, 1): a (q+1)Fq at unit argument on a prefix of the unit table
 E_j = 1, Gauss 2F1 near x = 1 on the whole unit table, and the operator
 route's telescoping sums on its E tables.  Past the table, w_j is its
 Gamma-ratio expansion in powers of 1/j (DLMF 5.11.8) and E_j the table's
-large-j law.  At unit argument, where terms decay only like j^-(1+s), s
-the convergence margin sum(bottom) - sum(top), their product is a short
-sum of Hurwitz zeta values zeta(sig, J) and difference quotients of
-them, each by its large-J expansion (DLMF 25.11.43): a closed form whose
-cost does not depend on s, so a (q+1)Fq needs only a 128-term prefix,
-and the table itself is one plain sum.  Below unit argument, x = e^-lam,
-the same product leaves sums of j^-sig e^(-lam j): the incomplete gamma
-integral E_sig(lam J) by Lerch's series, or a Gauss-Legendre rule where
-that series would cancel, plus Euler-Maclaurin end terms at J.  It is
-accurate down to 1 - x ~ 1e-280, with the poles that meet where c - a - b
-is an integer paired into one finite form, and one rule, _pfq_below_1,
-sums every (q+1)Fq: term by term to machine precision up to x = 0.85
-(as p <= q at x = 1 is), the engine above.
+large-j law.  Their product leaves sums of j^-sig e^(-lam j), x = e^-lam,
+each the incomplete gamma integral E_sig(lam J) plus Euler-Maclaurin end
+terms at J: one closed form at every lam (_lerch_tail).  At unit
+argument, where terms decay only like j^-(1+s), s the convergence margin
+sum(bottom) - sum(top), E_sig(0) = 1/(sig - 1) and the end terms are the
+Hurwitz zeta function's large-J expansion (DLMF 25.11.43), at a cost that
+does not depend on s, so a (q+1)Fq needs only a 128-term prefix and the
+table itself is one plain sum.  Below it E_sig is Lerch's series, or a
+Gauss-Legendre rule where that series would cancel.  It is accurate down
+to 1 - x ~ 1e-280, with the poles that meet where c - a - b is an
+integer paired into one finite form, and one rule, _pfq_below_1, sums
+every (q+1)Fq: term by term to machine precision up to x = 0.85 (as
+p <= q at x = 1 is), the engine above.
 
 The engine takes a leading axis of parameter sets, so pfq_at_1_batch sums
 many (q+1)Fq at unit argument in one call; pfq_at_1 is the batch of one.
@@ -275,13 +275,13 @@ def _pfq_at_1_pairs(pairs: np.ndarray) -> list[SeriesResult]:
     pfq_at_1_batch's to sum term by term).
 
     Each set is summed by the series engine at lam = 0 over a prefix of
-    the unit table, with the tail past it in closed form (_zeta_tail).
-    The prefix length J starts at one _ROW, 128 terms, and grows in rows
-    (to at most _J_PFQ) until the first terms the tail's two expansions
-    leave out are below an ulp at t = J: a_(K+1) J^-(K+1) of w_j's series
-    in 1/j, bounded by the same recurrence on |g_k|, and the fifth
-    Bernoulli term of the Hurwitz zeta function's, B_10/10! s (1+s)_9
-    J^-10 relative to the tail's leading J^-s/s.  The error estimate,
+    the unit table, with the tail past it in closed form (_lerch_tail at
+    z = 0).  The prefix length J starts at one _ROW, 128 terms, and grows
+    in rows (to at most _J_PFQ) until the first terms the tail's two
+    expansions leave out are below an ulp at t = J: a_(K+1) J^-(K+1) of
+    w_j's series in 1/j, bounded by the same recurrence on |g_k|, and the
+    fifth Euler-Maclaurin end term, B_10/10! s (1+s)_9 J^-10 relative to
+    the tail's leading J^-s/s.  The error estimate,
     relative to the value, is those two terms at J plus sqrt(J) ulps for
     the rounding of the J-term product chain.  Each set's margin
     (_margins) and power sums (_power_sums) are formed once, for J and
@@ -368,8 +368,9 @@ _BERNOULLI = ((1, 1), (-1, 2), (1, 6), (0, 1), (-1, 30), (0, 1), (1, 42), (0, 1)
 _LNGAMMA_ROWS = np.array([[(-1) ** k * math.comb(k, m) * _BERNOULLI[k - m][0]
                            / (_BERNOULLI[k - m][1] * k * (k - 1)) if m <= k else 0.0
                            for m in range(_TAIL_TERMS + 3)] for k in range(2, _TAIL_TERMS + 3)])
-# B_2k/(2k)!, k = 1..5: the large-J expansion of the Hurwitz zeta function (DLMF 25.11.43)
-# zeta(sig, J) = J^(1-sig) (1/(sig-1) + 1/(2J) + sum_k B_2k/(2k)! (sig)_(2k-1) J^-2k); the
+# B_2k/(2k)!, k = 1..5: the Euler-Maclaurin end terms at J of the tail's sums (DLMF 2.10.1),
+# at unit argument the large-J expansion of the Hurwitz zeta function (DLMF 25.11.43)
+# J^(sig-1) zeta(sig, J) = 1/(sig-1) + 1/(2J) + sum_k B_2k/(2k)! (sig)_(2k-1) J^-2k; the
 # tail takes k <= 4 and the fifth is the first term left out
 _ZETA = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160)
 # Below unit argument (lam > 0) the tail's sums take Lerch's series where z = lam J is at
@@ -377,7 +378,8 @@ _ZETA = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160)
 # rule in ln u above it, where the series would cancel to e^(-2z) of its terms.  They start
 # at J = _J_TABLE, where powers of 1/t past _LERCH_POWERS are below rounding: the tails of
 # the operator route's tables and of 2F1 sets with parameters up to 8 are the same to the
-# bit with all _TAIL_TERMS
+# bit with all _TAIL_TERMS.  At unit argument the prefix may be 128 terms, and the tail
+# takes all _TAIL_TERMS, as _pfq_at_1_pairs' J sizing assumes
 _Z_LERCH = 0.5
 _LERCH_TERMS = 16
 _LERCH_POWERS = 7
@@ -471,87 +473,36 @@ def _exp_series(gam: np.ndarray) -> np.ndarray:
     return rev[:, ::-1]
 
 
-def _hurwitz(sm1: np.ndarray, x: float) -> np.ndarray:
-    """J^(sig-1) zeta(sig, J) for sig = 1 + sm1 and x = 1/J: its large-J expansion to B_8."""
-    sig = sm1 + 1.0
-    x2 = x * x
-    h = _ZETA[3]
-    for k in (3, 2, 1):
-        h = _ZETA[k - 1] + x2 * (sig + (2 * k - 1)) * (sig + 2 * k) * h
-    return 1.0 / sm1 + 0.5 * x + x2 * sig * h
-
-
-def _hurwitz_quotient(sm1: np.ndarray, x: float, delta: float, ln_J: float) -> np.ndarray:
-    """J^(sig-1) sum_(j>=J) j^-sig phi(ln j), phi(u) = (1 - e^(-delta u))/delta (u at delta = 0).
-
-    That is (zeta(sig) - zeta(sig+delta))/delta, taken term by term in the
-    expansion so that nothing cancels as delta -> 0:
-    (Z(sig) - Z(sig+delta))/delta + Z(sig+delta) phi(ln J) for Z = _hurwitz, whose
-    difference quotient is 1/((sig-1)(sig-1+delta)) plus the Bernoulli terms'
-    D_m = ((sig)_m - (sig+delta)_m)/delta = (sig+m-1) D_(m-1) - (sig+delta)_(m-1).
-    """
-    sig = sm1 + 1.0
-    x2 = x * x
-    quotient = 1.0 / (sm1 * (sm1 + delta))
-    D, rising, x2k = 0.0, 1.0, 1.0
-    for m in range(1, 8):
-        D = (sig + (m - 1)) * D - rising
-        rising = rising * (sig + (delta + (m - 1)))
-        if m % 2:
-            x2k *= x2
-            quotient = quotient + _ZETA[m // 2] * x2k * D
-    return quotient + _hurwitz(sm1 + delta, x) * _phi(delta, ln_J)
-
-
 def _phi(delta: float, u: float) -> float:
     """A law family's phi_delta(u) = (1 - e^(-delta u))/delta, and u at delta = 0."""
     return u if delta == 0.0 else -math.expm1(-delta * u) / delta
 
 
-def _tail_series(law, J: int, g: np.ndarray, terms: int = _TAIL_TERMS):
-    """J e^(-G(J)) per set, and per law family J^e0 and the rows b of the tail's sums.
+def _tail_series(law, J: int, g: np.ndarray, terms: int):
+    """J e^(-G(J)) per set, and the rows b of the tail's sums: one per law family and set.
 
     w_j/w_J = (j/J)^expo exp(G(j) - G(J)), expo = -1 - s and G the
-    Bernoulli expansion g_2 t^-1 + ... to t^-terms; exp G is a
+    Bernoulli expansion g_2 t^-1 + ... to t^-_TAIL_TERMS; exp G is a
     power series in 1/t (_exp_series), and times a law family
-    t^e0 phi(ln t) P(1/t) it is sum_n b_n (J/t)^n, one row of b per set.
-    Every power is taken at x = 1/J, so J^(1-sig) times J^-expo is
-    J^(1+e0-n) and no power of J overflows.
+    t^e0 phi(ln t) P(1/t) it is J^e0 sum_n b_n (J/t)^n, n <= terms, one
+    row of b per set, J^e0 folded in.  Every power is taken at x = 1/J, so
+    J^(1-sig) times J^-expo is J^(1+e0-n) and no power of J overflows.
+    b_n depends on g_2 .. g_(n+1) alone, so its first columns are the same
+    to the bit whatever terms is, and J e^(-G(J)) always takes every g.
     """
     x = 1.0 / J
-    n = np.arange(terms + 1.0)
-    scaled = g[:, :terms] * x ** n[1:]  # g_(m+1) J^-m
-    a = _exp_series(scaled)
+    n = np.arange(_TAIL_TERMS + 1.0)
+    scaled = g[:, :_TAIL_TERMS] * x ** n[1:]  # g_(m+1) J^-m
+    a = _exp_series(scaled[:, :terms])
     rows = []
-    for _, _, coefs in law:
-        c = coefs[:terms + 1] * x ** n[:len(coefs)]
+    for e0, _, coefs in law:
+        c = coefs[:terms + 1]
+        c = c * (x ** n[:len(c)] * (x ** -e0 if e0 == round(e0) else math.exp(e0 * math.log(J))))
         b = a * c[0]
         for i in range(1, len(c)):
             b[:, i:] += c[i] * a[:, :-i]
         rows.append(b)
-    powers = [x ** -e0 if e0 == round(e0) else math.exp(e0 * math.log(J)) for e0, *_ in law]
-    return J * np.exp(-scaled.sum(axis=1)), powers, rows
-
-
-def _zeta_tail(law, J: int, s: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """sum_(j>=J) (w_j/w_J) E_j at unit argument, in closed form: one value per set.
-
-    The family sums (_tail_series) leave sums of j^-sig phi(ln j),
-    sig = n - e0 + 1 + s: Hurwitz zeta values and, for a phi family, their
-    difference quotients, each by its large-J expansion.  sig - 1 is
-    formed as (n - e0) + s from the fsum'd margin, so where it is s itself
-    it carries no rounding of 1 + s.
-    """
-    x = 1.0 / J
-    ln_J = math.log(J)
-    n = np.arange(_TAIL_TERMS + 1.0)
-    scale, powers, rows = _tail_series(law, J, g)
-    total = 0.0
-    for (e0, delta, _), power, b in zip(law, powers, rows):
-        sm1 = (n - e0) + s[:, None]
-        z = _hurwitz(sm1, x) if delta is None else _hurwitz_quotient(sm1, x, delta, ln_J)
-        total = total + power * (b * z).sum(axis=1)
-    return scale * total
+    return J * np.exp(-scaled.sum(axis=1)), np.concatenate(rows)
 
 
 def _exprel(x: np.ndarray) -> np.ndarray:
@@ -712,68 +663,89 @@ def _end_weights(J: int) -> np.ndarray:
     return weights
 
 
-def _euler_maclaurin_ends(sig, delta, b, z, J: int):
+def _rising(a: np.ndarray, first) -> np.ndarray:
+    """first (1 + a)_i, i = 0..7, along a new leading axis: one product per i over the array."""
+    out = np.empty((8, *a.shape))
+    out[0] = first
+    for i in range(1, 8):
+        np.multiply(out[i - 1], a + float(i), out=out[i])
+    return out
+
+
+def _euler_maclaurin_ends(a, delta, b, z, J: int):
     """sum_n b_n e^-z ends(sig_n) and, with delta, the sum of their delta-quotients: ends(sig)
-    the Euler-Maclaurin end terms at J of sum_(j>=J) j^-sig e^(-lam j), scaled by
-    J^(sig-1) e^(lam J).
+    the Euler-Maclaurin end terms at J of sum_(j>=J) j^-sig e^(-lam j), sig = 1 + a,
+    scaled by J^(sig-1) e^(lam J).
 
     They are x/2 + sum_(k<=4) B_2k/(2k)! x^2k sum_i C(2k-1, i) (sig)_i z^(2k-1-i),
     x = 1/J and z = lam J, from the odd derivatives of t^-sig e^(-lam t) at
-    t = J; at z = 0 they are _hurwitz's.  The quotient of (sig)_i is
+    t = J (DLMF 2.10.1); at z = 0 they are x/2 + sum_k B_2k/(2k)! (sig)_(2k-1) x^2k,
+    the large-J expansion of the Hurwitz zeta function (DLMF 25.11.43).  The
+    products b_n (sig_n)_i are one array, one product per i (_rising), summed
+    over n before any node is touched.  The quotient of (sig)_i is
     -(sig+delta)_i sum_(l<i) (sig)_l/(sig+delta)_(l+1), with no delta in a
     denominator.
     """
-    coef = np.exp(-z)[:, None] * np.einsum("mp,ip->mi", _powers_of(z, 8), _end_weights(J))
-    steps = np.arange(7.0)
-    ones = np.ones((*sig.shape, 1))
-    rising = np.cumprod(np.concatenate([ones, sig[..., None] + steps], axis=-1), axis=-1)
-    if delta is None:
-        rising = rising[None]
-    else:
-        shifted = np.cumprod(np.concatenate([ones, (sig + delta[:, None])[..., None] + steps],
-                                            axis=-1), axis=-1)
-        rising = np.array([rising, -shifted * np.cumsum(np.concatenate(
-            [ones - 1.0, rising[..., :-1] / shifted[..., 1:]], axis=-1), axis=-1)])
-    return np.einsum("hgi,mi->hgm", np.einsum("gn,hgni->hgi", b, rising), coef)
+    coef = np.exp(-z)[:, None] * np.einsum("mp,ip->mi", z[:, None] ** np.arange(8.0),
+                                           _end_weights(J))
+    rising = _rising(a, b)[None]
+    if delta is not None:
+        shifted = _rising(a + delta[:, None], 1.0)
+        quotient = np.zeros_like(shifted)
+        np.cumsum(rising[0, :-1] / shifted[1:], axis=0, out=quotient[1:])
+        rising = np.array([rising[0], -shifted * quotient])
+    return np.einsum("hgi,mi->hgm", np.einsum("hign->hgi", rising), coef)
 
 
 def _lerch_tail(law, J: int, s: np.ndarray, g: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """sum_(j>=J) (w_j/w_J) e^(-lam j) E_j below unit argument (lam > 0), in closed form.
+    """sum_(j>=J) (w_j/w_J) e^(-lam j) E_j at every lam >= 0, in closed form: the engine's tail.
 
     The family sums (_tail_series) leave, per set and node,
     J^(sig-1) sum_(j>=J) j^-sig e^(-lam j) phi(ln j), sig = n - e0 + 1 + s:
     by Euler-Maclaurin the integral E_sig(z) = int_1^inf u^-sig e^(-z u) du,
-    z = lam J, plus the end terms at J (_euler_maclaurin_ends).  E_sig is
-    Lerch's series at z <= _Z_LERCH (_lerch_sums), and Gauss-Legendre in ln u
-    above it (_gauss_sums), where the series cancels and the incomplete
-    gamma's continued fraction needs 95 terms at z = 1.  A phi family takes
-    the quotient term by term, (T(sig) - T(sig+delta))/delta
-    + T(sig+delta) phi(ln J) as _hurwitz_quotient does; a law without one
-    forms no quotient.  Every family and set is one group, each summed over
-    n before any node is touched; a node's value does not depend on the
-    other nodes.
+    z = lam J, plus the end terms at J (_euler_maclaurin_ends).  The nodes
+    fall in three classes by z.  At z = 0, unit argument, E_sig(0) is
+    1/(sig - 1) and its delta-quotient 1/((sig - 1)(sig - 1 + delta)), with
+    all _TAIL_TERMS powers, as _pfq_at_1_pairs' J sizing assumes; sig - 1
+    is formed as (n - e0) + s from the fsum'd margin, so where it is s
+    itself it carries no rounding of 1 + s.  Above
+    0 the first _LERCH_POWERS powers are summed: Lerch's series at
+    z <= _Z_LERCH (_lerch_sums), and Gauss-Legendre in ln u above it
+    (_gauss_sums), where the series cancels and the incomplete gamma's
+    continued fraction needs 95 terms at z = 1.  A phi family takes the
+    quotient term by term, (T(sig) - T(sig+delta))/delta
+    + T(sig+delta) phi(ln J); a law without one forms no quotient.  Every
+    family and set is one group, each summed over n before any node is
+    touched; a node's value does not depend on the other nodes.
     """
     ln_J = math.log(J)
-    n = np.arange(_LERCH_POWERS + 1.0)
-    scale, powers, rows = _tail_series(law, J, g, _LERCH_POWERS)
-    e0 = np.repeat([family[0] for family in law], len(s))
-    margin = np.tile(s, len(law))
-    a = (n - e0[:, None]) + margin[:, None]
-    b = (np.array(powers)[:, None, None] * np.array(rows)).reshape(len(a), -1)
+    z = lam * J
+    zero = z == 0.0
+    terms = _TAIL_TERMS if zero.any() else _LERCH_POWERS
+    scale, b = _tail_series(law, J, g, terms)
+    e0 = np.array([family[0] for family in law])[:, None]
+    a = ((np.arange(terms + 1.0) - e0[..., None]) + s[:, None]).reshape(len(b), -1)
     delta = None
     if any(family[1] is not None for family in law):
         delta = np.repeat([family[1] or 0.0 for family in law], len(s))
-    k0 = np.rint(a[:, 0] + (0.0 if delta is None else 0.5 * delta))
-    eps = (-e0 - k0) + margin  # exact but for the one rounding of s, at an integer e0
-    k = (k0[:, None] + n).astype(np.intp)
-    z = lam * J
     sums = np.empty((1 if delta is None else 2, len(a), len(z)))
-    below = z <= _Z_LERCH
-    if below.any():
-        sums[..., below] = _lerch_sums(a, eps, delta, k, b, z[below])
-    if not below.all():
-        sums[..., ~below] = _gauss_sums(a, delta, b, z[~below])
-    sums += _euler_maclaurin_ends(1.0 + a, delta, b, z, J)
+    if zero.any():
+        E = 1.0 / a
+        E = E[None] if delta is None else np.array([E, E / (a + delta[:, None])])
+        sums[..., zero] = (np.einsum("gn,hgn->hg", b, E)[..., None]
+                           + _euler_maclaurin_ends(a, delta, b, z[zero], J))
+    if not zero.all():
+        a, b = a[:, :_LERCH_POWERS + 1], b[:, :_LERCH_POWERS + 1]
+        below = ~zero & (z <= _Z_LERCH)
+        if below.any():
+            k0 = np.rint(a[:, 0] + (0.0 if delta is None else 0.5 * delta))
+            # exact but for the one rounding of s, at an integer e0
+            eps = ((-e0 - k0.reshape(len(law), -1)) + s).ravel()
+            k = (k0[:, None] + np.arange(_LERCH_POWERS + 1)).astype(np.intp)
+            sums[..., below] = _lerch_sums(a, eps, delta, k, b, z[below])
+        if (above := z > _Z_LERCH).any():
+            sums[..., above] = _gauss_sums(a, delta, b, z[above])
+        sums[..., ~zero] += _euler_maclaurin_ends(a, delta, b, z[~zero], J)
     value = sums[0]
     if delta is not None:  # phi families: (T(sig) - T(sig+delta))/delta + T(sig+delta) phi(ln J)
         is_phi = np.repeat([d is not None for _, d, _ in law], len(s))[:, None]
@@ -795,11 +767,11 @@ def _series_tail(table: _ETable, sets: np.ndarray, w_J: np.ndarray, lam: np.ndar
     1 + sum(p - q) it would carry an absolute error of an ulp of 1, a
     relative error of eps/s in a tail-dominated sum.
 
-    Both are closed forms in the same terms (_tail_series): at lam = 0
-    Hurwitz zeta values (_zeta_tail), at lam > 0 Lerch's series or its
-    integral (_lerch_tail).  Neither evaluates the law at a point, and
-    neither has a quadrature whose panels depend on lam; each node's
-    value is what it is alone.
+    Their product is one closed form at every lam (_lerch_tail): the
+    family sums of _tail_series, each an incomplete gamma integral plus
+    Euler-Maclaurin end terms, which at lam = 0 are Hurwitz zeta values.
+    It evaluates the law at no point and has no quadrature whose panels
+    depend on lam; each node's value is what it is alone.
 
     sets is (N, pairs, 2) and w_J (N,); the result is (N, len(lam)).
     sums, when given, is the sets' (margins, power sums) as a caller that
@@ -808,14 +780,7 @@ def _series_tail(table: _ETable, sets: np.ndarray, w_J: np.ndarray, lam: np.ndar
     """
     J = len(table.E)
     s, powers = sums or (_margins(sets), _power_sums(sets, np.arange(_TAIL_TERMS + 3.0)))
-    out = np.empty((len(sets), len(lam)))
-    zero = lam == 0.0
-    g = powers @ _LNGAMMA_ROWS.T
-    if zero.any():
-        out[:, zero] = _zeta_tail(table.law, J, s, g)[:, None]
-    if not zero.all():
-        out[:, ~zero] = _lerch_tail(table.law, J, s, g, lam[~zero])
-    return w_J[:, None] * out
+    return w_J[:, None] * _lerch_tail(table.law, J, s, powers @ _LNGAMMA_ROWS.T, lam)
 
 
 def _pair_weights(sets: np.ndarray, n: int) -> np.ndarray:

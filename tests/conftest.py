@@ -25,13 +25,14 @@ class _LawSpy(np.ndarray):
 @pytest.fixture
 def law_spy(monkeypatch):
     """law_spy(table) is the table with its law's coefficients spied on (_LawSpy); with
-    the fixture, the engine's lam > 0 route fails too, so a lam = 0 tail passes only
-    through the closed form."""
+    the fixture, the tail's lam > 0 evaluators (Lerch's series and the Gauss-Legendre
+    rule) fail too, so a lam = 0 tail passes only through its closed form at z = 0."""
     from rosenblatt import specfun
 
     def lam_route(*args):
-        raise AssertionError("a lam = 0 tail reached the lam > 0 route")
+        raise AssertionError("a lam = 0 tail reached a lam > 0 evaluator")
 
-    monkeypatch.setattr(specfun, "_lerch_tail", lam_route)
+    monkeypatch.setattr(specfun, "_lerch_sums", lam_route)
+    monkeypatch.setattr(specfun, "_gauss_sums", lam_route)
     return lambda table: specfun._ETable(table.E, tuple(
         (e0, delta, np.asarray(coefs).view(_LawSpy)) for e0, delta, coefs in table.law))
