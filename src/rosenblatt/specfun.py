@@ -686,14 +686,15 @@ def _euler_maclaurin_ends(a, delta, b, z, J: int):
     -(sig+delta)_i sum_(l<i) (sig)_l/(sig+delta)_(l+1), with no delta in a
     denominator.
     """
-    coef = np.exp(-z)[:, None] * np.einsum("mp,ip->mi", z[:, None] ** np.arange(8.0),
-                                           _end_weights(J))
-    rising = _rising(a, b)[None]
-    if delta is not None:
-        shifted = _rising(a + delta[:, None], 1.0)
+    coef = np.exp(-z)[:, None] * np.einsum("mp,ip->mi", _powers_of(z, 8), _end_weights(J))
+    if delta is None:
+        rising = _rising(a, b)[None]
+    else:  # b (sig)_i and (sig+delta)_i in one run of products
+        rising, shifted = _rising(np.array([a, a + delta[:, None]]),
+                                  np.array([b, np.ones_like(b)])).swapaxes(0, 1)
         quotient = np.zeros_like(shifted)
-        np.cumsum(rising[0, :-1] / shifted[1:], axis=0, out=quotient[1:])
-        rising = np.array([rising[0], -shifted * quotient])
+        np.cumsum(rising[:-1] / shifted[1:], axis=0, out=quotient[1:])
+        rising = np.array([rising, -shifted * quotient])
     return np.einsum("hgi,mi->hgm", np.einsum("hign->hgi", rising), coef)
 
 

@@ -55,7 +55,6 @@ import importlib.util
 import json
 import math
 import os
-import shutil
 import statistics
 import subprocess
 import sys
@@ -193,31 +192,28 @@ def _compile(tree: Path) -> None:
 def _measure(tree: Path, item: str, seed: int, seconds: float) -> dict:
     """One end-to-end run of a perfbench workload, or one fresh process of a COMMANDS entry,
     in tree: metric name -> value."""
-    if item in WORKLOADS:
-        proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", item, "--seed",
-                               str(seed), "--seconds", str(seconds), "--trace", "0"],
-                              cwd=tree, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise RuntimeError(f"{item} in {tree} exited {proc.returncode}: {proc.stderr[-500:]}")
-        metrics = json.loads(proc.stdout.splitlines()[-1])["metrics"]
-        return {name: m["value"] for name, m in metrics.items()}
-    wall, proc = _timed(dict(COMMANDS)[item], tree)
+    workload = item in WORKLOADS
+    argv = (["perfbench/run.py", "--workload", item, "--seed", str(seed), "--seconds",
+             str(seconds), "--trace", "0"] if workload else dict(COMMANDS)[item])
+    wall, proc = _timed(argv, tree)
     if proc.returncode != 0:
         raise RuntimeError(f"{item} in {tree} exited {proc.returncode}: {proc.stderr[-500:]}")
+    if workload:
+        metrics = json.loads(proc.stdout.splitlines()[-1])["metrics"]
+        return {name: m["value"] for name, m in metrics.items()}
     return {"wall_s": wall}
 
 
 @contextlib.contextmanager
 def _worktree(root: Path, commit: str):
     """commit checked out with git worktree add into a temporary directory, removed after."""
-    tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    tree = tmp / "parent"
-    _git(root, "worktree", "add", "--detach", str(tree), commit)
-    try:
-        yield tree
-    finally:
-        _git(root, "worktree", "remove", "--force", str(tree))
-        shutil.rmtree(tmp, ignore_errors=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        tree = Path(tmp) / "parent"
+        _git(root, "worktree", "add", "--detach", str(tree), commit)
+        try:
+            yield tree
+        finally:
+            _git(root, "worktree", "remove", "--force", str(tree))
 
 
 def _quartiles(values: list) -> list:
