@@ -368,10 +368,9 @@ _BERNOULLI = ((1, 1), (-1, 2), (1, 6), (0, 1), (-1, 30), (0, 1), (1, 42), (0, 1)
 _LNGAMMA_ROWS = np.array([[(-1) ** k * math.comb(k, m) * _BERNOULLI[k - m][0]
                            / (_BERNOULLI[k - m][1] * k * (k - 1)) if m <= k else 0.0
                            for m in range(_TAIL_TERMS + 3)] for k in range(2, _TAIL_TERMS + 3)])
-# B_2k/(2k)!, k = 1..5: the Euler-Maclaurin end terms at J of the tail's sums (DLMF 2.10.1),
-# at unit argument the large-J expansion of the Hurwitz zeta function (DLMF 25.11.43)
-# J^(sig-1) zeta(sig, J) = 1/(sig-1) + 1/(2J) + sum_k B_2k/(2k)! (sig)_(2k-1) J^-2k; the
-# tail takes k <= 4 and the fifth is the first term left out
+# B_2k/(2k)!, k = 1..5: the tail's Euler-Maclaurin end terms at J (DLMF 2.10.1), at unit
+# argument J^(sig-1) zeta(sig, J) = 1/(sig-1) + 1/(2J) + sum_k B_2k/(2k)! (sig)_(2k-1) J^-2k
+# (DLMF 25.11.43); the tail takes k <= 4 and the fifth is the first term left out
 _ZETA = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160)
 # Below unit argument (lam > 0) the tail's sums take Lerch's series where z = lam J is at
 # most _Z_LERCH, _LERCH_TERMS terms of it (z^k/k! < 1e-18 past them), and a Gauss-Legendre
@@ -686,7 +685,11 @@ def _euler_maclaurin_ends(a, delta, b, z, J: int):
     -(sig+delta)_i sum_(l<i) (sig)_l/(sig+delta)_(l+1), with no delta in a
     denominator.
     """
-    coef = np.exp(-z)[:, None] * np.einsum("mp,ip->mi", _powers_of(z, 8), _end_weights(J))
+    weights = _end_weights(J)
+    if z.any():
+        coef = np.exp(-z)[:, None] * np.einsum("mp,ip->mi", _powers_of(z, 8), weights)
+    else:  # unit argument: the powers are 1, 0, 0, ... and e^-z is 1, so to the bit
+        coef = np.broadcast_to(weights[:, 0], (len(z), 8))
     if delta is None:
         rising = _rising(a, b)[None]
     else:  # b (sig)_i and (sig+delta)_i in one run of products
