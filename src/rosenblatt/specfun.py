@@ -666,8 +666,9 @@ def _rising(a: np.ndarray, first) -> np.ndarray:
     """first (1 + a)_i, i = 0..7, along a new leading axis: one product per i over the array."""
     out = np.empty((8, *a.shape))
     out[0] = first
+    steps = np.add.outer(np.arange(1.0, 8.0), a)  # a + i
     for i in range(1, 8):
-        np.multiply(out[i - 1], a + float(i), out=out[i])
+        np.multiply(out[i - 1], steps[i - 1], out=out[i])
     return out
 
 
@@ -689,16 +690,16 @@ def _euler_maclaurin_ends(a, delta, b, z, J: int):
     if z.any():
         coef = np.exp(-z)[:, None] * np.einsum("mp,ip->mi", _powers_of(z, 8), weights)
     else:  # unit argument: the powers are 1, 0, 0, ... and e^-z is 1, so to the bit
-        coef = np.broadcast_to(weights[:, 0], (len(z), 8))
+        coef = weights[:, 0][None].repeat(len(z), axis=0)
     if delta is None:
-        rising = _rising(a, b)[None]
-    else:  # b (sig)_i and (sig+delta)_i in one run of products
-        rising, shifted = _rising(np.array([a, a + delta[:, None]]),
-                                  np.array([b, np.ones_like(b)])).swapaxes(0, 1)
-        quotient = np.zeros_like(shifted)
-        np.cumsum(rising[:-1] / shifted[1:], axis=0, out=quotient[1:])
-        rising = np.array([rising, -shifted * quotient])
-    return np.einsum("hgi,mi->hgm", np.einsum("hign->hgi", rising), coef)
+        rising = _rising(a, b)[:, None]
+    else:  # b (sig)_i and (sig+delta)_i in one run of products, then the quotient's terms
+        rising = _rising(np.array([a, a + delta[:, None]]), np.array([b, np.ones_like(b)]))
+        rising[1:, 1] *= np.cumsum(rising[:-1, 0] / rising[1:, 1], axis=0)
+        rising[0, 1] = 0.0
+    sums = np.einsum("ihgn->hgi", rising)
+    sums[1:] *= -1.0  # the quotient's sign
+    return np.einsum("hgi,mi->hgm", sums, coef)
 
 
 def _lerch_tail(law, J: int, s: np.ndarray, g: np.ndarray, lam: np.ndarray) -> np.ndarray:

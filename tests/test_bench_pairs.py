@@ -28,7 +28,7 @@ def repo(tmp_path):
     # two commits: the parent's package says version 1, the change's version 2
     root = tmp_path / "repo"
     (root / "src").mkdir(parents=True)
-    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+    (root / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 3, "end_to_end": [
         {"name": "ops_per_s", "better": "higher"}, {"name": "op_p50_ms", "better": "lower"}]}))
     (root / "src" / "version.py").write_text("VERSION = 1\n")
     git(root, "init", "-q")
@@ -45,6 +45,7 @@ def test_pairs_alternate_the_sides_and_write_their_verdicts(repo, tmp_path, monk
     def measure(tree, item, seed, seconds):
         side = "change" if "2" in (tree / "src" / "version.py").read_text() else "parent"
         calls.append((side, item))
+        assert seconds == 3  # the run length BENCHMARK.json gives
         if item == "closed_table":  # the change is 10% faster in every pair, p50 the same
             return {"ops_per_s": (110.0 if side == "change" else 100.0) + len(calls) / 100,
                     "op_p50_ms": 2.0}
@@ -55,7 +56,7 @@ def test_pairs_alternate_the_sides_and_write_their_verdicts(repo, tmp_path, monk
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
     out = tmp_path / "BENCH.json"
     out.write_text(json.dumps({"runs": []}))
-    section = bench_snapshot.pairs("HEAD~1", 3, 4, ["closed_table"], 1.0, out, root=repo)
+    section = bench_snapshot.pairs("HEAD~1", 3, 4, ["closed_table"], out, root=repo)
 
     per_side = 1 + len(bench_snapshot.COMMANDS)
     assert [calls[i][0] for i in range(0, len(calls), per_side)] == [

@@ -3,7 +3,7 @@ compare two such files.
 
     python3 tools/bench_snapshot.py run BENCH_2.json [--seed 1] [--seconds 10]
     python3 tools/bench_snapshot.py pairs PARENT [--seed 1] [--n 10] [--workload closed_table ...]
-                                       [--seconds 10] [--out BENCH_2.json]
+                                       [--out BENCH_2.json]
     python3 tools/bench_snapshot.py compare BENCH_1.json BENCH_2.json
 
 `run` starts perfbench/run.py once per workload end to end (--trace 0)
@@ -21,17 +21,18 @@ commit and the command.  perfbench's environment() imports scipy, so `run`
 needs scipy as well as numpy; without it, it stops and says so.
 
 `pairs` measures the working tree against the commit PARENT, which it
-checks out with `git worktree add` into a temporary directory and removes
-afterwards.  It first compiles both trees' bytecode (src/ and perfbench/),
-so that no fresh process recompiles a module where PYTHONDONTWRITEBYTECODE
-is set.  Each of --n pairs runs, on each side, every chosen workload once
-end to end and every command of COMMANDS once; the side that runs first
-alternates from pair to pair.  For each end-to-end metric and command wall
-time it gives both sides' median and quartiles, the median relative change
-and the number of pairs the change won, with a verdict: "better" or
-"worse" when at least 9 in 10 pairs go that way and the medians differ by
-more than the parent's interquartile range, "no clear change" otherwise.
-It prints them, and with --out writes them as the file's `pairs` section
+checks out with `git worktree add` into a temporary directory and
+removes afterwards.  It first compiles both trees' bytecode (src/ and
+perfbench/), so that no fresh process recompiles a module where
+PYTHONDONTWRITEBYTECODE is set.  Each of --n pairs runs, on each side,
+every chosen workload once end to end, for BENCHMARK.json's run_seconds,
+and every command of COMMANDS once; the side that runs first alternates
+from pair to pair.  For each end-to-end metric and command wall time it
+gives both sides' median and quartiles, the median relative change and
+the number of pairs the change won, with a verdict: "better" or "worse"
+when at least 9 in 10 pairs go that way and the medians differ by more
+than the parent's interquartile range, "no clear change" otherwise.  It
+prints them, and with --out writes them as the file's `pairs` section
 (added to the file when it exists).  It uses the local repository only.
 
 `compare` prints every metric of both files, end-to-end and per layer, and
@@ -95,10 +96,25 @@ def _git(root: Path, *args: str) -> str:
                           text=True).stdout.strip()
 
 
+def _benchmark(root: Path = ROOT) -> dict:
+    return json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
 def _end_to_end(root: Path = ROOT) -> dict:
     """BENCHMARK.json's end-to-end metrics: name -> "lower" or "higher"."""
-    benchmark = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    return {m["name"]: m["better"] for m in _benchmark(root)["end_to_end"]}
+
+
+def _perfbench(tree: Path, workload: str, seed: int, seconds: float,
+               trace: int) -> tuple[float, list, dict, dict]:
+    """One run of tree's perfbench/run.py: its wall seconds, argv, run record and result."""
+    argv = ["perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds",
+            str(seconds), "--trace", str(trace)]
+    wall, proc = _timed(argv, tree)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{workload} in {tree} exited {proc.returncode}: {proc.stderr[-500:]}")
+    record, result = (json.loads(line) for line in proc.stdout.splitlines()[-2:])
+    return wall, argv, record, result
 
 
 def time_commands() -> tuple[list, dict]:
@@ -140,16 +156,8 @@ def run(out: Path, seed: int, seconds: float) -> int:
     runs = []
     for workload in WORKLOADS:
         for trace in (0, 1):
-            cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                   "--seconds", str(seconds), "--trace", str(trace)]
-            start = time.perf_counter()
-            proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
-            wall = time.perf_counter() - start
-            if proc.returncode != 0:
-                print(proc.stderr, file=sys.stderr)
-                return proc.returncode
-            record, result = (json.loads(line) for line in proc.stdout.splitlines()[-2:])
-            entry = {"workload": workload, "trace": trace, "command": " ".join(cmd[1:]),
+            wall, argv, record, result = _perfbench(ROOT, workload, seed, seconds, trace)
+            entry = {"workload": workload, "trace": trace, "command": " ".join(argv),
                      "wall_s": round(wall, 2), "record": record, "result": result}
             if trace == 0:
                 work = ROOT / "perfbench" / ".work" / f"run-{workload}-seed{seed}-trace0.json"
@@ -192,15 +200,12 @@ def _compile(tree: Path) -> None:
 def _measure(tree: Path, item: str, seed: int, seconds: float) -> dict:
     """One end-to-end run of a perfbench workload, or one fresh process of a COMMANDS entry,
     in tree: metric name -> value."""
-    workload = item in WORKLOADS
-    argv = (["perfbench/run.py", "--workload", item, "--seed", str(seed), "--seconds",
-             str(seconds), "--trace", "0"] if workload else dict(COMMANDS)[item])
-    wall, proc = _timed(argv, tree)
+    if item in WORKLOADS:
+        metrics = _perfbench(tree, item, seed, seconds, 0)[3]["metrics"]
+        return {name: m["value"] for name, m in metrics.items()}
+    wall, proc = _timed(dict(COMMANDS)[item], tree)
     if proc.returncode != 0:
         raise RuntimeError(f"{item} in {tree} exited {proc.returncode}: {proc.stderr[-500:]}")
-    if workload:
-        metrics = json.loads(proc.stdout.splitlines()[-1])["metrics"]
-        return {name: m["value"] for name, m in metrics.items()}
     return {"wall_s": wall}
 
 
@@ -237,10 +242,10 @@ def _verdict(parent: list, change: list, better: str) -> dict:
             "won": won, "lost": lost, "verdict": verdict}
 
 
-def pairs(parent: str, seed: int, n: int, workloads: list, seconds: float, out: Path | None,
+def pairs(parent: str, seed: int, n: int, workloads: list, out: Path | None,
           root: Path = ROOT) -> dict:
     """The `pairs` section of the working tree of root against its commit parent."""
-    better = _end_to_end(root)
+    better, seconds = _end_to_end(root), _benchmark(root)["run_seconds"]
     items = [*workloads, *(name for name, _ in COMMANDS)]
     samples = {side: {item: [] for item in items} for side in ("parent", "change")}
     section = {"parent": _git(root, "rev-parse", parent),
@@ -323,7 +328,6 @@ def main(argv=None) -> int:
     p_pairs.add_argument("--seed", type=int, default=1)
     p_pairs.add_argument("--n", type=int, default=10)
     p_pairs.add_argument("--workload", action="append", choices=WORKLOADS)
-    p_pairs.add_argument("--seconds", type=float, default=10.0)
     p_pairs.add_argument("--out", type=Path)
     p_cmp = sub.add_parser("compare")
     p_cmp.add_argument("old", type=Path)
@@ -334,8 +338,7 @@ def main(argv=None) -> int:
     if args.cmd == "pairs":
         if _without_scipy():
             return 2
-        pairs(args.parent, args.seed, args.n, args.workload or list(WORKLOADS), args.seconds,
-              args.out)
+        pairs(args.parent, args.seed, args.n, args.workload or list(WORKLOADS), args.out)
         return 0
     return compare(args.old, args.new)
 
