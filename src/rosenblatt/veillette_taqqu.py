@@ -3,10 +3,13 @@
 The kernel operator (K f)(x) = int_0^1 |x-u|^(-d) f(u) du generates a
 sequence of functions starting from G_1(x) = (1-x)^(-d)/sqrt(1-d), and
 the cumulant factor c_k equals int_0^1 G_mu G_nu dx for any mu+nu = k.
-G_2, G_3 and G_4 are K applied piece by piece to the previous G through
-two kernel images: kernel_one_minus_power, and kernel_hyp2f1_moment at
-a = 1 on u^(c-1) 2F1(1, b; c; u), c = n - m d.  Direct numerical
-application of the operator is kept as an independent cross-check.
+Each G is a list of pieces (weight, kind, key): a "power" p,
+(1-x)^(p-(p+1)d); a "2f1" piece x^(c-1) 2F1(1, b; c; x), c = n - m d; or
+a "sum" (family, q, e), x^e sum_j (d)_j/(q)_j x^j E_j over a family's table
+(below).  One step, _image, applies K to a list piece by piece through two
+kernel images, kernel_one_minus_power and kernel_hyp2f1_moment at a = 1,
+and makes G_2, G_3 and G_4 from G_1's list.  Direct numerical application
+of the operator is kept as an independent cross-check.
 
 The images produce sums of the family
 
@@ -34,10 +37,9 @@ the series engine specfun._series_dot.  Every 2F1 in the closed forms has
 a = 1, so 2F1(1, b; c; x) is the same sum over the unit table E_j = 1
 (with no special case where c - b - 1 is an integer), and each evaluation
 stays accurate uniformly in x, including exponentially close to the
-endpoints where quadrature nodes land.  A G sums its 2F1 pieces in one
-batch on the unit table, and the linear tables and laws fold G_4's three
-family sums at the pair (d, 1) into one "g4" table: G_3 is two engine
-calls, G_4 three.
+endpoints where quadrature nodes land.  A G's list is summed with its 2F1
+pieces in one call on the unit table and its sums that share (q, e) in one
+call on their weighted table: G_3 is two engine calls, G_4 three.
 
 The G functions, the series engine and the operator's integrands work
 on whole arrays of quadrature nodes, each with its exact distance to 1.
@@ -320,28 +322,15 @@ def _moment_table(a: float, b: float, c: float, beta: float, gap: float) -> _ETa
 
 
 # An image family ((b0, b1), n, m) is that of K[u^(c-1) 2F1(1, b; c; u)],
-# b = b0 + b1 d and c = n - m d, its front piece is of family ((b0, b1), n+1, m+1),
-# kernel_one_minus_power(p)'s 2F1 piece is ((-p, p+1), 2, 1), G_2's is the p = 0
-# one, and G_3's are the front of G_2's image and kernel_one_minus_power(1)'s.
+# b = b0 + b1 d and c = n - m d; kernel_one_minus_power(p)'s 2F1 piece is of
+# family ((-p, p+1), 2, 1), and G_2's is the p = 0 one.
 _G2_FAMILY = ((0, 1), 2, 1)
-_G3_PIECES = (((0, 1), 3, 2), ((-1, 2), 2, 1))
-
-
-def _piece(family, d: float) -> tuple[float, float]:
-    """(b, c) of the family's 2F1(1, b; c; x)."""
-    (b0, b1), n, m = family
-    return b0 + b1 * d, n - m * d
-
-
-def _unit_sum(d: float, pieces, xs: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """sum of w x^(c-1) 2F1(1, b; c; x), c-1 = (n-1) - m d, over (w, family) pieces: one call."""
-    values = _series_dot(_UNIT, np.array([[_piece(f, d)] for _, f in pieces]), xs, lam)
-    return sum(w * xs ** ((n - 1) - m * d) * v for (w, (_, n, m)), v in zip(pieces, values))
 
 
 @lru_cache(maxsize=64)
 def _family_table(d: float, family) -> _ETable:
-    """E table of an image family, of "i2", that of the image of the _G2_FAMILY sum, or of "g4".
+    """E table of an image family, of "i2", that of the image of the _G2_FAMILY sum, or
+    of (weight, family) parts: their weighted sum of tables and laws, parts built uncached.
 
     i2 is E_j = sum_k (d)_k/k! E'_k/(k+1-d-j) over the _G2_FAMILY table E'.
     E' obeys its own recurrence in k, (k+d) E'_(k+1) = (k+3d-2) E'_k
@@ -352,14 +341,9 @@ def _family_table(d: float, family) -> _ETable:
     phi_j = phi_0 prod_{i<j} (i+2d-1)/(i+d) and phi(2d-1) = -phi_0/(2 cos pi d);
     D_1, 0/0 at d = 1/3, is its convergent series
     -sum_k (d)_k/k!/((k-d)(k+2d-1)).
-
-    "g4" is G_4's family sums at the pair (d, 1) in one table: the _G3_PIECES
-    and i2 tables, built uncached and weighted as G_4 weighs them, laws and all.
     """
-    if family == "g4":
-        r = (1 - d) ** -1.5
-        parts = [(w, _family_table.__wrapped__(d, f)) for w, f in zip(
-            (_image_prefactor(d, 2, 1) * r, _power_weight(0, d) * r, r), (*_G3_PIECES, "i2"))]
+    if isinstance(family[0][0], float):  # (weight, family) parts
+        parts = [(w, _family_table.__wrapped__(d, f)) for w, f in family]
         law = {}
         for w, t in parts:
             for e0, delta, coefs in t.law:
@@ -386,7 +370,7 @@ def _family_table(d: float, family) -> _ETable:
     (b0, b1), n, m = family
     # beta and the gap straight from d: as c - d, beta would keep only c's digits of d near 0,
     # and for b0 = 0 the gap is then beta itself, to the bit
-    return _moment_table(1.0, *_piece(family, d), n - (m + 1) * d, (n - b0) - (m + b1) * d)
+    return _moment_table(1.0, b0 + b1 * d, n - m * d, n - (m + 1) * d, (n - b0) - (m + b1) * d)
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +381,6 @@ def g1(x, d: float, one_minus_x=None):
     """G_1(x) = (1-x)^(-d) / (1-d)^(1/2)."""
     _, z = _position(x, one_minus_x)
     return _like(z ** (-d) / math.sqrt(1.0 - d), x)
-
-
-def g2(x, d: float, one_minus_x=None):
-    """G_2 = K(G_1) = K[(1-u)^(-d)]/sqrt(1-d)."""
-    return kernel_one_minus_power(0, d, x, one_minus_x) / math.sqrt(1 - d)
 
 
 def _pole_ratio(d: float, n: int, m: int) -> float:
@@ -425,52 +404,74 @@ def _image_prefactor(d: float, n: int, m: int) -> float:
     return gamma(1 - d) * (gamma(n - m * d) / gamma(n + 1 - (m + 1) * d) + _pole_ratio(d, n, m))
 
 
-def _power_weight(p: int, d: float) -> float:
-    """B(1-d, (p+1)(1-d)), the weight of (1-x)^((p+1)-(p+2)d) in kernel_one_minus_power(p)."""
-    return gamma(1 - d) * gamma((p + 1) * (1 - d)) / gamma((p + 2) * (1 - d))
+def _image(pieces: list, d: float) -> list:
+    """The piece list of K applied to a piece list, piece by piece.
+
+    A power's image is kernel_one_minus_power's, a 2F1 piece's its front
+    piece and its family's sum at (d, 1).  The _G2_FAMILY sum at (d, 1), the
+    one sum G_3 holds, has i2 for image: the _G2_FAMILY sum at (d, 2-d)
+    times x^(1-d)/(1-d), and the "i2" table's sum at (d, 1).
+    """
+    out = []
+    for w, kind, key in pieces:
+        if kind == "power":
+            weight = gamma(1 - d) * gamma((key + 1) * (1 - d)) / gamma((key + 2) * (1 - d))
+            out += [(w * weight, "power", key + 1),
+                    (w / (1 - d), "2f1", ((-key, key + 1), 2, 1))]
+        elif kind == "2f1":
+            b, n, m = key
+            out += [(w * _image_prefactor(d, n, m), "2f1", (b, n + 1, m + 1)),
+                    (w, "sum", (key, 1.0, 0.0))]
+        elif key == (_G2_FAMILY, 1.0, 0.0):
+            out += [(w / (1 - d), "sum", (_G2_FAMILY, 2 - d, 1 - d)), (w, "sum", ("i2", 1.0, 0.0))]
+        else:
+            raise NotImplementedError(f"no closed image of the family sum {key}")
+    return out
 
 
-def _one_minus_power(p: int, d: float, z: np.ndarray):
-    """kernel_one_minus_power(p)'s power of 1-x, and the (weight, family) of its 2F1 piece."""
-    return _power_weight(p, d) * z ** ((p + 1) - (p + 2) * d), (1 / (1 - d), ((-p, p + 1), 2, 1))
+def _g_pieces(order: int, d: float) -> list:
+    """G_order's piece list: K applied order-1 times to G_1 = (1-x)^(-d)/sqrt(1-d).
+    At d = 0, K maps G_1 = 1 to its integral 1, so every G is the power piece 1."""
+    pieces = [(1 / math.sqrt(1 - d), "power", 0)]
+    for _ in range(order - 1 if d else 0):
+        pieces = _image(pieces, d)
+    return pieces
+
+
+def _evaluate(pieces: list, d: float, x, one_minus_x=None):
+    """A piece list at a node or a node array; a lone sum at its (q, e) takes
+    its family's own table, where several take their weighted one."""
+    xs, z = _position(x, one_minus_x)
+    lam = _decay_rate(xs, z)
+    total = sum(w * z ** (p - (p + 1) * d) for w, kind, p in pieces if kind == "power")
+    units = [(w, key) for w, kind, key in pieces if kind == "2f1"]
+    if units:
+        sets = np.array([[(b0 + b1 * d, n - m * d)] for _, ((b0, b1), n, m) in units])
+        total = total + sum(w * xs ** ((n - 1) - m * d) * v
+                            for (w, (_, n, m)), v in zip(units, _series_dot(_UNIT, sets, xs, lam)))
+    sums = {}
+    for w, kind, key in pieces:
+        if kind == "sum":
+            sums.setdefault(key[1:], []).append((w, key[0]))
+    for (q, e), parts in sums.items():
+        (w, family), = parts if len(parts) == 1 else [(1.0, tuple(parts))]
+        total = total + w * xs ** e * _series_dot(_family_table(d, family), ((d, q),), xs, lam)
+    return _like(total, x)
+
+
+def g2(x, d: float, one_minus_x=None):
+    """G_2 = K(G_1): a power of 1-x and the _G2_FAMILY 2F1 piece."""
+    return _evaluate(_g_pieces(2, d), d, x, one_minus_x)
 
 
 def g3(x, d: float, one_minus_x=None):
-    """G_3 = K(G_2): the images of G_2's 2F1 piece and of its power of 1-x.
-
-    A power of 1-x, the _G2_FAMILY sum and the two _G3_PIECES, these in
-    one unit-table call.  At d = 0, K is the identity on constants (and
-    the tables' beta are integers), so that point is returned exactly.
-    """
-    xs, z = _position(x, one_minus_x)
-    if d == 0.0:
-        return _like(np.ones_like(xs), x)
-    lam, r, w = _decay_rate(xs, z), (1 - d) ** -1.5, _power_weight(0, d) / math.sqrt(1 - d)
-    power, (v, piece) = _one_minus_power(1, d, z)
-    unit = _unit_sum(d, [(_image_prefactor(d, 2, 1) * r, _G3_PIECES[0]), (w * v, piece)], xs, lam)
-    return _like(unit + w * power
-                 + r * _series_dot(_family_table(d, _G2_FAMILY), ((d, 1.0),), xs, lam), x)
+    """G_3 = K(G_2): a power, two 2F1 pieces and the _G2_FAMILY sum, two engine calls."""
+    return _evaluate(_g_pieces(3, d), d, x, one_minus_x)
 
 
 def g4_closed(x, d: float, one_minus_x=None):
-    """G_4 = K(G_3), piece by piece as g3 writes G_3.
-
-    The _G3_PIECES' images are two front pieces and two family sums, the
-    _G2_FAMILY sum's is i2 (a _G2_FAMILY sum at (d, 2-d) and the "i2"
-    table's), the power's is kernel_one_minus_power(2): one unit-table call
-    for the three pieces, one "g4" call for the sums at (d, 1), three in all.
-    """
-    xs, z = _position(x, one_minus_x)
-    if d == 0.0:
-        return _like(np.ones_like(xs), x)
-    lam, r, w = _decay_rate(xs, z), (1 - d) ** -1.5, _power_weight(0, d) / math.sqrt(1 - d)
-    p21, w1 = _image_prefactor(d, 2, 1), w * _power_weight(1, d)
-    power, (v, piece) = _one_minus_power(2, d, z)
-    unit = _unit_sum(d, [(p21 * _image_prefactor(d, 3, 2) * r, ((0, 1), 4, 3)),
-                         (w * p21 / (1 - d), ((-1, 2), 3, 2)), (w1 * v, piece)], xs, lam)
-    i2 = xs ** (1 - d) / (1 - d) * _series_dot(_family_table(d, _G2_FAMILY), ((d, 2 - d),), xs, lam)
-    return _like(unit + w1 * power + r * i2
-                 + _series_dot(_family_table(d, "g4"), ((d, 1.0),), xs, lam), x)
+    """G_4 = K(G_3): a power, three 2F1 pieces and four sums, three engine calls."""
+    return _evaluate(_g_pieces(4, d), d, x, one_minus_x)
 
 
 def g_function(order: int, d: float) -> Callable:
@@ -529,9 +530,7 @@ def kernel_one_minus_power(p: int, d: float, x, one_minus_x=None):
         raise ParameterDomainError("p must be a non-negative integer")
     if not (0.0 <= d <= 0.5):
         raise ParameterDomainError("requires 0 <= d <= 0.5")
-    xs, z = _position(x, one_minus_x)
-    power, piece = _one_minus_power(p, d, z)
-    return _like(power + _unit_sum(d, [piece], xs, _decay_rate(xs, z)), x)
+    return _evaluate(_image([(1.0, "power", p)], d), d, x, one_minus_x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""`tools/bench_snapshot.py pairs` on a throwaway repository, with a stubbed runner.
+"""`tools/bench_snapshot.py pairs` and `run` on a throwaway repository, with a stubbed runner.
 
 The runner is the one part replaced: the parent is checked out with git
 worktree add and removed, both trees are compiled, and the verdicts are
@@ -83,3 +83,24 @@ def test_pairs_alternate_the_sides_and_write_their_verdicts(repo, tmp_path, monk
     capsys.readouterr()
     assert bench_snapshot.compare(old, new) == 0
     assert "pairs: won 4/4, median +10.0%: better" in capsys.readouterr().out
+
+
+def test_run_takes_its_run_length_from_the_benchmark(repo, tmp_path, monkeypatch):
+    # perfbench and the command timings are stubbed: no benchmark or tier-1 process starts
+    calls = []
+
+    def perfbench(tree, workload, seed, seconds, trace):
+        calls.append((workload, trace, seconds))
+        work = tree / "perfbench" / ".work"
+        work.mkdir(parents=True, exist_ok=True)
+        (work / f"run-{workload}-seed{seed}-trace0.json").write_text('{"wall_clock": {"ops": 1}}')
+        return 1.0, ["perfbench/run.py"], {"seed": seed}, {"metrics": {"ops_per_s": {"value": 1}}}
+
+    monkeypatch.setattr(bench_snapshot, "_perfbench", perfbench)
+    monkeypatch.setattr(bench_snapshot, "time_commands", lambda: ([], {"wall_s": 0.0}))
+    out = tmp_path / "BENCH.json"
+    assert bench_snapshot.run(out, 5, root=repo) == 0
+    assert calls == [(w, trace, 3) for w in bench_snapshot.WORKLOADS for trace in (0, 1)]
+    data = json.loads(out.read_text())
+    assert data["seconds"] == 3 and data["commit"] == git(repo, "rev-parse", "HEAD").strip()
+    assert [r.get("wall_clock") for r in data["runs"]] == [{"ops": 1}, None] * 3

@@ -249,6 +249,17 @@ class TestOracle:
     def test_unknown_region(self, capsys):
         assert cli.main(["oracle", "--region", "c9-1", "--d-grid", "0.2"]) == 2
 
+    def test_csv_round_trip(self, capsys):
+        # the seed and sample count read back as integers
+        code, out = run_cli(capsys, "oracle", "--orders", "3", "--d-grid", "0,0.2",
+                            "--samples", "20000", "--seed", "7")
+        reports = cli.read_reports_csv(io.StringIO(out))
+        assert code == 0 and [r.diagnostics for r in reports] == [
+            {"seed": 7, "n_samples": 20000}] * 2
+        buffer = io.StringIO()
+        cli.write_reports(reports, "csv", buffer)
+        assert buffer.getvalue() == out
+
     def test_default_grid_stops_short_of_half(self, capsys):
         code, out = run_cli(capsys, "oracle", "--samples", "20000")
         assert code == 0

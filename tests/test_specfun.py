@@ -184,7 +184,8 @@ class TestHyp2F1:
     def test_small_margins_and_integer_orders_match_stored_mpmath(self, b, c):
         # 1 - x = e down to 1e-225, carried by one_minus_x alone; HYP2F1_NEAR_1 holds
         # 320-digit values.  Margins c - b - 1 down to 0.002 and c - b at or within 4e-12 of
-        # an integer, where the engine tail's Gamma pole meets its series' pole
+        # an integer, where the engine tail's Gamma pole meets its series' pole, and negative
+        # margins below -1/2, where Gamma(-a) z^a stands alone
         for e, ref in HYP2F1_NEAR_1[b, c].items():
             assert sf.hyp_2f1(1.0, b, c, 1.0 - e, e) == pytest.approx(ref, rel=1e-13, abs=0.0), e
 

@@ -320,15 +320,17 @@ class TestNodeArrays:
 
     @pytest.mark.parametrize("d", [1e-9, 0.05, 0.25, 1 / 3 - 1e-12, 1 / 3 + 1e-12, 0.45, 0.49])
     def test_g4_table_sums_its_weighted_parts(self, d):
-        # tables and laws are linear; the two sides round J-term sums in different
-        # orders, and a single table's sum moves by up to ~2e-15 with the node array alone
+        # G_4's family sums at (d, 1) are one weighted table; tables and laws are linear, the
+        # two sides round J-term sums in different orders, and a single table's sum moves by
+        # up to ~2e-15 with the node array alone
         x, z = first_sweep_nodes()
         lam = sf._decay_rate(x, z)
-        r = (1 - d) ** -1.5
-        weights = (vt._image_prefactor(d, 2, 1) * r, vt._power_weight(0, d) * r, r)
+        group = tuple((w, key[0]) for w, kind, key in vt._g_pieces(4, d)
+                      if kind == "sum" and key[1:] == (1.0, 0.0))
+        assert [f for _, f in group] == [((-1, 2), 2, 1), ((0, 1), 3, 2), "i2"]
         parts = [w * vt._series_dot(vt._family_table.__wrapped__(d, f), ((d, 1.0),), x, lam)
-                 for w, f in zip(weights, (((0, 1), 3, 2), ((-1, 2), 2, 1), "i2"))]
-        got = vt._series_dot(vt._family_table(d, "g4"), ((d, 1.0),), x, lam)
+                 for w, f in group]
+        got = vt._series_dot(vt._family_table(d, group), ((d, 1.0),), x, lam)
         assert np.all(np.abs(got - sum(parts)) <= 4e-15 * sum(np.abs(p) for p in parts))
 
     @pytest.mark.parametrize("name,most", [("g3", 2), ("g4_closed", 3)])
@@ -617,8 +619,10 @@ class TestCkViaOperator:
 
         monkeypatch.setattr(np.linalg, "lstsq", refuse)
         for d in (1e-9, 0.2371, 1 / 3 + 1e-9, 0.49):
-            for family in (vt._G2_FAMILY, ((0, 1), 3, 2), ((-1, 2), 2, 1), "i2", "g4"):
+            for family in (vt._G2_FAMILY, ((0, 1), 3, 2), ((-1, 2), 2, 1), "i2"):
                 assert np.isfinite(vt._family_table.__wrapped__(d, family).E).all()
+            vt._family_table.cache_clear()  # G_4 builds its weighted (d, 1) table afresh
+            assert math.isfinite(vt.g4_closed(0.5, d))
         assert math.isfinite(vt.kernel_hyp2f1_moment(0.7, 0.3, 2.0, 1.4, 0.3, 1 - 1e-9))
 
     def test_g4_near_one_is_continuous_in_d(self):

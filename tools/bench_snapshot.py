@@ -1,16 +1,16 @@
 """Run perfbench on every workload into one BENCH_<n>.json, pair a change with its parent, or
 compare two such files.
 
-    python3 tools/bench_snapshot.py run BENCH_2.json [--seed 1] [--seconds 10]
+    python3 tools/bench_snapshot.py run BENCH_2.json [--seed 1]
     python3 tools/bench_snapshot.py pairs PARENT [--seed 1] [--n 10] [--workload closed_table ...]
                                        [--out BENCH_2.json]
     python3 tools/bench_snapshot.py compare BENCH_1.json BENCH_2.json
 
 `run` starts perfbench/run.py once per workload end to end (--trace 0)
-and once traced (--trace 1).  For each run it keeps both stdout lines,
-the run record and the result, the run's own wall-clock seconds
-(`wall_s`: setup, operations and the checks outside the timing), and for an
-end-to-end run the raw `wall_clock` figures of
+and once traced (--trace 1), each for BENCHMARK.json's run_seconds.  For
+each run it keeps both stdout lines, the run record and the result, the
+run's own wall-clock seconds (`wall_s`: setup, operations and the checks
+outside the timing), and for an end-to-end run the raw `wall_clock` figures of
 perfbench/.work/run-<workload>-seed<seed>-trace0.json (unscaled, next to the
 reference-scaled metrics).  It then times the package from the outside
 (`commands`): five fresh subprocesses each of `import rosenblatt` and the
@@ -148,19 +148,18 @@ def _without_scipy() -> bool:
     return False
 
 
-def run(out: Path, seed: int, seconds: float) -> int:
+def run(out: Path, seed: int, root: Path = ROOT) -> int:
     if _without_scipy():
         return 2
-    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
-                            text=True).stdout.strip()
+    commit, seconds = _git(root, "rev-parse", "HEAD"), _benchmark(root)["run_seconds"]
     runs = []
     for workload in WORKLOADS:
         for trace in (0, 1):
-            wall, argv, record, result = _perfbench(ROOT, workload, seed, seconds, trace)
+            wall, argv, record, result = _perfbench(root, workload, seed, seconds, trace)
             entry = {"workload": workload, "trace": trace, "command": " ".join(argv),
                      "wall_s": round(wall, 2), "record": record, "result": result}
             if trace == 0:
-                work = ROOT / "perfbench" / ".work" / f"run-{workload}-seed{seed}-trace0.json"
+                work = root / "perfbench" / ".work" / f"run-{workload}-seed{seed}-trace0.json"
                 entry["wall_clock"] = json.loads(work.read_text(encoding="utf-8"))["wall_clock"]
             runs.append(entry)
             print(workload, trace, json.dumps(result["metrics"]), flush=True)
@@ -322,7 +321,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run")
     p_run.add_argument("out", type=Path)
     p_run.add_argument("--seed", type=int, default=1)
-    p_run.add_argument("--seconds", type=float, default=10.0)
     p_pairs = sub.add_parser("pairs")
     p_pairs.add_argument("parent")
     p_pairs.add_argument("--seed", type=int, default=1)
@@ -334,7 +332,7 @@ def main(argv=None) -> int:
     p_cmp.add_argument("new", type=Path)
     args = parser.parse_args(argv)
     if args.cmd == "run":
-        return run(args.out, args.seed, args.seconds)
+        return run(args.out, args.seed)
     if args.cmd == "pairs":
         if _without_scipy():
             return 2
