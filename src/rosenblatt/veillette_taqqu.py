@@ -454,7 +454,7 @@ def _evaluate(pieces: list, d: float, x, one_minus_x=None):
         if kind == "sum":
             sums.setdefault(key[1:], []).append((w, key[0]))
     for (q, e), parts in sums.items():
-        (w, family), = parts if len(parts) == 1 else [(1.0, tuple(parts))]
+        w, family = parts[0] if len(parts) == 1 else (1.0, tuple(parts))
         total = total + w * xs ** e * _series_dot(_family_table(d, family), ((d, q),), xs, lam)
     return _like(total, x)
 
