@@ -9,7 +9,8 @@ One engine, _series_dot, sums sum_j w_j x^j E_j with
 w_j = prod (p)_j/(q)_j over (top, bottom) parameter pairs, j! being the
 pair (a, 1): a (q+1)Fq at unit argument on a prefix of the unit table
 E_j = 1, Gauss 2F1 near x = 1 on the whole unit table, and the operator
-route's telescoping sums on its E tables.  Past the table, w_j is its
+route's telescoping sums on its E tables, a G's sets each on its own table
+in one call.  Past the table, w_j is its
 Gamma-ratio expansion in powers of 1/j (DLMF 5.11.8) and E_j the table's
 large-j law.  Their product leaves sums of j^-sig e^(-lam j), x = e^-lam,
 each the incomplete gamma integral E_sig(lam J) plus Euler-Maclaurin end
@@ -477,8 +478,9 @@ def _phi(delta: float, u: float) -> float:
     return u if delta == 0.0 else -math.expm1(-delta * u) / delta
 
 
-def _tail_series(law, J: int, g: np.ndarray, terms: int):
-    """J e^(-G(J)) per set, and the rows b of the tail's sums: one per law family and set.
+def _tail_series(blocks, J: int, g: np.ndarray, terms: int):
+    """J e^(-G(J)) per set, and the rows b of the tail's sums: one per law family and set,
+    in _lerch_tail's group order (each (law, sets) block's families over its sets in turn).
 
     w_j/w_J = (j/J)^expo exp(G(j) - G(J)), expo = -1 - s and G the
     Bernoulli expansion g_2 t^-1 + ... to t^-_TAIL_TERMS; exp G is a
@@ -492,15 +494,18 @@ def _tail_series(law, J: int, g: np.ndarray, terms: int):
     x = 1.0 / J
     n = np.arange(_TAIL_TERMS + 1.0)
     scaled = g[:, :_TAIL_TERMS] * x ** n[1:]  # g_(m+1) J^-m
-    a = _exp_series(scaled[:, :terms])
+    a_all = _exp_series(scaled[:, :terms])
     rows = []
-    for e0, _, coefs in law:
-        c = coefs[:terms + 1]
-        c = c * (x ** n[:len(c)] * (x ** -e0 if e0 == round(e0) else math.exp(e0 * math.log(J))))
-        b = a * c[0]
-        for i in range(1, len(c)):
-            b[:, i:] += c[i] * a[:, :-i]
-        rows.append(b)
+    for law, sets in blocks:
+        a = a_all[sets]
+        for e0, _, coefs in law:
+            c = coefs[:terms + 1]
+            c = c * (x ** n[:len(c)]
+                     * (x ** -e0 if e0 == round(e0) else math.exp(e0 * math.log(J))))
+            b = a * c[0]
+            for i in range(1, len(c)):
+                b[:, i:] += c[i] * a[:, :-i]
+            rows.append(b)
     return J * np.exp(-scaled.sum(axis=1)), np.concatenate(rows)
 
 
@@ -613,7 +618,7 @@ def _lerch_sums(a, eps, delta, k, b, z):
     value = series[0] - L * _exprel(u) * at_k[0] - e_u * at_k[1]
     if not paired.all():  # a < -1/2, a negative margin: Gamma(-a) z^a has no pole to pair
         if delta is not None:  # only unit-table laws, one power family, reach a < -1/2
-            raise ParameterDomainError("a phi law family with a sum exponent below 1/2")
+            raise ParameterDomainError("a sum exponent below 1/2 in a call with phi law families")
         gam = np.zeros_like(a)
         gam[~paired] = [math.gamma(-v) for v in a[~paired].tolist()]
         value = value + np.einsum("gn,gmn->gm", b * gam, np.exp(a[:, None, :] * L[:, None]))
@@ -702,7 +707,7 @@ def _euler_maclaurin_ends(a, delta, b, z, J: int):
     return np.einsum("hgi,mi->hgm", sums, coef)
 
 
-def _lerch_tail(law, J: int, s: np.ndarray, g: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def _lerch_tail(blocks, J: int, s: np.ndarray, g: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """sum_(j>=J) (w_j/w_J) e^(-lam j) E_j at every lam >= 0, in closed form: the engine's tail.
 
     The family sums (_tail_series) leave, per set and node,
@@ -719,20 +724,27 @@ def _lerch_tail(law, J: int, s: np.ndarray, g: np.ndarray, lam: np.ndarray) -> n
     (_gauss_sums), where the series cancels and the incomplete gamma's
     continued fraction needs 95 terms at z = 1.  A phi family takes the
     quotient term by term, (T(sig) - T(sig+delta))/delta
-    + T(sig+delta) phi(ln J); a law without one forms no quotient.  Every
-    family and set is one group, each summed over n before any node is
-    touched; a node's value does not depend on the other nodes.
+    + T(sig+delta) phi(ln J); a call whose laws have none forms no quotient.
+
+    blocks is a list of (law, sets): a large-j law and the rows of s and g
+    whose sets sum on it (slice(None) for all).  Every law family and set
+    of a block is one group, block after block, each summed over n before
+    any node is touched; a node's value does not depend on the other nodes,
+    and a set's groups are added family by family in its law's order.
     """
     ln_J = math.log(J)
     z = lam * J
     zero = z == 0.0
     terms = _TAIL_TERMS if zero.any() else _LERCH_POWERS
-    scale, b = _tail_series(law, J, g, terms)
-    e0 = np.array([family[0] for family in law])[:, None]
-    a = ((np.arange(terms + 1.0) - e0[..., None]) + s[:, None]).reshape(len(b), -1)
+    scale, b = _tail_series(blocks, J, g, terms)
+    groups = [(family, s[sets]) for law, sets in blocks for family in law]
+    sizes = [len(s_g) for _, s_g in groups]
+    s_g = np.concatenate([s_g for _, s_g in groups])
+    e0 = np.array([family[0] for family, _ in groups]).repeat(sizes)
+    a = (np.arange(terms + 1.0) - e0[:, None]) + s_g[:, None]
     delta = None
-    if any(family[1] is not None for family in law):
-        delta = np.repeat([family[1] or 0.0 for family in law], len(s))
+    if any(family[1] is not None for family, _ in groups):
+        delta = np.array([family[1] or 0.0 for family, _ in groups]).repeat(sizes)
     sums = np.empty((1 if delta is None else 2, len(a), len(z)))
     if zero.any():
         E = 1.0 / a
@@ -745,7 +757,7 @@ def _lerch_tail(law, J: int, s: np.ndarray, g: np.ndarray, lam: np.ndarray) -> n
         if below.any():
             k0 = np.rint(a[:, 0] + (0.0 if delta is None else 0.5 * delta))
             # exact but for the one rounding of s, at an integer e0
-            eps = ((-e0 - k0.reshape(len(law), -1)) + s).ravel()
+            eps = (-e0 - k0) + s_g
             k = (k0[:, None] + np.arange(_LERCH_POWERS + 1)).astype(np.intp)
             sums[..., below] = _lerch_sums(a, eps, delta, k, b, z[below])
         if (above := z > _Z_LERCH).any():
@@ -753,16 +765,23 @@ def _lerch_tail(law, J: int, s: np.ndarray, g: np.ndarray, lam: np.ndarray) -> n
         sums[..., ~zero] += _euler_maclaurin_ends(a, delta, b, z[~zero], J)
     value = sums[0]
     if delta is not None:  # phi families: (T(sig) - T(sig+delta))/delta + T(sig+delta) phi(ln J)
-        is_phi = np.repeat([d is not None for _, d, _ in law], len(s))[:, None]
-        phi = np.repeat([_phi(d or 0.0, ln_J) for _, d, _ in law], len(s))[:, None]
-        value = np.where(is_phi, sums[1] + (value - delta[:, None] * sums[1]) * phi, value)
-    return scale[:, None] * value.reshape(len(law), len(s), len(z)).sum(axis=0)
+        is_phi = np.array([family[1] is not None for family, _ in groups]).repeat(sizes)
+        phi = np.array([_phi(family[1] or 0.0, ln_J) for family, _ in groups]).repeat(sizes)
+        value = np.where(is_phi[:, None], sums[1] + (value - delta[:, None] * sums[1])
+                         * phi[:, None], value)
+    out = np.empty((len(s), len(z)))
+    start = 0
+    for law, sets in blocks:
+        n = len(s[sets])
+        out[sets] = value[start:start + len(law) * n].reshape(len(law), n, len(z)).sum(axis=0)
+        start += len(law) * n
+    return scale[:, None] * out
 
 
 @np.errstate(divide="ignore", under="ignore")
-def _series_tail(table: _ETable, sets: np.ndarray, w_J: np.ndarray, lam: np.ndarray,
+def _series_tail(table, sets: np.ndarray, w_J: np.ndarray, lam: np.ndarray,
                  sums=None) -> np.ndarray:
-    """sum_{j>=J} w_j e^(-lam j) E_j for each set and decay rate lam, J = len(table.E).
+    """sum_{j>=J} w_j e^(-lam j) E_j for each set and decay rate lam, J the table length.
 
     w(t) continues w_j = prod (p)_j/(q)_j over a set's (top, bottom) pairs
     (p, q) from the cumprod's w_J through the large-t expansion of
@@ -779,13 +798,21 @@ def _series_tail(table: _ETable, sets: np.ndarray, w_J: np.ndarray, lam: np.ndar
     depend on lam; each node's value is what it is alone.
 
     sets is (N, pairs, 2) and w_J (N,); the result is (N, len(lam)).
-    sums, when given, is the sets' (margins, power sums) as a caller that
-    has formed them passes them on (_pfq_at_1_pairs); they are formed here
+    table is one _ETable for every set, or a sequence of N, one per set, all
+    of one length; the sets on one law are one block of _lerch_tail.  sums,
+    when given, is the sets' (margins, power sums) as a caller that has
+    formed them passes them on (_pfq_at_1_pairs); they are formed here
     otherwise.
     """
-    J = len(table.E)
+    if isinstance(table, _ETable):
+        J, blocks = len(table.E), [(table.law, slice(None))]
+    else:
+        J, rows = len(table[0].E), {}
+        for i, t in enumerate(table):
+            rows.setdefault(id(t.law), (t.law, []))[1].append(i)
+        blocks = list(rows.values())
     s, powers = sums or (_margins(sets), _power_sums(sets, np.arange(_TAIL_TERMS + 3.0)))
-    return w_J[:, None] * _lerch_tail(table.law, J, s, powers @ _LNGAMMA_ROWS.T, lam)
+    return w_J[:, None] * _lerch_tail(blocks, J, s, powers @ _LNGAMMA_ROWS.T, lam)
 
 
 def _pair_weights(sets: np.ndarray, n: int) -> np.ndarray:
@@ -815,8 +842,13 @@ def _series_dot(table: _ETable, pairs, x, lam, sums=None):
     pair (a, 1), so ((b, c), (a, 1)) on the unit table (E_j = 1) is
     2F1(a, b; c; x), and pairs for every top and bottom parameter at
     lam = 0 sum a (q+1)Fq at unit argument.  pairs is one set of pairs, or
-    an (N, pairs, 2) array of N sets that share the table, each set's row
-    as that set sums alone: (N,) at a scalar x and lam, (N, M) at M nodes.  Terms past
+    an (N, pairs, 2) array of N sets, each set's row as that set sums
+    alone: (N,) at a scalar x and lam, (N, M) at M nodes.  table is one
+    _ETable that every set shares, or a sequence of N tables of one length,
+    one per set, so that sets on several tables (a G's unit pieces and
+    family sums) share one pass: each set's weights take its own E row, and
+    the tail's groups are every table's law families over its sets, joined
+    into one _lerch_tail call.  Terms past
     j = 60/lam are dropped, so the sum runs to the longest cut-off of the nodes.
     For 2F1(1, b; c; x), |w_j| <= 1 (c > b, and c > |b| when b < 0) and
     the dropped terms are below e^-60; for 2F1(a, b; c; x) they are about
@@ -838,11 +870,14 @@ def _series_dot(table: _ETable, pairs, x, lam, sums=None):
     batch = sets.ndim == 3
     sets = sets.reshape(-1, *sets.shape[-2:])
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    J = len(table.E)
+    if not isinstance(table, _ETable) and all(t is table[0] for t in table):
+        table = table[0]  # one table for every set: the shared-table pass, with no E copies
+    E = table.E if isinstance(table, _ETable) else np.array([t.E for t in table])
+    J = E.shape[-1]
     if not lams.any():  # unit argument: every power is 1, the table one sum, the tail closed
         w = _pair_weights(sets, J)
         tail = _series_tail(table, sets, w[:, J], lams, sums)
-        out = np.sum(w[:, :J] * table.E, axis=1)[:, None] + tail
+        out = np.sum(w[:, :J] * E, axis=1)[:, None] + tail
         return (out if np.ndim(x) else out[:, 0]) if batch else _like(out[0], x)
     n_terms = np.minimum(np.ceil(_CUTOFF / lams) + 1.0, J).astype(np.intp)
     m = int(n_terms.max(initial=1))
@@ -850,7 +885,7 @@ def _series_dot(table: _ETable, pairs, x, lam, sums=None):
     Q = -(-m // R)
     w = _pair_weights(sets, Q * R)
     weights = w[:, :-1]
-    weights *= table.E[:Q * R]
+    weights *= E[..., :Q * R]
     weights = weights.reshape(-1, Q, R)
     rate = np.minimum(lams, 1e3)[:, None]  # x = 0: e^(-lam*0) stays 1, higher powers vanish
     # a matrix-vector product per node: BLAS would round a matrix product by its row count

@@ -37,9 +37,9 @@ the series engine specfun._series_dot.  Every 2F1 in the closed forms has
 a = 1, so 2F1(1, b; c; x) is the same sum over the unit table E_j = 1
 (with no special case where c - b - 1 is an integer), and each evaluation
 stays accurate uniformly in x, including exponentially close to the
-endpoints where quadrature nodes land.  A G's list is summed with its 2F1
-pieces in one call on the unit table and its sums that share (q, e) in one
-call on their weighted table: G_3 is two engine calls, G_4 three.
+endpoints where quadrature nodes land.  A G's list is summed in one engine
+call, each set on its own table: its 2F1 pieces on the unit table and its
+sums that share (q, e) on their weighted table.
 
 The G functions, the series engine and the operator's integrands work
 on whole arrays of quadrature nodes, each with its exact distance to 1.
@@ -439,23 +439,35 @@ def _g_pieces(order: int, d: float) -> list:
 
 
 def _evaluate(pieces: list, d: float, x, one_minus_x=None):
-    """A piece list at a node or a node array; a lone sum at its (q, e) takes
-    its family's own table, where several take their weighted one."""
+    """A piece list at a node or a node array, its series in one engine call.
+
+    The call has a row per 2F1 piece, (b, c) on the unit table, and a row
+    per (q, e) of its family sums, (d, q) on a family table: a lone sum's
+    own table, or the weighted table of several.  Each row's value is then
+    scaled by its weight and its power of x: x^(c-1) or x^e.
+    """
     xs, z = _position(x, one_minus_x)
     lam = _decay_rate(xs, z)
     total = sum(w * z ** (p - (p + 1) * d) for w, kind, p in pieces if kind == "power")
-    units = [(w, key) for w, kind, key in pieces if kind == "2f1"]
-    if units:
-        sets = np.array([[(b0 + b1 * d, n - m * d)] for _, ((b0, b1), n, m) in units])
-        total = total + sum(w * xs ** ((n - 1) - m * d) * v
-                            for (w, (_, n, m)), v in zip(units, _series_dot(_UNIT, sets, xs, lam)))
-    sums = {}
+    units, sums = [], {}
     for w, kind, key in pieces:
-        if kind == "sum":
+        if kind == "2f1":
+            (b0, b1), n, m = key
+            units.append((w * xs ** ((n - 1) - m * d), _UNIT, (b0 + b1 * d, n - m * d)))
+        elif kind == "sum":
             sums.setdefault(key[1:], []).append((w, key[0]))
+    rows = list(units)
     for (q, e), parts in sums.items():
         w, family = parts[0] if len(parts) == 1 else (1.0, tuple(parts))
-        total = total + w * xs ** e * _series_dot(_family_table(d, family), ((d, q),), xs, lam)
+        rows.append((w * xs ** e, _family_table(d, family), (d, q)))
+    if not rows:
+        return _like(total, x)
+    values = _series_dot([table for _, table, _ in rows],
+                         np.array([[pair] for _, _, pair in rows]), xs, lam)
+    # the 2F1 pieces summed among themselves, then each family row: one fixed rounding order
+    total = total + sum(scale * v for (scale, _, _), v in zip(units, values))
+    for (scale, _, _), v in zip(rows[len(units):], values[len(units):]):
+        total = total + scale * v
     return _like(total, x)
 
 
@@ -465,12 +477,12 @@ def g2(x, d: float, one_minus_x=None):
 
 
 def g3(x, d: float, one_minus_x=None):
-    """G_3 = K(G_2): a power, two 2F1 pieces and the _G2_FAMILY sum, two engine calls."""
+    """G_3 = K(G_2): a power, two 2F1 pieces and the _G2_FAMILY sum, one engine call."""
     return _evaluate(_g_pieces(3, d), d, x, one_minus_x)
 
 
 def g4_closed(x, d: float, one_minus_x=None):
-    """G_4 = K(G_3): a power, three 2F1 pieces and four sums, three engine calls."""
+    """G_4 = K(G_3): a power, three 2F1 pieces and four sums on two tables, one engine call."""
     return _evaluate(_g_pieces(4, d), d, x, one_minus_x)
 
 

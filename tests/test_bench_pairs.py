@@ -1,7 +1,7 @@
 """`tools/bench_snapshot.py pairs` and `run` on a throwaway repository, with a stubbed runner.
 
-The runner is the one part replaced: the parent is checked out with git
-worktree add and removed, both trees are compiled, and the verdicts are
+The runner is the one part replaced: the parent is unpacked from git
+archive and removed, both trees are compiled, and the verdicts are
 computed and written as they are for a real benchmark.
 """
 
@@ -68,7 +68,7 @@ def test_pairs_alternate_the_sides_and_write_their_verdicts(repo, tmp_path, monk
     assert section["parent"] == git(repo, "rev-parse", "HEAD~1").strip()
     assert section["change"] == git(repo, "rev-parse", "HEAD").strip()
     assert json.loads(out.read_text()) == {"runs": [], "pairs": section}
-    # the worktree and its temporary directory are gone, and the change's tree was compiled
+    # no worktree was added, the temporary directory is gone, and the change's tree was compiled
     assert git(repo, "worktree", "list", "--porcelain").count("worktree ") == 1
     assert not list((tmp_path / "tmp").iterdir())
     assert list((repo / "src" / "__pycache__").glob("version.*.pyc"))
@@ -85,8 +85,9 @@ def test_pairs_alternate_the_sides_and_write_their_verdicts(repo, tmp_path, monk
     assert "pairs: won 4/4, median +10.0%: better" in capsys.readouterr().out
 
 
-def test_run_takes_its_run_length_from_the_benchmark(repo, tmp_path, monkeypatch):
-    # perfbench and the command timings are stubbed: no benchmark or tier-1 process starts
+def stub_run(monkeypatch) -> list:
+    """run with perfbench and the command timings stubbed, so no benchmark or tier-1 process
+    starts: the list of perfbench's (workload, trace, seconds) calls."""
     calls = []
 
     def perfbench(tree, workload, seed, seconds, trace):
@@ -98,9 +99,34 @@ def test_run_takes_its_run_length_from_the_benchmark(repo, tmp_path, monkeypatch
 
     monkeypatch.setattr(bench_snapshot, "_perfbench", perfbench)
     monkeypatch.setattr(bench_snapshot, "time_commands", lambda: ([], {"wall_s": 0.0}))
+    return calls
+
+
+def test_run_takes_its_run_length_from_the_benchmark(repo, tmp_path, monkeypatch):
+    calls = stub_run(monkeypatch)
     out = tmp_path / "BENCH.json"
     assert bench_snapshot.run(out, 5, root=repo) == 0
     assert calls == [(w, trace, 3) for w in bench_snapshot.WORKLOADS for trace in (0, 1)]
     data = json.loads(out.read_text())
     assert data["seconds"] == 3 and data["commit"] == git(repo, "rev-parse", "HEAD").strip()
     assert [r.get("wall_clock") for r in data["runs"]] == [{"ops": 1}, None] * 3
+
+
+def test_run_keeps_the_pairs_section_its_file_holds(repo, tmp_path, monkeypatch):
+    # pairs --out first, run on the same file after: one file with both sections
+    stub_run(monkeypatch)
+    out = tmp_path / "BENCH.json"
+    section = {"parent": "abc", "n": 10, "metrics": []}
+    out.write_text(json.dumps({"pairs": section}))
+    assert bench_snapshot.run(out, 5, root=repo) == 0
+    data = json.loads(out.read_text())
+    assert data["pairs"] == section and len(data["runs"]) == 2 * len(bench_snapshot.WORKLOADS)
+
+
+def test_compare_names_a_file_without_runs(tmp_path, capsys):
+    # a file that pairs --out started holds only its pairs section
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps({"runs": []}))
+    new.write_text(json.dumps({"pairs": {"n": 10, "metrics": []}}))
+    assert bench_snapshot.compare(old, new) == 2
+    assert str(new) in capsys.readouterr().err

@@ -5,6 +5,7 @@ The independent oracles are numeric: split-interval adaptive quadrature
 application for the assembled G functions.
 """
 
+import functools
 import math
 import os
 import subprocess
@@ -333,16 +334,35 @@ class TestNodeArrays:
         got = vt._series_dot(vt._family_table(d, group), ((d, 1.0),), x, lam)
         assert np.all(np.abs(got - sum(parts)) <= 4e-15 * sum(np.abs(p) for p in parts))
 
-    @pytest.mark.parametrize("name,most", [("g3", 2), ("g4_closed", 3)])
-    def test_series_engine_calls_per_g(self, monkeypatch, name, most):
-        # once the tables of d are built, a G is one unit-table batch and its family sums
+    @pytest.mark.parametrize("d", [0.05, 0.25, 1 / 3 + 1e-9, 0.45])
+    def test_mixed_table_batch_equals_per_set_calls(self, d):
+        # unit-table, _G2_FAMILY and G_4 weighted-table sets in one call, a table's sets
+        # not all adjacent: each row is what its set sums alone on its table, to the bit
+        x, z = first_sweep_nodes()
+        lam = sf._decay_rate(x, z)
+        group = tuple((w, key[0]) for w, kind, key in vt._g_pieces(4, d)
+                      if kind == "sum" and key[1:] == (1.0, 0.0))
+        family, weighted = vt._family_table(d, vt._G2_FAMILY), vt._family_table(d, group)
+        rows = [(vt._UNIT, pair(d)) for pair in ROUTE_2F1[:3]]
+        rows += [(family, (d, 1.0)), (weighted, (d, 1.0)), (vt._UNIT, (d, 4 - 3 * d)),
+                 (family, (d, 2 - d))]
+        got = vt._series_dot([table for table, _ in rows], np.array([[p] for _, p in rows]),
+                             x, lam)
+        assert got.shape == (len(rows), len(x))
+        assert np.array_equal(got, [vt._series_dot(table, (p,), x, lam) for table, p in rows])
+
+    @pytest.mark.parametrize("name", ["g2", "g3", "g4_closed", "kernel_one_minus_power"])
+    def test_series_engine_calls_per_g(self, monkeypatch, name):
+        # once the tables of d are built, a G's unit pieces and family sums are one call
         x, z = first_sweep_nodes()
         g = getattr(vt, name)
-        g(x, 0.3, one_minus_x=z)
+        if name == "kernel_one_minus_power":
+            g = functools.partial(g, 1)
+        g(x=x, d=0.3, one_minus_x=z)
         calls, dot = [], vt._series_dot
         monkeypatch.setattr(vt, "_series_dot", lambda *args: calls.append(args) or dot(*args))
-        g(x, 0.3, one_minus_x=z)
-        assert 0 < len(calls) <= most
+        g(x=x, d=0.3, one_minus_x=z)
+        assert len(calls) == 1
 
 
 # the 2F1(1, b; c; x) pieces of G_2..G_4 and kernel_one_minus_power

@@ -17,12 +17,14 @@ reference-scaled metrics).  It then times the package from the outside
 `table`, `verify --method vt` and `oracle` commands at their defaults, with
 the median and range of their wall times, and one run of the tier-1 suite
 (`tier1`, with its exit status and summary line).  The file also names the
-commit and the command.  perfbench's environment() imports scipy, so `run`
-needs scipy as well as numpy; without it, it stops and says so.
+commit and the command.  A `pairs` section that the file already holds is
+kept, so `pairs --out` may come before or after `run`.  perfbench's
+environment() imports scipy, so `run` needs scipy as well as numpy; without
+it, it stops and says so.
 
-`pairs` measures the working tree against the commit PARENT, which it
-checks out with `git worktree add` into a temporary directory and
-removes afterwards.  It first compiles both trees' bytecode (src/ and
+`pairs` measures the working tree against the commit PARENT, whose files
+it unpacks from `git archive` into a temporary directory and removes
+afterwards.  It first compiles both trees' bytecode (src/ and
 perfbench/), so that no fresh process recompiles a module where
 PYTHONDONTWRITEBYTECODE is set.  Each of --n pairs runs, on each side,
 every chosen workload once end to end, for BENCHMARK.json's run_seconds,
@@ -45,7 +47,8 @@ the note that one snapshot per commit cannot separate a 10% move from noise,
 and does not set the exit status.  Where the second file has a `pairs`
 section, each end-to-end metric and command it covers carries the pair
 verdict beside the single-run figures; it changes neither flag nor exit
-status.
+status.  A file with no `runs`, such as one that `pairs --out` started,
+cannot be compared: `compare` says which and exits 2.
 """
 
 from __future__ import annotations
@@ -53,12 +56,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib.util
+import io
 import json
 import math
 import os
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 from pathlib import Path
@@ -164,14 +169,21 @@ def run(out: Path, seed: int, root: Path = ROOT) -> int:
             runs.append(entry)
             print(workload, trace, json.dumps(result["metrics"]), flush=True)
     commands, tier1 = time_commands()
-    out.write_text(json.dumps({"commit": commit, "seed": seed, "seconds": seconds, "runs": runs,
-                               "commands": commands, "tier1": tier1}, indent=1) + "\n",
-                   encoding="utf-8")
+    data = {"commit": commit, "seed": seed, "seconds": seconds, "runs": runs,
+            "commands": commands, "tier1": tier1}
+    if out.exists() and "pairs" in (old := json.loads(out.read_text(encoding="utf-8"))):
+        data["pairs"] = old["pairs"]
+    out.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
     return 0
 
 
-def _runs(path: Path) -> list:
-    return json.loads(path.read_text(encoding="utf-8"))["runs"]
+def _runs(path: Path) -> list | None:
+    """A file's runs, or None, said on stderr, where it has none (a `pairs`-only file)."""
+    data = json.loads(path.read_text(encoding="utf-8"))
+    if "runs" not in data:
+        print(f"error: {path} has no runs to compare; write them into it with `run {path}`",
+              file=sys.stderr)
+    return data.get("runs")
 
 
 def _command_times(path: Path) -> dict:
@@ -209,15 +221,16 @@ def _measure(tree: Path, item: str, seed: int, seconds: float) -> dict:
 
 
 @contextlib.contextmanager
-def _worktree(root: Path, commit: str):
-    """commit checked out with git worktree add into a temporary directory, removed after."""
+def _export(root: Path, commit: str):
+    """commit's files, unpacked from git archive into a temporary directory removed after;
+    the repository itself is only read."""
+    archive = subprocess.run(["git", "archive", commit], cwd=root, check=True,
+                             capture_output=True).stdout
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         tree = Path(tmp) / "parent"
-        _git(root, "worktree", "add", "--detach", str(tree), commit)
-        try:
-            yield tree
-        finally:
-            _git(root, "worktree", "remove", "--force", str(tree))
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tree, filter="data")
+        yield tree
 
 
 def _quartiles(values: list) -> list:
@@ -250,7 +263,7 @@ def pairs(parent: str, seed: int, n: int, workloads: list, out: Path | None,
     section = {"parent": _git(root, "rev-parse", parent),
                "change": _git(root, "describe", "--always", "--dirty", "--abbrev=40"),
                "seed": seed, "n": n, "seconds": seconds, "workloads": list(workloads)}
-    with _worktree(root, parent) as tree:
+    with _export(root, parent) as tree:
         sides = {"parent": tree, "change": root}
         for side_tree in sides.values():
             _compile(side_tree)
@@ -287,6 +300,8 @@ def compare(old: Path, new: Path) -> int:
     better = _end_to_end()
     notes = _pair_notes(new)
     runs_a, runs_b = _runs(old), _runs(new)
+    if runs_a is None or runs_b is None:
+        return 2
     a, b = _metrics(runs_a), _metrics(runs_b)
     flagged = 0
     for key in sorted(a.keys() & b.keys()):
