@@ -32,7 +32,6 @@ from .specfun import (
     _pfq_at_1_pairs,
     gamma,
     gamma_ratio,
-    pfq_at_1_batch,
 )
 from .specfun import pfq_at_1  # noqa: F401  unused here: perfbench's trace wraps this name
 from .thomae import eval_3f2_optimized
@@ -115,20 +114,32 @@ def _series(d: float) -> dict[str, tuple]:
 def _pair_forms(names: tuple) -> np.ndarray:
     """The named series' (top, bottom) pairs as forms, an (n_names, width, 2, 2) array.
 
-    Tops pair in order with (*bottom, 1) and sets are padded with the pair
-    (1, 1), as pfq_at_1_batch pairs a HypParams; the last axis is (a, b),
-    so forms[..., 0] + forms[..., 1] * d is the pair array at d.
+    Tops pair in order with (*bottom, 1), as pfq_at_1 pairs a HypParams,
+    and sets are padded with the pair (1, 1); the last axis is (a, b), so
+    forms[..., 0] + forms[..., 1] * d is the pair array at d.
     """
     width = max(len(_SERIES[name][0]) for name in names)
     return np.array([[*zip(top, (*bottom, (1, 0))), *(((1, 0), (1, 0)),) * (width - len(top))]
                      for top, bottom in (_SERIES[name] for name in names)], dtype=float)
 
 
+def _series_results(names: tuple, ds: list) -> dict[float, dict[str, SeriesResult]]:
+    """The named series at every d of ds, all 0 < d <= 0.5, from one _pfq_at_1_pairs call."""
+    forms = _pair_forms(names)
+    pairs = forms[..., 0] + forms[..., 1] * np.array(ds)[:, None, None, None]
+    results = iter(_pfq_at_1_pairs(pairs.reshape(-1, *forms.shape[1:3])))
+    return {d: dict(zip(names, results)) for d in ds}
+
+
 @lru_cache(maxsize=64)
 def _series_values(d: float) -> dict[str, SeriesResult]:
-    """The values of _series(d) from one pfq_at_1_batch call; every caller shares the dict."""
-    sets = _series(d)
-    return dict(zip(sets, pfq_at_1_batch([HypParams(*p) for p in sets.values()])))
+    """The values of _series(d) from one _series_results call; every caller shares the dict.
+
+    At d = 0 each of the seven has a top d or 2d, 0: it terminates at its first term, 1.
+    """
+    if d == 0.0:
+        return dict.fromkeys(_SERIES, SeriesResult(1.0, 0.0, 1))
+    return _series_results(tuple(_SERIES), [d])[d]
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +402,7 @@ def cumulant_table(grid, orders) -> list[CumulantReport]:
     and c_5 row at interior d are built in one array pass: the forms of
     _SERIES at the vector of distinct d give an (n_d * n_names, width, 2)
     pair array, n_names being c_5's five series (c_4's is one of them)
-    or c_4's one, and _pfq_at_1_pairs sums them all in one engine call.
+    or c_4's one, and _series_results sums them all in one engine call.
     Each distinct (k, d) is then assembled once by _c4_assemble or
     _c5_assemble, and every row reported by _closed_report, as kappa does.
     """
@@ -403,10 +414,7 @@ def cumulant_table(grid, orders) -> list[CumulantReport]:
     ds = sorted({d for _, d in rows if 0.0 < d < 0.5}) if names else []
     c = {}
     if ds:
-        forms = _pair_forms(names)
-        pairs = forms[..., 0] + forms[..., 1] * np.array(ds)[:, None, None, None]
-        results = iter(_pfq_at_1_pairs(pairs.reshape(-1, *forms.shape[1:3])))
-        values = {d: dict(zip(names, results)) for d in ds}
+        values = _series_results(names, ds)
         c = {(k, d): _SERIES_FORMS[k][1](d, [values[d][name] for name in _SERIES_FORMS[k][0]])
              for k in series_orders for d in ds}
     return [_closed_report(k, d, c[k, d]) if (k, d) in c else kappa(k, d) for k, d in rows]

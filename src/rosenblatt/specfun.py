@@ -26,10 +26,10 @@ integer paired into one finite form, and one rule, _pfq_below_1, sums
 every (q+1)Fq: term by term to machine precision up to x = 0.85 (as
 p <= q at x = 1 is), the engine above.
 
-The engine takes a leading axis of parameter sets, so pfq_at_1_batch sums
-many (q+1)Fq at unit argument in one call; pfq_at_1 is the batch of one.
-Both end in _pfq_at_1_pairs, which takes the sets as one array of
-(top, bottom) pairs.  A cumulant table is one such call:
+The engine takes an array of parameter sets, one E table per set, and an
+array of nodes.  _pfq_at_1_pairs sums many (q+1)Fq at unit argument in
+one call, the sets given as one array of (top, bottom) pairs: pfq_at_1
+hands it its one set, and a cumulant table is one such call, as
 cumulants.cumulant_table builds that array for every c_4 and c_5 row from
 its d grid.
 """
@@ -224,56 +224,35 @@ _EPS = float(np.finfo(float).eps)
 
 
 def pfq_at_1(params: HypParams) -> SeriesResult:
-    """Generalized hypergeometric series at unit argument: pfq_at_1_batch of one set."""
-    return pfq_at_1_batch([params])[0]
+    """Generalized hypergeometric series at unit argument.
 
-
-def pfq_at_1_batch(sets: list[HypParams]) -> list[SeriesResult]:
-    """Generalized hypergeometric series at unit argument, one result per set.
-
-    Each set is classified once.  A terminating series is summed exactly
-    and p <= q by its factorially convergent power series.  Every (q+1)Fq
-    set, whose terms decay like k^-(1+s) with s the convergence margin,
-    goes to the series engine in one _pfq_at_1_pairs call: its j! joins
-    the bottom parameters, tops pair with bottoms in order, and sets with
-    fewer pairs are padded with the pair (1, 1), which is exact (a factor
-    1 in every term ratio and 0 in every power sum).  A set that diverges
-    or poles raises as it would alone.
+    A terminating series is summed exactly and p <= q by its factorially
+    convergent power series.  A (q+1)Fq, whose terms decay like k^-(1+s)
+    with s the convergence margin, is one set of the series engine
+    (_pfq_at_1_pairs), which checks its margin and bottom parameters: its
+    j! joins the bottom parameters and tops pair with bottoms in order.
     """
-    out: list = [None] * len(sets)
-    engine = []
-    for i, params in enumerate(sets):
-        terminating = params.validate() is not None
-        top, bottom = params.top, params.bottom
+    top, bottom = params.top, params.bottom
+    if len(top) != len(bottom) + 1 or params.terminating_order() is not None:
+        params.validate()
         if len(top) > len(bottom) + 1:
             raise DivergenceError("series with p > q+1 diverges at nonzero argument")
-        if terminating or len(top) <= len(bottom):
-            out[i] = _pfq_series(params, 1.0)  # terminating, or factorial decay
-        elif (s := params.margin) <= 0:
-            raise DivergenceError(f"convergence margin s={s:.6g} <= 0 at unit argument")
-        else:
-            engine.append(i)
-    if not engine:
-        return out
-    width = max(len(sets[i].top) for i in engine)
-    pairs = np.array([(*zip(sets[i].top, (*sets[i].bottom, 1.0)),
-                       *((1.0, 1.0),) * (width - len(sets[i].top))) for i in engine])
-    for i, result in zip(engine, _pfq_at_1_pairs(pairs)):
-        out[i] = result
-    return out
+        return _pfq_series(params, 1.0)  # terminating, or factorial decay
+    return _pfq_at_1_pairs(np.array([list(zip(top, (*bottom, 1.0)))]))[0]
 
 
 def _pfq_at_1_pairs(pairs: np.ndarray) -> list[SeriesResult]:
     """(q+1)Fq at unit argument for an (N, pairs, 2) array of (top, bottom) pairs: the engine.
 
-    A set is its tops paired in order with (*bottom, 1), padded with the
-    pair (1, 1), as pfq_at_1_batch builds it from HypParams; a caller that
-    has its parameters as arrays (cumulants.cumulant_table) builds the
-    array itself.  The whole array is checked at once: a margin s <= 0
-    raises DivergenceError and a bottom at a non-positive integer
-    PoleError, with pfq_at_1_batch's messages, and a top that is exactly a
-    non-positive integer ParameterDomainError (a terminating series is
-    pfq_at_1_batch's to sum term by term).
+    A set is its tops paired in order with (*bottom, 1), as pfq_at_1 builds
+    it from HypParams; a caller that has its parameters as arrays
+    (cumulants) builds the array itself, padding sets with fewer pairs
+    with the pair (1, 1), which is exact (a factor 1 in every term ratio
+    and 0 in every power sum).  The whole array is checked at once, here
+    alone: a margin s <= 0 raises DivergenceError and a bottom at a
+    non-positive integer PoleError, with pfq_at_1's messages, and a top
+    that is exactly a non-positive integer ParameterDomainError (a
+    terminating series is pfq_at_1's to sum term by term).
 
     Each set is summed by the series engine at lam = 0 over a prefix of
     the unit table, with the tail past it in closed form (_lerch_tail at
@@ -286,13 +265,14 @@ def _pfq_at_1_pairs(pairs: np.ndarray) -> list[SeriesResult]:
     relative to the value, is those two terms at J plus sqrt(J) ulps for
     the rounding of the J-term product chain.  Each set's margin
     (_margins) and power sums (_power_sums) are formed once, for J and
-    for the tail, and the sets that share a J share one _series_dot call.
+    for the tail, and the sets that share a J share one _series_dot call
+    on one table of J ones.
     """
     p, q = pairs[..., 0], pairs[..., 1]
     terminating = (p <= 0.0) & (p == np.rint(p))
     if terminating.any():
         raise ParameterDomainError(f"top parameter {float(p[terminating][0])} terminates the "
-                                   "series; pfq_at_1_batch sums it term by term")
+                                   "series; pfq_at_1 sums it term by term")
     pole = (q < 0.5) & (np.abs(q - np.rint(q)) <= _INT_TOL)
     if pole.any():
         raise PoleError(f"bottom parameter {float(q[pole][0])} is a non-positive integer; "
@@ -309,8 +289,9 @@ def _pfq_at_1_pairs(pairs: np.ndarray) -> list[SeriesResult]:
     out: list = [None] * len(pairs)
     for n in sorted(set(J)):  # not np.unique: its first call imports numpy.ma
         rows = [i for i, m in enumerate(J) if m == n]
-        values = _series_dot(_ETable(np.ones(n), _UNIT.law), pairs[rows], 1.0, 0.0,
-                             sums=(s[rows], powers[rows]))
+        table = _ETable(np.ones(n), _UNIT.law)
+        values = _series_dot([table] * len(rows), pairs[rows], np.zeros(1),
+                             sums=(s[rows], powers[rows]))[:, 0]
         errors = (math.sqrt(n) * _EPS + omitted[rows] / float(n) ** (_TAIL_TERMS + 1)
                   + zeta[rows] / float(n) ** 10) * np.abs(values)
         for row, value, error in zip(rows, values.tolist(), errors.tolist()):
@@ -439,11 +420,6 @@ class _ETable:
 _UNIT = _ETable(np.ones(_J_TABLE), ((0.0, None, np.ones(1)),))
 
 
-def _like(values: np.ndarray, x):
-    """A float for a scalar abscissa, the node array otherwise."""
-    return float(values[0]) if np.ndim(x) == 0 else values
-
-
 def _decay_rate(x, z):
     """lam = -ln(x) from whichever of x, 1-x is known accurately (inf at x = 0)."""
     with np.errstate(divide="ignore"):
@@ -480,7 +456,7 @@ def _phi(delta: float, u: float) -> float:
 
 def _tail_series(blocks, J: int, g: np.ndarray, terms: int):
     """J e^(-G(J)) per set, and the rows b of the tail's sums: one per law family and set,
-    in _lerch_tail's group order (each (law, sets) block's families over its sets in turn).
+    in _lerch_tail's group order (each (table, rows) block's families over its rows in turn).
 
     w_j/w_J = (j/J)^expo exp(G(j) - G(J)), expo = -1 - s and G the
     Bernoulli expansion g_2 t^-1 + ... to t^-_TAIL_TERMS; exp G is a
@@ -495,18 +471,18 @@ def _tail_series(blocks, J: int, g: np.ndarray, terms: int):
     n = np.arange(_TAIL_TERMS + 1.0)
     scaled = g[:, :_TAIL_TERMS] * x ** n[1:]  # g_(m+1) J^-m
     a_all = _exp_series(scaled[:, :terms])
-    rows = []
-    for law, sets in blocks:
-        a = a_all[sets]
-        for e0, _, coefs in law:
+    out = []
+    for table, rows in blocks:
+        a = a_all[rows]
+        for e0, _, coefs in table.law:
             c = coefs[:terms + 1]
             c = c * (x ** n[:len(c)]
                      * (x ** -e0 if e0 == round(e0) else math.exp(e0 * math.log(J))))
             b = a * c[0]
             for i in range(1, len(c)):
                 b[:, i:] += c[i] * a[:, :-i]
-            rows.append(b)
-    return J * np.exp(-scaled.sum(axis=1)), np.concatenate(rows)
+            out.append(b)
+    return J * np.exp(-scaled.sum(axis=1)), np.concatenate(out)
 
 
 def _exprel(x: np.ndarray) -> np.ndarray:
@@ -726,18 +702,19 @@ def _lerch_tail(blocks, J: int, s: np.ndarray, g: np.ndarray, lam: np.ndarray) -
     quotient term by term, (T(sig) - T(sig+delta))/delta
     + T(sig+delta) phi(ln J); a call whose laws have none forms no quotient.
 
-    blocks is a list of (law, sets): a large-j law and the rows of s and g
-    whose sets sum on it (slice(None) for all).  Every law family and set
-    of a block is one group, block after block, each summed over n before
-    any node is touched; a node's value does not depend on the other nodes,
-    and a set's groups are added family by family in its law's order.
+    blocks is _series_dot's grouping of the sets, a list of (table, rows):
+    an E table and the rows of s and g whose sets sum on it.  Every family
+    of the table's law and set of a block is one group, block after block,
+    each summed over n before any node is touched; a node's value does not
+    depend on the other nodes, and a set's groups are added family by
+    family in its law's order.
     """
     ln_J = math.log(J)
     z = lam * J
     zero = z == 0.0
     terms = _TAIL_TERMS if zero.any() else _LERCH_POWERS
     scale, b = _tail_series(blocks, J, g, terms)
-    groups = [(family, s[sets]) for law, sets in blocks for family in law]
+    groups = [(family, s[rows]) for table, rows in blocks for family in table.law]
     sizes = [len(s_g) for _, s_g in groups]
     s_g = np.concatenate([s_g for _, s_g in groups])
     e0 = np.array([family[0] for family, _ in groups]).repeat(sizes)
@@ -771,22 +748,22 @@ def _lerch_tail(blocks, J: int, s: np.ndarray, g: np.ndarray, lam: np.ndarray) -
                          * phi[:, None], value)
     out = np.empty((len(s), len(z)))
     start = 0
-    for law, sets in blocks:
-        n = len(s[sets])
-        out[sets] = value[start:start + len(law) * n].reshape(len(law), n, len(z)).sum(axis=0)
-        start += len(law) * n
+    for table, rows in blocks:
+        size = len(table.law) * len(rows)
+        out[rows] = value[start:start + size].reshape(len(table.law), len(rows), -1).sum(axis=0)
+        start += size
     return scale[:, None] * out
 
 
 @np.errstate(divide="ignore", under="ignore")
-def _series_tail(table, sets: np.ndarray, w_J: np.ndarray, lam: np.ndarray,
+def _series_tail(blocks, sets: np.ndarray, w_J: np.ndarray, lam: np.ndarray,
                  sums=None) -> np.ndarray:
-    """sum_{j>=J} w_j e^(-lam j) E_j for each set and decay rate lam, J the table length.
+    """sum_{j>=J} w_j e^(-lam j) E_j for each set and decay rate lam, J the tables' length.
 
     w(t) continues w_j = prod (p)_j/(q)_j over a set's (top, bottom) pairs
     (p, q) from the cumprod's w_J through the large-t expansion of
     ln Gamma(t+p) - ln Gamma(t+q) (DLMF 5.11.8) summed over the pairs, and
-    E(t) is the table's large-j law.  The margin s = sum(q) - sum(p) - 1,
+    E(t) is its table's large-j law.  The margin s = sum(q) - sum(p) - 1,
     w(t) ~ t^-(1+s), is rounded once from the parameters: formed as
     1 + sum(p - q) it would carry an absolute error of an ulp of 1, a
     relative error of eps/s in a tail-dominated sum.
@@ -797,21 +774,14 @@ def _series_tail(table, sets: np.ndarray, w_J: np.ndarray, lam: np.ndarray,
     It evaluates the law at no point and has no quadrature whose panels
     depend on lam; each node's value is what it is alone.
 
-    sets is (N, pairs, 2) and w_J (N,); the result is (N, len(lam)).
-    table is one _ETable for every set, or a sequence of N, one per set, all
-    of one length; the sets on one law are one block of _lerch_tail.  sums,
-    when given, is the sets' (margins, power sums) as a caller that has
-    formed them passes them on (_pfq_at_1_pairs); they are formed here
-    otherwise.
+    sets is (N, pairs, 2), w_J (N,) and blocks _series_dot's (table, rows)
+    grouping of the sets, every table of one length; the result is
+    (N, len(lam)).  sums, when given, is the sets' (margins, power sums)
+    as a caller that has formed them passes them on (_pfq_at_1_pairs);
+    they are formed here otherwise.
     """
-    if isinstance(table, _ETable):
-        J, blocks = len(table.E), [(table.law, slice(None))]
-    else:
-        J, rows = len(table[0].E), {}
-        for i, t in enumerate(table):
-            rows.setdefault(id(t.law), (t.law, []))[1].append(i)
-        blocks = list(rows.values())
     s, powers = sums or (_margins(sets), _power_sums(sets, np.arange(_TAIL_TERMS + 3.0)))
+    J = len(blocks[0][0].E)
     return w_J[:, None] * _lerch_tail(blocks, J, s, powers @ _LNGAMMA_ROWS.T, lam)
 
 
@@ -835,66 +805,62 @@ def _powers(lam_j: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(divide="ignore", under="ignore")
-def _series_dot(table: _ETable, pairs, x, lam, sums=None):
-    """sum_j w_j x^j E_j, table plus tail, at each node.
+def _series_dot(tables, sets: np.ndarray, lam: np.ndarray, sums=None) -> np.ndarray:
+    """sum_j w_j x^j E_j, table plus tail, for each set at each node x = e^-lam.
 
-    w_j = prod (p)_j/(q)_j over the (top, bottom) pairs (p, q); j! is the
-    pair (a, 1), so ((b, c), (a, 1)) on the unit table (E_j = 1) is
+    w_j = prod (p)_j/(q)_j over a set's (top, bottom) pairs (p, q); j! is
+    the pair (a, 1), so ((b, c), (a, 1)) on the unit table (E_j = 1) is
     2F1(a, b; c; x), and pairs for every top and bottom parameter at
-    lam = 0 sum a (q+1)Fq at unit argument.  pairs is one set of pairs, or
-    an (N, pairs, 2) array of N sets, each set's row as that set sums
-    alone: (N,) at a scalar x and lam, (N, M) at M nodes.  table is one
-    _ETable that every set shares, or a sequence of N tables of one length,
-    one per set, so that sets on several tables (a G's unit pieces and
-    family sums) share one pass: each set's weights take its own E row, and
-    the tail's groups are every table's law families over its sets, joined
-    into one _lerch_tail call.  Terms past
-    j = 60/lam are dropped, so the sum runs to the longest cut-off of the nodes.
+    lam = 0 sum a (q+1)Fq at unit argument.  sets is an (N, pairs, 2)
+    array, tables one _ETable per set (the same object repeated for a
+    shared table), all of one length J, and lam the M nodes' decay rates;
+    the result is (N, M), each entry what its set sums alone at its node
+    alone.  The sets are grouped by table once, into (table, rows) blocks:
+    each block's weights take its E, and its law's families are groups of
+    the tail's one _lerch_tail call, so sets on several tables (a G's unit
+    pieces and family sums) share one pass.  Terms past j = 60/lam are
+    dropped: a node's sum runs to its own cut-off.
     For 2F1(1, b; c; x), |w_j| <= 1 (c > b, and c > |b| when b < 0) and
     the dropped terms are below e^-60; for 2F1(a, b; c; x) they are about
     60^q e^-60 / q! of the sum, q = a + b - c - 1, 1e-12 near
     a + b - c = 14.  Swept against mpmath for a, b in [-5, 5], c in
     (-3, 8), 1 - x in [1e-12, 0.15]: see hyp_2f1.
 
-    Writing j = R q + r and x^j = e^(-lam R q) e^(-lam r) turns it into one
-    matrix product per set, sum_q e^(-lam R q) sum_r w_j E_j e^(-lam r),
-    with no product chain along j; each factor is zero past the node's
-    cut-off.  Only nodes whose cut-off passes the table get the tail.  The
-    powers come from lam = -ln x, which is exact near x = 1 where x itself
-    has rounded; x only sets the shape of the result.  At unit argument
-    (lam = 0 at every node) every power is 1: the whole table is one plain
-    sum.  At every lam the tail is _series_tail's closed form, to which
-    sums passes the sets' margins and power sums.
+    Writing j = R q + r, R = _ROW and Q = J/R at every node, and
+    x^j = e^(-lam R q) e^(-lam r) turns it into one matrix-vector product
+    per set and node, sum_q e^(-lam R q) sum_r w_j E_j e^(-lam r), with no
+    product chain along j; each factor is zero past the node's cut-off.  A
+    node at lam = 0, unit argument, where every power is 1, sums the table
+    as one plain sum.  Only nodes whose cut-off passes the table get the
+    tail, _series_tail's closed form, to which sums passes the sets'
+    margins and power sums.  lam = -ln x is exact near x = 1 where x
+    itself has rounded (_decay_rate).
     """
-    sets = np.asarray(pairs, dtype=float)
-    batch = sets.ndim == 3
-    sets = sets.reshape(-1, *sets.shape[-2:])
-    lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    if not isinstance(table, _ETable) and all(t is table[0] for t in table):
-        table = table[0]  # one table for every set: the shared-table pass, with no E copies
-    E = table.E if isinstance(table, _ETable) else np.array([t.E for t in table])
-    J = E.shape[-1]
-    if not lams.any():  # unit argument: every power is 1, the table one sum, the tail closed
-        w = _pair_weights(sets, J)
-        tail = _series_tail(table, sets, w[:, J], lams, sums)
-        out = np.sum(w[:, :J] * E, axis=1)[:, None] + tail
-        return (out if np.ndim(x) else out[:, 0]) if batch else _like(out[0], x)
-    n_terms = np.minimum(np.ceil(_CUTOFF / lams) + 1.0, J).astype(np.intp)
-    m = int(n_terms.max(initial=1))
-    R = min(m, _ROW)
-    Q = -(-m // R)
-    w = _pair_weights(sets, Q * R)
+    blocks = {}
+    for i, table in enumerate(tables):
+        blocks.setdefault(id(table), (table, []))[1].append(i)
+    blocks = list(blocks.values())
+    J = len(tables[0].E)
+    Q = J // _ROW
+    w = _pair_weights(sets, J)
     weights = w[:, :-1]
-    weights *= E[..., :Q * R]
-    weights = weights.reshape(-1, Q, R)
-    rate = np.minimum(lams, 1e3)[:, None]  # x = 0: e^(-lam*0) stays 1, higher powers vanish
-    # a matrix-vector product per node: BLAS would round a matrix product by its row count
-    inner = (weights[:, None] @ _powers(rate * np.arange(R))[None, :, :, None])[..., 0]
-    out = np.einsum("mq,nmq->nm", _powers(rate * (R * np.arange(Q))), inner)
-    need = n_terms == J
+    for table, rows in blocks:
+        weights[rows] *= table.E
+    out = np.empty((len(sets), len(lam)))
+    zero = lam == 0.0
+    if zero.any():  # unit argument: every power is 1, the table one sum
+        out[:, zero] = weights.sum(axis=1)[:, None]
+    if not zero.all():
+        # x = 0: e^(-lam*0) stays 1, higher powers vanish
+        rate = np.minimum(lam[~zero], 1e3)[:, None]
+        # a matrix-vector product per node: BLAS would round a matrix product by its row count
+        inner = (weights.reshape(-1, Q, _ROW)[:, None]
+                 @ _powers(rate * np.arange(_ROW))[None, :, :, None])[..., 0]
+        out[:, ~zero] = np.einsum("mq,nmq->nm", _powers(rate * (_ROW * np.arange(Q))), inner)
+    need = np.ceil(_CUTOFF / lam) + 1.0 >= J
     if need.any():
-        out[:, need] += _series_tail(table, sets, w[:, J], lams[need], sums)
-    return (out if np.ndim(x) else out[:, 0]) if batch else _like(out[0], x)
+        out[:, need] += _series_tail(blocks, sets, w[:, J], lam[need], sums)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -952,8 +918,8 @@ def _pfq_below_1(params: HypParams, x: float, one_minus_x: float) -> float:
     """
     if params.validate() is not None or x <= 0.85:
         return _pfq_series(params, x).value
-    pairs = tuple(zip(reversed(params.top), (*params.bottom, 1.0)))
-    return _series_dot(_UNIT, pairs, x, _decay_rate(x, one_minus_x))
+    pairs = np.array([list(zip(reversed(params.top), (*params.bottom, 1.0)))])
+    return _series_dot([_UNIT], pairs, np.atleast_1d(_decay_rate(x, one_minus_x))).item()
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ from typing import Callable
 import numpy as np
 
 from .quadrature import tanh_sinh
-from .specfun import _J_TABLE, _UNIT, _ETable, _decay_rate, _like, _pfq_below_1, _series_dot
+from .specfun import _J_TABLE, _UNIT, _ETable, _decay_rate, _pfq_below_1, _series_dot
 from .specfun import (HypParams, ParameterDomainError, PoleError, _GammaProduct, gamma,
                       gamma_ratio, gauss_2f1_at_1, pfq_at_1)
 from .specfun import hyp_2f1  # noqa: F401  unused here: perfbench's trace wraps this name
@@ -67,6 +67,11 @@ from .specfun import hyp_2f1  # noqa: F401  unused here: perfbench's trace wraps
 def _check_interior(x: float) -> None:
     if not (0.0 < x < 1.0):
         raise ParameterDomainError(f"x={x} must lie in (0, 1)")
+
+
+def _like(values: np.ndarray, x):
+    """A float for a scalar abscissa, the node array otherwise."""
+    return float(values[0]) if np.ndim(x) == 0 else values
 
 
 def _position(x, one_minus_x) -> tuple[np.ndarray, np.ndarray]:
@@ -317,7 +322,7 @@ def _moment_table(a: float, b: float, c: float, beta: float, gap: float) -> _ETa
         den = gap(c)
         return gap(a) * gap(b) / den, -(c - a - b) * s / den
 
-    return _build_e_table(beta, _series_dot(_UNIT, sets, 1.0, 0.0), step,
+    return _build_e_table(beta, _series_dot([_UNIT] * len(sets), sets, np.zeros(1))[:, 0], step,
                           lambda: _moment_law(a, b, c, beta, gap))
 
 
@@ -352,9 +357,9 @@ def _family_table(d: float, family) -> _ETable:
     if family == "i2":
         inner = _family_table(d, _G2_FAMILY)
         beta = 1.0 - d
-        e0 = _series_dot(inner, ((d, 1.0), (beta, beta + 1.0)), 1.0, 0.0)
-        d1 = _series_dot(_UNIT, ((d, 1.0), (-d, 1 - d), (2 * d - 1, 2 * d)), 1.0, 0.0) / (
-            d * (2 * d - 1))
+        e0 = _series_dot([inner], np.array([[(d, 1.0), (beta, beta + 1.0)]]), np.zeros(1))
+        d1 = _series_dot([_UNIT], np.array([[(d, 1.0), (-d, 1 - d), (2 * d - 1, 2 * d)]]),
+                         np.zeros(1)).item() / (d * (2 * d - 1))
         phi0 = gamma(1 - d) ** 2 / gamma(2 - 2 * d)
         i = np.arange(_J_TABLE - 2, dtype=float)
         phi = phi0 * np.concatenate([[1.0], np.cumprod(((i - 1) + 2 * d) / (i + d))])
@@ -366,7 +371,7 @@ def _family_table(d: float, family) -> _ETable:
             dq[1] = d1
             return gap(3 * d - 2), (1 - d) * dq
 
-        return _build_e_table(beta, np.array([e0]), step, lambda: _i2_law(d))
+        return _build_e_table(beta, e0[0], step, lambda: _i2_law(d))
     (b0, b1), n, m = family
     # beta and the gap straight from d: as c - d, beta would keep only c's digits of d near 0,
     # and for b0 = 0 the gap is then beta itself, to the bit
@@ -463,7 +468,7 @@ def _evaluate(pieces: list, d: float, x, one_minus_x=None):
     if not rows:
         return _like(total, x)
     values = _series_dot([table for _, table, _ in rows],
-                         np.array([[pair] for _, _, pair in rows]), xs, lam)
+                         np.array([[pair] for _, _, pair in rows]), lam)
     # the 2F1 pieces summed among themselves, then each family row: one fixed rounding order
     total = total + sum(scale * v for (scale, _, _), v in zip(units, values))
     for (scale, _, _), v in zip(rows[len(units):], values[len(units):]):
@@ -529,7 +534,8 @@ def kernel_hyp2f1_moment(a: float, b: float, c: float, e: float, d: float, x: fl
     z = 1.0 - x
     front = pre * x ** (1 - d + e) * _pfq_below_1(HypParams((a, b, e + 1.0), (c, 2 - d + e)), x, z)
     table = _moment_table(a, b, c, 1 - d + e, c - a - b + 1.0)
-    return front + _series_dot(table, ((d, 1.0),), x, _decay_rate(x, z))
+    return front + _series_dot([table], np.array([[(d, 1.0)]]),
+                               np.atleast_1d(_decay_rate(x, z))).item()
 
 
 def kernel_one_minus_power(p: int, d: float, x, one_minus_x=None):

@@ -112,6 +112,16 @@ def test_run_takes_its_run_length_from_the_benchmark(repo, tmp_path, monkeypatch
     assert [r.get("wall_clock") for r in data["runs"]] == [{"ops": 1}, None] * 3
 
 
+def test_run_marks_a_dirty_tree_in_its_commit(repo, tmp_path, monkeypatch):
+    # an uncommitted edit: the file names HEAD with -dirty, as pairs names its change side
+    stub_run(monkeypatch)
+    (repo / "src" / "version.py").write_text("VERSION = 3\n")
+    out = tmp_path / "BENCH.json"
+    assert bench_snapshot.run(out, 5, root=repo) == 0
+    head = git(repo, "rev-parse", "HEAD").strip()
+    assert json.loads(out.read_text())["commit"] == f"{head}-dirty"
+
+
 def test_run_keeps_the_pairs_section_its_file_holds(repo, tmp_path, monkeypatch):
     # pairs --out first, run on the same file after: one file with both sections
     stub_run(monkeypatch)

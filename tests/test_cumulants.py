@@ -125,15 +125,23 @@ class TestOrderFiveRegions:
             assert total == pytest.approx(cu.c5_closed(d).value, abs=1e-7)
 
     def test_every_region_at_one_d_shares_one_engine_call(self, monkeypatch):
-        # the seven series of all 15 regions at one d come from one batch
-        batches, batch = [], cu.pfq_at_1_batch
-        monkeypatch.setattr(cu, "pfq_at_1_batch",
-                            lambda sets: batches.append(len(sets)) or batch(sets))
+        # the seven series of all 15 regions at one d come from one engine call
+        batches, batch = [], cu._pfq_at_1_pairs
+        monkeypatch.setattr(cu, "_pfq_at_1_pairs",
+                            lambda pairs: batches.append(len(pairs)) or batch(pairs))
         cu._series_values.cache_clear()
         d = 0.2371
         sum(cu.c4_region(i, d) for i in (1, 2, 3))
         sum(cu.c5_region(i, d) for i in range(1, 13))
         assert batches == [7]
+
+    @pytest.mark.parametrize("d", [0.0, 5e-324, 1e-12, 0.1, 1 / 3, 0.5], ids=str)
+    def test_series_values_are_pfq_at_1_of_each_set(self, d):
+        # the one engine call, its sets padded to the 4F3's width, gives each series what
+        # pfq_at_1 gives it alone, to the bit; at d = 0 each terminates at its first term
+        values = cu._series_values(d)
+        for name, (top, bottom) in cu._series(d).items():
+            assert values[name] == sf.pfq_at_1(sf.HypParams(top, bottom))
 
     def test_printed_region3_variant_breaks_the_sum(self):
         d = 0.25
@@ -287,8 +295,8 @@ class TestCumulantTable:
         }
 
     def test_pair_arrays_are_the_series_parameters(self):
-        # the forms at a vector of d give, bit for bit, the pairs pfq_at_1_batch forms from
-        # each _series(d) set: tops with (*bottom, 1)
+        # the forms at a vector of d give, bit for bit, each _series(d) set's tops paired
+        # with (*bottom, 1), padded with (1, 1)
         ds = [5e-324, 1e-12, 0.1, 1 / 3, 0.45, 0.499999999999999]
         names = tuple(cu._SERIES)
         forms = cu._pair_forms(names)

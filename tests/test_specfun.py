@@ -288,9 +288,16 @@ def cumulant_families(d):
     ]
 
 
-class TestPfqAt1Batch:
+def engine_pairs(sets):
+    """HypParams sets as one engine array: tops paired with (*bottom, 1), padded with (1, 1)."""
+    width = max(len(p.top) for p in sets)
+    return np.array([[*zip(p.top, (*p.bottom, 1.0)), *((1.0, 1.0),) * (width - len(p.top))]
+                     for p in sets])
+
+
+class TestPfqAt1Pairs:
     def assert_matches_scalar(self, sets):
-        results = sf.pfq_at_1_batch(sets)
+        results = sf._pfq_at_1_pairs(engine_pairs(sets))
         assert len(results) == len(sets)
         for got, params in zip(results, sets):
             want = sf.pfq_at_1(params)
@@ -319,63 +326,58 @@ class TestPfqAt1Batch:
         results = self.assert_matches_scalar(sets)
         assert len({r.n_terms for r in results}) >= 3
 
+    def test_too_many_tops_diverge(self):
+        with pytest.raises(sf.DivergenceError, match="p > q"):
+            sf.pfq_at_1(sf.HypParams((1.0, 1.0, 1.0), (2.0,)))
+
     @pytest.mark.parametrize("bad, error", [
         (sf.HypParams((1.0, 1.0, 1.0), (1.5, 1.4)), sf.DivergenceError),   # s = -0.1
         (sf.HypParams((1.0, 1.0, 1.0), (1.5, 1.5)), sf.DivergenceError),   # s = 0
-        (sf.HypParams((1.0, 1.0, 1.0), (2.0,)), sf.DivergenceError),       # p > q + 1
         (sf.HypParams((0.5, 0.7, 1.2), (-1.0, 2.0)), sf.PoleError),        # bottom pole
-    ], ids=["negative-margin", "zero-margin", "too-many-tops", "bottom-pole"])
-    def test_a_bad_set_raises_as_it_would_alone(self, bad, error):
-        with pytest.raises(error) as alone:
-            sf.pfq_at_1(bad)
+        (sf.HypParams((1.0, -2.0, 1.2), (0.5, 2.0)), sf.ParameterDomainError),
+    ], ids=["negative-margin", "zero-margin", "bottom-pole", "terminating-top"])
+    def test_a_bad_row_raises_pfq_at_1s_message(self, bad, error):
+        # the engine entry checks the whole array and raises, for a bad row among good
+        # ones, what pfq_at_1 raises for that set; a terminating top, which pfq_at_1
+        # sums term by term, is not the engine's to sum
         good = sf.HypParams((1.0, 0.3, 1.4), (1.7, 2.4))
-        with pytest.raises(error) as batched:
-            sf.pfq_at_1_batch([good, bad, good])
-        assert str(batched.value) == str(alone.value)
+        with pytest.raises(error) as entry:
+            sf._pfq_at_1_pairs(engine_pairs([good, bad, good]))
+        if error is sf.ParameterDomainError:
+            assert "pfq_at_1 sums it term by term" in str(entry.value)
+        else:
+            with pytest.raises(error) as alone:
+                sf.pfq_at_1(bad)
+            assert str(entry.value) == str(alone.value)
 
-    def test_terminating_and_factorial_sets_take_the_scalar_branches(self):
-        sets = [
-            sf.HypParams((-2.0, 0.5, 2.0), (1.5, 3.0)),   # terminating
-            sf.HypParams((1.0, 0.3, 1.4), (1.7, 2.4)),    # series engine
-            sf.HypParams((0.5,), (1.5,)),                 # 1F1: factorial decay
-            sf.HypParams((1.0, 0.0, 2.0), (2.0, 3.0)),    # zero top
-        ]
-        assert sf.pfq_at_1_batch(sets) == [sf.pfq_at_1(p) for p in sets]
-
-    def test_empty_batch(self):
-        assert sf.pfq_at_1_batch([]) == []
+    def test_terminating_and_factorial_sets_take_the_scalar_branches(self, monkeypatch):
+        # only a non-terminating (q+1)Fq reaches the engine
+        calls, engine = [], sf._pfq_at_1_pairs
+        monkeypatch.setattr(sf, "_pfq_at_1_pairs", lambda pairs: calls.append(pairs.shape)
+                            or engine(pairs))
+        for params in (sf.HypParams((-2.0, 0.5, 2.0), (1.5, 3.0)),   # terminating
+                       sf.HypParams((0.5,), (1.5,)),                 # 1F1: factorial decay
+                       sf.HypParams((1.0, 0.0, 2.0), (2.0, 3.0))):   # zero top
+            assert sf.pfq_at_1(params) == sf._pfq_series(params, 1.0)
+        assert calls == []
+        sf.pfq_at_1(sf.HypParams((1.0, 0.3, 1.4), (1.7, 2.4)))
+        assert calls == [(1, 3, 2)]
 
     def test_engine_forms_margins_and_power_sums_once(self, monkeypatch):
         # sets with three prefix lengths: one margin and one power-sum pass size them all
         # and feed every tail
-        calls = []
-        for name in ("_margins", "_power_sums"):
-            monkeypatch.setattr(sf, name, lambda *args, _name=name, _f=getattr(sf, name):
-                                calls.append(_name) or _f(*args))
-        results = sf.pfq_at_1_batch([
+        pairs = engine_pairs([
             sf.HypParams((1.0, 0.3, 1.4), (1.7, 2.4)),
             sf.HypParams((20.0, 10.3, 10.6), (20.4, 20.51)),
             sf.HypParams((40.0, 20.3, 20.6, 1.5), (40.4, 40.51, 2.5)),
         ])
+        calls = []
+        for name in ("_margins", "_power_sums"):
+            monkeypatch.setattr(sf, name, lambda *args, _name=name, _f=getattr(sf, name):
+                                calls.append(_name) or _f(*args))
+        results = sf._pfq_at_1_pairs(pairs)
         assert len({r.n_terms for r in results}) == 3
         assert calls == ["_margins", "_power_sums"]
-
-    @pytest.mark.parametrize("bad, error", [
-        (sf.HypParams((1.0, 1.0, 1.0), (1.5, 1.4)), sf.DivergenceError),
-        (sf.HypParams((0.5, 0.7, 1.2), (-1.0, 2.0)), sf.PoleError),
-        (sf.HypParams((1.0, -2.0, 1.2), (0.5, 2.0)), sf.ParameterDomainError),
-    ], ids=["negative-margin", "bottom-pole", "terminating-top"])
-    def test_pair_array_entry_checks_the_whole_array(self, bad, error):
-        # the engine entry raises pfq_at_1_batch's errors; a terminating top, which
-        # pfq_at_1_batch sums term by term, is not the engine's to sum
-        good = sf.HypParams((1.0, 0.3, 1.4), (1.7, 2.4))
-        pairs = np.array([list(zip(p.top, (*p.bottom, 1.0))) for p in (good, bad, good)])
-        with pytest.raises(error) as entry:
-            sf._pfq_at_1_pairs(pairs)
-        if error is not sf.ParameterDomainError:
-            with pytest.raises(error) as batched:
-                sf.pfq_at_1_batch([good, bad, good])
-            assert str(entry.value) == str(batched.value)
 
 
 def _exact_tail_rows():
@@ -409,7 +411,7 @@ def test_unit_argument_tail_is_a_hurwitz_zeta_sum(d, name):
     top, bottom = cumulants._series(d)[name]
     sets = np.array([list(zip(top, (*bottom, 1.0)))])
     table = sf._ETable(np.ones(128), sf._UNIT.law)
-    tail = sf._series_tail(table, sets, np.ones(1), np.zeros(1))[0, 0]
+    tail = sf._series_tail([(table, [0])], sets, np.ones(1), np.zeros(1))[0, 0]
     assert tail == pytest.approx(ZETA_TAILS[d, name], rel=2e-14, abs=0.0)
 
 
@@ -417,7 +419,7 @@ def test_tail_of_a_tail_dominated_sum_carries_the_margin_exactly():
     # margin 0.003: the tail is about 0.996 of the sum, and its leading term is 1/s
     sets = np.array([[(0.8, 1.3), (0.6, 1.2 + 0.003), (1.1, 1.0)]])
     table = sf._ETable(np.ones(128), sf._UNIT.law)
-    tail = sf._series_tail(table, sets, np.ones(1), np.zeros(1))[0, 0]
+    tail = sf._series_tail([(table, [0])], sets, np.ones(1), np.zeros(1))[0, 0]
     assert tail == pytest.approx(ZETA_TAILS["margin", 0.003], rel=2e-14, abs=0.0)
 
 
@@ -426,7 +428,7 @@ def test_a_tail_at_unit_argument_evaluates_no_panel(monkeypatch, law_spy):
     monkeypatch.setattr(sf, "_UNIT", law_spy(sf._UNIT))
     sets = [sf.HypParams(top, bottom) for d in (0.05, 0.3, 0.49)
             for top, bottom in cumulant_families(d)]
-    assert all(r.n_terms == 128 for r in sf.pfq_at_1_batch(sets))
+    assert all(r.n_terms == 128 for r in sf._pfq_at_1_pairs(engine_pairs(sets)))
     sf.pfq_at_1(sf.HypParams((40.0, 20.3, 20.6, 1.5), (40.4, 40.51, 2.5)))
 
 

@@ -174,7 +174,7 @@ def test_first_sweep_batch_equals_per_level_calls(name, d):
     edges = np.cumsum([0, *sizes])
     per_level = np.concatenate([g(x[lo:hi], d, one_minus_x=z[lo:hi])
                                 for lo, hi in zip(edges[:-1], edges[1:])])
-    np.testing.assert_allclose(g(x, d, one_minus_x=z), per_level, rtol=1e-15, atol=0.0)
+    assert np.array_equal(g(x, d, one_minus_x=z), per_level)
 
 
 def law_at(law, t):
@@ -191,6 +191,11 @@ def law_at(law, t):
             poly = poly * (ln_t if delta == 0.0 else -np.expm1(-delta * ln_t) / delta)
         total = total + np.exp(e0 * ln_t) * poly
     return total
+
+
+def one_set(table, pairs, lam):
+    """The series engine's row for one set of pairs on one table at the nodes lam."""
+    return vt._series_dot([table], np.array([pairs], dtype=float), np.atleast_1d(lam))[0]
 
 
 def full_series_dot(table, d, x, lam, s):
@@ -225,7 +230,7 @@ class TestNodeArrays:
         got = g(x, d, one_minus_x=z)
         single = [g(float(xi), d, one_minus_x=float(zi)) for xi, zi in zip(x, z)]
         assert all(type(v) is float for v in single)
-        np.testing.assert_allclose(got, single, rtol=1e-14, atol=0.0)
+        assert np.array_equal(got, single)
 
     @pytest.mark.parametrize("bottom", [None, 2 - 0.3])
     def test_series_dot_matches_the_full_sum(self, bottom):
@@ -236,7 +241,7 @@ class TestNodeArrays:
         table = vt._family_table(d, vt._G2_FAMILY)
         x = np.array([0.0, 0.3, 0.9, 0.999, 1.0])
         lam = np.array([np.inf, -math.log(0.3), -math.log(0.9), -math.log(0.999), 0.0])
-        got = vt._series_dot(table, ((d, bottom),), x, lam)
+        got = one_set(table, [(d, bottom)], lam)
         ref = [full_series_dot(table, d, xi, li, bottom) for xi, li in zip(x, lam)]
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
         assert got[0] == table.E[0]
@@ -265,7 +270,7 @@ class TestNodeArrays:
         d = 0.3
         table = vt._family_table(d, vt._G2_FAMILY)
         lam = -math.log1p(-z)
-        assert vt._series_dot(table, ((d, bottom),), 1.0 - z, lam) == pytest.approx(
+        assert one_set(table, [(d, bottom)], lam)[0] == pytest.approx(
             full_series_dot(table, d, 1.0 - z, lam, bottom), rel=1e-12)
 
     @pytest.mark.parametrize("d", [0.05, 0.25, 0.45])
@@ -276,9 +281,18 @@ class TestNodeArrays:
         unit = np.array([[pair(d)] for pair in ROUTE_2F1])
         family = np.array([[(d, 1.0)], [(d, 2 - d)], [(d, 1.5)]])
         for table, sets in ((vt._UNIT, unit), (vt._family_table(d, vt._G2_FAMILY), family)):
-            got = vt._series_dot(table, sets, x, lam)
+            got = vt._series_dot([table] * len(sets), sets, lam)
             assert got.shape == (len(sets), len(x))
-            assert np.array_equal(got, [vt._series_dot(table, s, x, lam) for s in sets])
+            assert np.array_equal(got, [one_set(table, s, lam) for s in sets])
+
+    def test_unit_argument_nodes_in_a_node_array_equal_them_alone(self):
+        # a node at lam = 0 sums the table as one plain sum, a node above it by the fixed
+        # R x Q split, whatever other nodes share the array
+        table, pairs = vt._family_table(0.3, vt._G2_FAMILY), [(0.3, 1.7)]
+        lam = np.array([0.5, 0.0, 1e-3, 0.0, 60.0])
+        got = one_set(table, pairs, lam)
+        assert np.array_equal(got[[1, 3]], one_set(table, pairs, np.zeros(2)))
+        assert np.array_equal(got[[0, 2, 4]], [one_set(table, pairs, v)[0] for v in lam[[0, 2, 4]]])
 
     @pytest.mark.parametrize("name, d", [("i2", 1 / 3 - 1e-9), ("i2", 1 / 3 + 1e-9),
                                          ("delta=0", 0.3)], ids=["i2-below", "i2-above", "delta=0"])
@@ -293,7 +307,7 @@ class TestNodeArrays:
             table = vt._moment_table(1.0, 0.25, 2.25, 1.4, 2.0)
             assert any(delta == 0.0 for _, delta, _ in table.law)
         sets = np.array([[(d, 1.0)]])
-        tail = sf._series_tail(law_spy(table), sets, np.ones(1), np.zeros(1))[0, 0]
+        tail = sf._series_tail([(law_spy(table), [0])], sets, np.ones(1), np.zeros(1))[0, 0]
         assert tail == pytest.approx(ZETA_TAILS[name, d], rel=2e-14, abs=0.0)
 
     @pytest.mark.parametrize("name, d", list(LERCH_TAILS), ids=str)
@@ -305,7 +319,7 @@ class TestNodeArrays:
         else:
             table = vt._family_table(d, "i2" if name == "i2" else vt._G2_FAMILY)
         lam = np.array(LERCH_Z) / sf._J_TABLE
-        tail = sf._series_tail(table, np.array([[(d, 1.0)]]), np.ones(1), lam)[0]
+        tail = sf._series_tail([(table, [0])], np.array([[(d, 1.0)]]), np.ones(1), lam)[0]
         np.testing.assert_allclose(tail, LERCH_TAILS[name, d], rtol=2e-14, atol=0.0)
 
     def test_series_tail_on_a_node_array_equals_one_node_calls(self):
@@ -316,22 +330,22 @@ class TestNodeArrays:
         sets = np.array([[(0.3, 1.0)], [(0.3, 1.7)], [(0.3, 2.4)]])
         w_J = sf._pair_weights(sets, J)[:, J]
         lam = np.array([0.0, 60 / J, 60 / J * (1 - 1e-12), 60 / J * (1 + 1e-9), 1e-300, 1e-8])
-        one = [sf._series_tail(table, sets, w_J, lam[i:i + 1])[:, 0] for i in range(len(lam))]
-        assert np.array_equal(sf._series_tail(table, sets, w_J, lam), np.transpose(one))
+        blocks = [(table, [0, 1, 2])]
+        one = [sf._series_tail(blocks, sets, w_J, lam[i:i + 1])[:, 0] for i in range(len(lam))]
+        assert np.array_equal(sf._series_tail(blocks, sets, w_J, lam), np.transpose(one))
 
     @pytest.mark.parametrize("d", [1e-9, 0.05, 0.25, 1 / 3 - 1e-12, 1 / 3 + 1e-12, 0.45, 0.49])
     def test_g4_table_sums_its_weighted_parts(self, d):
-        # G_4's family sums at (d, 1) are one weighted table; tables and laws are linear, the
-        # two sides round J-term sums in different orders, and a single table's sum moves by
-        # up to ~2e-15 with the node array alone
+        # G_4's family sums at (d, 1) are one weighted table; tables and laws are linear, and
+        # the two sides round J-term sums in different orders
         x, z = first_sweep_nodes()
         lam = sf._decay_rate(x, z)
         group = tuple((w, key[0]) for w, kind, key in vt._g_pieces(4, d)
                       if kind == "sum" and key[1:] == (1.0, 0.0))
         assert [f for _, f in group] == [((-1, 2), 2, 1), ((0, 1), 3, 2), "i2"]
-        parts = [w * vt._series_dot(vt._family_table.__wrapped__(d, f), ((d, 1.0),), x, lam)
+        parts = [w * one_set(vt._family_table.__wrapped__(d, f), [(d, 1.0)], lam)
                  for w, f in group]
-        got = vt._series_dot(vt._family_table(d, group), ((d, 1.0),), x, lam)
+        got = one_set(vt._family_table(d, group), [(d, 1.0)], lam)
         assert np.all(np.abs(got - sum(parts)) <= 4e-15 * sum(np.abs(p) for p in parts))
 
     @pytest.mark.parametrize("d", [0.05, 0.25, 1 / 3 + 1e-9, 0.45])
@@ -346,10 +360,9 @@ class TestNodeArrays:
         rows = [(vt._UNIT, pair(d)) for pair in ROUTE_2F1[:3]]
         rows += [(family, (d, 1.0)), (weighted, (d, 1.0)), (vt._UNIT, (d, 4 - 3 * d)),
                  (family, (d, 2 - d))]
-        got = vt._series_dot([table for table, _ in rows], np.array([[p] for _, p in rows]),
-                             x, lam)
+        got = vt._series_dot([table for table, _ in rows], np.array([[p] for _, p in rows]), lam)
         assert got.shape == (len(rows), len(x))
-        assert np.array_equal(got, [vt._series_dot(table, (p,), x, lam) for table, p in rows])
+        assert np.array_equal(got, [one_set(table, [p], lam) for table, p in rows])
 
     @pytest.mark.parametrize("name", ["g2", "g3", "g4_closed", "kernel_one_minus_power"])
     def test_series_engine_calls_per_g(self, monkeypatch, name):
@@ -387,7 +400,7 @@ class TestUnitTable2F1:
         lam = -np.log1p(-z)
         for pair in ROUTE_2F1:
             b, c = pair(d)
-            got = vt._series_dot(vt._UNIT, ((b, c),), 1.0 - z, lam)
+            got = one_set(vt._UNIT, [(b, c)], lam)
             for zi, g in zip(zs, got):
                 with mpmath.workdps(30 + math.ceil(-math.log10(zi))):
                     ref = mpmath.hyp2f1(1, b, c, 1 - mpmath.mpf(zi))

@@ -17,7 +17,8 @@ reference-scaled metrics).  It then times the package from the outside
 `table`, `verify --method vt` and `oracle` commands at their defaults, with
 the median and range of their wall times, and one run of the tier-1 suite
 (`tier1`, with its exit status and summary line).  The file also names the
-commit and the command.  A `pairs` section that the file already holds is
+commit, with "-dirty" where the tree has uncommitted edits, and the
+command.  A `pairs` section that the file already holds is
 kept, so `pairs --out` may come before or after `run`.  perfbench's
 environment() imports scipy, so `run` needs scipy as well as numpy; without
 it, it stops and says so.
@@ -101,6 +102,11 @@ def _git(root: Path, *args: str) -> str:
                           text=True).stdout.strip()
 
 
+def _commit(root: Path) -> str:
+    """The commit root's tree is at, "-dirty" appended where tracked files are edited."""
+    return _git(root, "describe", "--always", "--dirty", "--abbrev=40")
+
+
 def _benchmark(root: Path = ROOT) -> dict:
     return json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
 
@@ -156,7 +162,7 @@ def _without_scipy() -> bool:
 def run(out: Path, seed: int, root: Path = ROOT) -> int:
     if _without_scipy():
         return 2
-    commit, seconds = _git(root, "rev-parse", "HEAD"), _benchmark(root)["run_seconds"]
+    commit, seconds = _commit(root), _benchmark(root)["run_seconds"]
     runs = []
     for workload in WORKLOADS:
         for trace in (0, 1):
@@ -261,7 +267,7 @@ def pairs(parent: str, seed: int, n: int, workloads: list, out: Path | None,
     items = [*workloads, *(name for name, _ in COMMANDS)]
     samples = {side: {item: [] for item in items} for side in ("parent", "change")}
     section = {"parent": _git(root, "rev-parse", parent),
-               "change": _git(root, "describe", "--always", "--dirty", "--abbrev=40"),
+               "change": _commit(root),
                "seed": seed, "n": n, "seconds": seconds, "workloads": list(workloads)}
     with _export(root, parent) as tree:
         sides = {"parent": tree, "change": root}
