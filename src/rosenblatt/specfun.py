@@ -703,11 +703,11 @@ def _lerch_tail(blocks, J: int, s: np.ndarray, g: np.ndarray, lam: np.ndarray) -
     + T(sig+delta) phi(ln J); a call whose laws have none forms no quotient.
 
     blocks is _series_dot's grouping of the sets, a list of (table, rows):
-    an E table and the rows of s and g whose sets sum on it.  Every family
-    of the table's law and set of a block is one group, block after block,
-    each summed over n before any node is touched; a node's value does not
-    depend on the other nodes, and a set's groups are added family by
-    family in its law's order.
+    an E table and the slice of rows of s and g whose sets sum on it.
+    Every family of the table's law and set of a block is one group, block
+    after block, each summed over n before any node is touched; a node's
+    value does not depend on the other nodes, and a set's groups are added
+    family by family in its law's order.
     """
     ln_J = math.log(J)
     z = lam * J
@@ -749,8 +749,8 @@ def _lerch_tail(blocks, J: int, s: np.ndarray, g: np.ndarray, lam: np.ndarray) -
     out = np.empty((len(s), len(z)))
     start = 0
     for table, rows in blocks:
-        size = len(table.law) * len(rows)
-        out[rows] = value[start:start + size].reshape(len(table.law), len(rows), -1).sum(axis=0)
+        size = len(table.law) * len(s[rows])
+        out[rows] = value[start:start + size].reshape(len(table.law), -1, len(z)).sum(axis=0)
         start += size
     return scale[:, None] * out
 
@@ -815,10 +815,11 @@ def _series_dot(tables, sets: np.ndarray, lam: np.ndarray, sums=None) -> np.ndar
     array, tables one _ETable per set (the same object repeated for a
     shared table), all of one length J, and lam the M nodes' decay rates;
     the result is (N, M), each entry what its set sums alone at its node
-    alone.  The sets are grouped by table once, into (table, rows) blocks:
-    each block's weights take its E, and its law's families are groups of
-    the tail's one _lerch_tail call, so sets on several tables (a G's unit
-    pieces and family sums) share one pass.  Terms past j = 60/lam are
+    alone.  The sets are grouped by table once, into (table, rows) blocks,
+    each a run of consecutive sets on one table object (so a caller puts a
+    table's sets together): each block's weights take its E, and its law's
+    families are groups of the tail's one _lerch_tail call, so sets on
+    several tables (a G's unit pieces and family sums) share one pass.  Terms past j = 60/lam are
     dropped: a node's sum runs to its own cut-off.
     For 2F1(1, b; c; x), |w_j| <= 1 (c > b, and c > |b| when b < 0) and
     the dropped terms are below e^-60; for 2F1(a, b; c; x) they are about
@@ -836,10 +837,9 @@ def _series_dot(tables, sets: np.ndarray, lam: np.ndarray, sums=None) -> np.ndar
     margins and power sums.  lam = -ln x is exact near x = 1 where x
     itself has rounded (_decay_rate).
     """
-    blocks = {}
-    for i, table in enumerate(tables):
-        blocks.setdefault(id(table), (table, []))[1].append(i)
-    blocks = list(blocks.values())
+    # a block is a run of sets on one table object, its rows a slice: views, not copies
+    starts = [i for i in range(len(tables)) if i == 0 or tables[i] is not tables[i - 1]]
+    blocks = [(tables[a], slice(a, b)) for a, b in zip(starts, [*starts[1:], len(tables)])]
     J = len(tables[0].E)
     Q = J // _ROW
     w = _pair_weights(sets, J)

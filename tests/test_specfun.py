@@ -411,7 +411,7 @@ def test_unit_argument_tail_is_a_hurwitz_zeta_sum(d, name):
     top, bottom = cumulants._series(d)[name]
     sets = np.array([list(zip(top, (*bottom, 1.0)))])
     table = sf._ETable(np.ones(128), sf._UNIT.law)
-    tail = sf._series_tail([(table, [0])], sets, np.ones(1), np.zeros(1))[0, 0]
+    tail = sf._series_tail([(table, slice(None))], sets, np.ones(1), np.zeros(1))[0, 0]
     assert tail == pytest.approx(ZETA_TAILS[d, name], rel=2e-14, abs=0.0)
 
 
@@ -419,7 +419,7 @@ def test_tail_of_a_tail_dominated_sum_carries_the_margin_exactly():
     # margin 0.003: the tail is about 0.996 of the sum, and its leading term is 1/s
     sets = np.array([[(0.8, 1.3), (0.6, 1.2 + 0.003), (1.1, 1.0)]])
     table = sf._ETable(np.ones(128), sf._UNIT.law)
-    tail = sf._series_tail([(table, [0])], sets, np.ones(1), np.zeros(1))[0, 0]
+    tail = sf._series_tail([(table, slice(None))], sets, np.ones(1), np.zeros(1))[0, 0]
     assert tail == pytest.approx(ZETA_TAILS["margin", 0.003], rel=2e-14, abs=0.0)
 
 

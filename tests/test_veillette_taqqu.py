@@ -307,7 +307,7 @@ class TestNodeArrays:
             table = vt._moment_table(1.0, 0.25, 2.25, 1.4, 2.0)
             assert any(delta == 0.0 for _, delta, _ in table.law)
         sets = np.array([[(d, 1.0)]])
-        tail = sf._series_tail([(law_spy(table), [0])], sets, np.ones(1), np.zeros(1))[0, 0]
+        tail = sf._series_tail([(law_spy(table), slice(None))], sets, np.ones(1), np.zeros(1))[0, 0]
         assert tail == pytest.approx(ZETA_TAILS[name, d], rel=2e-14, abs=0.0)
 
     @pytest.mark.parametrize("name, d", list(LERCH_TAILS), ids=str)
@@ -319,7 +319,7 @@ class TestNodeArrays:
         else:
             table = vt._family_table(d, "i2" if name == "i2" else vt._G2_FAMILY)
         lam = np.array(LERCH_Z) / sf._J_TABLE
-        tail = sf._series_tail([(table, [0])], np.array([[(d, 1.0)]]), np.ones(1), lam)[0]
+        tail = sf._series_tail([(table, slice(None))], np.array([[(d, 1.0)]]), np.ones(1), lam)[0]
         np.testing.assert_allclose(tail, LERCH_TAILS[name, d], rtol=2e-14, atol=0.0)
 
     def test_series_tail_on_a_node_array_equals_one_node_calls(self):
@@ -330,7 +330,7 @@ class TestNodeArrays:
         sets = np.array([[(0.3, 1.0)], [(0.3, 1.7)], [(0.3, 2.4)]])
         w_J = sf._pair_weights(sets, J)[:, J]
         lam = np.array([0.0, 60 / J, 60 / J * (1 - 1e-12), 60 / J * (1 + 1e-9), 1e-300, 1e-8])
-        blocks = [(table, [0, 1, 2])]
+        blocks = [(table, slice(None))]
         one = [sf._series_tail(blocks, sets, w_J, lam[i:i + 1])[:, 0] for i in range(len(lam))]
         assert np.array_equal(sf._series_tail(blocks, sets, w_J, lam), np.transpose(one))
 
