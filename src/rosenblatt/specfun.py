@@ -337,6 +337,7 @@ def _pfq_series(params: HypParams, x: float) -> SeriesResult:
 _J_TABLE = 1 << 11     # tabulated E_j range; each table's exact large-j law beyond
 _J_PFQ = 1 << 14       # longest unit-table prefix of a (q+1)Fq at unit argument
 _CUTOFF = 60.0         # series terms below e^-60 (relative to w_0 = 1) are dropped
+_DROPPED_MAX = 1e-12   # largest share of a sum below unit argument the cut-off may drop
 _ROW = 128             # x^j = x^(R q) x^r with r < R; J is a multiple of R
 # ln Gamma(t+b) - ln Gamma(t+c) = (b-c) ln t + sum_{k>=2} g_k t^(1-k) (DLMF 5.11.8) with
 # g_k = (-1)^k (B_k(b) - B_k(c)) / (k(k-1)) for the Bernoulli polynomials B_k; row k-2
@@ -893,7 +894,10 @@ def hyp_2f1(a: float, b: float, c: float, x: float, one_minus_x: float | None = 
     down to 1e-225, and so are 2F1(1, b; c) with c - b an integer.
     `one_minus_x` may carry the exact distance to 1 when x itself is within
     rounding of 1.  A non-positive integer c raises PoleError unless a or b
-    terminates the series first.
+    terminates the series first.  Above 0.85, a + b - c beyond about 15.2
+    raises ParameterDomainError: the engine's cut-off would drop more than
+    1e-12 of the sum (2F1(12, 12; 1; 0.9) was 7.9e-11 off, 2F1(30, 30; 1;
+    0.9) 10%).
     """
     params = HypParams((a, b), (c,))
     params.validate()
@@ -915,10 +919,18 @@ def _pfq_below_1(params: HypParams, x: float, one_minus_x: float) -> float:
     by one series-engine call on the unit table, the reversed tops paired
     with (*bottom, 1), so a 2F1 is ((b, c), (a, 1)).  Near 1 the power
     series would need up to its term cap; the engine's cost does not grow.
+    The engine drops the terms past its cut-off, about 60^q e^-60/q! of the
+    sum, q = -1 - margin (a + b - c - 1 for a 2F1), at every x; where that
+    share passes _DROPPED_MAX the sum raises ParameterDomainError.
     """
     if params.validate() is not None or x <= 0.85:
         return _pfq_series(params, x).value
     pairs = np.array([list(zip(reversed(params.top), (*params.bottom, 1.0)))])
+    q = -1.0 - _margins(pairs)[0]
+    if q > 0.0 and q * math.log(_CUTOFF) - _CUTOFF - math.lgamma(q + 1.0) > math.log(_DROPPED_MAX):
+        raise ParameterDomainError(
+            f"series too steep for the engine: q = {q:.6g}, its dropped share 60^q e^-60/q! "
+            f"exceeds {_DROPPED_MAX:g}")
     return _series_dot([_UNIT], pairs, np.atleast_1d(_decay_rate(x, one_minus_x))).item()
 
 

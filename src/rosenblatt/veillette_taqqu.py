@@ -30,7 +30,11 @@ d -> 0, beta = n - (m+1)d nears an integer and the entries from
 j = round(beta) on carry a term that grows like 1/d; the recurrence
 forms its small differences from beta - round(beta), which is exact, so
 the tables keep their digits down to d ~ 1e-16, and a beta that rounds
-to an integer raises PoleError.
+to an integer raises PoleError.  The tables of one d that are needed
+together are built as one batch (_build_tables): G_4's weighted table
+takes the start sums of its three parts in one series-engine call at unit
+argument, their laws, which share one gap offset, in one pass and their
+recurrences in one scan.  A lone table is the batch of one.
 
 Every series the route needs, sum_j (b)_j/(c)_j x^j E_j, is summed by
 the series engine specfun._series_dot.  Every 2F1 in the closed forms has
@@ -53,7 +57,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -95,9 +99,12 @@ def _position(x, one_minus_x) -> tuple[np.ndarray, np.ndarray]:
 # E tables: sum_k t_k/(k+beta-j) for integer j
 # ---------------------------------------------------------------------------
 
-def _affine_scan(r: np.ndarray, q: np.ndarray, x0: float) -> np.ndarray:
+def _affine_scan(r: np.ndarray, q: np.ndarray, x0: np.ndarray | float) -> np.ndarray:
     """x_1..x_n of x_{i+1} = r_i x_i + q_i from x_0, by a log2(n)-step prefix scan of the maps.
 
+    The maps run down the first axis; each column of a stack is its own
+    chain, from its own x_0, and a column padded at the bottom scans as it
+    would unpadded, as position i composes only with positions above it.
     A cumprod/cumsum quotient would divide by the prefix products, which
     vanish once some r_i is exactly 0.
     """
@@ -110,8 +117,9 @@ def _affine_scan(r: np.ndarray, q: np.ndarray, x0: float) -> np.ndarray:
     return r * x0 + q
 
 
-def _build_e_table(beta: float, start: np.ndarray, step: Callable, law: Callable) -> _ETable:
-    """Table of E_j = sum_k t_k/(k+beta-j), j < J, with its exact large-j law.
+def _build_e_table(beta: float, start: np.ndarray, step: Callable) -> tuple:
+    """The first entries of a table of E_j = sum_k t_k/(k+beta-j), j < J, and the affine maps
+    E_(j+1) = r_j E_j + q_j that carry it on to J.
 
     start holds (beta-j) E_j = sum_k t_k (g)_k/(g+1)_k, g = beta-j, for j < n:
     sums the series engine takes with the extra pair (g, g+1).  The rest
@@ -120,29 +128,84 @@ def _build_e_table(beta: float, start: np.ndarray, step: Callable, law: Callable
     for j = n-1 .. J-2.  gap(x) is j+x-beta, formed as ((j-m0)+x) - (beta-m0)
     with m0 = round(beta): beta - m0 is exact, so every difference that
     vanishes as beta nears an integer keeps its digits and shares the
-    resonance's rounding with the callers' prefactors.  The affine maps are
-    composed by a prefix scan.  An integer beta is a pole of the table.
-
-    law() gives the families of E_j beyond the table (_ETable): the formal
-    solution of the same recurrence in powers of 1/j, read off it
-    coefficient by coefficient, plus its homogeneous solution with a
-    closed-form amplitude; nothing is fitted to the entries.  It is called
-    here, after the pole check, as an integer beta makes its amplitude
-    infinite.
+    resonance's rounding with the callers' prefactors.  An integer beta is
+    a pole of the table.  _build_tables composes the maps of a whole batch.
     """
     if beta == round(beta):
         raise PoleError(f"E table pole: beta={beta!r} is an integer")
-    J = _J_TABLE
     m0 = round(beta)
     off = beta - m0
     n = len(start)
-    jm = np.arange(n - 1 - m0, J - 1 - m0, dtype=float)
+    jm = np.arange(n - 1 - m0, _J_TABLE - 1 - m0, dtype=float)
     rho, f = step(lambda x: (jm + x) - off)
     den = (jm + 1.0) - off
-    E = np.empty(J)
-    E[:n] = start / (beta - np.arange(n))
-    E[n:] = _affine_scan(rho / den, f / den, E[n - 1])
-    return _ETable(E, law())
+    return start / (beta - np.arange(n)), rho / den, f / den
+
+
+class _Part(NamedTuple):
+    """One table of a batch (_build_tables).
+
+    sets are the series-engine sets of its start sums at unit argument, each
+    (table, pairs): the first n give (beta-j) E_j, j < n, and step(gap, sums)
+    gives the recurrence's rho and f (_build_e_table) from all of them.  Its
+    large-j law is law_rows(deltas), the coefficient rows of its families at
+    offsets deltas from a coincidence of two exponents, taken at offset
+    (_across); families holds each row's (e0, delta).
+    """
+
+    beta: float
+    sets: list
+    n: int
+    step: Callable
+    offset: float
+    law_rows: Callable
+    families: tuple
+
+
+def _build_tables(parts: list) -> list:
+    """The E tables of parts (_Part), built as one batch.
+
+    Every start sum is one series-engine call at unit argument, the unit
+    table's sets first (one engine block) and each set padded with (1, 1)
+    pairs, which the engine multiplies by exactly 1.  Each part's entries
+    and recurrence maps come from _build_e_table, which also stops a pole
+    before any law is formed (an integer beta makes the homogeneous
+    amplitude infinite).  The laws that share an offset are one _across
+    pass, and all the maps one _affine_scan, a column per part, padded at
+    the bottom with identity maps.
+
+    A law gives the families of E_j beyond the table (_ETable): the formal
+    solution of the table's recurrence in powers of 1/j, read off it
+    coefficient by coefficient, plus its homogeneous solution with a
+    closed-form amplitude; nothing is fitted to the entries.  Every table
+    is, to the bit, what it is built alone.
+    """
+    sets = [s for part in parts for s in part.sets]
+    order = sorted(range(len(sets)), key=lambda i: sets[i][0] is not _UNIT)
+    width = max(len(pairs) for _, pairs in sets)
+    values = np.empty(len(sets))
+    values[order] = _series_dot(
+        [sets[i][0] for i in order],
+        np.array([[*sets[i][1], *[(1.0, 1.0)] * (width - len(sets[i][1]))] for i in order]),
+        np.zeros(1))[:, 0]
+    sums = np.split(values, np.cumsum([len(part.sets) for part in parts])[:-1])
+    built = [_build_e_table(part.beta, s[:part.n], lambda gap: part.step(gap, s))
+             for part, s in zip(parts, sums)]
+    laws = [None] * len(parts)
+    for offset in dict.fromkeys(part.offset for part in parts):
+        members = [i for i, part in enumerate(parts) if part.offset == offset]
+        rows = _across(lambda deltas: np.concatenate([parts[i].law_rows(deltas) for i in members],
+                                                     axis=1), offset)
+        cuts = np.cumsum([len(parts[i].families) for i in members])[:-1]
+        for i, coefs in zip(members, np.split(rows, cuts)):
+            laws[i] = tuple((*family, c) for family, c in zip(parts[i].families, coefs))
+    length = max(len(r) for _, r, _ in built)
+    r, q = np.ones((length, len(parts))), np.zeros((length, len(parts)))
+    for i, (_, ri, qi) in enumerate(built):
+        r[:len(ri), i], q[:len(qi), i] = ri, qi
+    scanned = _affine_scan(r, q, np.array([head[-1] for head, _, _ in built]))
+    return [_ETable(np.concatenate([head, scanned[:len(ri), i]]), law)
+            for i, ((head, ri, _), law) in enumerate(zip(built, laws))]
 
 
 # ---------------------------------------------------------------------------
@@ -156,22 +219,24 @@ _BARY = (-1.0) ** np.arange(16) * np.sin((np.arange(16) + 0.5) * math.pi / 16)
 _L = np.arange(_LAW_TERMS, dtype=float)
 _I_PLUS_L = _L[:, None] + _L
 _TRI_ROW, _TRI_COL = np.tril_indices(_LAW_TERMS, -1)
+_TRI_K = _TRI_ROW - _TRI_COL + 1
 
 
-def _series_solution(U, V, s, shift, rhs=None) -> np.ndarray:
+def _series_solution(U, V, s, shift, first, rhs=None) -> np.ndarray:
     """c_n of E(t) = t^s sum_n c_n t^-n, n < _LAW_TERMS, a formal solution of
-    U(t) E(t+1) - V(t) E(t) = t^(s+deg-1) sum_n rhs_n t^-n.
+    U(t) E(t+1) - V(t) E(t) = t^(s+deg-1) sum_n rhs_n t^-n from c_0 = first.
 
     U and V are monic of degree deg, given by (U_1 .. U_deg) and (V_1 .. V_deg)
     in falling powers, so the homogeneous solution's exponent is V_1 - U_1.
     Matching powers of t gives c_n (shift - n) = rhs_n - sum_{i<n} c_i mu(n-i+1, s-i),
     mu(k, s') = sum_q U_q binom(s', k-q) - V_k: a triangular solve whose
     diagonal shift - n, shift = s - (V_1 - U_1), the caller forms exactly.
-    rhs None is the homogeneous solution (shift 0) with c_0 = 1.  Every
-    argument may carry a leading axis of parameter nodes.
+    A particular solution starts from first = rhs_0/shift, the homogeneous
+    one (rhs None or 0, shift 0) from 1.  Every argument may carry a leading
+    axis of parameter nodes, so both are one call, stacked on it.
     """
     K = _LAW_TERMS
-    s = np.broadcast_to(s, np.broadcast(s, shift, *U, *V).shape)
+    s = s + np.zeros(np.broadcast(s, shift, *U, *V).shape)  # every row's own s
     # binom(s - i, l) for i < K, l <= K, by a running product along l
     binom = np.ones((*s.shape, K, K + 1))
     np.cumprod((s[..., None, None] - _I_PLUS_L) / (_L + 1.0), axis=-1, out=binom[..., 1:])
@@ -180,12 +245,13 @@ def _series_solution(U, V, s, shift, rhs=None) -> np.ndarray:
         mu[..., q:] += np.asarray(u)[..., None, None] * binom[..., :-q]
     for k, v in enumerate(V, 1):
         mu[..., k] -= np.asarray(v)[..., None]
-    below = mu[..., _TRI_COL, _TRI_ROW - _TRI_COL + 1]  # mu(n-i+1, s-i), i < n, row by row
+    below = mu[..., _TRI_COL, _TRI_K]  # mu(n-i+1, s-i), i < n, row by row
+    diagonal = np.asarray(shift)[..., None] - _L
     c = np.zeros((*s.shape, K))
-    c[..., 0] = 1.0 if rhs is None else np.asarray(rhs)[..., 0] / shift
+    c[..., 0] = first
     for n in range(1, K):
-        acc = -np.sum(below[..., n * (n - 1) // 2:n * (n + 1) // 2] * c[..., :n], axis=-1)
-        c[..., n] = (acc if rhs is None else np.asarray(rhs)[..., n] + acc) / (shift - n)
+        acc = -(below[..., n * (n - 1) // 2:n * (n + 1) // 2] * c[..., :n]).sum(axis=-1)
+        c[..., n] = (acc if rhs is None else rhs[..., n] + acc) / diagonal[..., n]
     return c
 
 
@@ -217,15 +283,25 @@ def _pair_rows(U, V, m: int, deltas: np.ndarray, rhs: np.ndarray, amp: np.ndarra
     homogeneous one, t^(-m-delta) h~ = t^-m (1 - delta phi) h~, whose first
     part joins P's t^-m power, the two halves that cancel across delta = 0.
     Powers of that first part past P's last, t^-_LAW_TERMS, are left out
-    like P's own."""
-    law = _series_solution(U, V, -1.0, (m - 1) + deltas, rhs)
-    h = _series_solution(U, V, -(m + deltas), 0.0)
+    like P's own.  P and H are one solve, stacked on the node axis."""
+    N = len(deltas)
+
+    def both(p, h):
+        out = np.empty(2 * N)
+        out[:N], out[N:] = p, h
+        return out
+
+    shift = (m - 1) + deltas
+    law, h = np.split(_series_solution(
+        tuple(both(u, u) for u in U), tuple(both(v, v) for v in V), both(-1.0, -(m + deltas)),
+        both(shift, 0.0), both(rhs[:, 0] / shift, 1.0), np.concatenate([rhs, np.zeros_like(rhs)])), 2)
     law[:, m - 1:] += amp[:, None] * h[:, :max(0, _LAW_TERMS - m + 1)]
     return np.stack([law, -(deltas * amp)[:, None] * h], axis=1)
 
 
 def _moment_law(a: float, b: float, c: float, beta: float, gap: float) -> tuple:
-    """Large-j law of sum_k t_k/(k+beta-j), t_k = (a)_k (b)_k/((c)_k k!), gap = c-a-b+1.
+    """Large-j law of sum_k t_k/(k+beta-j), t_k = (a)_k (b)_k/((c)_k k!), gap = c-a-b+1,
+    as a _Part's (offset, law_rows, families).
 
     With x = j - beta the table solves (x+1)(x+c) E(x+1) - (x+a)(x+b) E(x)
     = -(c-a-b) S, S = 2F1(a, b; c; 1).  The exact E is its formal
@@ -252,12 +328,12 @@ def _moment_law(a: float, b: float, c: float, beta: float, gap: float) -> tuple:
         U = ((1.0 - beta) + (cs - beta), (1.0 - beta) * (cs - beta))
         return _pair_rows(U, V, m, deltas, rhs, math.pi * A * (_cot_pi(deltas) + _cot_pi(off)))
 
-    P, Q = _across(rows, gap - m)
-    return ((-1.0, None, P), (-float(m), gap - m, Q))
+    return gap - m, rows, ((-1.0, None), (-float(m), gap - m))
 
 
 def _i2_law(d: float) -> tuple:
-    """Large-j law of the i2 table, from (j+d) E_{j+1} - (j+4d-3) E_j = (1-d) D_j.
+    """Large-j law of the i2 table, from (j+d) E_{j+1} - (j+4d-3) E_j = (1-d) D_j,
+    as a _Part's (offset, law_rows, families).
 
     D_j = (phi(j) - phi(2d-1))/(2-3d-j) with phi(t) = -2 cos(pi d) Gamma(1-d)
     Gamma(t+2d-1)/Gamma(t+d) ~ t^(d-1) (its product form at the integers,
@@ -287,43 +363,48 @@ def _i2_law(d: float) -> tuple:
         const = np.zeros((len(ds), _LAW_TERMS))
         const[:, 0] = (1 - ds) * -g1 ** 2 / (2 * cos * g22)
         varying = ((ds - 1) * -2 * cos * g1)[:, None] * _series_solution(
-            (ds,), (2 * ds - 1,), ds - 1, 0.0)
+            (ds,), (2 * ds - 1,), ds - 1, 0.0, 1.0)
         kap = 2 - 3 * ds
         for k in range(1, _LAW_TERMS):
             const[:, k] += kap * const[:, k - 1]
             varying[:, k] += kap * varying[:, k - 1]
         pair = _pair_rows((ds,), (4 * ds - 3,), m, deltas, const, amp)
-        from_phi = _series_solution((ds,), (4 * ds - 3,), ds - 2, 1 - 2 * ds, varying)
+        from_phi = _series_solution((ds,), (4 * ds - 3,), ds - 2, 1 - 2 * ds,
+                                    varying[:, 0] / (1 - 2 * ds), varying)
         return np.concatenate([pair, from_phi[:, None]], axis=1)
 
-    P, Q, R = _across(rows, gap - m)
-    return ((-1.0, None, P), (-float(m), gap - m, Q), (d - 2, None, R))
+    return gap - m, rows, ((-1.0, None), (-float(m), gap - m), (d - 2, None))
 
 
 # ---------------------------------------------------------------------------
 # weight families
 # ---------------------------------------------------------------------------
 
-def _moment_table(a: float, b: float, c: float, beta: float, gap: float) -> _ETable:
-    """E table of t_k = (a)_k (b)_k / ((c)_k k!), with gap = c-a-b+1 as _moment_law takes it.
+def _moment_part(a: float, b: float, c: float, beta: float, gap: float) -> _Part:
+    """The batch part of the E table of t_k = (a)_k (b)_k / ((c)_k k!), with gap = c-a-b+1
+    as _moment_law takes it.
 
     Summation by parts on t_{k+1} (c+k)(1+k) = t_k (a+k)(b+k) gives
     (j+1-beta) E_{j+1} = [(j+a-beta)(j+b-beta) E_j - (c-a-b) S]/(j+c-beta)
     with S = sum_k t_k = 2F1(a, b; c; 1) (Gauss), the first moment.  The
     entries up to the first step whose j+c-beta reaches 1 are summed
-    directly, (beta-j) E_j = 3F2(a, b, beta-j; c, beta-j+1; 1), in one
-    series-engine call on the unit table.
+    directly, (beta-j) E_j = 3F2(a, b, beta-j; c, beta-j+1; 1), as sets on
+    the unit table.
     """
     s = gauss_2f1_at_1(a, b, c)
     shifts = beta - np.arange(max(1, math.ceil(2.0 - (c - beta))))
-    sets = np.array([((a, 1.0), (b, c), (g, g + 1.0)) for g in shifts.tolist()])
 
-    def step(gap):
+    def step(gap, sums):
         den = gap(c)
         return gap(a) * gap(b) / den, -(c - a - b) * s / den
 
-    return _build_e_table(beta, _series_dot([_UNIT] * len(sets), sets, np.zeros(1))[:, 0], step,
-                          lambda: _moment_law(a, b, c, beta, gap))
+    return _Part(beta, [(_UNIT, ((a, 1.0), (b, c), (g, g + 1.0))) for g in shifts.tolist()],
+                 len(shifts), step, *_moment_law(a, b, c, beta, gap))
+
+
+def _moment_table(a: float, b: float, c: float, beta: float, gap: float) -> _ETable:
+    """The E table of _moment_part alone: a batch of one (kernel_hyp2f1_moment's)."""
+    return _build_tables([_moment_part(a, b, c, beta, gap)])[0]
 
 
 # An image family ((b0, b1), n, m) is that of K[u^(c-1) 2F1(1, b; c; u)],
@@ -332,10 +413,8 @@ def _moment_table(a: float, b: float, c: float, beta: float, gap: float) -> _ETa
 _G2_FAMILY = ((0, 1), 2, 1)
 
 
-@lru_cache(maxsize=64)
-def _family_table(d: float, family) -> _ETable:
-    """E table of an image family, of "i2", that of the image of the _G2_FAMILY sum, or
-    of (weight, family) parts: their weighted sum of tables and laws, parts built uncached.
+def _i2_part(d: float) -> _Part:
+    """The batch part of the i2 table, the image of the _G2_FAMILY sum at (d, 1).
 
     i2 is E_j = sum_k (d)_k/k! E'_k/(k+1-d-j) over the _G2_FAMILY table E'.
     E' obeys its own recurrence in k, (k+d) E'_(k+1) = (k+3d-2) E'_k
@@ -345,37 +424,48 @@ def _family_table(d: float, family) -> _ETable:
     = Gamma(s) Gamma(1-d)/Gamma(1-d+s) at phi_j = phi(1-d-j), so
     phi_j = phi_0 prod_{i<j} (i+2d-1)/(i+d) and phi(2d-1) = -phi_0/(2 cos pi d);
     D_1, 0/0 at d = 1/3, is its convergent series
-    -sum_k (d)_k/k!/((k-d)(k+2d-1)).
+    -sum_k (d)_k/k!/((k-d)(k+2d-1)).  Its start sums are E_0 on the cached
+    E' and D_1's series on the unit table.
     """
+    beta = 1.0 - d
+    phi0 = gamma(1 - d) ** 2 / gamma(2 - 2 * d)
+    i = np.arange(_J_TABLE - 2, dtype=float)
+    phi = phi0 * np.concatenate([[1.0], np.cumprod(((i - 1) + 2 * d) / (i + d))])
+
+    def step(gap, sums):
+        span = gap(2 * d - 1)  # j-2+3d
+        span[1] = 1.0  # j = 1 takes D_1's series instead
+        dq = (-phi0 / (2 * math.cos(math.pi * d)) - phi) / span
+        dq[1] = sums[1] / (d * (2 * d - 1))
+        return gap(3 * d - 2), (1 - d) * dq
+
+    return _Part(beta, [(_family_table(d, _G2_FAMILY), ((d, 1.0), (beta, beta + 1.0))),
+                        (_UNIT, ((d, 1.0), (-d, 1 - d), (2 * d - 1, 2 * d)))],
+                 1, step, *_i2_law(d))
+
+
+def _part(d: float, family) -> _Part:
+    """The batch part of an image family's table, or of "i2"'s."""
+    if family == "i2":
+        return _i2_part(d)
+    (b0, b1), n, m = family
+    # beta and the gap straight from d: as c - d, beta would keep only c's digits of d near 0,
+    # and for b0 = 0 the gap is then beta itself, to the bit
+    return _moment_part(1.0, b0 + b1 * d, n - m * d, n - (m + 1) * d, (n - b0) - (m + b1) * d)
+
+
+@lru_cache(maxsize=64)
+def _family_table(d: float, family) -> _ETable:
+    """E table of an image family, of "i2" (_i2_part), or of (weight, family) parts: their
+    weighted sum of tables and laws, the parts built as one batch and not cached."""
     if isinstance(family[0][0], float):  # (weight, family) parts
-        parts = [(w, _family_table.__wrapped__(d, f)) for w, f in family]
+        parts = list(zip([w for w, _ in family], _build_tables([_part(d, f) for _, f in family])))
         law = {}
         for w, t in parts:
             for e0, delta, coefs in t.law:
                 law[e0, delta] = law.get((e0, delta), 0.0) + w * coefs
         return _ETable(sum(w * t.E for w, t in parts), tuple((*k, v) for k, v in law.items()))
-    if family == "i2":
-        inner = _family_table(d, _G2_FAMILY)
-        beta = 1.0 - d
-        e0 = _series_dot([inner], np.array([[(d, 1.0), (beta, beta + 1.0)]]), np.zeros(1))
-        d1 = _series_dot([_UNIT], np.array([[(d, 1.0), (-d, 1 - d), (2 * d - 1, 2 * d)]]),
-                         np.zeros(1)).item() / (d * (2 * d - 1))
-        phi0 = gamma(1 - d) ** 2 / gamma(2 - 2 * d)
-        i = np.arange(_J_TABLE - 2, dtype=float)
-        phi = phi0 * np.concatenate([[1.0], np.cumprod(((i - 1) + 2 * d) / (i + d))])
-
-        def step(gap):
-            span = gap(2 * d - 1)  # j-2+3d
-            span[1] = 1.0  # j = 1 takes D_1's series instead
-            dq = (-phi0 / (2 * math.cos(math.pi * d)) - phi) / span
-            dq[1] = d1
-            return gap(3 * d - 2), (1 - d) * dq
-
-        return _build_e_table(beta, e0[0], step, lambda: _i2_law(d))
-    (b0, b1), n, m = family
-    # beta and the gap straight from d: as c - d, beta would keep only c's digits of d near 0,
-    # and for b0 = 0 the gap is then beta itself, to the bit
-    return _moment_table(1.0, b0 + b1 * d, n - m * d, n - (m + 1) * d, (n - b0) - (m + b1) * d)
+    return _build_tables([_part(d, family)])[0]
 
 
 # ---------------------------------------------------------------------------

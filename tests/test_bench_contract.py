@@ -62,3 +62,20 @@ def test_closed_path_reaches_the_thomae_and_series_spans(tmp_path):
     summary = tracer.summary()
     assert summary["thomae.eval_3f2_optimized"]["calls"] > 0
     assert summary["specfun.pfq_at_1"]["calls"] > 0
+
+
+def test_g4_at_a_fresh_d_reaches_the_table_spans(tmp_path):
+    # G_4 at a new d builds four tables, the _G2_FAMILY one and then its weighted table's
+    # three parts as one batch, and makes three engine calls: the start sums of each batch
+    # and the evaluation
+    tracer = bench_trace.Tracer()
+    vt._family_table.cache_clear()
+    try:
+        bench_workloads.build("operator_route", str(tmp_path)).instrument(tracer)
+        with tracer.operation("probe"):
+            vt.g4_closed(0.5, 0.2371)
+    finally:
+        tracer.restore()
+    summary = tracer.summary()
+    assert summary["veillette_taqqu.e_table_build"]["calls"] == 4
+    assert summary["veillette_taqqu.series_dot"]["calls"] == 3

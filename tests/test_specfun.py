@@ -198,6 +198,19 @@ class TestHyp2F1:
         with pytest.raises(sf.PoleError):
             sf.hyp_2f1(0.5, 0.7, -2.0, 0.3)
 
+    @pytest.mark.parametrize("a", [15.0, 30.0])
+    def test_steep_series_near_unit_argument_is_refused(self, a):
+        # q = a + b - c - 1 = 28 and 58: the engine's cut-off would drop about 60^q e^-60/q!
+        # of the sum, and returned 3.0e-8 and 10% low values
+        with pytest.raises(sf.ParameterDomainError, match=rf"q = {2 * a - 2:g}.*1e-12"):
+            sf.hyp_2f1(a, a, 1.0, 0.9)
+
+    def test_steepest_accepted_series_keeps_its_digits(self):
+        # q = 14, a dropped share of 7.9e-13 by the bound; mpmath.hyp2f1(8, 8, 1, mpf(0.9))
+        # at 40 digits, x the float 0.9
+        ref = 2385982495900008147.10630141492
+        assert sf.hyp_2f1(8.0, 8.0, 1.0, 0.9) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
 
 class TestPfqAt1:
     def test_zero_top_exact(self):

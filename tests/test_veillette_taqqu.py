@@ -193,6 +193,12 @@ def law_at(law, t):
     return total
 
 
+def g4_weighted_group(d):
+    """The (weight, family) parts of G_4's weighted table: its family sums at (d, 1)."""
+    return tuple((w, key[0]) for w, kind, key in vt._g_pieces(4, d)
+                 if kind == "sum" and key[1:] == (1.0, 0.0))
+
+
 def one_set(table, pairs, lam):
     """The series engine's row for one set of pairs on one table at the nodes lam."""
     return vt._series_dot([table], np.array([pairs], dtype=float), np.atleast_1d(lam))[0]
@@ -340,13 +346,34 @@ class TestNodeArrays:
         # the two sides round J-term sums in different orders
         x, z = first_sweep_nodes()
         lam = sf._decay_rate(x, z)
-        group = tuple((w, key[0]) for w, kind, key in vt._g_pieces(4, d)
-                      if kind == "sum" and key[1:] == (1.0, 0.0))
+        group = g4_weighted_group(d)
         assert [f for _, f in group] == [((-1, 2), 2, 1), ((0, 1), 3, 2), "i2"]
         parts = [w * one_set(vt._family_table.__wrapped__(d, f), [(d, 1.0)], lam)
                  for w, f in group]
         got = one_set(vt._family_table(d, group), [(d, 1.0)], lam)
         assert np.all(np.abs(got - sum(parts)) <= 4e-15 * sum(np.abs(p) for p in parts))
+
+    @pytest.mark.parametrize("d", [1e-9, 0.02, 0.25, 1 / 3 - 1e-9, 1 / 3 + 1e-9, 0.45, 0.49])
+    def test_batch_tables_equal_one_family_builds(self, d):
+        # G_4's weighted parts share one engine call, law pass and scan: each table and
+        # every law row is what the part builds alone, to the bit
+        group = [f for _, f in g4_weighted_group(d)]
+        batch = vt._build_tables([vt._part(d, f) for f in group])
+        for family, table in zip(group, batch):
+            alone = vt._family_table.__wrapped__(d, family)
+            assert np.array_equal(table.E, alone.E), family
+            assert [law[:2] for law in table.law] == [law[:2] for law in alone.law], family
+            for (_, _, coefs), (_, _, ref) in zip(table.law, alone.law):
+                assert np.array_equal(coefs, ref), family
+
+    def test_g4_weighted_table_is_one_engine_call(self, monkeypatch):
+        # once the _G2_FAMILY table is cached, the three parts' start sums are one call
+        d = 0.2371
+        vt._family_table(d, vt._G2_FAMILY)
+        calls, dot = [], vt._series_dot
+        monkeypatch.setattr(vt, "_series_dot", lambda *args: calls.append(args) or dot(*args))
+        vt._family_table.__wrapped__(d, g4_weighted_group(d))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("d", [0.05, 0.25, 1 / 3 + 1e-9, 0.45])
     def test_mixed_table_batch_equals_per_set_calls(self, d):
@@ -354,8 +381,7 @@ class TestNodeArrays:
         # not all adjacent: each row is what its set sums alone on its table, to the bit
         x, z = first_sweep_nodes()
         lam = sf._decay_rate(x, z)
-        group = tuple((w, key[0]) for w, kind, key in vt._g_pieces(4, d)
-                      if kind == "sum" and key[1:] == (1.0, 0.0))
+        group = g4_weighted_group(d)
         family, weighted = vt._family_table(d, vt._G2_FAMILY), vt._family_table(d, group)
         rows = [(vt._UNIT, pair(d)) for pair in ROUTE_2F1[:3]]
         rows += [(family, (d, 1.0)), (weighted, (d, 1.0)), (vt._UNIT, (d, 4 - 3 * d)),
